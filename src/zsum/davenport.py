@@ -17,7 +17,7 @@ import json
 import os
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -81,7 +81,7 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
                 raise BudgetExceeded(
                     f"davenport_exact exhausted {node_budget} nodes on {g.describe()}",
                     lower_bound=best_len + 1,
-                    witness=tuple(elements[r] for r in best_witness),
+                    witness=tuple([elements[r] for r in best_witness]),
                 )
             add_e = add_rank[e]
             new_mask = sums_mask | (1 << e)
@@ -98,7 +98,7 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
             stack.pop()
 
     dfs(1, 0)
-    witness = tuple(elements[r] for r in best_witness)
+    witness = tuple([elements[r] for r in best_witness])
     return DavenportRecord(group=g, value=best_len + 1, witness=witness, method=METHOD_EXACT)
 
 
@@ -124,21 +124,27 @@ def generator_repeat_witness(g: AbelianGroup) -> tuple[Element, ...]:
     """d_i - 1 copies of each canonical generator, sorted lexicographically."""
     witness = []
     for i, d in enumerate(g.invariant_factors):
-        gen = tuple(1 if j == i else 0 for j in range(g.rank))
+        gen = tuple([1 if j == i else 0 for j in range(g.rank)])
         witness.extend([gen] * (d - 1))
     return tuple(sorted(witness))
 
 
 class DavenportCache:
     """Map from canonical factor key ("d1xd2x...": "1" for the trivial group)
-    to records; single-writer, optionally persisted as JSON."""
+    to records; single-writer, optionally persisted as JSON.
+
+    Records are decoded once and served as they are; JSON is written only
+    when persisting.
+    """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        self._data: dict[str, dict] = {}
+        self._stored: dict[str, dict] = {}  # entries read from the file, verbatim
+        self._records: dict[str, DavenportRecord] = {}  # decoded, method "cache"
+        self._new: dict[str, DavenportRecord] = {}  # put since loading, method as found
         if self.path is not None and self.path.exists():
-            self._data = json.loads(self.path.read_text(encoding="utf-8"))
+            self._stored = json.loads(self.path.read_text(encoding="utf-8"))
 
     @staticmethod
     def key_for(g: AbelianGroup) -> str:
@@ -147,21 +153,23 @@ class DavenportCache:
         return "x".join(str(d) for d in g.invariant_factors)
 
     def get(self, g: AbelianGroup) -> DavenportRecord | None:
+        key = self.key_for(g)
         with self._lock:
-            entry = self._data.get(self.key_for(g))
-        if entry is None:
-            return None
-        witness = tuple(tuple(e) for e in entry["witness"])
-        return DavenportRecord(group=g, value=entry["value"], witness=witness, method=METHOD_CACHE)
+            hit = self._records.get(key)
+            if hit is None:
+                entry = self._stored.get(key)
+                if entry is None:
+                    return None
+                witness = tuple([tuple(e) for e in entry["witness"]])
+                hit = DavenportRecord(group=g, value=entry["value"], witness=witness, method=METHOD_CACHE)
+                self._records[key] = hit
+        return hit
 
     def put(self, record: DavenportRecord) -> None:
-        entry = {
-            "value": record.value,
-            "witness": [list(e) for e in record.witness],
-            "method": record.method,
-        }
+        key = self.key_for(record.group)
         with self._lock:
-            self._data[self.key_for(record.group)] = entry
+            self._new[key] = record
+            self._records[key] = replace(record, method=METHOD_CACHE)
             if self.path is not None:
                 self._persist()
 
@@ -170,8 +178,15 @@ class DavenportCache:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
         try:
+            data = dict(self._stored)
+            for key, rec in self._new.items():
+                data[key] = {
+                    "value": rec.value,
+                    "witness": [list(e) for e in rec.witness],
+                    "method": rec.method,
+                }
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self._data, fh, sort_keys=True, indent=2)
+                json.dump(data, fh, sort_keys=True, indent=2)
             os.replace(tmp, self.path)
         except BaseException:
             if os.path.exists(tmp):

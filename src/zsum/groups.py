@@ -4,7 +4,8 @@ A group is described by its invariant factors d_1 | d_2 | ... | d_k (each
 >= 2); elements are residue tuples with residues[i] in [0, d_i).  Arbitrary
 cyclic decompositions are accepted as input and canonicalized, so Z_4 x Z_6
 and Z_2 x Z_12 construct the same group object.  Elements always live in the
-canonical presentation.
+canonical presentation.  Sets of elements can also be kept as bitmasks over
+element ranks and moved as a whole with :meth:`AbelianGroup.translate`.
 
 All values are immutable and hashable; they can be shared freely across
 workers.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidElement, InvalidGroup, InvalidInstance
@@ -98,27 +100,31 @@ class AbelianGroup:
         return (0,) * self.rank
 
     def check_element(self, a: Element) -> None:
-        if len(a) != self.rank:
-            raise InvalidElement(f"element {a!r} has arity {len(a)}, group rank is {self.rank}")
-        for r, d in zip(a, self.invariant_factors):
+        factors = self.invariant_factors
+        if len(a) != len(factors):
+            raise InvalidElement(f"element {a!r} has arity {len(a)}, group rank is {len(factors)}")
+        for r, d in zip(a, factors):
             if not 0 <= r < d:
                 raise InvalidElement(f"residue {r} out of range [0, {d}) in {a!r}")
 
     def add(self, a: Element, b: Element) -> Element:
         self.check_element(a)
         self.check_element(b)
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
+        # Hot tuples are built from lists throughout the package: a tuple grown
+        # from a generator is resized, and CPython parks the spare blocks in
+        # per-size free lists, so peak RSS crept with the number of calls.
+        return tuple([(x + y) % d for x, y, d in zip(a, b, self.invariant_factors)])
 
     def neg(self, a: Element) -> Element:
         self.check_element(a)
-        return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
+        return tuple([(-x) % d for x, d in zip(a, self.invariant_factors)])
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
 
     def scalar_mul(self, c: int, a: Element) -> Element:
         self.check_element(a)
-        return tuple((c * x) % d for x, d in zip(a, self.invariant_factors))
+        return tuple([(c * x) % d for x, d in zip(a, self.invariant_factors)])
 
     def sum(self, elems: Iterable[Element]) -> Element:
         total = self.zero()
@@ -143,6 +149,40 @@ class AbelianGroup:
         for r, d in zip(a, self.invariant_factors):
             rank = rank * d + r
         return rank
+
+    def translate(self, mask: int, e: Element) -> int:
+        """Translate a set of elements, kept as a bitmask over element ranks,
+        by ``e``: bit ``element_rank(a)`` moves to ``element_rank(a + e)``.
+
+        Two masked shifts per nonzero coordinate of ``e``.  ``e`` is trusted;
+        callers validate it once with :meth:`check_element`.
+        """
+        for steps, r in zip(self._translation_steps, e):
+            if r:
+                keep, up, wrap, down = steps[r]
+                mask = (mask & keep) << up | (mask & wrap) >> down
+        return mask
+
+    @cached_property
+    def _translation_steps(self) -> list[list[tuple[int, int, int, int]]]:
+        """Per coordinate i and residue r in [1, d_i): the bits whose i-th
+        residue is below d_i - r move up by r * stride_i, the others wrap
+        down by (d_i - r) * stride_i, where stride_i is the product of the
+        later invariant factors.  Masks repeat once per block of d_i * stride_i
+        bits, so each is one repunit multiply instead of a per-bit loop."""
+        n = self.order
+        full = (1 << n) - 1
+        out = []
+        stride = n
+        for d in self.invariant_factors:
+            stride //= d
+            repunit = full // ((1 << d * stride) - 1)  # lowest bit of every block
+            steps = [(0, 0, 0, 0)]  # residue 0 never shifts
+            for r in range(1, d):
+                keep = ((1 << (d - r) * stride) - 1) * repunit
+                steps.append((keep, r * stride, full ^ keep, (d - r) * stride))
+            out.append(steps)
+        return out
 
     def describe(self) -> str:
         if not self.invariant_factors:

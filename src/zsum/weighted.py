@@ -86,8 +86,8 @@ class Selection:
     @classmethod
     def build(cls, inst: Instance, pairs: Iterable[tuple[int, int]]) -> "Selection":
         pairs = sorted(pairs)
-        indices = tuple(i for i, _ in pairs)
-        images = tuple(j for _, j in pairs)
+        indices = tuple([i for i, _ in pairs])
+        images = tuple([j for _, j in pairs])
         sel = cls(indices=indices, images=images, value=inst.group.zero())
         return replace(sel, value=selection_value(inst, sel))
 
@@ -289,7 +289,7 @@ def extend_shellable(
         b_win = b_rem[:d]
         derived = [g.scalar_mul(inst.w[i - 1], inst.x[j - 1]) for i, j in zip(a_win, b_win)]
         wit = find_zero_sum_davenport(g, derived, davenport_value=d)
-        block = tuple(a_win[t - 1] for t in wit.indices)
+        block = tuple([a_win[t - 1] for t in wit.indices])
         used_images = set()
         for t in wit.indices:
             pairs[a_win[t - 1]] = b_win[t - 1]
@@ -337,7 +337,7 @@ def narrow_shelling(inst: Instance, davenport_value: int | None = None) -> Shell
             (dom_win[i - 1], img_win[j - 1])
             for i, j in zip(sh.selection.indices, sh.selection.images)
         ]
-        block = tuple(sorted(i for i, _ in block_pairs))
+        block = tuple(sorted([i for i, _ in block_pairs]))
         pairs.update(block_pairs)
         blocks.append(block)
         domain.update(block)
@@ -479,7 +479,7 @@ def solve_corollary(
         )
 
     try:
-        sel, path = _corollary_constructive(inst, d)
+        sel, path = _corollary_constructive(inst, d, oracle_cap, dav_cache)
     except (TheoremViolation, _ConstructiveFailed):
         sel = fallback_search(inst, STATEMENT_COROLLARY, oracle_cap=oracle_cap)
         if sel is None:
@@ -502,7 +502,12 @@ def solve_corollary(
     return replace(cert, verified=True)
 
 
-def _corollary_constructive(inst: Instance, d: int) -> tuple[Selection, str]:
+def _corollary_constructive(
+    inst: Instance,
+    d: int,
+    oracle_cap: int,
+    dav_cache: DavenportCache | None,
+) -> tuple[Selection, str]:
     g = inst.group
     n = g.order
     r = min(d, inst.ell)
@@ -511,9 +516,9 @@ def _corollary_constructive(inst: Instance, d: int) -> tuple[Selection, str]:
     anchor_positions = _positions_of(inst.x, anchor)
     reserve = sorted(anchor_positions[-r:])
     keep = [p for p in range(1, inst.m + 1) if p not in set(reserve)]
-    y = tuple(g.sub(inst.x[p - 1], anchor) for p in keep)
+    y = tuple([g.sub(inst.x[p - 1], anchor) for p in keep])
     sub = Instance(group=g, x=y, w=inst.w, ell=inst.ell)
-    inner = solve_theorem1(sub)
+    inner = solve_theorem1(sub, oracle_cap=oracle_cap, dav_cache=dav_cache)
 
     pairs = [
         (i, keep[j - 1]) for i, j in zip(inner.selection.indices, inner.selection.images)

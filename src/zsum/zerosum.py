@@ -1,9 +1,14 @@
 """Unweighted zero-sum subsequence solvers.
 
-Three entry points share one engine: a suffix-reachability table over
-states (position, running sum, cardinality) followed by a greedy forward
-reconstruction.  The reconstruction always emits the witness whose sorted
-index list is lexicographically smallest, which pins down golden outputs.
+Three entry points share one engine.  The sequence is validated once at
+entry; after that a set of group elements is a bitmask over element ranks
+(:meth:`AbelianGroup.element_rank`) and adding an element to every member
+of a set is one :meth:`AbelianGroup.translate`.  A suffix table records,
+per start position and subset size, the bitmask of sums reachable from the
+tail; when every nonempty size is allowed the size axis collapses to one
+"nonempty" mask per position.  A greedy forward pass over the table then
+emits the witness whose sorted index list is lexicographically smallest,
+which pins down golden outputs.
 
 The bounded solver realizes the classical fact that a length-n sequence
 over a group of order n with maximal repetition <= k contains a nonempty
@@ -33,30 +38,37 @@ class ZeroSumWitness:
         return len(self.indices)
 
 
-def _suffix_reach(g: AbelianGroup, x: Sequence[Element], cap: int) -> list[dict[Element, int]]:
-    """tables[p][s] = bitmask of subset sizes (<= cap) over positions p..m-1
-    achieving sum s; position indices 0-based, tables[m] is the empty tail."""
+def _suffix_reach(g: AbelianGroup, x: Sequence[Element], cap: int) -> list[list[int]]:
+    """tables[p][c] = bitmask (over element ranks) of the sums of the
+    c-element subsets of positions p..m-1, for c <= cap; positions are
+    0-based and tables[m] is the empty tail, whose only sum is zero (rank 0)."""
     m = len(x)
-    size_cap_mask = (1 << (cap + 1)) - 1
-    tables: list[dict[Element, int]] = [dict() for _ in range(m + 1)]
-    tables[m] = {g.zero(): 1}
+    translate = g.translate
+    tail = [1] + [0] * cap
+    tables = [tail]
     for p in range(m - 1, -1, -1):
-        prev = tables[p + 1]
-        cur = dict(prev)
-        xe = x[p]
-        for s, mask in prev.items():
-            taken = (mask << 1) & size_cap_mask
-            if taken:
-                t = g.add(s, xe)
-                cur[t] = cur.get(t, 0) | taken
-        tables[p] = cur
+        e = x[p]
+        cur = tail.copy()
+        for c in range(min(cap, m - p), 0, -1):
+            if tail[c - 1]:
+                cur[c] |= translate(tail[c - 1], e)
+        tables.append(cur)
+        tail = cur
+    tables.reverse()
     return tables
 
 
-def _size_window_mask(lo: int, hi: int) -> int:
-    if hi < lo:
-        return 0
-    return ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1)
+def _nonempty_reach(g: AbelianGroup, x: Sequence[Element]) -> list[int]:
+    """reach[p] = bitmask of the sums of the nonempty subsets of positions
+    p..m-1: the suffix table with its size axis collapsed."""
+    translate = g.translate
+    reach = [0]
+    mask = 0
+    for p in range(len(x) - 1, -1, -1):
+        mask |= translate(mask | 1, x[p])  # bit 0: the empty sum
+        reach.append(mask)
+    reach.reverse()
+    return reach
 
 
 def _lex_smallest_subset(
@@ -64,39 +76,50 @@ def _lex_smallest_subset(
     x: Sequence[Element],
     lo: int,
     hi: int,
-    target: Element | None = None,
 ) -> tuple[int, ...] | None:
     """Lexicographically smallest sorted index tuple with size in [lo, hi]
-    (lo >= 1) summing to target (default: zero), or None."""
+    (lo >= 1) summing to zero, or None."""
     m = len(x)
     for e in x:
         g.check_element(e)
-    zero = g.zero()
-    target = zero if target is None else target
-    tables = _suffix_reach(g, x, hi)
+    if lo > hi:
+        return None
+    factors = g.invariant_factors
+    neg = [tuple([-r % d for r, d in zip(e, factors)]) for e in x]
 
-    if not tables[0].get(target, 0) & _size_window_mask(lo, hi):
+    # completes(p, need, count): some subset of positions p..m-1 sums to the
+    # single-bit mask `need` and brings a prefix of `count` picks into [lo, hi]
+    if lo <= 1 and hi >= m:
+        reach = _nonempty_reach(g, x)
+
+        def completes(p: int, need: int, count: int) -> bool:
+            return bool(reach[p] & need)
+
+    else:
+        tables = _suffix_reach(g, x, hi)
+
+        def completes(p: int, need: int, count: int) -> bool:
+            row = tables[p]
+            return any(row[c] & need for c in range(max(lo - count, 1), hi - count + 1))
+
+    # `need` is the bit of minus the sum picked so far; bit 0 is zero
+    need = 1
+    if not completes(0, need, 0):
         return None
 
     chosen: list[int] = []
-    sigma = zero
-    count = 0
-    p = 0
-    while True:
-        for q in range(p, m):
-            s2 = g.add(sigma, x[q])
-            c2 = count + 1
-            if s2 == target and lo <= c2 <= hi:
-                chosen.append(q + 1)
-                return tuple(chosen)
-            need = g.sub(target, s2)
-            window = _size_window_mask(max(lo - c2, 1), hi - c2)
-            if tables[q + 1].get(need, 0) & window:
-                chosen.append(q + 1)
-                sigma, count, p = s2, c2, q + 1
-                break
-        else:  # pragma: no cover - unreachable once the feasibility gate passed
-            raise AssertionError("suffix tables promised a completion that does not exist")
+    for q in range(m):
+        need2 = g.translate(need, neg[q])
+        c2 = len(chosen) + 1
+        if need2 & 1 and lo <= c2 <= hi:
+            chosen.append(q + 1)
+            return tuple(chosen)
+        if completes(q + 1, need2, c2):
+            chosen.append(q + 1)
+            need = need2
+    raise AssertionError(  # pragma: no cover - unreachable once the feasibility gate passed
+        "suffix tables promised a completion that does not exist"
+    )
 
 
 def find_zero_sum_bounded(g: AbelianGroup, x: Sequence[Element], k: int) -> ZeroSumWitness:

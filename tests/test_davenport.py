@@ -157,6 +157,23 @@ def test_cache_in_memory_when_no_path():
     assert davenport_get(g, cache).method == METHOD_CACHE
 
 
+def test_cache_hits_are_decoded_once(tmp_path):
+    path = tmp_path / "dav.json"
+    g = canonicalize([3, 6])
+    first = davenport_get(g, DavenportCache(path))
+    written = path.read_text()
+    for cache in (DavenportCache(), DavenportCache(path)):  # put, then loaded from file
+        davenport_get(g, cache)
+        hit = cache.get(g)
+        assert hit.method == METHOD_CACHE
+        assert (hit.value, hit.witness) == (first.value, first.witness)
+        assert cache.get(g) is hit
+    # the file keeps the method that found the value
+    assert json.loads(written)["3x6"]["method"] == METHOD_FORMULA
+    DavenportCache(path).put(first)
+    assert path.read_text() == written
+
+
 def test_node_budget_exhaustion_raises():
     g = canonicalize([11])
     with pytest.raises(BudgetExceeded) as err:

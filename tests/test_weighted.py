@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zsum.davenport import davenport_get
+import zsum.davenport
+from zsum.davenport import DavenportCache, davenport_get
 from zsum.errors import (
     InvalidArgument,
     InvalidInstance,
@@ -349,6 +350,17 @@ def test_corollary_worked_example():
     assert inst.m in cert.selection.images
     ok, diags = verify_certificate(inst, cert)
     assert ok, diags
+
+
+def test_corollary_uses_the_given_davenport_cache(monkeypatch):
+    default = DavenportCache()
+    monkeypatch.setattr(zsum.davenport, "_default_cache", default)
+    own = DavenportCache()
+    inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
+    cert = solve_corollary(inst, dav_cache=own)
+    assert cert.solve_path == "constructive"
+    assert own.get(Z3) is not None
+    assert default.get(Z3) is None
 
 
 def test_corollary_window_is_exactly_n():

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zsum.davenport import davenport_get
-from zsum.errors import InvalidInstance
+from zsum.errors import InvalidElement, InvalidInstance
 from zsum.groups import canonicalize, groups_up_to_order, rho
 from zsum.zerosum import (
     find_zero_sum_bounded,
@@ -190,3 +191,74 @@ def test_exact_length_property(data):
         wit = find_zero_sum_exact_length(g, x, length)
         expected = _oracle_exact(g, x, length)
         assert (wit.indices if wit else None) == expected
+
+
+# ------------------------------------------------------------ bitset kernel
+
+
+@pytest.mark.parametrize("orders", [[1], [7], [2, 4, 8], [3, 3, 9], [6, 12]])
+def test_translate_agrees_with_add(orders):
+    g = canonicalize(orders)
+    elements = g.elements()
+    rng = random.Random(len(elements))
+    for e in elements:
+        for a in elements:
+            moved = g.translate(1 << g.element_rank(a), e)
+            assert moved == 1 << g.element_rank(g.add(a, e)), (orders, a, e)
+        # a many-element set moves as a whole
+        subset = [a for a in elements if rng.random() < 0.5]
+        mask = sum(1 << g.element_rank(a) for a in subset)
+        expected = sum(1 << g.element_rank(g.add(a, e)) for a in subset)
+        assert g.translate(mask, e) == expected, (orders, e)
+
+
+def _is_zero_sum(g, x, idx):
+    # plain residue arithmetic, independent of the group methods under test
+    return all(
+        sum(x[i - 1][c] for i in idx) % d == 0 for c, d in enumerate(g.invariant_factors)
+    )
+
+
+def _first_combination(g, x, sizes):
+    """The lexicographically first index tuple, over all the given sizes,
+    that itertools.combinations yields with a zero sum."""
+    hits = []
+    for r in sizes:
+        for idx in itertools.combinations(range(1, len(x) + 1), r):
+            if _is_zero_sum(g, x, idx):
+                hits.append(idx)
+                break  # combinations of one size come in lexicographic order
+    return min(hits, default=None)
+
+
+@pytest.mark.parametrize("g", groups_up_to_order(12), ids=lambda g: g.describe())
+def test_solvers_return_first_combination_hit(g):
+    rng = random.Random(g.order * 100 + g.rank)
+    elements = g.elements()
+    n = g.order
+    d = davenport_get(g).value
+    for _ in range(6):
+        x = [rng.choice(elements) for _ in range(n)]
+        k = rng.randint(rho(x), n)
+        assert find_zero_sum_bounded(g, x, k).indices == _first_combination(g, x, range(1, k + 1))
+
+        y = [rng.choice(elements) for _ in range(rng.randint(d, d + 2))]
+        wit = find_zero_sum_davenport(g, y, davenport_value=d)
+        assert wit.indices == _first_combination(g, y, range(1, len(y) + 1))
+
+        z = [rng.choice(elements) for _ in range(rng.randint(1, min(2 * n - 1, 12)))]
+        length = rng.randint(1, len(z))
+        wit = find_zero_sum_exact_length(g, z, length)
+        assert (wit.indices if wit else None) == _first_combination(g, z, [length])
+
+
+@pytest.mark.parametrize("bad", [(1, 0), (), (3,), (-1,)])
+def test_solvers_reject_invalid_elements(bad):
+    g = canonicalize([3])
+    x = ((1,), bad, (2,))
+    with pytest.raises(InvalidElement):
+        find_zero_sum_bounded(g, x, 3)
+    with pytest.raises(InvalidElement):
+        find_zero_sum_davenport(g, x)
+    with pytest.raises(InvalidElement):
+        find_zero_sum_exact_length(g, x, 2)
