@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import acceptance
 from .conjecture import (
@@ -58,18 +57,7 @@ from .serialize import (
     load_instance,
     zero_sum_witness_to_json,
 )
-from .weighted import (
-    Certificate,
-    DEFAULT_ORACLE_CAP,
-    STATEMENT_COROLLARY,
-    STATEMENT_THEOREM1,
-    STATEMENT_WORD1,
-    instance_digest,
-    solve_corollary,
-    solve_theorem1,
-    solve_word1,
-    verify_certificate,
-)
+from .weighted import DEFAULT_ORACLE_CAP, solve, verify_certificate
 from .zerosum import find_zero_sum_bounded, find_zero_sum_exact_length
 
 CACHE_ENV_VAR = "ZSUM_DAVENPORT_CACHE"
@@ -181,25 +169,7 @@ def _cmd_zero_sum(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     _check_out_path(args.out)
     statement, inst = load_instance(args.instance)
-    cache = _cache_from(args)
-    if statement == STATEMENT_THEOREM1:
-        cert = solve_theorem1(inst, oracle_cap=args.oracle_cap, dav_cache=cache)
-    elif statement == STATEMENT_COROLLARY:
-        cert = solve_corollary(inst, oracle_cap=args.oracle_cap, dav_cache=cache)
-    else:
-        sh, path = solve_word1(inst.group, inst.x, inst.w, inst.ell, oracle_cap=args.oracle_cap)
-        cert = Certificate(
-            statement=STATEMENT_WORD1,
-            instance_digest=instance_digest(inst),
-            selection=sh.selection,
-            shelling=sh.blocks,
-            solve_path=path,
-            verified=False,
-        )
-        ok, diagnostics = verify_certificate(inst, cert, dav_cache=cache)
-        if not ok:
-            raise AssertionError(f"emitted certificate failed verification: {diagnostics}")
-        cert = replace(cert, verified=True)
+    cert = solve(inst, statement, oracle_cap=args.oracle_cap, dav_cache=_cache_from(args))
     atomic_write_text(args.out, dumps_stable(certificate_to_json(inst.group, cert)))
     print(f"certificate written to {args.out}")
     print(f"verification: ok (solve_path = {cert.solve_path}, |I| = {len(cert.selection)})")

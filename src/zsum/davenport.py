@@ -4,7 +4,8 @@ D(G) is 1 + (length of the longest zero-sum-free sequence over G).  The
 exact search walks non-decreasing element sequences depth-first (killing
 permutation symmetry) and prunes with the set of sums reachable from the
 prefix, kept as a bit-vector indexed by lexicographic element rank:
-appending e is legal iff e != 0 and -e is not already reachable.
+appending e is legal iff e != 0 and -e is not already reachable, and the
+new sums are one :meth:`AbelianGroup.translate` of the old ones by e.
 
 Closed forms (cyclic, rank two, p-groups) serve as cross-checks and as the
 fast path in :func:`davenport_get`; everything lands in a cache keyed by
@@ -64,7 +65,7 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
 
     elements = g.elements()  # rank 0 is the zero element
     neg_rank = [g.element_rank(g.neg(e)) for e in elements]
-    add_rank = [[g.element_rank(g.add(a, b)) for b in elements] for a in elements]
+    translate = g.translate
 
     best_len = 0
     best_witness: tuple[int, ...] = ()
@@ -83,13 +84,8 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
                     lower_bound=best_len + 1,
                     witness=tuple([elements[r] for r in best_witness]),
                 )
-            add_e = add_rank[e]
-            new_mask = sums_mask | (1 << e)
-            m = sums_mask
-            while m:
-                low = m & -m
-                new_mask |= 1 << add_e[low.bit_length() - 1]
-                m ^= low
+            # the old sums, plus e added to each of them and to the empty sum
+            new_mask = sums_mask | translate(sums_mask | 1, elements[e])
             stack.append(e)
             if len(stack) > best_len:
                 best_len = len(stack)

@@ -19,11 +19,17 @@ Solvers, by statement tag:
   by the final position, an n-subset of [1, m - ell] whose weighted sum is
   (sum of the picked weights) * x_m, with position m in the image.
 
-Every solver emits a Certificate checked by the independent verifier, and
-every statement has an exhaustive oracle (``fallback_search``) used both as
+``solve(inst, statement)`` is the single entry point over the three: it
+returns a Certificate that the independent verifier has already accepted.
+Every statement has an exhaustive oracle (``fallback_search``) used both as
 a last-resort solve path and as the test-side ground truth.  All free
 choices resolve to the lexicographically smallest option, so identical
 instances yield byte-identical certificates.
+
+Elements are validated once, when an Instance is built.  After that every
+weighted value - of a selection, a shelling block, an oracle candidate or a
+derived sequence entry - comes from one kernel, ``weighted_value``, which
+trusts its operands.
 """
 
 from __future__ import annotations
@@ -62,13 +68,19 @@ class Instance:
     """A sequence over a group, integer weights, and a repetition bound.
 
     ``w`` may be shorter than ``x`` (the corollary drops the reserved tail),
-    so length relations are checked per statement, not here.
+    so length relations are checked per statement, not here.  Every entry of
+    ``x`` is checked against the group on construction (InvalidElement), so
+    the rest of this module trusts it.
     """
 
     group: AbelianGroup
     x: tuple[Element, ...]
     w: tuple[int, ...]
     ell: int
+
+    def __post_init__(self) -> None:
+        for e in self.x:
+            self.group.check_element(e)
 
     @property
     def m(self) -> int:
@@ -134,9 +146,27 @@ def instance_digest(inst: Instance) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def weighted_value(
+    g: AbelianGroup,
+    w: Sequence[int],
+    x: Sequence[Element],
+    indices: Sequence[int],
+    images: Sequence[int],
+) -> Element:
+    """sum_j w_{indices[j]} * x_{images[j]} (1-based), coordinate by
+    coordinate: (sum of w_i * x_{f(i)}[c]) mod d_c.
+
+    The operands are trusted: x comes from a validated Instance and the
+    positions from a checked selection or from the solvers' own pools.
+    """
+    return tuple([
+        sum([w[i - 1] * x[j - 1][c] for i, j in zip(indices, images)]) % d
+        for c, d in enumerate(g.invariant_factors)
+    ])
+
+
 def selection_value(inst: Instance, sel: Selection) -> Element:
     """Recompute sum w_i * x_{f(i)} from scratch, validating the selection."""
-    g = inst.group
     if len(sel.indices) != len(sel.images):
         raise InvalidSelection("domain and image lists differ in length")
     if any(a >= b for a, b in zip(sel.indices, sel.indices[1:])):
@@ -149,10 +179,7 @@ def selection_value(inst: Instance, sel: Selection) -> Element:
     for j in sel.images:
         if not 1 <= j <= inst.m:
             raise InvalidSelection(f"position {j} outside [1, {inst.m}]")
-    total = g.zero()
-    for i, j in zip(sel.indices, sel.images):
-        total = g.add(total, g.scalar_mul(inst.w[i - 1], inst.x[j - 1]))
-    return total
+    return weighted_value(inst.group, inst.w, inst.x, sel.indices, sel.images)
 
 
 def _mod_n_sequence(g_n: AbelianGroup, w: Sequence[int]) -> list[Element]:
@@ -198,12 +225,12 @@ def solve_word1(
     inst = Instance(group=g, x=tuple(x), w=tuple(w), ell=ell)
 
     try:
-        sel = _word1_constructive(g, x, w)
+        sel = _word1_constructive(inst)
         if not 1 <= len(sel) <= ell or sel.value != g.zero():
             raise _ConstructiveFailed
         return Shelling(selection=sel, blocks=(sel.indices,), width=ell), SOLVE_CONSTRUCTIVE
     except (TheoremViolation, _ConstructiveFailed):
-        sel = fallback_search(inst, STATEMENT_WORD1, oracle_cap=oracle_cap)
+        sel = fallback_search(inst, STATEMENT_WORD1, window=(1, ell), oracle_cap=oracle_cap)
         if sel is None or len(sel) == 0:
             raise TheoremViolation(
                 f"no selection with |I| <= {ell} and value zero exists for x={x!r}, w={w!r}"
@@ -211,13 +238,13 @@ def solve_word1(
         return Shelling(selection=sel, blocks=(sel.indices,), width=ell), SOLVE_FALLBACK
 
 
-def _word1_constructive(g: AbelianGroup, x: Sequence[Element], w: Sequence[int]) -> Selection:
+def _word1_constructive(inst: Instance) -> Selection:
+    g, x = inst.group, inst.x
     n = g.order
     z_n = canonicalize([n])
-    w_mod = _mod_n_sequence(z_n, w)
+    w_mod = _mod_n_sequence(z_n, inst.w)
     r = rho(x)
     s = rho(w_mod)
-    inst = Instance(group=g, x=tuple(x), w=tuple(w), ell=max(r, 1))
 
     if s <= r:
         # a zero-sum subset of the weights mod n, all mapped to one repeated value
@@ -287,7 +314,7 @@ def extend_shellable(
     while len(a_rem) >= d and len(b_rem) >= d:
         a_win = a_rem[:d]
         b_win = b_rem[:d]
-        derived = [g.scalar_mul(inst.w[i - 1], inst.x[j - 1]) for i, j in zip(a_win, b_win)]
+        derived = [weighted_value(g, inst.w, inst.x, (i,), (j,)) for i, j in zip(a_win, b_win)]
         wit = find_zero_sum_davenport(g, derived, davenport_value=d)
         block = tuple([a_win[t - 1] for t in wit.indices])
         used_images = set()
@@ -382,33 +409,15 @@ def solve_theorem1(
             sel, blocks = _combine_narrow_and_wide(inst, d)
         if not (lo <= len(sel) <= hi) or sel.value != g.zero():
             raise _ConstructiveFailed
-        cert = Certificate(
-            statement=STATEMENT_THEOREM1,
-            instance_digest=instance_digest(inst),
-            selection=sel,
-            shelling=blocks,
-            solve_path=SOLVE_CONSTRUCTIVE,
-            verified=False,
-        )
+        path = SOLVE_CONSTRUCTIVE
     except (TheoremViolation, _ConstructiveFailed):
-        sel = fallback_search(inst, STATEMENT_THEOREM1, oracle_cap=oracle_cap)
+        sel = fallback_search(inst, STATEMENT_THEOREM1, window=(lo, hi), oracle_cap=oracle_cap)
         if sel is None:
             raise TheoremViolation(
                 f"no selection in window [{lo}, {hi}] with value zero exists"
             ) from None
-        cert = Certificate(
-            statement=STATEMENT_THEOREM1,
-            instance_digest=instance_digest(inst),
-            selection=sel,
-            shelling=None,
-            solve_path=SOLVE_FALLBACK,
-            verified=False,
-        )
-
-    ok, diagnostics = verify_certificate(inst, cert, dav_cache=dav_cache)
-    if not ok:
-        raise AssertionError(f"emitted certificate failed verification: {diagnostics}")
-    return replace(cert, verified=True)
+        blocks, path = None, SOLVE_FALLBACK
+    return _certify(inst, STATEMENT_THEOREM1, sel, blocks, path, dav_cache)
 
 
 def _combine_narrow_and_wide(inst: Instance, d: int) -> tuple[Selection, tuple[tuple[int, ...], ...]]:
@@ -481,25 +490,13 @@ def solve_corollary(
     try:
         sel, path = _corollary_constructive(inst, d, oracle_cap, dav_cache)
     except (TheoremViolation, _ConstructiveFailed):
-        sel = fallback_search(inst, STATEMENT_COROLLARY, oracle_cap=oracle_cap)
+        sel = fallback_search(inst, STATEMENT_COROLLARY, window=(n, n), oracle_cap=oracle_cap)
         if sel is None:
             raise TheoremViolation(
                 f"no barycentric n-selection exists for {inst!r} despite ell < D"
             ) from None
         path = SOLVE_FALLBACK
-
-    cert = Certificate(
-        statement=STATEMENT_COROLLARY,
-        instance_digest=instance_digest(inst),
-        selection=sel,
-        shelling=None,
-        solve_path=path,
-        verified=False,
-    )
-    ok, diagnostics = verify_certificate(inst, cert, dav_cache=dav_cache)
-    if not ok:
-        raise AssertionError(f"emitted certificate failed verification: {diagnostics}")
-    return replace(cert, verified=True)
+    return _certify(inst, STATEMENT_COROLLARY, sel, None, path, dav_cache)
 
 
 def _corollary_constructive(
@@ -548,7 +545,8 @@ def _statement_window(inst: Instance, statement: str, d: int) -> tuple[int, int]
 def _statement_target(inst: Instance, statement: str, indices: Sequence[int]) -> Element:
     g = inst.group
     if statement == STATEMENT_COROLLARY:
-        return g.scalar_mul(sum(inst.w[i - 1] for i in indices), inst.x[-1])
+        # (sum of the picked weights) * x_m: every picked weight placed on x_m
+        return weighted_value(g, inst.w, inst.x, indices, [inst.m] * len(indices))
     return g.zero()
 
 
@@ -587,9 +585,7 @@ def fallback_search(
         for images in itertools.permutations(image_range, len(indices)):
             if require_image is not None and require_image not in images:
                 continue
-            total = g.zero()
-            for i, j in zip(indices, images):
-                total = g.add(total, g.scalar_mul(inst.w[i - 1], inst.x[j - 1]))
+            total = weighted_value(g, inst.w, inst.x, indices, images)
             if total == target:
                 return Selection(indices=indices, images=images, value=total)
     if lo == 0:
@@ -637,9 +633,7 @@ def verify_certificate(
     if cert.statement == STATEMENT_COROLLARY and inst.m not in sel.images:
         diagnostics.append("anchor position")
 
-    recomputed = g.zero()
-    for i, j in zip(sel.indices, sel.images):
-        recomputed = g.add(recomputed, g.scalar_mul(inst.w[i - 1], inst.x[j - 1]))
+    recomputed = weighted_value(g, inst.w, inst.x, sel.indices, sel.images)
     if recomputed != sel.value:
         diagnostics.append("cached value")
     if recomputed != _statement_target(inst, cert.statement, sel.indices):
@@ -656,11 +650,48 @@ def verify_certificate(
         for block in cert.shelling:
             if any(i not in fmap for i in block):
                 continue  # partition diagnostic already covers this
-            block_value = g.zero()
-            for i in block:
-                block_value = g.add(block_value, g.scalar_mul(inst.w[i - 1], inst.x[fmap[i] - 1]))
-            if block_value != g.zero():
+            if weighted_value(g, inst.w, inst.x, block, [fmap[i] for i in block]) != g.zero():
                 diagnostics.append("shelling block value")
                 break
 
     return not diagnostics, diagnostics
+
+
+def _certify(
+    inst: Instance,
+    statement: str,
+    sel: Selection,
+    shelling: tuple[tuple[int, ...], ...] | None,
+    path: str,
+    dav_cache: DavenportCache | None,
+) -> Certificate:
+    """The certificate for a solver's selection, accepted by the verifier."""
+    cert = Certificate(
+        statement=statement,
+        instance_digest=instance_digest(inst),
+        selection=sel,
+        shelling=shelling,
+        solve_path=path,
+        verified=False,
+    )
+    ok, diagnostics = verify_certificate(inst, cert, dav_cache=dav_cache)
+    if not ok:
+        raise AssertionError(f"emitted certificate failed verification: {diagnostics}")
+    return replace(cert, verified=True)
+
+
+def solve(
+    inst: Instance,
+    statement: str,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
+    dav_cache: DavenportCache | None = None,
+) -> Certificate:
+    """Verified certificate for ``statement`` (one of STATEMENTS) on ``inst``."""
+    if statement == STATEMENT_THEOREM1:
+        return solve_theorem1(inst, oracle_cap=oracle_cap, dav_cache=dav_cache)
+    if statement == STATEMENT_COROLLARY:
+        return solve_corollary(inst, oracle_cap=oracle_cap, dav_cache=dav_cache)
+    if statement == STATEMENT_WORD1:
+        sh, path = solve_word1(inst.group, inst.x, inst.w, inst.ell, oracle_cap=oracle_cap)
+        return _certify(inst, STATEMENT_WORD1, sh.selection, sh.blocks, path, dav_cache)
+    raise InvalidArgument(f"unknown statement {statement!r}")

@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zsum.davenport
+import zsum.weighted
 from zsum.davenport import DavenportCache, davenport_get
 from zsum.errors import (
     InvalidArgument,
+    InvalidElement,
     InvalidInstance,
     InvalidSelection,
     OracleTooLarge,
+    TheoremViolation,
     UnsatisfiableStatement,
 )
-from zsum.groups import canonicalize, rho
+from zsum.groups import canonicalize, groups_up_to_order, rho
 from zsum.serialize import certificate_to_json, dumps_stable
 from zsum.weighted import (
     Certificate,
@@ -29,10 +32,12 @@ from zsum.weighted import (
     narrow_shelling,
     selection_value,
     shelling_trim,
+    solve,
     solve_corollary,
     solve_theorem1,
     solve_word1,
     verify_certificate,
+    weighted_value,
 )
 
 Z2 = canonicalize([2])
@@ -635,3 +640,108 @@ def test_corollary_soundness_fuzz():
         cert = solve_corollary(inst)
         ok, diags = verify_certificate(inst, cert)
         assert ok, (inst, diags)
+
+
+# ------------------------------------------------------ kernel and entry point
+
+
+def _checked_fold(g, w, x, indices, images):
+    """Reference: the weighted sum as validated group operations."""
+    total = g.zero()
+    for i, j in zip(indices, images):
+        total = g.add(total, g.scalar_mul(w[i - 1], x[j - 1]))
+    return total
+
+
+def test_weighted_value_matches_checked_fold():
+    rng = random.Random(20261018)
+    for g in groups_up_to_order(12):
+        elems = g.elements()
+        for _ in range(60):
+            x = [rng.choice(elems) for _ in range(rng.randint(0, 7))]
+            w = [
+                rng.choice((rng.randint(-30, 30), rng.randint(-10**15, 10**15)))
+                for _ in range(rng.randint(0, 7))
+            ]
+            size = rng.randint(0, min(len(x), len(w)))
+            indices = rng.sample(range(1, len(w) + 1), size)
+            images = rng.sample(range(1, len(x) + 1), size)
+            assert weighted_value(g, w, x, indices, images) == _checked_fold(g, w, x, indices, images)
+
+
+@pytest.mark.parametrize("orders, bad", [
+    ([3], (1, 0)),  # arity
+    ([3], (3,)),  # out of range
+    ([3], (-1,)),
+    ([2, 4], (1,)),
+    ([2, 4], (0, 4)),
+    ([1], (0,)),
+])
+def test_instance_rejects_invalid_elements(orders, bad):
+    g = canonicalize(orders)
+    with pytest.raises(InvalidElement):
+        Instance(group=g, x=(g.zero(), bad), w=(1, 1), ell=1)
+
+
+def _word1_certificate(inst):
+    sh, path = solve_word1(inst.group, inst.x, inst.w, inst.ell)
+    cert = Certificate(
+        statement="word1",
+        instance_digest=instance_digest(inst),
+        selection=sh.selection,
+        shelling=sh.blocks,
+        solve_path=path,
+        verified=False,
+    )
+    ok, diags = verify_certificate(inst, cert)
+    assert ok, diags
+    return dataclasses.replace(cert, verified=True)
+
+
+def test_solve_matches_the_per_statement_solvers():
+    rng = random.Random(11)
+    groups = [Z3, Z4, canonicalize([2, 2]), canonicalize([5]), canonicalize([2, 4])]
+    for _ in range(40):
+        inst = _random_theorem1_instance(rng, groups)
+        assert solve(inst, "theorem1") == solve_theorem1(inst)
+        g = rng.choice(groups)
+        inst = _random_corollary_instance(rng, g)
+        if inst is not None:
+            assert solve(inst, "corollary") == solve_corollary(inst)
+        n = g.order
+        x = tuple(rng.choice(g.elements()) for _ in range(n))
+        w = tuple(rng.randint(-n, 3 * n) for _ in range(n))
+        inst = Instance(group=g, x=x, w=w, ell=rho(x))
+        assert solve(inst, "word1") == _word1_certificate(inst)
+
+
+def test_solve_rejects_unknown_statement():
+    inst = Instance(group=Z3, x=((1,), (2,), (0,)), w=(1, 1, 1), ell=2)
+    with pytest.raises(InvalidArgument):
+        solve(inst, "theorem2")
+
+
+def _raise_violation(*args, **kwargs):
+    raise TheoremViolation("constructive step disabled by the test")
+
+
+@pytest.mark.parametrize("statement, step", [
+    ("theorem1", "_combine_narrow_and_wide"),
+    ("corollary", "_corollary_constructive"),
+    ("word1", "_word1_constructive"),
+])
+def test_fallback_uses_the_given_davenport_cache(monkeypatch, statement, step):
+    default = DavenportCache()
+    monkeypatch.setattr(zsum.davenport, "_default_cache", default)
+    monkeypatch.setattr(zsum.weighted, step, _raise_violation)
+    own = DavenportCache()
+    if statement == "theorem1":
+        inst = Instance(group=Z4, x=((1,), (2,), (3,), (2,), (1,)), w=(0, 5, 1, 6, 2), ell=2)
+        path = solve_theorem1(inst, dav_cache=own).solve_path
+    elif statement == "corollary":
+        inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
+        path = solve_corollary(inst, dav_cache=own).solve_path
+    else:
+        _, path = solve_word1(Z4, ((1,), (2,), (3,), (3,)), (1, 2, 1, 3), 2)
+    assert path == "fallback"
+    assert default.get(Z4) is None and default.get(Z3) is None
