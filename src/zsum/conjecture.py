@@ -10,16 +10,25 @@ k at least the Davenport constant.  A failing instance inside either regime
 contradicts a proved statement, so the scan raises TheoremViolation instead
 of recording a counterexample.
 
-Every instance is decided twice by independent routes: a memoized DFS over
-(weight index, used-position mask, running sum) states, and a from-scratch
-lexicographic enumeration of all (I, f) pairs.  Disagreement aborts the
-scan.  Counterexamples are, by construction, instances whose enumeration
-ran to exhaustion.
+Every instance is decided twice by independent routes.  The first is a
+memoized DFS on element ranks (rank 0 is the zero element) over
+(weight index, used-position mask, running-sum rank) states: each weight's
+row of w_i * x_j ranks is read off the group's cached scaling table (weights
+reduced mod the exponent, so negative, zero and huge weights all work), and
+the running sum moves through the cached rank addition table.  Looking up
+the ranks of x validates it, once per instance.  The second route is a
+from-scratch lexicographic enumeration of all (I, f) pairs through
+``fallback_search``, which builds its own ``Instance`` and computes every
+candidate with its own arithmetic, so it trusts nothing the DFS computed.
+Disagreement aborts the scan.  Counterexamples are, by construction,
+instances whose enumeration ran to exhaustion.
 
 Reports are deterministic byte-for-byte for a fixed configuration: the
 instance order is canonical (weights vary fastest), shards are contiguous
 index ranges mapped to workers in order and concatenated back in order, and
 volatile data (wall time, worker count) never enters the serialized form.
+The admissible x list of an exhaustive scan is built once per shard: once
+in total when the shards run in process.
 """
 
 from __future__ import annotations
@@ -33,7 +42,13 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .davenport import davenport_get
-from .errors import BudgetExceeded, InvalidArgument, InvalidInstance, TheoremViolation
+from .errors import (
+    BudgetExceeded,
+    InvalidArgument,
+    InvalidElement,
+    InvalidInstance,
+    TheoremViolation,
+)
 from .groups import AbelianGroup, Element, canonicalize, rho
 from .weighted import Instance, Selection, STATEMENT_WORD1, fallback_search
 
@@ -100,38 +115,59 @@ class ScanReport:
         }
 
 
+def _ranks(g: AbelianGroup, x: Sequence[Element]) -> list[int]:
+    index = g.rank_index
+    try:
+        return [index[e] for e in x]
+    except KeyError:
+        bad = next(e for e in x if e not in index)
+        g.check_element(bad)  # names the wrong arity or residue
+        raise InvalidElement(f"{bad!r} is not an element of {g.describe()}") from None
+
+
 def _has_zero_selection(g: AbelianGroup, x: Sequence[Element], w: Sequence[int]) -> bool:
-    """Memoized DFS: does some nonempty I and injection f give value zero?"""
+    """Memoized DFS on element ranks (rank 0 is zero): does some nonempty I
+    and injection f give value zero?
+
+    A state is (weight index, used-position mask, running-sum rank); the
+    mask is nonzero exactly when I is nonempty.  Looking up the ranks of x
+    is its one validation: an entry that is not an element of G raises
+    InvalidElement.
+    """
     n = len(x)
     k = len(w)
-    zero = g.zero()
-    derived = [[g.scalar_mul(wi, xj) for xj in x] for wi in w]
-    if any(zero in row for row in derived):
+    ranks = _ranks(g, x)
+    add = g.rank_add_table
+    scale = g.rank_scale_table
+    exponent = g.exponent
+    derived = [[scale[wi % exponent][r] for r in ranks] for wi in w]
+    if any(0 in row for row in derived):
         return True
 
-    memo: dict[tuple[int, int, Element, bool], bool] = {}
+    memo: dict[tuple[int, int, int], bool] = {}
 
-    def walk(i: int, used: int, total: Element, nonempty: bool) -> bool:
+    def walk(i: int, used: int, total: int) -> bool:
         if i == k:
-            return nonempty and total == zero
-        key = (i, used, total, nonempty)
+            return used != 0 and total == 0
+        key = (i, used, total)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        result = walk(i + 1, used, total, nonempty)
+        result = walk(i + 1, used, total)
         if not result:
             row = derived[i]
+            plus = add[total]
             for j in range(n):
                 bit = 1 << j
                 if used & bit:
                     continue
-                if walk(i + 1, used | bit, g.add(total, row[j]), True):
+                if walk(i + 1, used | bit, plus[row[j]]):
                     result = True
                     break
         memo[key] = result
         return result
 
-    return walk(0, 0, zero, False)
+    return walk(0, 0, 0)
 
 
 def enumerate_zero_selection(
@@ -149,9 +185,11 @@ def conjecture_check_instance(
 ) -> Selection | None:
     """Verified zero-value selection, or None for a counterexample candidate.
 
-    Requires |x| = |G|, 1 <= |w| <= |G|, and maximal repetition of x at most
-    |w|.  Decides via the memoized DFS, then confirms by lexicographic
-    enumeration; the two routes must agree or an AssertionError is raised.
+    Requires |x| = |G|, 1 <= |w| <= |G|, maximal repetition of x at most
+    |w|, and elements of G (checked once, by the DFS's rank lookup;
+    InvalidElement otherwise).  Decides via the memoized DFS, then confirms
+    by lexicographic enumeration; the two routes must agree or an
+    AssertionError is raised.
     """
     n = g.order
     k = len(w)
@@ -223,9 +261,8 @@ def _admissible_x(g: AbelianGroup, k: int) -> list[tuple[Element, ...]]:
 
 
 def _exhaustive_slice(
-    g: AbelianGroup, config: ScanConfig, start: int, end: int
+    xs: list[tuple[Element, ...]], config: ScanConfig, start: int, end: int
 ) -> Iterator[tuple[tuple[Element, ...], tuple[int, ...]]]:
-    xs = _admissible_x(g, config.k)
     ws = list(itertools.product(config.weight_values, repeat=config.k))
     w_count = len(ws)
     for flat in range(start, end):
@@ -252,8 +289,13 @@ def _instance_json(x: tuple[Element, ...], w: tuple[int, ...]) -> dict:
     return {"x": [list(e) for e in x], "w": list(w)}
 
 
-def _scan_worker(payload: dict) -> dict:
-    """Check one contiguous shard; returns JSON-safe partial results."""
+def _scan_worker(payload: dict, xs: list[tuple[Element, ...]] | None = None) -> dict:
+    """Check one contiguous shard; returns JSON-safe partial results.
+
+    ``xs`` is the admissible x list of an exhaustive scan when the caller
+    has built it already (shards checked in process); a worker process
+    builds its own.
+    """
     g = canonicalize(payload["orders"])
     config = ScanConfig(
         orders=tuple(payload["orders"]),
@@ -264,7 +306,9 @@ def _scan_worker(payload: dict) -> dict:
         seed=payload.get("seed", 0),
     )
     if payload["mode"] == MODE_EXHAUSTIVE:
-        pairs: Iterator = _exhaustive_slice(g, config, payload["start"], payload["end"])
+        if xs is None:
+            xs = _admissible_x(g, config.k)
+        pairs: Iterator = _exhaustive_slice(xs, config, payload["start"], payload["end"])
     else:
         pairs = iter(_sample_instances(g, config)[payload["start"] : payload["end"]])
     checked = 0
@@ -317,6 +361,7 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
         xs = _admissible_x(g, config.k)
         total = len(xs) * (len(config.weight_values) ** config.k)
     else:
+        xs = None
         if config.sample_size > config.budget:
             raise BudgetExceeded(
                 f"sample_size {config.sample_size} exceeds budget {config.budget}",
@@ -335,7 +380,7 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
     payloads = [dict(base, start=lo, end=hi) for lo, hi in _shards(total, config.workers)]
 
     if config.workers == 1 or len(payloads) <= 1:
-        results = [_scan_worker(p) for p in payloads]
+        results = [_scan_worker(p, xs) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_scan_worker, payloads))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .errors import BudgetExceeded, InvalidInstance
+from .errors import BudgetExceeded, InvalidArgument, InvalidInstance
 from .groups import AbelianGroup, Element, _factorint
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -125,9 +125,42 @@ def generator_repeat_witness(g: AbelianGroup) -> tuple[Element, ...]:
     return tuple(sorted(witness))
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _read_cache_file(path: Path) -> dict[str, dict]:
+    """The stored entries of a cache file, checked for shape only: a JSON
+    object whose entries each hold an integer ``value`` and a ``witness``
+    list of residue lists.  Anything else raises InvalidArgument."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise InvalidArgument(f"Davenport cache {path} is unreadable: {err}") from None
+    if not isinstance(data, dict):
+        raise InvalidArgument(
+            f"Davenport cache {path} must hold a JSON object, got {type(data).__name__}"
+        )
+    for key, entry in data.items():
+        value = entry.get("value") if isinstance(entry, dict) else None
+        witness = entry.get("witness") if isinstance(entry, dict) else None
+        if not (
+            _is_int(value)
+            and isinstance(witness, list)
+            and all(isinstance(e, list) and all(_is_int(r) for r in e) for e in witness)
+        ):
+            raise InvalidArgument(
+                f"Davenport cache {path}: entry {key!r} needs an integer 'value' "
+                f"and a 'witness' list of residue lists"
+            )
+    return data
+
+
 class DavenportCache:
     """Map from canonical factor key ("d1xd2x...": "1" for the trivial group)
-    to records; single-writer, optionally persisted as JSON.
+    to records; single-writer, optionally persisted as JSON.  A file that is
+    not JSON, or whose entries lack an integer value or a witness list, is
+    rejected with InvalidArgument when the cache is opened.
 
     Records are decoded once and served as they are; JSON is written only
     when persisting.
@@ -140,7 +173,7 @@ class DavenportCache:
         self._records: dict[str, DavenportRecord] = {}  # decoded, method "cache"
         self._new: dict[str, DavenportRecord] = {}  # put since loading, method as found
         if self.path is not None and self.path.exists():
-            self._stored = json.loads(self.path.read_text(encoding="utf-8"))
+            self._stored = _read_cache_file(self.path)
 
     @staticmethod
     def key_for(g: AbelianGroup) -> str:

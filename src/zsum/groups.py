@@ -5,7 +5,8 @@ A group is described by its invariant factors d_1 | d_2 | ... | d_k (each
 cyclic decompositions are accepted as input and canonicalized, so Z_4 x Z_6
 and Z_2 x Z_12 construct the same group object.  Elements always live in the
 canonical presentation.  Sets of elements can also be kept as bitmasks over
-element ranks and moved as a whole with :meth:`AbelianGroup.translate`.
+element ranks and moved as a whole with :meth:`AbelianGroup.translate`;
+addition and scaling tables on ranks are built on first use.
 
 All values are immutable and hashable; they can be shared freely across
 workers.
@@ -183,6 +184,37 @@ class AbelianGroup:
                 steps.append((keep, r * stride, full ^ keep, (d - r) * stride))
             out.append(steps)
         return out
+
+    @cached_property
+    def rank_index(self) -> dict[Element, int]:
+        """Element to rank: the inverse of :meth:`elements`, n entries."""
+        return {e: r for r, e in enumerate(self.elements())}
+
+    @cached_property
+    def rank_add_table(self) -> tuple[tuple[int, ...], ...]:
+        """``rank_add_table[a][b]`` is the rank of ``elements()[a] +
+        elements()[b]``: addition on element ranks, n² ints."""
+        elements = self.elements()
+        factors = self.invariant_factors
+        rank = self.element_rank
+        return tuple([
+            tuple([rank([(x + y) % d for x, y, d in zip(a, b, factors)]) for b in elements])
+            for a in elements
+        ])
+
+    @cached_property
+    def rank_scale_table(self) -> tuple[tuple[int, ...], ...]:
+        """``rank_scale_table[c][a]`` is the rank of ``c * elements()[a]``
+        for c in [0, exponent), n * exponent ints.  The exponent kills every
+        element, so any integer weight w (negative, zero or huge) scales as
+        its residue ``w % exponent``."""
+        elements = self.elements()
+        factors = self.invariant_factors
+        rank = self.element_rank
+        return tuple([
+            tuple([rank([(c * x) % d for x, d in zip(a, factors)]) for a in elements])
+            for c in range(self.exponent)
+        ])
 
     def describe(self) -> str:
         if not self.invariant_factors:

@@ -241,3 +241,30 @@ def test_selftest_writes_summary(tmp_path, capsys, monkeypatch):
     summary = json.loads(out_path.read_text())
     assert summary["all_passed"] is False
     assert [r["number"] for r in summary["results"]] == [1, 2]
+
+
+MALFORMED_CACHES = {
+    "top-level-list": "[1, 2]",
+    "no-value": '{"2x2": {"witness": [[0, 1], [1, 0]]}}',
+    "string-value": '{"2x2": {"value": "3", "witness": [[0, 1], [1, 0]]}}',
+    "no-witness": '{"2x2": {"value": 3}}',
+    "flat-witness": '{"2x2": {"value": 3, "witness": [1, 2]}}',
+    "entry-not-object": '{"2x2": [3]}',
+    "not-json": '{"2x2": {"value": 3,',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CACHES))
+def test_solve_rejects_malformed_davenport_cache(tmp_path, capsys, name):
+    text = MALFORMED_CACHES[name]
+    inst_path = tmp_path / "inst.json"
+    cert_path = tmp_path / "cert.json"
+    cache_path = tmp_path / "dav.json"
+    cache_path.write_text(text)
+    _write_instance(inst_path, "theorem1", [2, 2], ((0, 1), (1, 0), (1, 1), (0, 1)), (1, 1, 1, 1), 2)
+    rc = main(["solve", "--instance", str(inst_path), "--out", str(cert_path),
+               "--cache", str(cache_path)])
+    assert rc == EXIT_INVALID
+    assert "Davenport cache" in capsys.readouterr().err
+    assert not cert_path.exists()
+    assert cache_path.read_text() == text  # left as it was

@@ -9,12 +9,13 @@ import pytest
 from zsum.conjecture import (
     ScanConfig,
     ScanReport,
+    _has_zero_selection,
     conjecture_check_instance,
     conjecture_scan,
     enumerate_zero_selection,
 )
-from zsum.errors import BudgetExceeded, InvalidArgument, InvalidInstance
-from zsum.groups import canonicalize, rho
+from zsum.errors import BudgetExceeded, InvalidArgument, InvalidElement, InvalidInstance
+from zsum.groups import canonicalize, groups_up_to_order, rho
 
 Z2 = canonicalize([2])
 Z3 = canonicalize([3])
@@ -188,3 +189,81 @@ def test_enumeration_oracle_agreement_random():
                 total = g.add(total, g.scalar_mul(w[i - 1], x[j - 1]))
             assert total == g.zero()
             assert len(set(sel.images)) == len(sel.images)
+
+
+def _brute_zero_selection(factors, x, w) -> bool:
+    """Some nonempty I and injection f with sum w_i * x_f(i) = 0, by trying
+    every (I, f) with plain per-coordinate modular arithmetic."""
+    for size in range(1, len(w) + 1):
+        for indices in itertools.combinations(range(len(w)), size):
+            for images in itertools.permutations(range(len(x)), size):
+                if all(
+                    sum(w[i] * x[j][c] for i, j in zip(indices, images)) % d == 0
+                    for c, d in enumerate(factors)
+                ):
+                    return True
+    return False
+
+
+def test_rank_dfs_matches_brute_force_on_small_groups():
+    rng = random.Random(20240518)
+    outcomes = Counter()
+    for g in groups_up_to_order(8):
+        n = g.order
+        elems = g.elements()
+        weight_pool = [0, -1, -n, n, 2 * n, 10**12 + 3, -(10**13) - 1, *range(-n, 2 * n)]
+        for _ in range(40):
+            k = rng.randint(1, min(n, 3 if n >= 7 else 4))
+            pool = [e for e in elems for _ in range(k)]
+            rng.shuffle(pool)
+            x = tuple(pool[:n])
+            assert rho(x) <= k
+            w = tuple(rng.choice(weight_pool) for _ in range(k))
+            expected = _brute_zero_selection(g.invariant_factors, x, w)
+            assert _has_zero_selection(g, x, w) == expected, (g.invariant_factors, x, w)
+            outcomes[expected] += 1
+        # short x over the nonzero elements, where no selection is common
+        for _ in range(20):
+            x = tuple(rng.choice(elems[1:] or elems) for _ in range(rng.randint(1, 3)))
+            w = tuple(rng.choice(weight_pool) for _ in range(rng.randint(1, 3)))
+            expected = _brute_zero_selection(g.invariant_factors, x, w)
+            assert _has_zero_selection(g, x, w) == expected, (g.invariant_factors, x, w)
+            outcomes[expected] += 1
+    # known failures of the unrestricted statement, plus huge and negative
+    # weights that reduce to the same residues
+    z4 = canonicalize([4])
+    for x, w in [
+        (((1,), (1,), (3,), (3,)), (1, 2)),
+        (((3,), (1,), (3,), (1,)), (2, 3)),
+        (((1,), (1,), (3,), (3,)), (-3, 10**12 + 2)),
+        (((1,), (1,), (3,), (3,)), (-(10**15) + 1, 6)),
+    ]:
+        assert not _brute_zero_selection(z4.invariant_factors, x, w)
+        assert not _has_zero_selection(z4, x, w)
+        outcomes[False] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 50
+
+
+def test_check_rejects_elements_outside_the_group():
+    with pytest.raises(InvalidElement):
+        conjecture_check_instance(Z4, ((1,), (2,), (4,), (0,)), (1, 2))  # residue out of range
+    with pytest.raises(InvalidElement):
+        conjecture_check_instance(Z4, ((1,), (2,), (-1,), (0,)), (1, 2))
+    with pytest.raises(InvalidElement):
+        conjecture_check_instance(Z4, ((1,), (2,), (3, 0), (0,)), (1, 2))  # wrong arity
+
+
+def test_in_process_scan_builds_the_admissible_list_once(monkeypatch):
+    import zsum.conjecture as conjecture
+
+    calls = []
+    build = conjecture._admissible_x
+
+    def counted(g, k):
+        calls.append(k)
+        return build(g, k)
+
+    monkeypatch.setattr(conjecture, "_admissible_x", counted)
+    report = conjecture_scan(ScanConfig(orders=(3,), k=2, weight_values=(1, 2)))
+    assert report.checked == 96
+    assert calls == [2]

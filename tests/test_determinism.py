@@ -66,6 +66,21 @@ CASES = {
 
 SCAN_Z4_K2_DIGEST = "6ec751cc9dbdef37d811b5ac5b1108f6f425cfb074e80933bdd165fdaafa1b65"
 
+# The other scan configurations of the benchmark, weights 1..n-1:
+# name: (orders, k, mode, sample_size, seed, checked, counterexamples, digest)
+SCANS = {
+    "z4-k3": ((4,), 3, "exhaustive", 0, 0, 6804, 0,
+              "4b3bdf96a5a3aa7f20e3e626ea7c8f69ca5b0671bf0e90d29d3bb0d3b6409c87"),
+    "z4-k4": ((4,), 4, "exhaustive", 0, 0, 20736, 0,
+              "0ef6753417a2eb268a20249fa78ade4ddb742375bc704c98260fe75f130713df"),
+    "z2xz2-k3": ((2, 2), 3, "exhaustive", 0, 0, 6804, 0,
+                 "160f7bd1d186916ac2c1f183ca1508142c63bcb8a3479190b0624859bef72989"),
+    "z5-k2": ((5,), 2, "exhaustive", 0, 0, 35520, 0,
+              "fae381e3cb257ee1d3f2c537bf82a1d141b4add42d03784f7e4b64613f6cfd83"),
+    "z6-k2-sampled": ((6,), 2, "sampled", 2000, 1, 2000, 0,
+                      "b08a2a57841ec601b22f2ba317d31913dfd0a6a99d7b52174fe7607479eda779"),
+}
+
 
 def _digest(payload: dict) -> str:
     return hashlib.sha256(dumps_stable(payload).encode("utf-8")).hexdigest()
@@ -91,3 +106,15 @@ def test_scan_report_bytes_are_pinned():
     report = conjecture_scan(ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3)))
     assert (report.checked, report.counterexample_count) == (1836, 24)
     assert _digest(report.to_json()) == SCAN_Z4_K2_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_benchmark_scan_report_bytes_are_pinned(name):
+    orders, k, mode, sample_size, seed, checked, failures, expected = SCANS[name]
+    n = canonicalize(orders).order
+    report = conjecture_scan(ScanConfig(
+        orders=orders, k=k, weight_values=tuple(range(1, n)), mode=mode,
+        sample_size=sample_size, seed=seed,
+    ))
+    assert (report.checked, report.counterexample_count) == (checked, failures)
+    assert _digest(report.to_json()) == expected

@@ -228,3 +228,25 @@ def test_sum_and_element_rank():
     assert g.sum([]) == g.zero()
     assert g.element_rank((0, 0)) == 0
     assert g.element_rank((1, 2)) > 0
+
+
+def test_rank_tables_agree_with_checked_arithmetic():
+    for g in groups_up_to_order(12):
+        elements = g.elements()
+        assert g.rank_index == {e: g.element_rank(e) for e in elements}
+        assert g.element_rank(g.zero()) == 0
+        for a, b in itertools.product(range(g.order), repeat=2):
+            assert elements[g.rank_add_table[a][b]] == g.add(elements[a], elements[b])
+        assert len(g.rank_scale_table) == g.exponent
+        for c in (0, 1, -1, g.exponent, -g.exponent - 1, 7, 10**12 + 5, -(10**15) + 2):
+            row = g.rank_scale_table[c % g.exponent]
+            for a in range(g.order):
+                assert elements[row[a]] == g.scalar_mul(c, elements[a]), (g, c, a)
+
+
+def test_rank_tables_are_cached_per_group():
+    g = canonicalize([2, 4])
+    assert g.rank_add_table is g.rank_add_table
+    assert g.rank_scale_table is g.rank_scale_table
+    assert canonicalize([1]).rank_add_table == ((0,),)
+    assert canonicalize([1]).rank_scale_table == ((0,),)
