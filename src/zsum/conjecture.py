@@ -10,36 +10,41 @@ k at least the Davenport constant.  A failing instance inside either regime
 contradicts a proved statement, so the scan raises TheoremViolation instead
 of recording a counterexample.
 
-Every instance is decided twice by independent routes.  The first is a
+Every instance is decided twice by independent routes, one run of equal x
+at a time (an exhaustive scan's weights vary fastest, so each x heads a run
+of up to |values|^k weight vectors).  x is validated once per run: its
+length, its maximal repetition, and its entries, both by the oracle's own
+``check_element`` and by the DFS's rank lookup.  The first route is a
 memoized DFS on element ranks (rank 0 is the zero element) over
-(weight index, used-position mask, running-sum rank) states: each weight's
-row of w_i * x_j ranks is read off the group's cached scaling table (weights
-reduced mod the exponent, so negative, zero and huge weights all work), and
-the running sum moves through the cached rank addition table.  Looking up
-the ranks of x validates it, once per instance.  The second route is a
-from-scratch lexicographic enumeration of all (I, f) pairs through
-``fallback_search``, which builds its own ``Instance`` and computes every
-candidate with its own arithmetic, so it trusts nothing the DFS computed.
-Disagreement aborts the scan.  Counterexamples are, by construction,
-instances whose enumeration ran to exhaustion.
+(weight index, used-position mask, running-sum rank) states: each weight
+value's row of w_i * x_j ranks is read off the group's cached scaling table
+(weights reduced mod the exponent, so negative, zero and huge weights all
+work) once per run, and the running sum moves through the cached rank
+addition table.  The second route is an independent lexicographic
+enumeration of all (I, f) pairs on the exhaustive oracle's core (the one
+``fallback_search`` runs on), which values every candidate with its own
+per-coordinate arithmetic on the raw integers, so it trusts nothing the DFS
+computed.  Disagreement aborts the scan.  Counterexamples are, by
+construction, instances whose enumeration ran to exhaustion.
 
 Reports are deterministic byte-for-byte for a fixed configuration: the
 instance order is canonical (weights vary fastest), shards are contiguous
 index ranges mapped to workers in order and concatenated back in order, and
 volatile data (wall time, worker count) never enters the serialized form.
-The admissible x list of an exhaustive scan is built once per shard: once
-in total when the shards run in process.
+The admissible x list of an exhaustive scan, or the sample of a sampled
+one, is built once, in the calling process; each shard is sent its own
+runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .davenport import davenport_get
 from .errors import (
@@ -50,7 +55,7 @@ from .errors import (
     TheoremViolation,
 )
 from .groups import AbelianGroup, Element, canonicalize, rho
-from .weighted import Instance, Selection, STATEMENT_WORD1, fallback_search
+from .weighted import Selection, _zero_selection_oracle
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
@@ -125,25 +130,27 @@ def _ranks(g: AbelianGroup, x: Sequence[Element]) -> list[int]:
         raise InvalidElement(f"{bad!r} is not an element of {g.describe()}") from None
 
 
-def _has_zero_selection(g: AbelianGroup, x: Sequence[Element], w: Sequence[int]) -> bool:
-    """Memoized DFS on element ranks (rank 0 is zero): does some nonempty I
-    and injection f give value zero?
-
-    A state is (weight index, used-position mask, running-sum rank); the
-    mask is nonzero exactly when I is nonempty.  Looking up the ranks of x
-    is its one validation: an entry that is not an element of G raises
-    InvalidElement.
-    """
-    n = len(x)
-    k = len(w)
-    ranks = _ranks(g, x)
-    add = g.rank_add_table
+def _rank_rows(
+    g: AbelianGroup, ranks: Sequence[int], values: Iterable[int]
+) -> dict[int, list[int]]:
+    """Per weight value v, the ranks of v * x_j: one row of the group's
+    scaling table, read at residue v mod the exponent."""
     scale = g.rank_scale_table
     exponent = g.exponent
-    derived = [[scale[wi % exponent][r] for r in ranks] for wi in w]
+    return {v: [scale[v % exponent][r] for r in ranks] for v in set(values)}
+
+
+def _zero_selection_dfs(add: list[list[int]], derived: list[list[int]], n: int) -> bool:
+    """Memoized DFS on element ranks (rank 0 is zero) over the rows
+    ``derived[i][j]`` = rank of w_i * x_j: does some nonempty I and
+    injection f give value zero?
+
+    A state is (weight index, used-position mask, running-sum rank); the
+    mask is nonzero exactly when I is nonempty.
+    """
     if any(0 in row for row in derived):
         return True
-
+    k = len(derived)
     memo: dict[tuple[int, int, int], bool] = {}
 
     def walk(i: int, used: int, total: int) -> bool:
@@ -170,14 +177,54 @@ def _has_zero_selection(g: AbelianGroup, x: Sequence[Element], w: Sequence[int])
     return walk(0, 0, 0)
 
 
+def _has_zero_selection(g: AbelianGroup, x: Sequence[Element], w: Sequence[int]) -> bool:
+    """The DFS route for one (x, w).  Looking up the ranks of x is its
+    validation: an entry that is not an element of G raises InvalidElement."""
+    rows = _rank_rows(g, _ranks(g, x), w)
+    return _zero_selection_dfs(g.rank_add_table, [rows[v] for v in w], len(x))
+
+
 def enumerate_zero_selection(
     g: AbelianGroup, x: Sequence[Element], w: Sequence[int]
 ) -> Selection | None:
     """Independent route: lexicographic enumeration over all (I, f)."""
-    inst = Instance(group=g, x=tuple(x), w=tuple(w), ell=len(w))
-    return fallback_search(
-        inst, STATEMENT_WORD1, window=(1, len(w)), oracle_cap=max(len(x), 1)
-    )
+    return _zero_selection_oracle(g, x)(w)
+
+
+def _check_sequence(
+    g: AbelianGroup, x: Sequence[Element], ws: Sequence[Sequence[int]]
+) -> list[Selection | None]:
+    """Decide every weight vector in ``ws`` against one sequence x.
+
+    x is validated once for all of them: its length, its maximal repetition
+    against each |w|, and its entries, first by the oracle's own check and
+    then by the DFS's rank lookup.  The DFS's weight rows are built once per
+    distinct weight value.  Each w is then decided by the DFS and by the
+    lexicographic enumeration; the two must agree or an AssertionError is
+    raised.
+    """
+    n = g.order
+    if len(x) != n:
+        raise InvalidInstance(f"need |x| = |G| = {n}, got {len(x)}")
+    repetition = rho(x)
+    for w in ws:
+        if not 1 <= len(w) <= n:
+            raise InvalidInstance(f"need 1 <= k <= n = {n}, got k = {len(w)}")
+        if repetition > len(w):
+            raise InvalidInstance(f"maximal repetition {repetition} exceeds k = {len(w)}")
+    oracle = _zero_selection_oracle(g, x)
+    rows = _rank_rows(g, _ranks(g, x), itertools.chain.from_iterable(ws))
+    add = g.rank_add_table
+    out: list[Selection | None] = []
+    for w in ws:
+        fast = _zero_selection_dfs(add, [rows[v] for v in w], n)
+        sel = oracle(w)
+        if fast and sel is None:
+            raise AssertionError(f"DFS found a selection but enumeration did not: x={x!r}, w={w!r}")
+        if not fast and sel is not None:
+            raise AssertionError(f"enumeration found {sel!r} but DFS said none: x={x!r}, w={w!r}")
+        out.append(sel)
+    return out
 
 
 def conjecture_check_instance(
@@ -186,27 +233,11 @@ def conjecture_check_instance(
     """Verified zero-value selection, or None for a counterexample candidate.
 
     Requires |x| = |G|, 1 <= |w| <= |G|, maximal repetition of x at most
-    |w|, and elements of G (checked once, by the DFS's rank lookup;
-    InvalidElement otherwise).  Decides via the memoized DFS, then confirms
-    by lexicographic enumeration; the two routes must agree or an
-    AssertionError is raised.
+    |w|, and elements of G (InvalidElement otherwise).  Decides via the
+    memoized DFS, then confirms by lexicographic enumeration; the two routes
+    must agree or an AssertionError is raised.
     """
-    n = g.order
-    k = len(w)
-    if len(x) != n:
-        raise InvalidInstance(f"need |x| = |G| = {n}, got {len(x)}")
-    if not 1 <= k <= n:
-        raise InvalidInstance(f"need 1 <= k <= n = {n}, got k = {k}")
-    if rho(x) > k:
-        raise InvalidInstance(f"maximal repetition {rho(x)} exceeds k = {k}")
-
-    fast = _has_zero_selection(g, x, w)
-    sel = enumerate_zero_selection(g, x, w)
-    if fast and sel is None:
-        raise AssertionError(f"DFS found a selection but enumeration did not: x={x!r}, w={w!r}")
-    if not fast and sel is not None:
-        raise AssertionError(f"enumeration found {sel!r} but DFS said none: x={x!r}, w={w!r}")
-    return sel
+    return _check_sequence(g, x, [w])[0]
 
 
 def _validated(config: ScanConfig) -> tuple[AbelianGroup, ScanConfig]:
@@ -260,13 +291,29 @@ def _admissible_x(g: AbelianGroup, k: int) -> list[tuple[Element, ...]]:
     ]
 
 
-def _exhaustive_slice(
-    xs: list[tuple[Element, ...]], config: ScanConfig, start: int, end: int
-) -> Iterator[tuple[tuple[Element, ...], tuple[int, ...]]]:
-    ws = list(itertools.product(config.weight_values, repeat=config.k))
-    w_count = len(ws)
-    for flat in range(start, end):
-        yield xs[flat // w_count], ws[flat % w_count]
+Run = tuple[tuple[Element, ...], Sequence[tuple[int, ...]]]
+
+
+def _exhaustive_runs(
+    xs: list[tuple[Element, ...]], ws: list[tuple[int, ...]], start: int, end: int
+) -> list[Run]:
+    """Instances start..end-1 of an exhaustive scan (weights vary fastest),
+    as one run (x, weight vectors) per x."""
+    per_x = len(ws)
+    runs: list[Run] = []
+    for q in range(start // per_x, -(-end // per_x)):
+        lo = max(start - q * per_x, 0)
+        hi = min(end - q * per_x, per_x)
+        runs.append((xs[q], ws if hi - lo == per_x else ws[lo:hi]))
+    return runs
+
+
+def _sampled_runs(instances: list[tuple[tuple[Element, ...], tuple[int, ...]]]) -> list[Run]:
+    """Drawn instances as runs of consecutive equal x."""
+    return [
+        (x, [w for _, w in group])
+        for x, group in itertools.groupby(instances, key=operator.itemgetter(0))
+    ]
 
 
 def _sample_instances(
@@ -289,46 +336,28 @@ def _instance_json(x: tuple[Element, ...], w: tuple[int, ...]) -> dict:
     return {"x": [list(e) for e in x], "w": list(w)}
 
 
-def _scan_worker(payload: dict, xs: list[tuple[Element, ...]] | None = None) -> dict:
-    """Check one contiguous shard; returns JSON-safe partial results.
-
-    ``xs`` is the admissible x list of an exhaustive scan when the caller
-    has built it already (shards checked in process); a worker process
-    builds its own.
-    """
-    g = canonicalize(payload["orders"])
-    config = ScanConfig(
-        orders=tuple(payload["orders"]),
-        k=payload["k"],
-        weight_values=tuple(payload["values"]),
-        mode=payload["mode"],
-        sample_size=payload.get("sample_size", 0),
-        seed=payload.get("seed", 0),
-    )
-    if payload["mode"] == MODE_EXHAUSTIVE:
-        if xs is None:
-            xs = _admissible_x(g, config.k)
-        pairs: Iterator = _exhaustive_slice(xs, config, payload["start"], payload["end"])
-    else:
-        pairs = iter(_sample_instances(g, config)[payload["start"] : payload["end"]])
+def _scan_worker(orders: tuple[int, ...], runs: list[Run]) -> dict:
+    """Check one contiguous shard, given as runs of equal x; returns
+    JSON-safe partial results."""
+    g = canonicalize(orders)
     checked = 0
     counterexamples: list[dict] = []
     witnesses: list[dict] = []
-    for x, w in pairs:
-        sel = conjecture_check_instance(g, x, w)
-        checked += 1
-        if sel is None:
-            counterexamples.append(dict(_instance_json(x, w), recheck=RECHECK_TAG))
-        elif len(witnesses) < WITNESS_SAMPLE_SIZE:
-            witnesses.append(
-                {
-                    "instance": _instance_json(x, w),
-                    "selection": {
-                        "indices": list(sel.indices),
-                        "images": list(sel.images),
-                    },
-                }
-            )
+    for x, ws in runs:
+        for w, sel in zip(ws, _check_sequence(g, x, ws)):
+            checked += 1
+            if sel is None:
+                counterexamples.append(dict(_instance_json(x, w), recheck=RECHECK_TAG))
+            elif len(witnesses) < WITNESS_SAMPLE_SIZE:
+                witnesses.append(
+                    {
+                        "instance": _instance_json(x, w),
+                        "selection": {
+                            "indices": list(sel.indices),
+                            "images": list(sel.images),
+                        },
+                    }
+                )
     return {"checked": checked, "counterexamples": counterexamples, "witnesses": witnesses}
 
 
@@ -359,31 +388,31 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
                 report=_empty_report(g, config, d),
             )
         xs = _admissible_x(g, config.k)
-        total = len(xs) * (len(config.weight_values) ** config.k)
+        ws = list(itertools.product(config.weight_values, repeat=config.k))
+        shard_runs = [
+            _exhaustive_runs(xs, ws, lo, hi)
+            for lo, hi in _shards(len(xs) * len(ws), config.workers)
+        ]
     else:
-        xs = None
         if config.sample_size > config.budget:
             raise BudgetExceeded(
                 f"sample_size {config.sample_size} exceeds budget {config.budget}",
                 report=_empty_report(g, config, d),
             )
-        total = config.sample_size
+        instances = _sample_instances(g, config)
+        shard_runs = [
+            _sampled_runs(instances[lo:hi]) for lo, hi in _shards(len(instances), config.workers)
+        ]
 
-    base = {
-        "orders": list(config.orders),
-        "k": config.k,
-        "values": list(config.weight_values),
-        "mode": config.mode,
-        "sample_size": config.sample_size,
-        "seed": config.seed,
-    }
-    payloads = [dict(base, start=lo, end=hi) for lo, hi in _shards(total, config.workers)]
-
-    if config.workers == 1 or len(payloads) <= 1:
-        results = [_scan_worker(p, xs) for p in payloads]
+    if len(shard_runs) <= 1:
+        results = [_scan_worker(config.orders, runs) for runs in shard_runs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_scan_worker, payloads))
+            results = list(pool.map(
+                _scan_worker, [config.orders] * len(shard_runs), shard_runs
+            ))
 
     checked = sum(r["checked"] for r in results)
     counterexamples: list[dict] = []

@@ -220,6 +220,10 @@ def load_json(path: str, what: str) -> Any:
         raise InvalidInstance(
             f"{path}:{err.lineno}:{err.colno}: invalid JSON in {what}: {err.msg}"
         ) from None
+    except UnicodeDecodeError as err:
+        raise InvalidInstance(f"{path}: {what} file is not UTF-8 text: {err.reason}") from None
+    except OSError as err:
+        raise InvalidInstance(f"cannot read {what} file {path}: {err.strerror}") from None
 
 
 def load_instance(path: str) -> tuple[str, Instance]:

@@ -27,18 +27,21 @@ choices resolve to the lexicographically smallest option, so identical
 instances yield byte-identical certificates.
 
 Elements are validated once, when an Instance is built.  After that every
-weighted value - of a selection, a shelling block, an oracle candidate or a
-derived sequence entry - comes from one kernel, ``weighted_value``, which
-trusts its operands.
+weighted value - of a selection, a shelling block or a derived sequence
+entry, and every value the verifier recomputes - comes from one kernel,
+``weighted_value``, which trusts its operands.  The oracle is the exception
+on purpose: one private core, shared with the conjecture scanner, values
+each candidate with its own per-coordinate arithmetic on the raw integers.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .davenport import DavenportCache, davenport_get
 from .errors import (
@@ -571,26 +574,79 @@ def fallback_search(
         lo, hi = window
     else:
         lo, hi = _statement_window(inst, statement, davenport_get(g).value)
-    require_image = inst.m if statement == STATEMENT_COROLLARY else None
-
-    index_range = range(1, len(inst.w) + 1)
-    image_range = range(1, inst.m + 1)
-    subsets: list[tuple[int, ...]] = []
-    for size in range(max(lo, 1), hi + 1):
-        subsets.extend(itertools.combinations(index_range, size))
-    subsets.sort()
-
-    for indices in subsets:
-        target = _statement_target(inst, statement, indices)
-        for images in itertools.permutations(image_range, len(indices)):
-            if require_image is not None and require_image not in images:
-                continue
-            total = weighted_value(g, inst.w, inst.x, indices, images)
-            if total == target:
-                return Selection(indices=indices, images=images, value=total)
-    if lo == 0:
+    sel = _first_selection(
+        _coordinate_columns(g, inst.x), inst.m, inst.w, _index_sets(len(inst.w), lo, hi),
+        statement == STATEMENT_COROLLARY,
+    )
+    if sel is None and lo == 0:
         return Selection(indices=(), images=(), value=g.zero())
+    return sel
+
+
+@functools.lru_cache(maxsize=32)
+def _index_sets(k: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
+    """Every subset of {1..k} with max(lo, 1) to hi members, as sorted
+    tuples in lexicographic order."""
+    index_range = range(1, k + 1)
+    return tuple(sorted(itertools.chain.from_iterable(
+        itertools.combinations(index_range, size) for size in range(max(lo, 1), hi + 1)
+    )))
+
+
+def _coordinate_columns(g: AbelianGroup, x: Sequence[Element]) -> list[tuple[list[int], int]]:
+    """Per coordinate c of G, (column, d_c) with column[j] = x_j[c] for the
+    1-based positions j (column[0] is unused)."""
+    return [([0] + [e[c] for e in x], d) for c, d in enumerate(g.invariant_factors)]
+
+
+def _first_selection(
+    columns: list[tuple[list[int], int]],
+    m: int,
+    w: Sequence[int],
+    index_sets: Sequence[tuple[int, ...]],
+    anchored: bool,
+) -> Selection | None:
+    """The oracle's core: the first (I, f), with I taken from ``index_sets``
+    in order and f's image tuples over positions 1..m in lexicographic
+    order, whose value is zero; when ``anchored`` (the corollary), whose
+    image holds position m and whose value is (sum of the picked weights)
+    * x_m.
+
+    Each candidate is valued coordinate by coordinate, (sum of
+    w_i * x_f(i)[c]) mod d_c, straight from the integers in w and in the
+    ``columns`` of x.
+    """
+    positions = range(1, m + 1)
+    target = [0] * len(columns)
+    for indices in index_sets:
+        picked = [w[i - 1] for i in indices]
+        if anchored:
+            total = sum(picked)
+            target = [total * column[m] % d for column, d in columns]
+        for images in itertools.permutations(positions, len(indices)):
+            if anchored and m not in images:
+                continue
+            for (column, d), t in zip(columns, target):
+                if sum([wi * column[j] for wi, j in zip(picked, images)]) % d != t:
+                    break
+            else:
+                return Selection(indices=indices, images=images, value=tuple(target))
     return None
+
+
+def _zero_selection_oracle(
+    g: AbelianGroup, x: Sequence[Element]
+) -> Callable[[Sequence[int]], Selection | None]:
+    """The exhaustive oracle for the unrestricted statement against one x:
+    checks every entry of x, then returns a function that gives, for a
+    weight vector w, the lexicographically first nonempty (I, f) of value
+    zero, or None.  x's columns are built once for all the w it is given.
+    """
+    for e in x:
+        g.check_element(e)
+    columns = _coordinate_columns(g, x)
+    m = len(x)
+    return lambda w: _first_selection(columns, m, w, _index_sets(len(w), 1, len(w)), False)
 
 
 def verify_certificate(

@@ -163,6 +163,25 @@ def test_missing_instance_file(tmp_path):
     assert rc == EXIT_INVALID
 
 
+@pytest.mark.parametrize("case", ["instance-not-utf8", "instance-is-directory", "cert-not-utf8"])
+def test_unreadable_input_files_exit_invalid(tmp_path, capsys, case):
+    inst_path = tmp_path / "inst.json"
+    cert_path = tmp_path / "cert.json"
+    _write_instance(inst_path, "word1", [2], ((0,), (1,)), (2, 1), 1)
+    if case == "instance-not-utf8":
+        inst_path.write_bytes(b'{"statement": "word1\xff"}')
+        argv = ["solve", "--instance", str(inst_path), "--out", str(cert_path)]
+    elif case == "instance-is-directory":
+        argv = ["solve", "--instance", str(tmp_path), "--out", str(cert_path)]
+    else:
+        cert_path.write_bytes(b"\xff\xfe{}")
+        argv = ["verify", "--instance", str(inst_path), "--cert", str(cert_path)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_scan_conjecture_writes_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     rc = main(

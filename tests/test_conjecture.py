@@ -267,3 +267,90 @@ def test_in_process_scan_builds_the_admissible_list_once(monkeypatch):
     report = conjecture_scan(ScanConfig(orders=(3,), k=2, weight_values=(1, 2)))
     assert report.checked == 96
     assert calls == [2]
+
+
+def _scan_runs(g, k, values, mode, sample_size=0, seed=0):
+    """The runs of equal x a one-shard scan of this configuration checks."""
+    import zsum.conjecture as conjecture
+
+    config = ScanConfig(orders=g.invariant_factors, k=k, weight_values=values, mode=mode,
+                        sample_size=sample_size, seed=seed)
+    if mode == "sampled":
+        return conjecture._sampled_runs(conjecture._sample_instances(g, config))
+    xs = conjecture._admissible_x(g, k)
+    ws = list(itertools.product(values, repeat=k))
+    return conjecture._exhaustive_runs(xs, ws, 0, len(xs) * len(ws))
+
+
+@pytest.mark.parametrize("orders, k, values, mode, sample_size, expected", [
+    ((4,), 2, (1, 2, 3), "exhaustive", 0, 1836),
+    ((2, 2), 2, (0, 1, 2, 3, -1, 10**12 + 1), "exhaustive", 0, 7344),
+    ((6,), 2, (1, 2, 3, 4, 5), "sampled", 300, 300),
+])
+def test_batched_decisions_equal_the_single_instance_check(orders, k, values, mode,
+                                                           sample_size, expected):
+    from zsum.conjecture import _check_sequence
+
+    g = canonicalize(orders)
+    checked = 0
+    for x, ws in _scan_runs(g, k, values, mode, sample_size, seed=11):
+        for w, sel in zip(ws, _check_sequence(g, x, ws)):
+            assert sel == conjecture_check_instance(g, x, w), (x, w)
+            assert (sel is None) == (not _brute_zero_selection(g.invariant_factors, x, w))
+            checked += 1
+    assert checked == expected
+
+
+@pytest.mark.parametrize("orders, flip, message", [
+    ((3,), lambda fast: not fast, "but DFS said none"),
+    ((4,), lambda fast: True, "DFS found a selection but enumeration did not"),
+])
+def test_route_disagreement_aborts_the_scan(monkeypatch, orders, flip, message):
+    import zsum.conjecture as conjecture
+
+    dfs = conjecture._zero_selection_dfs
+    monkeypatch.setattr(conjecture, "_zero_selection_dfs", lambda *a: flip(dfs(*a)))
+    n = canonicalize(orders).order
+    with pytest.raises(AssertionError, match=message):
+        conjecture_scan(ScanConfig(orders=orders, k=2, weight_values=tuple(range(1, n))))
+
+
+def test_sampled_scan_report_bytes_do_not_depend_on_workers():
+    from zsum.serialize import dumps_stable
+
+    reports = {
+        workers: dumps_stable(conjecture_scan(ScanConfig(
+            orders=(6,), k=2, weight_values=(0, 1, 2, 3, 4, 5), mode="sampled",
+            sample_size=300, seed=5, workers=workers,
+        )).to_json())
+        for workers in (1, 2, 3)
+    }
+    assert reports[1] == reports[2] == reports[3]
+
+
+@pytest.mark.parametrize("mode, make", [
+    ("exhaustive", "_admissible_x"),
+    ("sampled", "_sample_instances"),
+])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_builds_its_instances_once_in_the_calling_process(monkeypatch, mode, make,
+                                                               workers):
+    import os
+
+    import zsum.conjecture as conjecture
+
+    calls = []
+    build = getattr(conjecture, make)
+    caller = os.getpid()
+
+    def counted(*args):
+        if os.getpid() != caller:
+            raise RuntimeError(f"{make} called in a worker process")
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(conjecture, make, counted)
+    report = conjecture_scan(ScanConfig(orders=(3,), k=2, weight_values=(1, 2), mode=mode,
+                                        sample_size=40, workers=workers))
+    assert report.checked == (96 if mode == "exhaustive" else 40)
+    assert len(calls) == 1

@@ -66,6 +66,16 @@ CASES = {
 
 SCAN_Z4_K2_DIGEST = "6ec751cc9dbdef37d811b5ac5b1108f6f425cfb074e80933bdd165fdaafa1b65"
 
+# Scans split over worker processes: an exhaustive one and a sampled one with
+# counterexamples.  Parallelism must not change a byte of the report.
+# name: (orders, k, weights, mode, sample_size, seed, workers, checked, counterexamples, digest)
+PARALLEL_SCANS = {
+    "z4-k2-exhaustive-workers2": ((4,), 2, (1, 2, 3), "exhaustive", 0, 0, 2, 1836, 24,
+                                  "6ec751cc9dbdef37d811b5ac5b1108f6f425cfb074e80933bdd165fdaafa1b65"),
+    "z4-k2-sampled-workers3": ((4,), 2, (1, 2, 3), "sampled", 300, 5, 3, 300, 2,
+                               "2d7cfe98b6ad32808cdc58f49a569396d0fd60742e07d79e6aff6482ea1a37c2"),
+}
+
 # The other scan configurations of the benchmark, weights 1..n-1:
 # name: (orders, k, mode, sample_size, seed, checked, counterexamples, digest)
 SCANS = {
@@ -115,6 +125,19 @@ def test_benchmark_scan_report_bytes_are_pinned(name):
     report = conjecture_scan(ScanConfig(
         orders=orders, k=k, weight_values=tuple(range(1, n)), mode=mode,
         sample_size=sample_size, seed=seed,
+    ))
+    assert (report.checked, report.counterexample_count) == (checked, failures)
+    assert _digest(report.to_json()) == expected
+
+
+@pytest.mark.parametrize("name", sorted(PARALLEL_SCANS))
+def test_parallel_scan_report_bytes_are_pinned(name):
+    orders, k, weights, mode, sample_size, seed, workers, checked, failures, expected = (
+        PARALLEL_SCANS[name]
+    )
+    report = conjecture_scan(ScanConfig(
+        orders=orders, k=k, weight_values=weights, mode=mode,
+        sample_size=sample_size, seed=seed, workers=workers,
     ))
     assert (report.checked, report.counterexample_count) == (checked, failures)
     assert _digest(report.to_json()) == expected
