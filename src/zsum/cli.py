@@ -30,13 +30,9 @@ from .conjecture import (
 from .davenport import (
     DEFAULT_NODE_BUDGET,
     DavenportCache,
-    DavenportRecord,
     davenport_exact,
-    davenport_formula,
+    davenport_formula_record,
     davenport_get,
-    generator_repeat_witness,
-    METHOD_FORMULA,
-    zero_sum_free_check,
 )
 from .errors import (
     BudgetExceeded,
@@ -116,14 +112,10 @@ def _cmd_group(args: argparse.Namespace) -> int:
 def _cmd_davenport(args: argparse.Namespace) -> int:
     g = canonicalize(_parse_int_list(args.orders, "--orders"))
     if args.formula:
-        value = davenport_formula(g)
-        if value is None:
+        rec = davenport_formula_record(g)
+        if rec is None:
             print(f"no closed form applies to {list(g.invariant_factors)}", file=sys.stderr)
             return EXIT_INVALID
-        witness = generator_repeat_witness(g)
-        if not zero_sum_free_check(g, witness):
-            raise AssertionError("generator-repeat witness failed zero-sum-free check")
-        rec = DavenportRecord(group=g, value=value, witness=witness, method=METHOD_FORMULA)
     elif args.exact:
         rec = davenport_exact(g, node_budget=args.node_budget)
     else:

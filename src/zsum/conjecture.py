@@ -43,7 +43,7 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .davenport import davenport_get
@@ -256,16 +256,7 @@ def _validated(config: ScanConfig) -> tuple[AbelianGroup, ScanConfig]:
         raise InvalidArgument(f"workers = {config.workers} must be >= 1")
     if config.budget < 1:
         raise InvalidArgument(f"budget = {config.budget} must be >= 1")
-    return g, ScanConfig(
-        orders=tuple(config.orders),
-        k=config.k,
-        weight_values=values,
-        mode=config.mode,
-        sample_size=config.sample_size,
-        seed=config.seed,
-        workers=config.workers,
-        budget=config.budget,
-    )
+    return g, replace(config, orders=tuple(config.orders), weight_values=values)
 
 
 def _empty_report(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
@@ -431,15 +422,12 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
                 f"group orders {list(g.invariant_factors)}, k={config.k}, D={d}"
             )
 
-    return ScanReport(
-        config=config,
-        group_orders=g.invariant_factors,
-        davenport=d,
-        subclass_coprime=all(math.gcd(n, v) == 1 for v in config.weight_values),
-        subclass_davenport=config.k >= d,
+    return replace(
+        _empty_report(g, config, d),
         checked=checked,
         counterexample_count=len(counterexamples),
         counterexamples=tuple(counterexamples[:COUNTEREXAMPLE_CAP]),
         witness_sample=tuple(witnesses),
         wall_time=time.perf_counter() - started,
+        authoritative=True,
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .errors import BudgetExceeded, InvalidArgument, InvalidInstance
+from .errors import BudgetExceeded, InvalidArgument, InvalidElement, InvalidInstance
 from .groups import AbelianGroup, Element, _factorint
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -125,6 +125,20 @@ def generator_repeat_witness(g: AbelianGroup) -> tuple[Element, ...]:
     return tuple(sorted(witness))
 
 
+def davenport_formula_record(g: AbelianGroup) -> DavenportRecord | None:
+    """The closed-form record with its generator-repeat witness, checked
+    zero-sum-free; None when no closed form applies."""
+    value = davenport_formula(g)
+    if value is None:
+        return None
+    witness = generator_repeat_witness(g)
+    if len(witness) + 1 != value or not zero_sum_free_check(g, witness):
+        raise InvalidInstance(
+            f"formula witness failed validation for {g.describe()}"
+        )  # pragma: no cover - guards formula table corruption
+    return DavenportRecord(group=g, value=value, witness=witness, method=METHOD_FORMULA)
+
+
 def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -160,7 +174,9 @@ class DavenportCache:
     """Map from canonical factor key ("d1xd2x...": "1" for the trivial group)
     to records; single-writer, optionally persisted as JSON.  A file that is
     not JSON, or whose entries lack an integer value or a witness list, is
-    rejected with InvalidArgument when the cache is opened.
+    rejected with InvalidArgument when the cache is opened; so is an entry
+    whose value or witness is wrong, when it is first decoded, and a file
+    that cannot be written, when persisting.
 
     Records are decoded once and served as they are; JSON is written only
     when persisting.
@@ -191,8 +207,26 @@ class DavenportCache:
                     return None
                 witness = tuple([tuple(e) for e in entry["witness"]])
                 hit = DavenportRecord(group=g, value=entry["value"], witness=witness, method=METHOD_CACHE)
+                self._check_entry(key, hit)
                 self._records[key] = hit
         return hit
+
+    def _check_entry(self, key: str, rec: DavenportRecord) -> None:
+        """InvalidArgument unless a stored entry's value matches the closed
+        form where one applies and its witness is value - 1 zero-sum-free
+        elements of the group."""
+        where = f"Davenport cache {self.path}: entry {key!r}"
+        formula = davenport_formula(rec.group)
+        if formula is not None and rec.value != formula:
+            raise InvalidArgument(f"{where} has value {rec.value}, the closed form gives {formula}")
+        try:
+            free = len(rec.witness) == rec.value - 1 and zero_sum_free_check(rec.group, rec.witness)
+        except InvalidElement:
+            free = False
+        if not free:
+            raise InvalidArgument(
+                f"{where} needs a witness of {rec.value - 1} zero-sum-free group elements"
+            )
 
     def put(self, record: DavenportRecord) -> None:
         key = self.key_for(record.group)
@@ -204,23 +238,25 @@ class DavenportCache:
 
     def _persist(self) -> None:
         # temp file + rename so readers never see a torn write
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
+        data = dict(self._stored)
+        for key, rec in self._new.items():
+            data[key] = {
+                "value": rec.value,
+                "witness": [list(e) for e in rec.witness],
+                "method": rec.method,
+            }
+        tmp = None
         try:
-            data = dict(self._stored)
-            for key, rec in self._new.items():
-                data[key] = {
-                    "value": rec.value,
-                    "witness": [list(e) for e in rec.witness],
-                    "method": rec.method,
-                }
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(data, fh, sort_keys=True, indent=2)
             os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
+        except OSError as err:
+            raise InvalidArgument(f"Davenport cache {self.path} cannot be written: {err}") from None
+        finally:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
 
 
 _default_cache = DavenportCache()
@@ -236,15 +272,8 @@ def davenport_get(
     hit = cache.get(g)
     if hit is not None:
         return hit
-    value = davenport_formula(g)
-    if value is not None:
-        witness = generator_repeat_witness(g)
-        if len(witness) + 1 != value or not zero_sum_free_check(g, witness):
-            raise InvalidInstance(
-                f"formula witness failed validation for {g.describe()}"
-            )  # pragma: no cover - guards formula table corruption
-        record = DavenportRecord(group=g, value=value, witness=witness, method=METHOD_FORMULA)
-    else:
+    record = davenport_formula_record(g)
+    if record is None:
         record = davenport_exact(g, node_budget=node_budget)
     cache.put(record)
     return record

@@ -21,8 +21,12 @@ Solvers, by statement tag:
 
 ``solve(inst, statement)`` is the single entry point over the three: it
 returns a Certificate that the independent verifier has already accepted.
-Every statement has an exhaustive oracle (``fallback_search``) used both as
-a last-resort solve path and as the test-side ground truth.  All free
+All three run through one pipeline: check the hypotheses, run the
+construction, check its size window, anchor and value, and on any miss
+take the answer of the exhaustive oracle (``fallback_search``, also the
+test-side ground truth).  The constructions nest as the proofs do (the
+corollary runs theorem1's on x shifted by x_m, theorem1's narrow shelling
+takes its blocks from word1's) without calling a public solver.  All free
 choices resolve to the lexicographically smallest option, so identical
 instances yield byte-identical certificates.
 
@@ -206,46 +210,14 @@ def _most_repeated(values: Sequence):
     return min(v for v, c in counts.items() if c == best)
 
 
-def solve_word1(
-    g: AbelianGroup,
-    x: Sequence[Element],
-    w: Sequence[int],
-    ell: int,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> tuple[Shelling, str]:
-    """Selection with 1 <= |I| <= ell and value zero, as a one-block shelling.
-
-    Requires |x| = |w| = |G| and maximal repetition of x at most ell.
-    Returns (shelling, solve_path).
-    """
-    n = g.order
-    if len(x) != n or len(w) != n:
-        raise InvalidInstance(f"need |x| = |w| = |G| = {n}, got {len(x)}, {len(w)}")
-    if ell < 1:
-        raise InvalidInstance(f"repetition bound ell = {ell} must be >= 1")
-    if rho(x) > ell:
-        raise InvalidInstance(f"maximal repetition {rho(x)} exceeds ell = {ell}")
-    inst = Instance(group=g, x=tuple(x), w=tuple(w), ell=ell)
-
-    try:
-        sel = _word1_constructive(inst)
-        if not 1 <= len(sel) <= ell or sel.value != g.zero():
-            raise _ConstructiveFailed
-        return Shelling(selection=sel, blocks=(sel.indices,), width=ell), SOLVE_CONSTRUCTIVE
-    except (TheoremViolation, _ConstructiveFailed):
-        sel = fallback_search(inst, STATEMENT_WORD1, window=(1, ell), oracle_cap=oracle_cap)
-        if sel is None or len(sel) == 0:
-            raise TheoremViolation(
-                f"no selection with |I| <= {ell} and value zero exists for x={x!r}, w={w!r}"
-            ) from None
-        return Shelling(selection=sel, blocks=(sel.indices,), width=ell), SOLVE_FALLBACK
-
-
-def _word1_constructive(inst: Instance) -> Selection:
-    g, x = inst.group, inst.x
+def _word1_constructive(
+    g: AbelianGroup, x: Sequence[Element], w: Sequence[int]
+) -> list[tuple[int, int]]:
+    """The word1 construction on raw sequences with |x| = |w| = |G|: the
+    pairs (i, f(i)) of a selection with 1 <= |I| <= rho(x) and value zero."""
     n = g.order
     z_n = canonicalize([n])
-    w_mod = _mod_n_sequence(z_n, inst.w)
+    w_mod = _mod_n_sequence(z_n, w)
     r = rho(x)
     s = rho(w_mod)
 
@@ -261,7 +233,7 @@ def _word1_constructive(inst: Instance) -> Selection:
         b = _most_repeated(w_mod)
         sources = _positions_of(w_mod, b)[: len(wit.indices)]
         pairs = list(zip(sources, wit.indices))
-    return Selection.build(inst, pairs)
+    return pairs
 
 
 def shelling_trim(inst: Instance, sh: Shelling, m0: int) -> Shelling:
@@ -336,8 +308,8 @@ def narrow_shelling(inst: Instance, davenport_value: int | None = None) -> Shell
     """Width-ell shelling with domain size >= D - ell, for ell < D.
 
     While the domain is short, both unused pools still hold at least n
-    indices, so the word1 solver on the n smallest of each yields another
-    block of size <= ell.
+    indices, so the word1 construction on the n smallest of each yields
+    another block of size <= ell.
     """
     g = inst.group
     n = g.order
@@ -362,10 +334,8 @@ def narrow_shelling(inst: Instance, davenport_value: int | None = None) -> Shell
         img_win = free_img[:n]
         x_win = [inst.x[j - 1] for j in img_win]
         w_win = [inst.w[i - 1] for i in dom_win]
-        sh, _ = solve_word1(g, x_win, w_win, ell)
         block_pairs = [
-            (dom_win[i - 1], img_win[j - 1])
-            for i, j in zip(sh.selection.indices, sh.selection.images)
+            (dom_win[i - 1], img_win[j - 1]) for i, j in _word1_constructive(g, x_win, w_win)
         ]
         block = tuple(sorted([i for i, _ in block_pairs]))
         pairs.update(block_pairs)
@@ -376,138 +346,30 @@ def narrow_shelling(inst: Instance, davenport_value: int | None = None) -> Shell
     return Shelling(selection=sel, blocks=tuple(blocks), width=ell)
 
 
-def _validate_theorem1(inst: Instance, d: int) -> tuple[int, int]:
+def _combine_narrow_and_wide(inst: Instance, d: int) -> Shelling:
+    """ell < D branch of theorem1: narrow shelling T, wide shelling on the
+    complement, then the maximal block prefix (wide blocks first) of total
+    size <= n - 1."""
     n = inst.group.order
-    r = min(d, inst.ell)
-    if inst.ell < 1:
-        raise InvalidInstance(f"repetition bound ell = {inst.ell} must be >= 1")
-    if inst.m != n + d - r - 1:
-        raise InvalidInstance(
-            f"need m = n + D - min(D, ell) - 1 = {n + d - r - 1}, got {inst.m}"
-        )
-    if len(inst.w) != inst.m:
-        raise InvalidInstance(f"need |w| = m = {inst.m}, got {len(inst.w)}")
-    if inst.m and rho(inst.x) > inst.ell:
-        raise InvalidInstance(f"maximal repetition {rho(inst.x)} exceeds ell = {inst.ell}")
-    return n, r
-
-
-def solve_theorem1(
-    inst: Instance,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-    dav_cache: DavenportCache | None = None,
-) -> Certificate:
-    """Certificate with n - min(D, ell) <= |I| <= n - 1 and value zero."""
-    g = inst.group
-    d = davenport_get(g, cache=dav_cache).value
-    n, r = _validate_theorem1(inst, d)
-    lo, hi = n - r, n - 1
-
-    try:
-        if d <= inst.ell:
-            # m = n - 1: one width-D shelling over the whole index range
-            sh = extend_shellable(inst, range(1, n), range(1, inst.m + 1), davenport_value=d)
-            sel, blocks = sh.selection, sh.blocks
-        else:
-            sel, blocks = _combine_narrow_and_wide(inst, d)
-        if not (lo <= len(sel) <= hi) or sel.value != g.zero():
-            raise _ConstructiveFailed
-        path = SOLVE_CONSTRUCTIVE
-    except (TheoremViolation, _ConstructiveFailed):
-        sel = fallback_search(inst, STATEMENT_THEOREM1, window=(lo, hi), oracle_cap=oracle_cap)
-        if sel is None:
-            raise TheoremViolation(
-                f"no selection in window [{lo}, {hi}] with value zero exists"
-            ) from None
-        blocks, path = None, SOLVE_FALLBACK
-    return _certify(inst, STATEMENT_THEOREM1, sel, blocks, path, dav_cache)
-
-
-def _combine_narrow_and_wide(inst: Instance, d: int) -> tuple[Selection, tuple[tuple[int, ...], ...]]:
-    """ell < D branch: narrow shelling T, wide shelling on the complement,
-    then the maximal block prefix (wide blocks first) of total size <= n - 1."""
-    g = inst.group
-    n = g.order
     t_sh = narrow_shelling(inst, davenport_value=d)
-    t_map = t_sh.selection.as_map()
     t_domain = set(t_sh.selection.indices)
     t_images = set(t_sh.selection.images)
 
     c_pool = [i for i in range(1, inst.m + 1) if i not in t_domain]
     img_pool = [j for j in range(1, inst.m + 1) if j not in t_images]
     e_sh = extend_shellable(inst, c_pool, img_pool, davenport_value=d)
-    e_map = e_sh.selection.as_map()
 
-    ordered = [(block, e_map) for block in e_sh.blocks] + [(block, t_map) for block in t_sh.blocks]
-    pairs: list[tuple[int, int]] = []
-    blocks: list[tuple[int, ...]] = []
-    total = 0
-    for block, fmap in ordered:
-        if total + len(block) > n - 1:
-            break
-        blocks.append(block)
-        total += len(block)
-        pairs.extend((i, fmap[i]) for i in block)
-    sel = Selection.build(inst, pairs)
-    return sel, tuple(blocks)
+    pairs = [*e_sh.selection.as_map().items(), *t_sh.selection.as_map().items()]
+    both = Shelling(
+        selection=Selection.build(inst, pairs), blocks=e_sh.blocks + t_sh.blocks, width=d
+    )
+    return shelling_trim(inst, both, min(n - 1, len(pairs)))
 
 
-def _validate_corollary(inst: Instance, d: int) -> tuple[int, int]:
-    g = inst.group
-    n = g.order
-    if inst.m != n + d - 1:
-        raise InvalidInstance(f"need m = n + D - 1 = {n + d - 1}, got {inst.m}")
-    actual_rho = rho(inst.x)
-    if inst.ell != actual_rho:
-        raise InvalidInstance(f"ell = {inst.ell} but maximal repetition is {actual_rho}")
-    last = inst.x[-1]
-    if inst.x.count(last) != inst.ell:
-        raise InvalidInstance(
-            f"maximal repetition {inst.ell} not attained by the final position"
-        )
-    r = min(d, inst.ell)
-    if len(inst.w) != inst.m - r:
-        raise InvalidInstance(f"need |w| = m - r = {inst.m - r}, got {len(inst.w)}")
-    return n, r
-
-
-def solve_corollary(
-    inst: Instance,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-    dav_cache: DavenportCache | None = None,
-) -> Certificate:
-    """Certificate with |I| = n, image containing position m, and weighted
-    sum equal to (sum of picked weights) * x_m.
-
-    Raises UnsatisfiableStatement when ell >= D: then m - r = n - 1 and no
-    n-subset of [1, m - r] exists.
-    """
-    g = inst.group
-    d = davenport_get(g, cache=dav_cache).value
-    n, r = _validate_corollary(inst, d)
-    if inst.ell >= d:
-        raise UnsatisfiableStatement(
-            f"ell = {inst.ell} >= D = {d}: an n-subset of [1, {inst.m - r}] cannot exist (n = {n})"
-        )
-
-    try:
-        sel, path = _corollary_constructive(inst, d, oracle_cap, dav_cache)
-    except (TheoremViolation, _ConstructiveFailed):
-        sel = fallback_search(inst, STATEMENT_COROLLARY, window=(n, n), oracle_cap=oracle_cap)
-        if sel is None:
-            raise TheoremViolation(
-                f"no barycentric n-selection exists for {inst!r} despite ell < D"
-            ) from None
-        path = SOLVE_FALLBACK
-    return _certify(inst, STATEMENT_COROLLARY, sel, None, path, dav_cache)
-
-
-def _corollary_constructive(
-    inst: Instance,
-    d: int,
-    oracle_cap: int,
-    dav_cache: DavenportCache | None,
-) -> tuple[Selection, str]:
+def _corollary_constructive(inst: Instance, d: int) -> Selection:
+    """Shift x by x_m, run the theorem1 construction on the positions left
+    after reserving the r highest anchor positions, then pad the selection
+    to n weights mapped onto reserved positions (m included)."""
     g = inst.group
     n = g.order
     r = min(d, inst.ell)
@@ -517,23 +379,21 @@ def _corollary_constructive(
     reserve = sorted(anchor_positions[-r:])
     keep = [p for p in range(1, inst.m + 1) if p not in set(reserve)]
     y = tuple([g.sub(inst.x[p - 1], anchor) for p in keep])
-    sub = Instance(group=g, x=y, w=inst.w, ell=inst.ell)
-    inner = solve_theorem1(sub, oracle_cap=oracle_cap, dav_cache=dav_cache)
-
-    pairs = [
-        (i, keep[j - 1]) for i, j in zip(inner.selection.indices, inner.selection.images)
-    ]
-    picked = set(inner.selection.indices)
-    free = [i for i in range(1, len(inst.w) + 1) if i not in picked]
-    extra = free[: n - len(picked)]
-    if len(extra) < n - len(picked):
+    inner, _ = _construct(Instance(group=g, x=y, w=inst.w, ell=inst.ell), STATEMENT_THEOREM1, d)
+    # outside theorem1's window [n - r, n - 1] the reserve cannot pad it to n
+    if not n - r <= len(inner) <= n - 1:
         raise _ConstructiveFailed
+
+    pairs = [(i, keep[j - 1]) for i, j in zip(inner.indices, inner.images)]
+    picked = set(inner.indices)
+    free = [i for i in range(1, len(inst.w) + 1) if i not in picked]
+    extra = free[: n - len(inner)]
     targets = sorted(reserve[: len(extra) - 1] + [inst.m])
-    pairs.extend(zip(sorted(extra), targets))
-    return Selection.build(inst, pairs), inner.solve_path
+    pairs.extend(zip(extra, targets))
+    return Selection.build(inst, pairs)
 
 
-def _statement_window(inst: Instance, statement: str, d: int) -> tuple[int, int]:
+def _statement_window(inst: Instance, statement: str, d: int | None) -> tuple[int, int]:
     n = inst.group.order
     if statement == STATEMENT_THEOREM1:
         r = min(d, inst.ell)
@@ -551,6 +411,93 @@ def _statement_target(inst: Instance, statement: str, indices: Sequence[int]) ->
         # (sum of the picked weights) * x_m: every picked weight placed on x_m
         return weighted_value(g, inst.w, inst.x, indices, [inst.m] * len(indices))
     return g.zero()
+
+
+def _check_hypotheses(inst: Instance, statement: str, d: int | None) -> None:
+    """InvalidInstance unless ``inst`` meets the hypotheses of ``statement``;
+    UnsatisfiableStatement for a corollary with ell >= D.  Only word1 runs
+    without D."""
+    n = inst.group.order
+    if statement == STATEMENT_COROLLARY:
+        if inst.m != n + d - 1:
+            raise InvalidInstance(f"need m = n + D - 1 = {n + d - 1}, got {inst.m}")
+        actual_rho = rho(inst.x)
+        if inst.ell != actual_rho:
+            raise InvalidInstance(f"ell = {inst.ell} but maximal repetition is {actual_rho}")
+        if inst.x.count(inst.x[-1]) != inst.ell:
+            raise InvalidInstance(
+                f"maximal repetition {inst.ell} not attained by the final position"
+            )
+        r = min(d, inst.ell)
+        if len(inst.w) != inst.m - r:
+            raise InvalidInstance(f"need |w| = m - r = {inst.m - r}, got {len(inst.w)}")
+        if inst.ell >= d:
+            raise UnsatisfiableStatement(
+                f"ell = {inst.ell} >= D = {d}: an n-subset of [1, {inst.m - r}] "
+                f"cannot exist (n = {n})"
+            )
+        return
+    if statement == STATEMENT_WORD1 and (inst.m != n or len(inst.w) != n):
+        raise InvalidInstance(f"need |x| = |w| = |G| = {n}, got {inst.m}, {len(inst.w)}")
+    if inst.ell < 1:
+        raise InvalidInstance(f"repetition bound ell = {inst.ell} must be >= 1")
+    if statement == STATEMENT_THEOREM1:
+        r = min(d, inst.ell)
+        if inst.m != n + d - r - 1:
+            raise InvalidInstance(
+                f"need m = n + D - min(D, ell) - 1 = {n + d - r - 1}, got {inst.m}"
+            )
+        if len(inst.w) != inst.m:
+            raise InvalidInstance(f"need |w| = m = {inst.m}, got {len(inst.w)}")
+    if inst.m and rho(inst.x) > inst.ell:
+        raise InvalidInstance(f"maximal repetition {rho(inst.x)} exceeds ell = {inst.ell}")
+
+
+def _construct(
+    inst: Instance, statement: str, d: int | None
+) -> tuple[Selection, tuple[tuple[int, ...], ...] | None]:
+    """The statement's construction: a selection and, for theorem1 and
+    word1, its shelling blocks."""
+    if statement == STATEMENT_THEOREM1:
+        if d <= inst.ell:
+            # m = n - 1: one width-D shelling over the whole index range
+            pool = range(1, inst.m + 1)
+            sh = extend_shellable(inst, pool, pool, davenport_value=d)
+        else:
+            sh = _combine_narrow_and_wide(inst, d)
+        return sh.selection, sh.blocks
+    if statement == STATEMENT_COROLLARY:
+        return _corollary_constructive(inst, d), None
+    sel = Selection.build(inst, _word1_constructive(inst.group, inst.x, inst.w))
+    return sel, (sel.indices,)
+
+
+def _solve_selection(
+    inst: Instance, statement: str, d: int | None, oracle_cap: int
+) -> tuple[Selection, tuple[tuple[int, ...], ...] | None, str]:
+    """The one solve pipeline: check the hypotheses, run the construction,
+    check its size window, anchor and value, and on any miss take the
+    oracle's answer instead.  Returns (selection, shelling blocks or None,
+    solve path)."""
+    _check_hypotheses(inst, statement, d)
+    lo, hi = _statement_window(inst, statement, d)
+    try:
+        sel, blocks = _construct(inst, statement, d)
+        if not (
+            lo <= len(sel) <= hi
+            and (statement != STATEMENT_COROLLARY or inst.m in sel.images)
+            and sel.value == _statement_target(inst, statement, sel.indices)
+        ):
+            raise _ConstructiveFailed
+        return sel, blocks, SOLVE_CONSTRUCTIVE
+    except (TheoremViolation, _ConstructiveFailed):
+        sel = fallback_search(inst, statement, window=(lo, hi), oracle_cap=oracle_cap)
+        if sel is None:
+            raise TheoremViolation(
+                f"no {statement} selection in window [{lo}, {hi}] exists despite its hypotheses"
+            ) from None
+        blocks = (sel.indices,) if statement == STATEMENT_WORD1 else None
+        return sel, blocks, SOLVE_FALLBACK
 
 
 def fallback_search(
@@ -743,11 +690,48 @@ def solve(
     dav_cache: DavenportCache | None = None,
 ) -> Certificate:
     """Verified certificate for ``statement`` (one of STATEMENTS) on ``inst``."""
-    if statement == STATEMENT_THEOREM1:
-        return solve_theorem1(inst, oracle_cap=oracle_cap, dav_cache=dav_cache)
-    if statement == STATEMENT_COROLLARY:
-        return solve_corollary(inst, oracle_cap=oracle_cap, dav_cache=dav_cache)
-    if statement == STATEMENT_WORD1:
-        sh, path = solve_word1(inst.group, inst.x, inst.w, inst.ell, oracle_cap=oracle_cap)
-        return _certify(inst, STATEMENT_WORD1, sh.selection, sh.blocks, path, dav_cache)
-    raise InvalidArgument(f"unknown statement {statement!r}")
+    if statement not in STATEMENTS:
+        raise InvalidArgument(f"unknown statement {statement!r}")
+    d = davenport_get(inst.group, cache=dav_cache).value
+    sel, blocks, path = _solve_selection(inst, statement, d, oracle_cap)
+    return _certify(inst, statement, sel, blocks, path, dav_cache)
+
+
+def solve_theorem1(
+    inst: Instance,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
+    dav_cache: DavenportCache | None = None,
+) -> Certificate:
+    """Certificate with n - min(D, ell) <= |I| <= n - 1 and value zero."""
+    return solve(inst, STATEMENT_THEOREM1, oracle_cap, dav_cache)
+
+
+def solve_corollary(
+    inst: Instance,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
+    dav_cache: DavenportCache | None = None,
+) -> Certificate:
+    """Certificate with |I| = n, image containing position m, and weighted
+    sum equal to (sum of picked weights) * x_m.
+
+    Raises UnsatisfiableStatement when ell >= D: then m - r = n - 1 and no
+    n-subset of [1, m - r] exists.
+    """
+    return solve(inst, STATEMENT_COROLLARY, oracle_cap, dav_cache)
+
+
+def solve_word1(
+    g: AbelianGroup,
+    x: Sequence[Element],
+    w: Sequence[int],
+    ell: int,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
+) -> tuple[Shelling, str]:
+    """Selection with 1 <= |I| <= ell and value zero, as a one-block shelling.
+
+    Requires |x| = |w| = |G| and maximal repetition of x at most ell.
+    Returns (shelling, solve_path), unverified.
+    """
+    inst = Instance(group=g, x=tuple(x), w=tuple(w), ell=ell)
+    sel, blocks, path = _solve_selection(inst, STATEMENT_WORD1, None, oracle_cap)
+    return Shelling(selection=sel, blocks=blocks, width=ell), path

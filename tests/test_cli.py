@@ -287,3 +287,44 @@ def test_solve_rejects_malformed_davenport_cache(tmp_path, capsys, name):
     assert "Davenport cache" in capsys.readouterr().err
     assert not cert_path.exists()
     assert cache_path.read_text() == text  # left as it was
+
+
+# entries of the right shape whose content is wrong
+UNSOUND_CACHES = {
+    "value-above-formula": '{"2x2": {"value": 4, "witness": [[0, 1], [1, 0], [1, 1]]}}',
+    "witness-too-short": '{"2x2": {"value": 3, "witness": [[0, 1]]}}',
+    "witness-has-zero-sum": '{"2x2": {"value": 3, "witness": [[0, 1], [0, 1]]}}',
+    "witness-outside-group": '{"2x2": {"value": 3, "witness": [[0, 1], [2, 0]]}}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSOUND_CACHES))
+def test_verify_rejects_unsound_davenport_cache(tmp_path, capsys, name):
+    inst_path = tmp_path / "inst.json"
+    cert_path = tmp_path / "cert.json"
+    cache_path = tmp_path / "dav.json"
+    _write_instance(inst_path, "theorem1", [2, 2], ((0, 1), (1, 0), (1, 1)), (1, 1, 1), 4)
+    assert main(["solve", "--instance", str(inst_path), "--out", str(cert_path)]) == EXIT_OK
+    # an empty selection: outside the window [n - D, n - 1] = [1, 3]
+    cert = json.loads(cert_path.read_text())
+    cert.update({"I": [], "f": {}, "shelling": None, "value": [0, 0]})
+    cert_path.write_text(dumps_stable(cert))
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst_path), "--cert", str(cert_path)]) == EXIT_FAILED
+    assert "size window" in capsys.readouterr().out
+    cache_path.write_text(UNSOUND_CACHES[name])
+    rc = main(["verify", "--instance", str(inst_path), "--cert", str(cert_path),
+               "--cache", str(cache_path)])
+    assert rc == EXIT_INVALID
+    assert "Davenport cache" in capsys.readouterr().err
+
+
+def test_unwritable_davenport_cache_exits_invalid(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("a file, not a directory")
+    rc = main(["davenport", "--orders", "6", "--cache", str(blocker / "c.json")])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(blocker / "c.json") in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]

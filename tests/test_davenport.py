@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +15,12 @@ from zsum.davenport import (
     DavenportRecord,
     davenport_exact,
     davenport_formula,
+    davenport_formula_record,
     davenport_get,
     generator_repeat_witness,
     zero_sum_free_check,
 )
-from zsum.errors import BudgetExceeded, InvalidElement
+from zsum.errors import BudgetExceeded, InvalidArgument, InvalidElement
 from zsum.groups import canonicalize, groups_up_to_order
 
 
@@ -120,6 +122,40 @@ def test_generator_repeat_witness_is_zero_sum_free_when_formula_applies():
         wit = generator_repeat_witness(g)
         assert len(wit) == davenport_formula(g) - 1
         assert zero_sum_free_check(g, wit)
+
+
+def test_formula_record_matches_the_closed_form():
+    for g in groups_up_to_order(16):
+        rec = davenport_formula_record(g)
+        if davenport_formula(g) is None:
+            assert rec is None
+            continue
+        assert (rec.value, rec.method) == (davenport_formula(g), METHOD_FORMULA)
+        assert rec.witness == generator_repeat_witness(g)
+
+
+def test_cache_entries_are_checked_when_first_read(tmp_path):
+    path = tmp_path / "dav.json"
+    path.write_text(json.dumps({
+        "2x2": {"value": 4, "witness": [[0, 1], [1, 0], [1, 1]]},  # D is 3
+        "2x2x6": {"value": 8, "witness": [[0, 0, 1]] * 7},  # seven copies are not zero-sum-free
+        "3": {"value": 3, "witness": [[1], [1]]},
+    }))
+    cache = DavenportCache(path)  # opening reads shapes only
+    assert davenport_get(canonicalize([3]), cache).method == METHOD_CACHE
+    for orders in ([2, 2], [2, 2, 6]):
+        with pytest.raises(InvalidArgument, match="Davenport cache"):
+            cache.get(canonicalize(orders))
+
+
+def test_failed_cache_write_raises_invalid_argument_and_leaves_no_temp(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(InvalidArgument, match="cannot be written"):
+        davenport_get(canonicalize([6]), DavenportCache(tmp_path / "dav.json"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_davenport_get_prefers_formula_then_caches(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -745,3 +746,60 @@ def test_fallback_uses_the_given_davenport_cache(monkeypatch, statement, step):
         _, path = solve_word1(Z4, ((1,), (2,), (3,), (3,)), (1, 2, 1, 3), 2)
     assert path == "fallback"
     assert default.get(Z4) is None and default.get(Z3) is None
+
+
+# ------------------------------------------------------------ solve pipeline
+
+
+def _counting(monkeypatch, name):
+    """Replace weighted.<name> by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(zsum.weighted, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(zsum.weighted, name, counted)
+    return calls
+
+
+def test_corollary_solve_verifies_once(monkeypatch):
+    calls = _counting(monkeypatch, "verify_certificate")
+    inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
+    cert = solve_corollary(inst)
+    assert cert.solve_path == "constructive"
+    assert len(calls) == 1  # the corollary's own certificate, no inner one
+
+
+def test_theorem1_narrow_path_calls_no_word1_solver(monkeypatch):
+    calls = _counting(monkeypatch, "solve_word1")
+    inst = Instance(group=Z4, x=((1,), (2,), (3,), (2,), (1,)), w=(0, 5, 1, 6, 2), ell=2)
+    cert = solve_theorem1(inst)  # ell = 2 < D = 4: the narrow shelling runs
+    assert cert.solve_path == "constructive"
+    assert cert.shelling and any(len(block) <= 2 for block in cert.shelling)
+    assert calls == []
+
+
+def test_corollary_construction_with_a_wrong_value_falls_back(monkeypatch):
+    inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
+    wrong = Selection.build(inst, [(1, 1), (2, 2), (3, 5)])  # size n, anchored
+    assert wrong.value != (0,)  # the target (1 + 1 + 1) * x_5 is zero
+    monkeypatch.setattr(zsum.weighted, "_corollary_constructive", lambda *args: wrong)
+    cert = solve_corollary(inst)
+    assert cert.solve_path == "fallback"
+    assert cert.selection == fallback_search(inst, "corollary")
+    assert cert.verified
+
+
+def test_forced_theorem1_fallback_may_return_the_empty_selection(monkeypatch):
+    # cyclic G with ell >= n: the window is [0, n - 1], so the oracle's empty
+    # selection is a valid answer (only word1 needs |I| >= 1)
+    monkeypatch.setattr(zsum.weighted, "extend_shellable", _raise_violation)
+    inst = Instance(group=Z4, x=((1,), (1,), (1,)), w=(1, 1, 1), ell=4)
+    cert = solve(inst, "theorem1")
+    assert (cert.selection.indices, cert.solve_path) == ((), "fallback")
+    blob = dumps_stable(certificate_to_json(inst.group, cert)).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == (
+        "ddde1a1db5afbb416ec3c4cbeb19ef0514cef8cc5c82e117893db2662918421f"
+    )
