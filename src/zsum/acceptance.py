@@ -36,8 +36,7 @@ from .weighted import (
     STATEMENT_THEOREM1,
     fallback_search,
     instance_digest,
-    solve_corollary,
-    solve_theorem1,
+    solve,
     verify_certificate,
 )
 from .zerosum import find_zero_sum_bounded, find_zero_sum_exact_length
@@ -109,30 +108,10 @@ def criterion_word0_totality(scale: str = SCALE_SMALL) -> CriterionResult:
     return CriterionResult(2, "bounded-zero-sum-totality", failures == 0, details)
 
 
-def criterion_egz(scale: str = SCALE_SMALL) -> CriterionResult:
-    """Every length-(2n-1) multiset over Z_n has an exact-length-n zero sum."""
-    failures = 0
-    checked = 0
-    for n in (2, 3, 4, 5):
-        g = _cyclic(n)
-        elements = list(g.elements())
-        for combo in itertools.combinations_with_replacement(elements, 2 * n - 1):
-            checked += 1
-            wit = find_zero_sum_exact_length(g, combo, n)
-            if wit is None:
-                failures += 1
-                continue
-            total = g.sum(combo[i - 1] for i in wit.indices)
-            if len(wit.indices) != n or total != g.zero():
-                failures += 1
-    details = f"{checked} multisets, {failures} failures"
-    return CriterionResult(3, "egz-reproduction", failures == 0, details)
-
-
-def criterion_gao(scale: str = SCALE_SMALL) -> CriterionResult:
-    """Every length-6 multiset over Z_2+Z_2 has an exact-length-4 zero sum."""
-    g = canonicalize([2, 2])
-    n, length = g.order, 6
+def _exact_length_sweep(g: AbelianGroup, length: int) -> tuple[int, int]:
+    """(multisets checked, failures): every length-``length`` multiset over
+    G must have a zero sum of exactly |G| terms."""
+    n = g.order
     failures = 0
     checked = 0
     for combo in itertools.combinations_with_replacement(list(g.elements()), length):
@@ -144,6 +123,22 @@ def criterion_gao(scale: str = SCALE_SMALL) -> CriterionResult:
         total = g.sum(combo[i - 1] for i in wit.indices)
         if len(wit.indices) != n or total != g.zero():
             failures += 1
+    return checked, failures
+
+
+def criterion_egz(scale: str = SCALE_SMALL) -> CriterionResult:
+    """Every length-(2n-1) multiset over Z_n has an exact-length-n zero sum
+    (EGZ: the cyclic case of Gao's n + D - 1 theorem)."""
+    sweeps = [_exact_length_sweep(_cyclic(n), 2 * n - 1) for n in (2, 3, 4, 5)]
+    checked = sum(c for c, _ in sweeps)
+    failures = sum(f for _, f in sweeps)
+    details = f"{checked} multisets, {failures} failures"
+    return CriterionResult(3, "egz-reproduction", failures == 0, details)
+
+
+def criterion_gao(scale: str = SCALE_SMALL) -> CriterionResult:
+    """Every length-6 multiset over Z_2+Z_2 has an exact-length-4 zero sum."""
+    checked, failures = _exact_length_sweep(canonicalize([2, 2]), 6)
     details = f"{checked} multisets, {failures} failures"
     return CriterionResult(4, "gao-reproduction", failures == 0, details)
 
@@ -189,13 +184,30 @@ def _corollary_unsat_suite() -> Iterator[Instance]:
             yield Instance(group=z2, x=x, w=w, ell=ell)
 
 
+def _degenerate_corollary_check() -> tuple[int, int]:
+    """(instances checked, failures): on every instance of the degenerate
+    corollary family the solver must report it unsatisfiable and the oracle
+    must find nothing."""
+    failures = 0
+    checked = 0
+    for inst in _corollary_unsat_suite():
+        checked += 1
+        try:
+            solve(inst, STATEMENT_COROLLARY)
+            failures += 1
+        except UnsatisfiableStatement:
+            if fallback_search(inst, STATEMENT_COROLLARY) is not None:
+                failures += 1
+    return checked, failures
+
+
 def criterion_theorem_exhaustive(scale: str = SCALE_SMALL) -> CriterionResult:
     """Main-window solver: 100% verified certificates on the stated suites."""
     failures = 0
     checked = 0
     for inst in _theorem1_suite():
         checked += 1
-        cert = solve_theorem1(inst)
+        cert = solve(inst, STATEMENT_THEOREM1)
         d = davenport_get(inst.group).value
         lo = inst.group.order - min(d, inst.ell)
         hi = inst.group.order - 1
@@ -212,7 +224,7 @@ def criterion_corollary_exhaustive(scale: str = SCALE_SMALL) -> CriterionResult:
     checked = 0
     for inst in _corollary_suite():
         checked += 1
-        cert = solve_corollary(inst)
+        cert = solve(inst, STATEMENT_COROLLARY)
         ok, _ = verify_certificate(inst, cert)
         n = inst.group.order
         if not (
@@ -222,15 +234,8 @@ def criterion_corollary_exhaustive(scale: str = SCALE_SMALL) -> CriterionResult:
             and inst.m in cert.selection.images
         ):
             failures += 1
-    unsat_checked = 0
-    for inst in _corollary_unsat_suite():
-        unsat_checked += 1
-        try:
-            solve_corollary(inst)
-            failures += 1
-        except UnsatisfiableStatement:
-            if fallback_search(inst, STATEMENT_COROLLARY) is not None:
-                failures += 1
+    unsat_checked, unsat_failures = _degenerate_corollary_check()
+    failures += unsat_failures
     details = f"{checked} solvable + {unsat_checked} degenerate instances, {failures} failures"
     return CriterionResult(6, "barycentric-exhaustive", failures == 0, details)
 
@@ -239,52 +244,31 @@ def criterion_oracle_agreement(scale: str = SCALE_SMALL) -> CriterionResult:
     """Constructive and exhaustive routes agree on suites 5-6; both verify."""
     failures = 0
     checked = 0
-    for inst in _theorem1_suite():
-        checked += 1
-        cert = solve_theorem1(inst)
-        oracle = fallback_search(inst, STATEMENT_THEOREM1)
-        if oracle is None:
-            failures += 1
-            continue
-        oracle_cert = Certificate(
-            statement=STATEMENT_THEOREM1,
-            instance_digest=instance_digest(inst),
-            selection=oracle,
-            shelling=None,
-            solve_path="fallback",
-            verified=False,
-        )
-        ok_solver, _ = verify_certificate(inst, cert)
-        ok_oracle, _ = verify_certificate(inst, oracle_cert)
-        if not (ok_solver and ok_oracle):
-            failures += 1
-    for inst in _corollary_suite():
-        checked += 1
-        cert = solve_corollary(inst)
-        oracle = fallback_search(inst, STATEMENT_COROLLARY)
-        if oracle is None:
-            failures += 1
-            continue
-        oracle_cert = Certificate(
-            statement=STATEMENT_COROLLARY,
-            instance_digest=instance_digest(inst),
-            selection=oracle,
-            shelling=None,
-            solve_path="fallback",
-            verified=False,
-        )
-        ok_solver, _ = verify_certificate(inst, cert)
-        ok_oracle, _ = verify_certificate(inst, oracle_cert)
-        if not (ok_solver and ok_oracle):
-            failures += 1
-    for inst in _corollary_unsat_suite():
-        checked += 1
-        try:
-            solve_corollary(inst)
-            failures += 1
-        except UnsatisfiableStatement:
-            if fallback_search(inst, STATEMENT_COROLLARY) is not None:
+    for statement, suite in (
+        (STATEMENT_THEOREM1, _theorem1_suite), (STATEMENT_COROLLARY, _corollary_suite)
+    ):
+        for inst in suite():
+            checked += 1
+            cert = solve(inst, statement)
+            oracle = fallback_search(inst, statement)
+            if oracle is None:
                 failures += 1
+                continue
+            oracle_cert = Certificate(
+                statement=statement,
+                instance_digest=instance_digest(inst),
+                selection=oracle,
+                shelling=None,
+                solve_path="fallback",
+                verified=False,
+            )
+            ok_solver, _ = verify_certificate(inst, cert)
+            ok_oracle, _ = verify_certificate(inst, oracle_cert)
+            if not (ok_solver and ok_oracle):
+                failures += 1
+    unsat_checked, unsat_failures = _degenerate_corollary_check()
+    checked += unsat_checked
+    failures += unsat_failures
     details = f"{checked} instances, {failures} disagreements"
     return CriterionResult(7, "oracle-agreement", failures == 0, details)
 
@@ -364,20 +348,19 @@ def criterion_determinism_roundtrip(scale: str = SCALE_SMALL) -> CriterionResult
 
     failures: list[str] = []
     rerun_checked = 0
-    for inst in itertools.islice(_theorem1_suite(), 0, None, 7):
-        rerun_checked += 1
-        a = dumps_stable(certificate_to_json(inst.group, solve_theorem1(inst)))
-        b = dumps_stable(certificate_to_json(inst.group, solve_theorem1(inst)))
-        if a != b:
-            failures.append("certificate rerun differs")
-            break
-    for inst in itertools.islice(_corollary_suite(), 0, None, 97):
-        rerun_checked += 1
-        a = dumps_stable(certificate_to_json(inst.group, solve_corollary(inst)))
-        b = dumps_stable(certificate_to_json(inst.group, solve_corollary(inst)))
-        if a != b:
-            failures.append("corollary certificate rerun differs")
-            break
+    for statement, suite, step, failure in (
+        (STATEMENT_THEOREM1, _theorem1_suite, 7, "certificate rerun differs"),
+        (STATEMENT_COROLLARY, _corollary_suite, 97, "corollary certificate rerun differs"),
+    ):
+        for inst in itertools.islice(suite(), 0, None, step):
+            rerun_checked += 1
+            a, b = [
+                dumps_stable(certificate_to_json(inst.group, solve(inst, statement)))
+                for _ in range(2)
+            ]
+            if a != b:
+                failures.append(failure)
+                break
 
     rng = random.Random(20260814)
     order_pool = ([2], [3], [4], [5], [2, 2], [2, 4], [3, 3], [6], [2, 2, 2], [12])

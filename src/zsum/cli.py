@@ -4,9 +4,11 @@ Subcommands: group, davenport, davenport-table, solve-word0, zero-sum,
 solve, verify, scan-conjecture, selftest.
 
 Exit codes: 0 verified solve / success; 1 verification or selftest failure;
-2 invalid input (bad files, bad preconditions, bad arguments); 3 statement
-unsatisfiable; 4 theorem violation (loud abort, never silent); 5 resource
-cap hit (oracle too large or budget exceeded).
+2 invalid input (bad files, bad preconditions, bad arguments, an output
+path that cannot be written); 3 statement unsatisfiable; 4 theorem
+violation (a construction missed under its hypotheses: a bug, reported
+loudly, never absorbed); 5 resource cap hit (Davenport search node budget
+or scan budget exceeded).
 
 All file output is atomic (temp file + rename).  The only environment
 variable honored is ZSUM_DAVENPORT_CACHE (cache path override); everything
@@ -36,8 +38,8 @@ from .davenport import (
 )
 from .errors import (
     BudgetExceeded,
+    InvalidArgument,
     InvalidInstance,
-    OracleTooLarge,
     TheoremViolation,
     UnsatisfiableStatement,
     ZsumError,
@@ -53,7 +55,7 @@ from .serialize import (
     load_instance,
     zero_sum_witness_to_json,
 )
-from .weighted import DEFAULT_ORACLE_CAP, solve, verify_certificate
+from .weighted import solve, verify_certificate
 from .zerosum import find_zero_sum_bounded, find_zero_sum_exact_length
 
 CACHE_ENV_VAR = "ZSUM_DAVENPORT_CACHE"
@@ -86,12 +88,20 @@ def _check_out_path(path: str | None) -> None:
         raise InvalidInstance(f"output directory does not exist: {directory}")
 
 
+def _write(path: str, payload: dict) -> None:
+    """Write ``payload`` as canonical JSON to ``path``, atomically;
+    InvalidArgument naming the path if it cannot be written."""
+    try:
+        atomic_write_text(path, dumps_stable(payload))
+    except OSError as err:
+        raise InvalidArgument(f"cannot write {path}: {err.strerror or err}") from None
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = dumps_stable(payload)
     if out:
-        atomic_write_text(out, text)
+        _write(out, payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps_stable(payload))
 
 
 def _cmd_group(args: argparse.Namespace) -> int:
@@ -161,8 +171,8 @@ def _cmd_zero_sum(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     _check_out_path(args.out)
     statement, inst = load_instance(args.instance)
-    cert = solve(inst, statement, oracle_cap=args.oracle_cap, dav_cache=_cache_from(args))
-    atomic_write_text(args.out, dumps_stable(certificate_to_json(inst.group, cert)))
+    cert = solve(inst, statement, dav_cache=_cache_from(args))
+    _write(args.out, certificate_to_json(inst.group, cert))
     print(f"certificate written to {args.out}")
     print(f"verification: ok (solve_path = {cert.solve_path}, |I| = {len(cert.selection)})")
     return EXIT_OK
@@ -206,7 +216,7 @@ def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
         report = conjecture_scan(config)
     except BudgetExceeded as err:
         if err.report is not None and args.out:
-            atomic_write_text(args.out, dumps_stable(err.report.to_json()))
+            _write(args.out, err.report.to_json())
             print(f"non-authoritative report written to {args.out}", file=sys.stderr)
         raise
     _emit(report.to_json(), args.out)
@@ -225,7 +235,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         verdict = "PASS" if r.passed else "FAIL"
         print(f"criterion {r.number} {r.name}: {verdict} ({r.details})")
     if args.out:
-        atomic_write_text(args.out, dumps_stable(acceptance.summary_json(args.scale, results)))
+        _write(args.out, acceptance.summary_json(args.scale, results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILED
 
 
@@ -271,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the instance's statement, emit a certificate")
     p.add_argument("--instance", required=True)
     p.add_argument("--out", required=True, help="certificate output path")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.add_argument("--cache", help="davenport cache file path")
     p.set_defaults(func=_cmd_solve)
 
@@ -313,9 +322,6 @@ def main(argv: list[str] | None = None) -> int:
     except UnsatisfiableStatement as err:
         print(f"unsatisfiable: {err}", file=sys.stderr)
         return EXIT_UNSATISFIABLE
-    except OracleTooLarge as err:
-        print(f"oracle cap exceeded: {err}", file=sys.stderr)
-        return EXIT_RESOURCE_CAP
     except BudgetExceeded as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return EXIT_RESOURCE_CAP

@@ -15,8 +15,6 @@ the canonical invariant factors, optionally persisted to a JSON file.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -237,7 +235,8 @@ class DavenportCache:
                 self._persist()
 
     def _persist(self) -> None:
-        # temp file + rename so readers never see a torn write
+        from .serialize import atomic_write_text  # serialize imports this module
+
         data = dict(self._stored)
         for key, rec in self._new.items():
             data[key] = {
@@ -245,18 +244,11 @@ class DavenportCache:
                 "witness": [list(e) for e in rec.witness],
                 "method": rec.method,
             }
-        tmp = None
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, sort_keys=True, indent=2)
-            os.replace(tmp, self.path)
+            atomic_write_text(str(self.path), json.dumps(data, sort_keys=True, indent=2))
         except OSError as err:
             raise InvalidArgument(f"Davenport cache {self.path} cannot be written: {err}") from None
-        finally:
-            if tmp is not None and os.path.exists(tmp):
-                os.unlink(tmp)
 
 
 _default_cache = DavenportCache()

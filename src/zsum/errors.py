@@ -3,9 +3,9 @@
 Everything recoverable derives from :class:`ZsumError`.  The one deliberate
 exception is :class:`TheoremViolation`, which derives from ``BaseException``
 so that a blanket ``except Exception`` cannot swallow it: it fires only when
-a solver exhausts a search that a proved statement says cannot fail, which
-means either an implementation bug or a genuine mathematical event.  Both
-must surface loudly.
+a construction or search that a proved statement says cannot fail comes up
+short, which means either an implementation bug or a genuine mathematical
+event.  Both must surface loudly.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class OracleTooLarge(ZsumError):
 
 
 class TheoremViolation(BaseException):
-    """A search that a theorem guarantees to succeed came up empty.
+    """A construction or search that a theorem guarantees to succeed missed.
 
     Not a ZsumError on purpose: it must never be silently converted into an
     "absent" result.  Catch it only to report and abort.

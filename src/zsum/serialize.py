@@ -32,10 +32,6 @@ def dumps_stable(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def dumps_compact(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def atomic_write_text(path: str, text: str) -> None:
     """Write via temp file + rename so readers never observe a partial file."""
     directory = os.path.dirname(os.path.abspath(path))

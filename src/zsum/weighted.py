@@ -21,10 +21,13 @@ Solvers, by statement tag:
 
 ``solve(inst, statement)`` is the single entry point over the three: it
 returns a Certificate that the independent verifier has already accepted.
-All three run through one pipeline: check the hypotheses, run the
-construction, check its size window, anchor and value, and on any miss
-take the answer of the exhaustive oracle (``fallback_search``, also the
-test-side ground truth).  The constructions nest as the proofs do (the
+All three run through one path: check the hypotheses, run the
+construction, check its size window, anchor and value.  The proofs are
+constructive, so under the hypotheses a construction cannot miss; if one
+does, that is a bug and it raises TheoremViolation.  The answer rests on
+the verifier, not on a second solver: the exhaustive oracle
+(``fallback_search``) is the test-side ground truth only, and no solve
+calls it.  The constructions nest as the proofs do (the
 corollary runs theorem1's on x shifted by x_m, theorem1's narrow shelling
 takes its blocks from word1's) without calling a public solver.  All free
 choices resolve to the lexicographically smallest option, so identical
@@ -65,7 +68,6 @@ STATEMENT_WORD1 = "word1"
 STATEMENTS = (STATEMENT_THEOREM1, STATEMENT_COROLLARY, STATEMENT_WORD1)
 
 SOLVE_CONSTRUCTIVE = "constructive"
-SOLVE_FALLBACK = "fallback"
 
 DEFAULT_ORACLE_CAP = 12
 
@@ -134,10 +136,6 @@ class Certificate:
     shelling: tuple[tuple[int, ...], ...] | None
     solve_path: str
     verified: bool
-
-
-class _ConstructiveFailed(Exception):
-    """Internal: constructive output missed a postcondition; try the oracle."""
 
 
 def instance_digest(inst: Instance) -> str:
@@ -382,7 +380,9 @@ def _corollary_constructive(inst: Instance, d: int) -> Selection:
     inner, _ = _construct(Instance(group=g, x=y, w=inst.w, ell=inst.ell), STATEMENT_THEOREM1, d)
     # outside theorem1's window [n - r, n - 1] the reserve cannot pad it to n
     if not n - r <= len(inner) <= n - 1:
-        raise _ConstructiveFailed
+        raise TheoremViolation(
+            f"the theorem1 construction inside the corollary missed window [{n - r}, {n - 1}]"
+        )
 
     pairs = [(i, keep[j - 1]) for i, j in zip(inner.indices, inner.images)]
     picked = set(inner.indices)
@@ -473,31 +473,24 @@ def _construct(
 
 
 def _solve_selection(
-    inst: Instance, statement: str, d: int | None, oracle_cap: int
-) -> tuple[Selection, tuple[tuple[int, ...], ...] | None, str]:
-    """The one solve pipeline: check the hypotheses, run the construction,
-    check its size window, anchor and value, and on any miss take the
-    oracle's answer instead.  Returns (selection, shelling blocks or None,
-    solve path)."""
+    inst: Instance, statement: str, d: int | None
+) -> tuple[Selection, tuple[tuple[int, ...], ...] | None]:
+    """The one solve path: check the hypotheses, run the construction, then
+    check its size window, anchor and value.  Returns (selection, shelling
+    blocks or None); a miss raises TheoremViolation."""
     _check_hypotheses(inst, statement, d)
     lo, hi = _statement_window(inst, statement, d)
-    try:
-        sel, blocks = _construct(inst, statement, d)
-        if not (
-            lo <= len(sel) <= hi
-            and (statement != STATEMENT_COROLLARY or inst.m in sel.images)
-            and sel.value == _statement_target(inst, statement, sel.indices)
-        ):
-            raise _ConstructiveFailed
-        return sel, blocks, SOLVE_CONSTRUCTIVE
-    except (TheoremViolation, _ConstructiveFailed):
-        sel = fallback_search(inst, statement, window=(lo, hi), oracle_cap=oracle_cap)
-        if sel is None:
-            raise TheoremViolation(
-                f"no {statement} selection in window [{lo}, {hi}] exists despite its hypotheses"
-            ) from None
-        blocks = (sel.indices,) if statement == STATEMENT_WORD1 else None
-        return sel, blocks, SOLVE_FALLBACK
+    sel, blocks = _construct(inst, statement, d)
+    if not (
+        lo <= len(sel) <= hi
+        and (statement != STATEMENT_COROLLARY or inst.m in sel.images)
+        and sel.value == _statement_target(inst, statement, sel.indices)
+    ):
+        raise TheoremViolation(
+            f"the {statement} construction gave no valid selection in window "
+            f"[{lo}, {hi}] despite its hypotheses"
+        )
+    return sel, blocks
 
 
 def fallback_search(
@@ -601,7 +594,8 @@ def verify_certificate(
     cert: Certificate,
     dav_cache: DavenportCache | None = None,
 ) -> tuple[bool, list[str]]:
-    """Re-derive every postcondition from raw instance data.
+    """Re-check the statement's hypotheses and re-derive every postcondition
+    from raw instance data.
 
     Returns (ok, diagnostics); diagnostics name each failed check.
     """
@@ -610,8 +604,12 @@ def verify_certificate(
     if cert.statement not in STATEMENTS:
         return False, [f"unknown statement {cert.statement!r}"]
     d = davenport_get(g, cache=dav_cache).value
-    n = g.order
     sel = cert.selection
+
+    try:
+        _check_hypotheses(inst, cert.statement, d)
+    except (InvalidInstance, UnsatisfiableStatement) as err:
+        diagnostics.append(f"hypotheses: {err}")
 
     if cert.instance_digest != instance_digest(inst):
         diagnostics.append("instance digest")
@@ -665,16 +663,15 @@ def _certify(
     statement: str,
     sel: Selection,
     shelling: tuple[tuple[int, ...], ...] | None,
-    path: str,
     dav_cache: DavenportCache | None,
 ) -> Certificate:
-    """The certificate for a solver's selection, accepted by the verifier."""
+    """The certificate for a constructed selection, accepted by the verifier."""
     cert = Certificate(
         statement=statement,
         instance_digest=instance_digest(inst),
         selection=sel,
         shelling=shelling,
-        solve_path=path,
+        solve_path=SOLVE_CONSTRUCTIVE,
         verified=False,
     )
     ok, diagnostics = verify_certificate(inst, cert, dav_cache=dav_cache)
@@ -684,54 +681,40 @@ def _certify(
 
 
 def solve(
-    inst: Instance,
-    statement: str,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-    dav_cache: DavenportCache | None = None,
+    inst: Instance, statement: str, *, dav_cache: DavenportCache | None = None
 ) -> Certificate:
     """Verified certificate for ``statement`` (one of STATEMENTS) on ``inst``."""
     if statement not in STATEMENTS:
         raise InvalidArgument(f"unknown statement {statement!r}")
     d = davenport_get(inst.group, cache=dav_cache).value
-    sel, blocks, path = _solve_selection(inst, statement, d, oracle_cap)
-    return _certify(inst, statement, sel, blocks, path, dav_cache)
+    sel, blocks = _solve_selection(inst, statement, d)
+    return _certify(inst, statement, sel, blocks, dav_cache)
 
 
-def solve_theorem1(
-    inst: Instance,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-    dav_cache: DavenportCache | None = None,
-) -> Certificate:
+def solve_theorem1(inst: Instance, *, dav_cache: DavenportCache | None = None) -> Certificate:
     """Certificate with n - min(D, ell) <= |I| <= n - 1 and value zero."""
-    return solve(inst, STATEMENT_THEOREM1, oracle_cap, dav_cache)
+    return solve(inst, STATEMENT_THEOREM1, dav_cache=dav_cache)
 
 
-def solve_corollary(
-    inst: Instance,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-    dav_cache: DavenportCache | None = None,
-) -> Certificate:
+def solve_corollary(inst: Instance, *, dav_cache: DavenportCache | None = None) -> Certificate:
     """Certificate with |I| = n, image containing position m, and weighted
     sum equal to (sum of picked weights) * x_m.
 
     Raises UnsatisfiableStatement when ell >= D: then m - r = n - 1 and no
     n-subset of [1, m - r] exists.
     """
-    return solve(inst, STATEMENT_COROLLARY, oracle_cap, dav_cache)
+    return solve(inst, STATEMENT_COROLLARY, dav_cache=dav_cache)
 
 
 def solve_word1(
-    g: AbelianGroup,
-    x: Sequence[Element],
-    w: Sequence[int],
-    ell: int,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
+    g: AbelianGroup, x: Sequence[Element], w: Sequence[int], ell: int
 ) -> tuple[Shelling, str]:
     """Selection with 1 <= |I| <= ell and value zero, as a one-block shelling.
 
     Requires |x| = |w| = |G| and maximal repetition of x at most ell.
-    Returns (shelling, solve_path), unverified.
+    Returns (shelling, solve_path), unverified; the path is always
+    SOLVE_CONSTRUCTIVE.
     """
     inst = Instance(group=g, x=tuple(x), w=tuple(w), ell=ell)
-    sel, blocks, path = _solve_selection(inst, STATEMENT_WORD1, None, oracle_cap)
-    return Shelling(selection=sel, blocks=blocks, width=ell), path
+    sel, blocks = _solve_selection(inst, STATEMENT_WORD1, None)
+    return Shelling(selection=sel, blocks=blocks, width=ell), SOLVE_CONSTRUCTIVE

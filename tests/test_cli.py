@@ -4,17 +4,20 @@ import json
 
 import pytest
 
+import zsum.weighted
 from zsum.cli import (
     EXIT_FAILED,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_RESOURCE_CAP,
+    EXIT_THEOREM_VIOLATION,
     EXIT_UNSATISFIABLE,
     main,
 )
+from zsum.errors import TheoremViolation
 from zsum.groups import canonicalize
-from zsum.serialize import dumps_stable, instance_to_json
-from zsum.weighted import Instance
+from zsum.serialize import certificate_to_json, dumps_stable, instance_to_json
+from zsum.weighted import Certificate, Instance, Selection, instance_digest
 
 
 def _write_instance(path, statement, group_orders, x, w, ell):
@@ -231,14 +234,80 @@ def test_scan_conjecture_defaults_weights(capsys):
     assert out["config"]["weight_values"] == [1]
 
 
-def test_solve_oracle_cap_flag_is_accepted(tmp_path):
+def test_solve_with_a_disabled_construction_exits_theorem_violation(tmp_path, capsys, monkeypatch):
+    def disabled(*args, **kwargs):
+        raise TheoremViolation("construction disabled by the test")
+
+    monkeypatch.setattr(zsum.weighted, "_combine_narrow_and_wide", disabled)
     inst_path = tmp_path / "inst.json"
     cert_path = tmp_path / "cert.json"
     _write_instance(inst_path, "theorem1", [3], ((1,), (2,), (0,)), (1, 1, 1), 2)
-    rc = main(
-        ["solve", "--instance", str(inst_path), "--out", str(cert_path), "--oracle-cap", "5"]
+    rc = main(["solve", "--instance", str(inst_path), "--out", str(cert_path)])
+    assert rc == EXIT_THEOREM_VIOLATION
+    assert capsys.readouterr().err.startswith("THEOREM VIOLATION: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+def test_verify_rejects_an_instance_outside_the_hypotheses(tmp_path, capsys):
+    # theorem1 on Z_3 with ell = 1 needs m = n + D - min(D, ell) - 1 = 4;
+    # a zero-value selection of size n - 1 = 2 on m = 2 meets every other check
+    inst_path = tmp_path / "inst.json"
+    cert_path = tmp_path / "cert.json"
+    inst = _write_instance(inst_path, "theorem1", [3], ((1,), (2,)), (1, 1), 1)
+    cert = Certificate(
+        statement="theorem1",
+        instance_digest=instance_digest(inst),
+        selection=Selection(indices=(1, 2), images=(1, 2), value=(0,)),
+        shelling=None,
+        solve_path="constructive",
+        verified=True,
     )
-    assert rc == EXIT_OK
+    cert_path.write_text(dumps_stable(certificate_to_json(inst.group, cert)))
+    assert main(["solve", "--instance", str(inst_path), "--out", str(tmp_path / "c.json")]) == (
+        EXIT_INVALID
+    )
+    capsys.readouterr()
+    rc = main(["verify", "--instance", str(inst_path), "--cert", str(cert_path)])
+    assert rc == EXIT_FAILED
+    assert capsys.readouterr().out == (
+        "certificate: INVALID (hypotheses: need m = n + D - min(D, ell) - 1 = 4, got 2)\n"
+    )
+
+
+# the seven commands that take --out; "{}" stands for the output path
+OUT_COMMANDS = {
+    "group": ["group", "--orders", "4", "--out", "{}"],
+    "davenport": ["davenport", "--orders", "6", "--out", "{}"],
+    "solve-word0": ["solve-word0", "--instance", "inst.json", "--out", "{}"],
+    "zero-sum": ["zero-sum", "--length", "3", "--instance", "inst.json", "--out", "{}"],
+    "solve": ["solve", "--instance", "inst.json", "--out", "{}"],
+    "scan-conjecture": ["scan-conjecture", "--orders", "2", "--k", "1", "--out", "{}"],
+    "selftest": ["selftest", "--out", "{}"],
+}
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_unwritable_out_path_exits_invalid(tmp_path, capsys, monkeypatch, command, where):
+    import zsum.acceptance as acceptance
+
+    monkeypatch.setattr(acceptance, "run_all", lambda scale="small": [
+        acceptance.CriterionResult(number=1, name="stub", passed=True, details="ok"),
+    ])
+    monkeypatch.chdir(tmp_path)
+    _write_instance(tmp_path / "inst.json", "word1", [3], ((1,), (1,), (1,)), (1, 1, 1), 3)
+    if where == "directory":
+        out = named = tmp_path / "taken"
+        out.mkdir()
+    else:
+        named = tmp_path / "missing"
+        out = named / "out.json"
+    argv = [str(out) if arg == "{}" else arg for arg in OUT_COMMANDS[command]]
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(named) in err
+    assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".tmp-")]
 
 
 def test_selftest_writes_summary(tmp_path, capsys, monkeypatch):

@@ -532,6 +532,19 @@ def test_verify_flags_anchor_violation_for_corollary():
     assert "anchor position" in diags
 
 
+def test_verify_checks_the_corollary_hypotheses():
+    # a sound corollary selection, re-addressed to the same data with
+    # ell = 1 != rho(x) = 2: every postcondition still holds
+    inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
+    cert = solve_corollary(inst)
+    other = dataclasses.replace(inst, ell=1)
+    ok, diags = verify_certificate(
+        other, dataclasses.replace(cert, instance_digest=instance_digest(other))
+    )
+    assert not ok
+    assert diags == ["hypotheses: ell = 1 but maximal repetition is 2"]
+
+
 # ---------------------------------------------------------------- fallback
 
 
@@ -732,19 +745,21 @@ def _raise_violation(*args, **kwargs):
     ("word1", "_word1_constructive"),
 ])
 def test_fallback_uses_the_given_davenport_cache(monkeypatch, statement, step):
+    # a construction that misses is a bug: the solve raises TheoremViolation,
+    # having read D only from ``own``
     default = DavenportCache()
     monkeypatch.setattr(zsum.davenport, "_default_cache", default)
     monkeypatch.setattr(zsum.weighted, step, _raise_violation)
     own = DavenportCache()
-    if statement == "theorem1":
-        inst = Instance(group=Z4, x=((1,), (2,), (3,), (2,), (1,)), w=(0, 5, 1, 6, 2), ell=2)
-        path = solve_theorem1(inst, dav_cache=own).solve_path
-    elif statement == "corollary":
-        inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
-        path = solve_corollary(inst, dav_cache=own).solve_path
-    else:
-        _, path = solve_word1(Z4, ((1,), (2,), (3,), (3,)), (1, 2, 1, 3), 2)
-    assert path == "fallback"
+    with pytest.raises(TheoremViolation):
+        if statement == "theorem1":
+            inst = Instance(group=Z4, x=((1,), (2,), (3,), (2,), (1,)), w=(0, 5, 1, 6, 2), ell=2)
+            solve_theorem1(inst, dav_cache=own)
+        elif statement == "corollary":
+            inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
+            solve_corollary(inst, dav_cache=own)
+        else:
+            solve_word1(Z4, ((1,), (2,), (3,), (3,)), (1, 2, 1, 3), 2)
     assert default.get(Z4) is None and default.get(Z3) is None
 
 
@@ -781,24 +796,44 @@ def test_theorem1_narrow_path_calls_no_word1_solver(monkeypatch):
     assert calls == []
 
 
-def test_corollary_construction_with_a_wrong_value_falls_back(monkeypatch):
+def test_corollary_construction_with_a_wrong_value_raises(monkeypatch):
     inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
     wrong = Selection.build(inst, [(1, 1), (2, 2), (3, 5)])  # size n, anchored
     assert wrong.value != (0,)  # the target (1 + 1 + 1) * x_5 is zero
     monkeypatch.setattr(zsum.weighted, "_corollary_constructive", lambda *args: wrong)
-    cert = solve_corollary(inst)
-    assert cert.solve_path == "fallback"
-    assert cert.selection == fallback_search(inst, "corollary")
-    assert cert.verified
+    with pytest.raises(TheoremViolation, match=r"corollary .* window \[3, 3\]"):
+        solve_corollary(inst)
+
+
+def test_corollary_inner_construction_outside_its_window_raises(monkeypatch):
+    # the corollary pads theorem1's selection on the shifted sequence from
+    # its reserve; one outside [n - r, n - 1] cannot be padded to n
+    inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
+    empty = Shelling(selection=Selection(indices=(), images=(), value=(0,)), blocks=(), width=2)
+    monkeypatch.setattr(zsum.weighted, "_combine_narrow_and_wide", lambda *args: empty)
+    with pytest.raises(TheoremViolation, match=r"window \[1, 2\]"):
+        solve_corollary(inst)
 
 
 def test_forced_theorem1_fallback_may_return_the_empty_selection(monkeypatch):
     # cyclic G with ell >= n: the window is [0, n - 1], so the oracle's empty
-    # selection is a valid answer (only word1 needs |I| >= 1)
+    # selection is a valid answer (only word1 needs |I| >= 1); the solve
+    # itself, with its construction disabled, raises rather than return it
     monkeypatch.setattr(zsum.weighted, "extend_shellable", _raise_violation)
     inst = Instance(group=Z4, x=((1,), (1,), (1,)), w=(1, 1, 1), ell=4)
-    cert = solve(inst, "theorem1")
-    assert (cert.selection.indices, cert.solve_path) == ((), "fallback")
+    with pytest.raises(TheoremViolation):
+        solve(inst, "theorem1")
+    cert = Certificate(
+        statement="theorem1",
+        instance_digest=instance_digest(inst),
+        selection=fallback_search(inst, "theorem1"),
+        shelling=None,
+        solve_path="fallback",
+        verified=False,
+    )
+    assert cert.selection.indices == ()
+    assert verify_certificate(inst, cert) == (True, [])
+    cert = dataclasses.replace(cert, verified=True)
     blob = dumps_stable(certificate_to_json(inst.group, cert)).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == (
         "ddde1a1db5afbb416ec3c4cbeb19ef0514cef8cc5c82e117893db2662918421f"
