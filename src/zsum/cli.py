@@ -81,11 +81,15 @@ def _cache_from(args: argparse.Namespace) -> DavenportCache | None:
 
 
 def _check_out_path(path: str | None) -> None:
+    """InvalidArgument if ``--out`` names a directory or a file in a missing
+    one; checked before any work, so a bad path costs nothing."""
     if path is None:
         return
+    if os.path.isdir(path):
+        raise InvalidArgument(f"output path is a directory: {path}")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
-        raise InvalidInstance(f"output directory does not exist: {directory}")
+        raise InvalidArgument(f"output directory does not exist: {directory}")
 
 
 def _write(path: str, payload: dict) -> None:
@@ -169,7 +173,6 @@ def _cmd_zero_sum(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    _check_out_path(args.out)
     statement, inst = load_instance(args.instance)
     cert = solve(inst, statement, dav_cache=_cache_from(args))
     _write(args.out, certificate_to_json(inst.group, cert))
@@ -196,7 +199,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
-    _check_out_path(args.out)
     n = canonicalize(_parse_int_list(args.orders, "--orders")).order
     if args.weights:
         values = _parse_int_list(args.weights, "--weights")
@@ -315,6 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_path(getattr(args, "out", None))
         return args.func(args)
     except TheoremViolation as err:
         print(f"THEOREM VIOLATION: {err}", file=sys.stderr)

@@ -176,16 +176,15 @@ class DavenportCache:
     whose value or witness is wrong, when it is first decoded, and a file
     that cannot be written, when persisting.
 
-    Records are decoded once and served as they are; JSON is written only
-    when persisting.
+    Records are decoded once and served as they are; ``put`` also keeps the
+    entry in its JSON shape, which is what persisting writes.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        self._stored: dict[str, dict] = {}  # entries read from the file, verbatim
+        self._stored: dict[str, dict] = {}  # the file's entries, as JSON: read or put
         self._records: dict[str, DavenportRecord] = {}  # decoded, method "cache"
-        self._new: dict[str, DavenportRecord] = {}  # put since loading, method as found
         if self.path is not None and self.path.exists():
             self._stored = _read_cache_file(self.path)
 
@@ -229,7 +228,11 @@ class DavenportCache:
     def put(self, record: DavenportRecord) -> None:
         key = self.key_for(record.group)
         with self._lock:
-            self._new[key] = record
+            self._stored[key] = {
+                "value": record.value,
+                "witness": [list(e) for e in record.witness],
+                "method": record.method,
+            }
             self._records[key] = replace(record, method=METHOD_CACHE)
             if self.path is not None:
                 self._persist()
@@ -237,16 +240,9 @@ class DavenportCache:
     def _persist(self) -> None:
         from .serialize import atomic_write_text  # serialize imports this module
 
-        data = dict(self._stored)
-        for key, rec in self._new.items():
-            data[key] = {
-                "value": rec.value,
-                "witness": [list(e) for e in rec.witness],
-                "method": rec.method,
-            }
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(str(self.path), json.dumps(data, sort_keys=True, indent=2))
+            atomic_write_text(str(self.path), json.dumps(self._stored, sort_keys=True, indent=2))
         except OSError as err:
             raise InvalidArgument(f"Davenport cache {self.path} cannot be written: {err}") from None
 

@@ -137,13 +137,6 @@ class AbelianGroup:
         """All group elements in lexicographic residue order."""
         return list(itertools.product(*(range(d) for d in self.invariant_factors)))
 
-    def element_order(self, a: Element) -> int:
-        self.check_element(a)
-        o = 1
-        for r, d in zip(a, self.invariant_factors):
-            o = math.lcm(o, d // math.gcd(r, d))
-        return o
-
     def element_rank(self, a: Element) -> int:
         """Position of ``a`` in :meth:`elements` (mixed-radix value)."""
         rank = 0

@@ -22,14 +22,16 @@ Solvers, by statement tag:
 ``solve(inst, statement)`` is the single entry point over the three: it
 returns a Certificate that the independent verifier has already accepted.
 All three run through one path: check the hypotheses, run the
-construction, check its size window, anchor and value.  The proofs are
-constructive, so under the hypotheses a construction cannot miss; if one
-does, that is a bug and it raises TheoremViolation.  The answer rests on
-the verifier, not on a second solver: the exhaustive oracle
-(``fallback_search``) is the test-side ground truth only, and no solve
-calls it.  The constructions nest as the proofs do (the
-corollary runs theorem1's on x shifted by x_m, theorem1's narrow shelling
-takes its blocks from word1's) without calling a public solver.  All free
+construction, and hand the certificate to ``verify_certificate``, the only
+check of its size window, anchor and value.  The proofs are constructive,
+so under the hypotheses a construction cannot miss; if the verifier rejects
+one, that is a bug and it raises TheoremViolation.  D(G) is looked up for
+theorem1 and the corollary only: the word1 statement does not mention it.
+The answer rests on the verifier, not on a second solver: the exhaustive
+oracle (``fallback_search``) is the test-side ground truth only, and no
+solve calls it.  The constructions nest as the proofs do (the corollary
+runs theorem1's on x shifted by x_m, theorem1's narrow shelling takes its
+blocks from word1's) without calling a public solver.  All free
 choices resolve to the lexicographically smallest option, so identical
 instances yield byte-identical certificates.
 
@@ -472,27 +474,6 @@ def _construct(
     return sel, (sel.indices,)
 
 
-def _solve_selection(
-    inst: Instance, statement: str, d: int | None
-) -> tuple[Selection, tuple[tuple[int, ...], ...] | None]:
-    """The one solve path: check the hypotheses, run the construction, then
-    check its size window, anchor and value.  Returns (selection, shelling
-    blocks or None); a miss raises TheoremViolation."""
-    _check_hypotheses(inst, statement, d)
-    lo, hi = _statement_window(inst, statement, d)
-    sel, blocks = _construct(inst, statement, d)
-    if not (
-        lo <= len(sel) <= hi
-        and (statement != STATEMENT_COROLLARY or inst.m in sel.images)
-        and sel.value == _statement_target(inst, statement, sel.indices)
-    ):
-        raise TheoremViolation(
-            f"the {statement} construction gave no valid selection in window "
-            f"[{lo}, {hi}] despite its hypotheses"
-        )
-    return sel, blocks
-
-
 def fallback_search(
     inst: Instance,
     statement: str,
@@ -597,13 +578,14 @@ def verify_certificate(
     """Re-check the statement's hypotheses and re-derive every postcondition
     from raw instance data.
 
-    Returns (ok, diagnostics); diagnostics name each failed check.
+    Returns (ok, diagnostics); diagnostics name each failed check.  D(G)
+    is looked up for theorem1 and corollary certificates only.
     """
     g = inst.group
     diagnostics: list[str] = []
     if cert.statement not in STATEMENTS:
         return False, [f"unknown statement {cert.statement!r}"]
-    d = davenport_get(g, cache=dav_cache).value
+    d = None if cert.statement == STATEMENT_WORD1 else davenport_get(g, cache=dav_cache).value
     sel = cert.selection
 
     try:
@@ -658,37 +640,33 @@ def verify_certificate(
     return not diagnostics, diagnostics
 
 
-def _certify(
-    inst: Instance,
-    statement: str,
-    sel: Selection,
-    shelling: tuple[tuple[int, ...], ...] | None,
-    dav_cache: DavenportCache | None,
+def solve(
+    inst: Instance, statement: str, *, dav_cache: DavenportCache | None = None
 ) -> Certificate:
-    """The certificate for a constructed selection, accepted by the verifier."""
+    """Verified certificate for ``statement`` (one of STATEMENTS) on ``inst``:
+    hypotheses, construction, then ``verify_certificate``; a certificate the
+    verifier rejects raises TheoremViolation naming the failed checks."""
+    if statement not in STATEMENTS:
+        raise InvalidArgument(f"unknown statement {statement!r}")
+    d = None if statement == STATEMENT_WORD1 else davenport_get(inst.group, cache=dav_cache).value
+    _check_hypotheses(inst, statement, d)
+    sel, blocks = _construct(inst, statement, d)
     cert = Certificate(
         statement=statement,
         instance_digest=instance_digest(inst),
         selection=sel,
-        shelling=shelling,
+        shelling=blocks,
         solve_path=SOLVE_CONSTRUCTIVE,
         verified=False,
     )
     ok, diagnostics = verify_certificate(inst, cert, dav_cache=dav_cache)
     if not ok:
-        raise AssertionError(f"emitted certificate failed verification: {diagnostics}")
+        lo, hi = _statement_window(inst, statement, d)
+        raise TheoremViolation(
+            f"the {statement} construction gave no valid selection in window "
+            f"[{lo}, {hi}] despite its hypotheses: {'; '.join(diagnostics)}"
+        )
     return replace(cert, verified=True)
-
-
-def solve(
-    inst: Instance, statement: str, *, dav_cache: DavenportCache | None = None
-) -> Certificate:
-    """Verified certificate for ``statement`` (one of STATEMENTS) on ``inst``."""
-    if statement not in STATEMENTS:
-        raise InvalidArgument(f"unknown statement {statement!r}")
-    d = davenport_get(inst.group, cache=dav_cache).value
-    sel, blocks = _solve_selection(inst, statement, d)
-    return _certify(inst, statement, sel, blocks, dav_cache)
 
 
 def solve_theorem1(inst: Instance, *, dav_cache: DavenportCache | None = None) -> Certificate:
@@ -711,10 +689,9 @@ def solve_word1(
 ) -> tuple[Shelling, str]:
     """Selection with 1 <= |I| <= ell and value zero, as a one-block shelling.
 
-    Requires |x| = |w| = |G| and maximal repetition of x at most ell.
-    Returns (shelling, solve_path), unverified; the path is always
-    SOLVE_CONSTRUCTIVE.
+    Requires |x| = |w| = |G| and maximal repetition of x at most ell.  The
+    word1 ``solve`` wrapped as (shelling, solve_path): the selection has
+    passed the verifier and the path is always SOLVE_CONSTRUCTIVE.
     """
-    inst = Instance(group=g, x=tuple(x), w=tuple(w), ell=ell)
-    sel, blocks = _solve_selection(inst, STATEMENT_WORD1, None)
-    return Shelling(selection=sel, blocks=blocks, width=ell), SOLVE_CONSTRUCTIVE
+    cert = solve(Instance(group=g, x=tuple(x), w=tuple(w), ell=ell), STATEMENT_WORD1)
+    return Shelling(selection=cert.selection, blocks=cert.shelling, width=ell), cert.solve_path

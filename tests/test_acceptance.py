@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Runtime limits are pinned per criterion; where the criterion text states no
-limit, a conservative one is pinned here so regressions still surface.
+limit, a conservative one is pinned here so regressions still surface.  Each
+criterion's ``details`` line is pinned too: the battery is deterministic, so
+a count that moves is a change of behaviour.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from zsum.acceptance import (
 )
 
 
-def _run(criterion, number, name, limit_s):
+def _run(criterion, number, name, limit_s, details):
     start = time.perf_counter()
     result = criterion(scale="full")
     elapsed = time.perf_counter() - start
@@ -28,40 +30,68 @@ def _run(criterion, number, name, limit_s):
     print(f"criterion {number} ({name}): {verdict} in {elapsed:.1f}s - {result.details}")
     assert result.passed, result.details
     assert elapsed <= limit_s, f"criterion {number} took {elapsed:.1f}s > {limit_s}s"
+    assert result.details == details
     return result
 
 
 def test_criterion_1_davenport_cross_check():
-    _run(criterion_davenport, 1, "davenport-cross-check", 60)
+    _run(
+        criterion_davenport, 1, "davenport-cross-check", 60,
+        "39 groups checked",
+    )
 
 
 def test_criterion_2_bounded_zero_sum_totality():
-    _run(criterion_word0_totality, 2, "bounded-zero-sum-totality", 60)
+    _run(
+        criterion_word0_totality, 2, "bounded-zero-sum-totality", 60,
+        "1535 (sequence, cap) pairs, 0 failures",
+    )
 
 
 def test_criterion_3_egz_reproduction():
-    _run(criterion_egz, 3, "egz-reproduction", 120)
+    _run(
+        criterion_egz, 3, "egz-reproduction", 120,
+        "860 multisets, 0 failures",
+    )
 
 
 def test_criterion_4_gao_reproduction():
-    _run(criterion_gao, 4, "gao-reproduction", 120)
+    _run(
+        criterion_gao, 4, "gao-reproduction", 120,
+        "84 multisets, 0 failures",
+    )
 
 
 def test_criterion_5_main_window_exhaustive():
-    _run(criterion_theorem_exhaustive, 5, "main-window-exhaustive", 60)
+    _run(
+        criterion_theorem_exhaustive, 5, "main-window-exhaustive", 60,
+        "664 instances, 0 failures",
+    )
 
 
 def test_criterion_6_barycentric_exhaustive():
-    _run(criterion_corollary_exhaustive, 6, "barycentric-exhaustive", 120)
+    _run(
+        criterion_corollary_exhaustive, 6, "barycentric-exhaustive", 120,
+        "1944 solvable + 12 degenerate instances, 0 failures",
+    )
 
 
 def test_criterion_7_oracle_agreement():
-    _run(criterion_oracle_agreement, 7, "oracle-agreement", 240)
+    _run(
+        criterion_oracle_agreement, 7, "oracle-agreement", 240,
+        "2620 instances, 0 disagreements",
+    )
 
 
 def test_criterion_8_conjecture_scan_integrity():
-    _run(criterion_scan_integrity, 8, "conjecture-scan-integrity", 300)
+    _run(
+        criterion_scan_integrity, 8, "conjecture-scan-integrity", 300,
+        "9 scan configurations, 24 counterexample findings outside proven subclasses",
+    )
 
 
 def test_criterion_9_determinism_and_roundtrip():
-    _run(criterion_determinism_roundtrip, 9, "determinism-and-roundtrip", 120)
+    _run(
+        criterion_determinism_roundtrip, 9, "determinism-and-roundtrip", 120,
+        "116 rerun comparisons, 1000 round-trips",
+    )

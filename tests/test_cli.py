@@ -248,6 +248,23 @@ def test_solve_with_a_disabled_construction_exits_theorem_violation(tmp_path, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
 
+def test_solve_whose_certificate_the_verifier_rejects_exits_theorem_violation(
+    tmp_path, capsys, monkeypatch
+):
+    original = zsum.weighted._construct
+    monkeypatch.setattr(zsum.weighted, "_construct", lambda *args: (original(*args)[0], ()))
+    inst_path = tmp_path / "inst.json"
+    cert_path = tmp_path / "cert.json"
+    _write_instance(inst_path, "theorem1", [3], ((1,), (2,), (0,)), (1, 1, 1), 2)
+    rc = main(["solve", "--instance", str(inst_path), "--out", str(cert_path)])
+    assert rc == EXIT_THEOREM_VIOLATION
+    assert capsys.readouterr().err == (
+        "THEOREM VIOLATION: the theorem1 construction gave no valid selection in window "
+        "[1, 2] despite its hypotheses: shelling partition\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
 def test_verify_rejects_an_instance_outside_the_hypotheses(tmp_path, capsys):
     # theorem1 on Z_3 with ell = 1 needs m = n + D - min(D, ell) - 1 = 4;
     # a zero-value selection of size n - 1 = 2 on m = 2 meets every other check
@@ -308,6 +325,19 @@ def test_unwritable_out_path_exits_invalid(tmp_path, capsys, monkeypatch, comman
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(named) in err
     assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".tmp-")]
+
+
+@pytest.mark.parametrize("command, stub", [
+    ("scan-conjecture", "zsum.cli.conjecture_scan"),
+    ("selftest", "zsum.acceptance.run_all"),
+])
+def test_directory_out_path_exits_before_any_work(tmp_path, capsys, monkeypatch, command, stub):
+    calls = []
+    monkeypatch.setattr(stub, lambda *args, **kwargs: calls.append(args))
+    argv = [str(tmp_path) if arg == "{}" else arg for arg in OUT_COMMANDS[command]]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: output path is a directory: {tmp_path}\n"
+    assert calls == []
 
 
 def test_selftest_writes_summary(tmp_path, capsys, monkeypatch):

@@ -838,3 +838,42 @@ def test_forced_theorem1_fallback_may_return_the_empty_selection(monkeypatch):
     assert hashlib.sha256(blob).hexdigest() == (
         "ddde1a1db5afbb416ec3c4cbeb19ef0514cef8cc5c82e117893db2662918421f"
     )
+
+
+def test_a_certificate_the_verifier_rejects_raises_theorem_violation(monkeypatch):
+    # the verifier is the solve's only post-check: a construction whose
+    # shelling blocks no longer partition the selection is caught there
+    original = zsum.weighted._construct
+
+    def drop_last_block(*args):
+        sel, blocks = original(*args)
+        assert len(blocks) >= 2
+        return sel, blocks[:-1]
+
+    monkeypatch.setattr(zsum.weighted, "_construct", drop_last_block)
+    inst = Instance(group=Z4, x=((1,), (2,), (3,), (2,), (1,)), w=(0, 5, 1, 6, 2), ell=2)
+    with pytest.raises(
+        TheoremViolation, match=r"theorem1 construction .* window \[2, 3\] .*: shelling partition"
+    ):
+        solve_theorem1(inst)
+
+
+def test_word1_solve_and_verify_read_no_davenport_constant(monkeypatch):
+    # D(Z_2 x Z_2 x Z_6) has no closed form; word1 does not mention D
+    default = DavenportCache()
+    monkeypatch.setattr(zsum.davenport, "_default_cache", default)
+    g = canonicalize([2, 2, 6])
+    elems = g.elements()
+    x = tuple(elems[(5 * t) % 24] for t in range(24))  # every element once: rho(x) = 1
+    inst = Instance(group=g, x=x, w=tuple(range(1, 25)), ell=1)
+    own = DavenportCache()
+    cert = solve(inst, "word1", dav_cache=own)
+    assert verify_certificate(inst, cert, dav_cache=own) == (True, [])
+    assert own.get(g) is None and default.get(g) is None
+
+
+def test_solve_word1_verifies_once(monkeypatch):
+    calls = _counting(monkeypatch, "verify_certificate")
+    sh, path = solve_word1(Z4, ((1,), (2,), (3,), (3,)), (1, 2, 1, 3), 2)
+    assert path == "constructive" and sh.blocks == (sh.selection.indices,)
+    assert len(calls) == 1
