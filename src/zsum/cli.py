@@ -153,7 +153,7 @@ def _cmd_solve_word0(args: argparse.Namespace) -> int:
     wit = find_zero_sum_bounded(inst.group, inst.x, inst.ell)
     total = inst.group.sum(inst.x[i - 1] for i in wit.indices)
     if total != inst.group.zero():
-        raise AssertionError("witness failed independent re-summation")
+        raise TheoremViolation("witness failed independent re-summation")
     _emit(zero_sum_witness_to_json(inst.group, wit.indices), args.out)
     return EXIT_OK
 
@@ -167,7 +167,7 @@ def _cmd_zero_sum(args: argparse.Namespace) -> int:
         return EXIT_UNSATISFIABLE
     total = inst.group.sum(inst.x[i - 1] for i in wit.indices)
     if total != inst.group.zero():
-        raise AssertionError("witness failed independent re-summation")
+        raise TheoremViolation("witness failed independent re-summation")
     _emit(zero_sum_witness_to_json(inst.group, wit.indices), args.out)
     return EXIT_OK
 

@@ -28,12 +28,13 @@ computed.  Disagreement aborts the scan.  Counterexamples are, by
 construction, instances whose enumeration ran to exhaustion.
 
 Reports are deterministic byte-for-byte for a fixed configuration: the
-instance order is canonical (weights vary fastest), shards are contiguous
-index ranges mapped to workers in order and concatenated back in order, and
-volatile data (wall time, worker count) never enters the serialized form.
-The admissible x list of an exhaustive scan, or the sample of a sampled
-one, is built once, in the calling process; each shard is sent its own
-runs.
+instance order is canonical (weights vary fastest), and volatile data (wall
+time, worker count) never enters the serialized form.  A scan's unit of
+work is a run of equal x.  Its run list (each admissible x with the one
+list of weight vectors, for an exhaustive scan; the sample grouped into
+runs, for a sampled one) is built once, in the calling process, and cut
+into contiguous slices of whole runs, one per worker, whose results are
+concatenated back in order.
 """
 
 from __future__ import annotations
@@ -285,20 +286,6 @@ def _admissible_x(g: AbelianGroup, k: int) -> list[tuple[Element, ...]]:
 Run = tuple[tuple[Element, ...], Sequence[tuple[int, ...]]]
 
 
-def _exhaustive_runs(
-    xs: list[tuple[Element, ...]], ws: list[tuple[int, ...]], start: int, end: int
-) -> list[Run]:
-    """Instances start..end-1 of an exhaustive scan (weights vary fastest),
-    as one run (x, weight vectors) per x."""
-    per_x = len(ws)
-    runs: list[Run] = []
-    for q in range(start // per_x, -(-end // per_x)):
-        lo = max(start - q * per_x, 0)
-        hi = min(end - q * per_x, per_x)
-        runs.append((xs[q], ws if hi - lo == per_x else ws[lo:hi]))
-    return runs
-
-
 def _sampled_runs(instances: list[tuple[tuple[Element, ...], tuple[int, ...]]]) -> list[Run]:
     """Drawn instances as runs of consecutive equal x."""
     return [
@@ -378,25 +365,19 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
                 f"exhaustive space has up to {ceiling} instances, budget is {config.budget}",
                 report=_empty_report(g, config, d),
             )
-        xs = _admissible_x(g, config.k)
         ws = list(itertools.product(config.weight_values, repeat=config.k))
-        shard_runs = [
-            _exhaustive_runs(xs, ws, lo, hi)
-            for lo, hi in _shards(len(xs) * len(ws), config.workers)
-        ]
+        runs = [(x, ws) for x in _admissible_x(g, config.k)]
     else:
         if config.sample_size > config.budget:
             raise BudgetExceeded(
                 f"sample_size {config.sample_size} exceeds budget {config.budget}",
                 report=_empty_report(g, config, d),
             )
-        instances = _sample_instances(g, config)
-        shard_runs = [
-            _sampled_runs(instances[lo:hi]) for lo, hi in _shards(len(instances), config.workers)
-        ]
+        runs = _sampled_runs(_sample_instances(g, config))
+    shard_runs = [runs[lo:hi] for lo, hi in _shards(len(runs), config.workers)]
 
     if len(shard_runs) <= 1:
-        results = [_scan_worker(config.orders, runs) for runs in shard_runs]
+        results = [_scan_worker(config.orders, shard) for shard in shard_runs]
     else:
         from concurrent.futures import ProcessPoolExecutor
 

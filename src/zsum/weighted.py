@@ -71,7 +71,7 @@ STATEMENTS = (STATEMENT_THEOREM1, STATEMENT_COROLLARY, STATEMENT_WORD1)
 
 SOLVE_CONSTRUCTIVE = "constructive"
 
-DEFAULT_ORACLE_CAP = 12
+ORACLE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -478,7 +478,6 @@ def fallback_search(
     inst: Instance,
     statement: str,
     window: tuple[int, int] | None = None,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> Selection | None:
     """Exhaustive search over (I, f) pairs; the independent oracle.
 
@@ -489,8 +488,8 @@ def fallback_search(
     when there is no solution at all.
     """
     g = inst.group
-    if inst.m > oracle_cap:
-        raise OracleTooLarge(f"oracle cap is {oracle_cap}, instance has m = {inst.m}")
+    if inst.m > ORACLE_CAP:
+        raise OracleTooLarge(f"oracle cap is {ORACLE_CAP}, instance has m = {inst.m}")
     if window is not None:
         lo, hi = window
     else:

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
+import zsum.acceptance
+import zsum.weighted
 from zsum.acceptance import (
     criterion_corollary_exhaustive,
     criterion_davenport,
@@ -20,6 +24,7 @@ from zsum.acceptance import (
     criterion_theorem_exhaustive,
     criterion_word0_totality,
 )
+from zsum.errors import TheoremViolation
 
 
 def _run(criterion, number, name, limit_s, details):
@@ -95,3 +100,32 @@ def test_criterion_9_determinism_and_roundtrip():
         criterion_determinism_roundtrip, 9, "determinism-and-roundtrip", 120,
         "116 rerun comparisons, 1000 round-trips",
     )
+
+
+@pytest.mark.parametrize("criterion, calls", [
+    (criterion_theorem_exhaustive, 664),
+    (criterion_corollary_exhaustive, 1944),
+    (criterion_oracle_agreement, 2 * 2608),  # solver's own + the oracle's
+])
+def test_solved_certificates_are_verified_once(monkeypatch, criterion, calls):
+    counted = []
+    verify = zsum.weighted.verify_certificate
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(zsum.weighted, "verify_certificate", counting)
+    monkeypatch.setattr(zsum.acceptance, "verify_certificate", counting)
+    assert criterion().passed
+    assert len(counted) == calls
+
+
+@pytest.mark.parametrize("criterion", [
+    criterion_theorem_exhaustive, criterion_oracle_agreement,
+])
+def test_a_rejected_construction_raises_out_of_the_battery(monkeypatch, criterion):
+    original = zsum.weighted._construct
+    monkeypatch.setattr(zsum.weighted, "_construct", lambda *args: (original(*args)[0], ()))
+    with pytest.raises(TheoremViolation, match="shelling partition"):
+        criterion()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import zsum.cli
 import zsum.weighted
 from zsum.cli import (
     EXIT_FAILED,
@@ -18,6 +19,7 @@ from zsum.errors import TheoremViolation
 from zsum.groups import canonicalize
 from zsum.serialize import certificate_to_json, dumps_stable, instance_to_json
 from zsum.weighted import Certificate, Instance, Selection, instance_digest
+from zsum.zerosum import ZeroSumWitness
 
 
 def _write_instance(path, statement, group_orders, x, w, ell):
@@ -82,6 +84,25 @@ def test_zero_sum_absent_is_unsatisfiable(tmp_path, capsys):
     assert main(["zero-sum", "--length", "2", "--instance", str(inst_path)]) == EXIT_UNSATISFIABLE
     captured = capsys.readouterr()
     assert json.loads(captured.out)["indices"] is None
+
+
+@pytest.mark.parametrize("command, solver", [
+    (["solve-word0"], "find_zero_sum_bounded"),
+    (["zero-sum", "--length", "3"], "find_zero_sum_exact_length"),
+])
+def test_zero_sum_witness_failing_resummation_exits_theorem_violation(
+    tmp_path, capsys, monkeypatch, command, solver
+):
+    monkeypatch.setattr(zsum.cli, solver, lambda *args: ZeroSumWitness(indices=(1,)))
+    inst_path = tmp_path / "inst.json"
+    out_path = tmp_path / "witness.json"
+    _write_instance(inst_path, "word1", [3], ((1,), (2,), (0,)), (1, 1, 1), 2)
+    rc = main(command + ["--instance", str(inst_path), "--out", str(out_path)])
+    assert rc == EXIT_THEOREM_VIOLATION
+    assert capsys.readouterr().err == (
+        "THEOREM VIOLATION: witness failed independent re-summation\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
 
 def test_solve_verify_round_trip_theorem1(tmp_path, capsys):

@@ -277,9 +277,8 @@ def _scan_runs(g, k, values, mode, sample_size=0, seed=0):
                         sample_size=sample_size, seed=seed)
     if mode == "sampled":
         return conjecture._sampled_runs(conjecture._sample_instances(g, config))
-    xs = conjecture._admissible_x(g, k)
     ws = list(itertools.product(values, repeat=k))
-    return conjecture._exhaustive_runs(xs, ws, 0, len(xs) * len(ws))
+    return [(x, ws) for x in conjecture._admissible_x(g, k)]
 
 
 @pytest.mark.parametrize("orders, k, values, mode, sample_size, expected", [

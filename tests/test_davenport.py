@@ -116,12 +116,29 @@ def test_generator_repeat_witness_examples():
 
 
 def test_generator_repeat_witness_is_zero_sum_free_when_formula_applies():
-    for g in groups_up_to_order(16):
+    # davenport_formula_record serves this witness unchecked
+    closed_forms = 0
+    for g in [*groups_up_to_order(64), canonicalize([128])]:
         if davenport_formula(g) is None:
             continue
+        closed_forms += 1
         wit = generator_repeat_witness(g)
         assert len(wit) == davenport_formula(g) - 1
         assert zero_sum_free_check(g, wit)
+    assert closed_forms == 112
+
+
+def test_formula_record_is_not_rechecked_at_run_time(monkeypatch):
+    import zsum.davenport
+
+    def refuse(*args):
+        raise AssertionError("closed-form witness re-checked")
+
+    monkeypatch.setattr(zsum.davenport, "zero_sum_free_check", refuse)
+    g = canonicalize([1024])
+    rec = davenport_get(g, cache=DavenportCache())
+    assert (rec.value, rec.method) == (1024, METHOD_FORMULA)
+    assert rec.witness == generator_repeat_witness(g)
 
 
 def test_formula_record_matches_the_closed_form():

@@ -583,8 +583,6 @@ def test_fallback_oracle_cap():
     inst = Instance(group=g, x=x, w=(1,) * 13, ell=13)
     with pytest.raises(OracleTooLarge):
         fallback_search(inst, "word1")
-    sel = fallback_search(inst, "word1", oracle_cap=13)
-    assert sel is not None
 
 
 def test_fallback_corollary_requires_anchor_in_images():
