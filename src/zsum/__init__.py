@@ -33,12 +33,9 @@ from .weighted import (
     Instance,
     Selection,
     Shelling,
-    extend_shellable,
     fallback_search,
     instance_digest,
-    narrow_shelling,
     selection_value,
-    shelling_trim,
     solve,
     solve_corollary,
     solve_theorem1,
@@ -75,7 +72,6 @@ __all__ = [
     "davenport_exact",
     "davenport_formula",
     "davenport_get",
-    "extend_shellable",
     "fallback_search",
     "find_zero_sum_bounded",
     "find_zero_sum_davenport",
@@ -83,10 +79,8 @@ __all__ = [
     "groups_of_order",
     "groups_up_to_order",
     "instance_digest",
-    "narrow_shelling",
     "rho",
     "selection_value",
-    "shelling_trim",
     "solve",
     "solve_corollary",
     "solve_theorem1",

@@ -13,7 +13,7 @@ the canonical invariant factors, optionally persisted to a JSON file.
 A closed-form witness (d_i - 1 copies of each generator) is zero-sum-free
 by construction and is not re-checked at run time; the tests check it.
 Cache-file entries come from outside the program, so each is checked when
-first read.
+first read; one that equals the closed-form record is accepted as it is.
 """
 
 from __future__ import annotations
@@ -218,11 +218,15 @@ class DavenportCache:
     def _check_entry(self, key: str, rec: DavenportRecord) -> None:
         """InvalidArgument unless a stored entry's value matches the closed
         form where one applies and its witness is value - 1 zero-sum-free
-        elements of the group."""
+        elements of the group.  The closed-form record's own witness is
+        zero-sum-free by construction (see ``davenport_formula_record``), so
+        an entry that carries it is accepted without the subset check."""
         where = f"Davenport cache {self.path}: entry {key!r}"
         formula = davenport_formula(rec.group)
         if formula is not None and rec.value != formula:
             raise InvalidArgument(f"{where} has value {rec.value}, the closed form gives {formula}")
+        if formula is not None and rec.witness == generator_repeat_witness(rec.group):
+            return
         try:
             free = len(rec.witness) == rec.value - 1 and zero_sum_free_check(rec.group, rec.witness)
         except InvalidElement:

@@ -12,9 +12,11 @@ Solvers, by statement tag:
   the repetition of x against the repetition of w reduced mod n and applies
   the bounded zero-sum solver to whichever sequence repeats less.
 * ``theorem1`` - given m = n + D - min(D, ell) - 1, a selection with
-  n - min(D, ell) <= |I| <= n - 1 and value zero, built from a width-D
-  shelling grown over index pools, plus (when ell < D) a narrow width-ell
-  shelling whose blocks absorb the shortfall.
+  n - min(D, ell) <= |I| <= n - 1 and value zero, built in one pass: narrow
+  blocks (width ell) from the word1 construction until they hold D - ell
+  indices (none when ell >= D), then wide blocks (width D) from the
+  Davenport property until fewer than D weights are free, then the longest
+  block prefix, wide blocks first, of total size <= n - 1.
 * ``corollary`` - given m = n + D - 1 and maximal repetition ell attained
   by the final position, an n-subset of [1, m - ell] whose weighted sum is
   (sum of the picked weights) * x_m, with position m in the image.
@@ -30,10 +32,11 @@ theorem1 and the corollary only: the word1 statement does not mention it.
 The answer rests on the verifier, not on a second solver: the exhaustive
 oracle (``fallback_search``) is the test-side ground truth only, and no
 solve calls it.  The constructions nest as the proofs do (the corollary
-runs theorem1's on x shifted by x_m, theorem1's narrow shelling takes its
-blocks from word1's) without calling a public solver.  All free
-choices resolve to the lexicographically smallest option, so identical
-instances yield byte-identical certificates.
+runs theorem1's on x shifted by x_m, theorem1's narrow blocks come from
+word1's) without calling a public solver.  Each works on raw sequences and
+returns (i, f(i)) pairs; the selection is built once, against the caller's
+Instance.  All free choices resolve to the lexicographically smallest
+option, so identical instances yield byte-identical certificates.
 
 Elements are validated once, when an Instance is built.  After that every
 weighted value - of a selection, a shelling block or a derived sequence
@@ -236,137 +239,69 @@ def _word1_constructive(
     return pairs
 
 
-def shelling_trim(inst: Instance, sh: Shelling, m0: int) -> Shelling:
-    """Maximal block prefix of total size <= m0; the result keeps value zero
-    and, when every block is nonempty and <= width, lands in
-    [m0 - width + 1, m0]."""
-    size = len(sh.selection)
-    if m0 > size:
-        raise InvalidArgument(f"m0 = {m0} exceeds selection size {size}")
-    if m0 < 0:
-        raise InvalidArgument(f"m0 = {m0} is negative")
-    kept: list[tuple[int, ...]] = []
-    total = 0
-    for block in sh.blocks:
-        if total + len(block) > m0:
-            break
-        kept.append(block)
-        total += len(block)
-    keep_set = {i for block in kept for i in block}
-    fmap = sh.selection.as_map()
-    sel = Selection.build(inst, [(i, fmap[i]) for i in sorted(keep_set)])
-    return Shelling(selection=sel, blocks=tuple(kept), width=sh.width)
+def _theorem1_pairs(
+    g: AbelianGroup, x: Sequence[Element], w: Sequence[int], ell: int, d: int
+) -> tuple[list[tuple[int, int]], tuple[tuple[int, ...], ...]]:
+    """The theorem1 construction on raw sequences with |x| = |w| =
+    n + D - min(D, ell) - 1 and maximal repetition of x at most ell: the
+    pairs (i, f(i)) of a selection with n - min(D, ell) <= |I| <= n - 1 and
+    value zero, and its shelling blocks, in one pass.
 
-
-def extend_shellable(
-    inst: Instance,
-    domain_pool: Sequence[int],
-    image_pool: Sequence[int],
-    davenport_value: int | None = None,
-) -> Shelling:
-    """Grow a width-D shelling from index pools until fewer than D remain.
-
-    Guarantees a domain R inside the pool with |R| >= |pool| - D + 1: each
-    round pairs the D smallest unused domain indices with the D smallest
-    unused image positions and extracts a zero-sum block from the derived
-    sequence (w_i * x_{h(i)}), which the Davenport property always provides.
+    Narrow blocks: while they hold fewer than D - ell indices, both free
+    pools still hold at least n indices, so the word1 construction on the n
+    smallest free weights and positions yields another block of size <= ell
+    (none when ell >= D).  Wide blocks: while D free weights remain, the
+    derived sequence w_i * x_h(i) over the D smallest free weights and
+    positions has a zero-sum block of size <= D (the Davenport property),
+    so fewer than D stay free.  Cut: the longest block prefix, wide blocks
+    first, of total size <= n - 1; when ell >= D that keeps every block,
+    since there are only m = n - 1 weights.
     """
-    g = inst.group
-    d = davenport_value if davenport_value is not None else davenport_get(g).value
-    a_rem = sorted(set(domain_pool))
-    b_rem = sorted(set(image_pool))
-    if len(b_rem) < len(a_rem):
-        raise InvalidArgument(f"image pool ({len(b_rem)}) smaller than domain pool ({len(a_rem)})")
-    for i in a_rem:
-        if not 1 <= i <= len(inst.w):
-            raise InvalidArgument(f"domain index {i} outside [1, {len(inst.w)}]")
-    for j in b_rem:
-        if not 1 <= j <= inst.m:
-            raise InvalidArgument(f"image position {j} outside [1, {inst.m}]")
-
-    blocks: list[tuple[int, ...]] = []
-    pairs: dict[int, int] = {}
-    while len(a_rem) >= d and len(b_rem) >= d:
-        a_win = a_rem[:d]
-        b_win = b_rem[:d]
-        derived = [weighted_value(g, inst.w, inst.x, (i,), (j,)) for i, j in zip(a_win, b_win)]
-        wit = find_zero_sum_davenport(g, derived, davenport_value=d)
-        block = tuple([a_win[t - 1] for t in wit.indices])
-        used_images = set()
-        for t in wit.indices:
-            pairs[a_win[t - 1]] = b_win[t - 1]
-            used_images.add(b_win[t - 1])
-        blocks.append(block)
-        block_set = set(block)
-        a_rem = [i for i in a_rem if i not in block_set]
-        b_rem = [j for j in b_rem if j not in used_images]
-    sel = Selection.build(inst, pairs.items())
-    return Shelling(selection=sel, blocks=tuple(blocks), width=d)
-
-
-def narrow_shelling(inst: Instance, davenport_value: int | None = None) -> Shelling:
-    """Width-ell shelling with domain size >= D - ell, for ell < D.
-
-    While the domain is short, both unused pools still hold at least n
-    indices, so the word1 construction on the n smallest of each yields
-    another block of size <= ell.
-    """
-    g = inst.group
     n = g.order
-    d = davenport_value if davenport_value is not None else davenport_get(g).value
-    ell = inst.ell
-    if ell >= d:
-        raise InvalidInstance(f"narrow shelling needs ell < D, got ell = {ell}, D = {d}")
-    if inst.m != n - ell + d - 1:
-        raise InvalidInstance(f"need m = n - ell + D - 1 = {n - ell + d - 1}, got {inst.m}")
-    if inst.m and rho(inst.x) > ell:
-        raise InvalidInstance(f"maximal repetition {rho(inst.x)} exceeds ell = {ell}")
+    positions = range(1, len(x) + 1)
+    fmap: dict[int, int] = {}
 
-    blocks: list[tuple[int, ...]] = []
-    pairs: dict[int, int] = {}
-    domain: set[int] = set()
-    images: set[int] = set()
-    while len(domain) < d - ell:
-        free_dom = [i for i in range(1, inst.m + 1) if i not in domain]
-        free_img = [j for j in range(1, inst.m + 1) if j not in images]
-        assert len(free_dom) >= n and len(free_img) >= n
-        dom_win = free_dom[:n]
-        img_win = free_img[:n]
-        x_win = [inst.x[j - 1] for j in img_win]
-        w_win = [inst.w[i - 1] for i in dom_win]
+    def windows(size: int) -> tuple[list[int], list[int]]:
+        """The ``size`` smallest free weights and the ``size`` smallest free
+        positions."""
+        images = set(fmap.values())
+        return (
+            [i for i in positions if i not in fmap][:size],
+            [j for j in positions if j not in images][:size],
+        )
+
+    narrow: list[tuple[int, ...]] = []
+    while len(fmap) < d - ell:
+        dom_win, img_win = windows(n)
+        assert len(dom_win) == len(img_win) == n
+        x_win = [x[j - 1] for j in img_win]
+        w_win = [w[i - 1] for i in dom_win]
         block_pairs = [
             (dom_win[i - 1], img_win[j - 1]) for i, j in _word1_constructive(g, x_win, w_win)
         ]
-        block = tuple(sorted([i for i, _ in block_pairs]))
-        pairs.update(block_pairs)
-        blocks.append(block)
-        domain.update(block)
-        images.update(j for _, j in block_pairs)
-    sel = Selection.build(inst, pairs.items())
-    return Shelling(selection=sel, blocks=tuple(blocks), width=ell)
+        fmap.update(block_pairs)
+        narrow.append(tuple(sorted([i for i, _ in block_pairs])))
+
+    wide: list[tuple[int, ...]] = []
+    while len(x) - len(fmap) >= d:
+        dom_win, img_win = windows(d)
+        derived = [weighted_value(g, w, x, (i,), (j,)) for i, j in zip(dom_win, img_win)]
+        wit = find_zero_sum_davenport(g, derived, davenport_value=d)
+        block_pairs = [(dom_win[t - 1], img_win[t - 1]) for t in wit.indices]
+        fmap.update(block_pairs)
+        wide.append(tuple([i for i, _ in block_pairs]))
+
+    kept: list[tuple[int, ...]] = []
+    total = 0
+    for block in wide + narrow:
+        if total + len(block) > n - 1:
+            break
+        kept.append(block)
+        total += len(block)
+    return [(i, fmap[i]) for block in kept for i in block], tuple(kept)
 
 
-def _combine_narrow_and_wide(inst: Instance, d: int) -> Shelling:
-    """ell < D branch of theorem1: narrow shelling T, wide shelling on the
-    complement, then the maximal block prefix (wide blocks first) of total
-    size <= n - 1."""
-    n = inst.group.order
-    t_sh = narrow_shelling(inst, davenport_value=d)
-    t_domain = set(t_sh.selection.indices)
-    t_images = set(t_sh.selection.images)
-
-    c_pool = [i for i in range(1, inst.m + 1) if i not in t_domain]
-    img_pool = [j for j in range(1, inst.m + 1) if j not in t_images]
-    e_sh = extend_shellable(inst, c_pool, img_pool, davenport_value=d)
-
-    pairs = [*e_sh.selection.as_map().items(), *t_sh.selection.as_map().items()]
-    both = Shelling(
-        selection=Selection.build(inst, pairs), blocks=e_sh.blocks + t_sh.blocks, width=d
-    )
-    return shelling_trim(inst, both, min(n - 1, len(pairs)))
-
-
-def _corollary_constructive(inst: Instance, d: int) -> Selection:
+def _corollary_pairs(inst: Instance, d: int) -> list[tuple[int, int]]:
     """Shift x by x_m, run the theorem1 construction on the positions left
     after reserving the r highest anchor positions, then pad the selection
     to n weights mapped onto reserved positions (m included)."""
@@ -375,24 +310,28 @@ def _corollary_constructive(inst: Instance, d: int) -> Selection:
     r = min(d, inst.ell)
     anchor = inst.x[-1]
     # reserve the r highest positions carrying the anchor value (m included)
-    anchor_positions = _positions_of(inst.x, anchor)
-    reserve = sorted(anchor_positions[-r:])
-    keep = [p for p in range(1, inst.m + 1) if p not in set(reserve)]
-    y = tuple([g.sub(inst.x[p - 1], anchor) for p in keep])
-    inner, _ = _construct(Instance(group=g, x=y, w=inst.w, ell=inst.ell), STATEMENT_THEOREM1, d)
+    reserve = _positions_of(inst.x, anchor)[-r:]
+    reserved = set(reserve)
+    keep = [p for p in range(1, inst.m + 1) if p not in reserved]
+    # x is validated, so y = x - x_m is taken coordinate by coordinate
+    y = [
+        tuple([(a - b) % dc for a, b, dc in zip(inst.x[p - 1], anchor, g.invariant_factors)])
+        for p in keep
+    ]
+    inner, _ = _theorem1_pairs(g, y, inst.w, inst.ell, d)
     # outside theorem1's window [n - r, n - 1] the reserve cannot pad it to n
     if not n - r <= len(inner) <= n - 1:
         raise TheoremViolation(
             f"the theorem1 construction inside the corollary missed window [{n - r}, {n - 1}]"
         )
 
-    pairs = [(i, keep[j - 1]) for i, j in zip(inner.indices, inner.images)]
-    picked = set(inner.indices)
+    pairs = [(i, keep[j - 1]) for i, j in inner]
+    picked = {i for i, _ in inner}
     free = [i for i in range(1, len(inst.w) + 1) if i not in picked]
     extra = free[: n - len(inner)]
     targets = sorted(reserve[: len(extra) - 1] + [inst.m])
     pairs.extend(zip(extra, targets))
-    return Selection.build(inst, pairs)
+    return pairs
 
 
 def _statement_window(inst: Instance, statement: str, d: int | None) -> tuple[int, int]:
@@ -458,20 +397,17 @@ def _check_hypotheses(inst: Instance, statement: str, d: int | None) -> None:
 def _construct(
     inst: Instance, statement: str, d: int | None
 ) -> tuple[Selection, tuple[tuple[int, ...], ...] | None]:
-    """The statement's construction: a selection and, for theorem1 and
-    word1, its shelling blocks."""
+    """The statement's construction: a selection, built once against
+    ``inst``, and, for theorem1 and word1, its shelling blocks."""
+    blocks = None
     if statement == STATEMENT_THEOREM1:
-        if d <= inst.ell:
-            # m = n - 1: one width-D shelling over the whole index range
-            pool = range(1, inst.m + 1)
-            sh = extend_shellable(inst, pool, pool, davenport_value=d)
-        else:
-            sh = _combine_narrow_and_wide(inst, d)
-        return sh.selection, sh.blocks
-    if statement == STATEMENT_COROLLARY:
-        return _corollary_constructive(inst, d), None
-    sel = Selection.build(inst, _word1_constructive(inst.group, inst.x, inst.w))
-    return sel, (sel.indices,)
+        pairs, blocks = _theorem1_pairs(inst.group, inst.x, inst.w, inst.ell, d)
+    elif statement == STATEMENT_COROLLARY:
+        pairs = _corollary_pairs(inst, d)
+    else:
+        pairs = _word1_constructive(inst.group, inst.x, inst.w)
+    sel = Selection.build(inst, pairs)
+    return sel, (sel.indices,) if statement == STATEMENT_WORD1 else blocks
 
 
 def fallback_search(

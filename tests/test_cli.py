@@ -259,7 +259,7 @@ def test_solve_with_a_disabled_construction_exits_theorem_violation(tmp_path, ca
     def disabled(*args, **kwargs):
         raise TheoremViolation("construction disabled by the test")
 
-    monkeypatch.setattr(zsum.weighted, "_combine_narrow_and_wide", disabled)
+    monkeypatch.setattr(zsum.weighted, "_theorem1_pairs", disabled)
     inst_path = tmp_path / "inst.json"
     cert_path = tmp_path / "cert.json"
     _write_instance(inst_path, "theorem1", [3], ((1,), (2,), (0,)), (1, 1, 1), 2)

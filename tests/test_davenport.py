@@ -165,6 +165,40 @@ def test_cache_entries_are_checked_when_first_read(tmp_path):
             cache.get(canonicalize(orders))
 
 
+def test_closed_form_cache_entry_is_served_without_a_recheck(tmp_path, monkeypatch):
+    import zsum.davenport
+
+    path = tmp_path / "dav.json"
+    g = canonicalize([1024])
+    davenport_get(g, DavenportCache(path))
+
+    def refuse(*args):
+        raise AssertionError("closed-form cache entry re-checked")
+
+    monkeypatch.setattr(zsum.davenport, "zero_sum_free_check", refuse)
+    rec = davenport_get(g, DavenportCache(path))
+    assert (rec.value, rec.method) == (1024, METHOD_CACHE)
+    assert rec.witness == generator_repeat_witness(g)
+
+
+def test_other_cache_witnesses_are_still_checked(tmp_path, monkeypatch):
+    import zsum.davenport
+
+    path = tmp_path / "dav.json"
+    path.write_text(json.dumps({"4": {"value": 4, "witness": [[3], [3], [3]]}}))
+    checked = []
+    original = zsum.davenport.zero_sum_free_check
+
+    def counted(g, seq):
+        checked.append(seq)
+        return original(g, seq)
+
+    monkeypatch.setattr(zsum.davenport, "zero_sum_free_check", counted)
+    rec = davenport_get(canonicalize([4]), DavenportCache(path))
+    assert (rec.value, rec.witness, rec.method) == (4, ((3,), (3,), (3,)), METHOD_CACHE)
+    assert checked == [((3,), (3,), (3,))]
+
+
 def test_failed_cache_write_raises_invalid_argument_and_leaves_no_temp(tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError("disk full")

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import random
 
 import pytest
 
 from zsum.conjecture import ScanConfig, conjecture_scan
-from zsum.groups import canonicalize
+from zsum.davenport import davenport_formula
+from zsum.groups import canonicalize, groups_up_to_order
 from zsum.serialize import certificate_to_json, dumps_stable
 from zsum.weighted import (
     Certificate,
@@ -68,6 +70,16 @@ CASES = {
         "94b557a84c2edc2209bbc5a7def9b89ad7632abb3480afa76f4b09972a9e4ad3",
     ),
 }
+
+# One digest over a seeded batch of 495 theorem1 and corollary certificates:
+# every closed-form group of order <= 24 plus Z_32, Z_4xZ_8, Z_2xZ_2xZ_8 and
+# Z_64, each at up to seven seeded repetition bounds in [1, D + 1] that admit
+# an instance (theorem1 always also at D and D + 1, the corollary at D - 1).
+BATCH_EXTRA_GROUPS = ([32], [4, 8], [2, 2, 8], [64])
+BATCH_BOUNDS_PER_GROUP = 7
+BATCH_SEED = 2026
+BATCH_SIZE = 495
+BATCH_DIGEST = "4a537f365f3b8e91ea3a35a41e801f5d28cd2f4636383a5b9feb3ab3846eee06"
 
 SCAN_Z4_K2_DIGEST = "6ec751cc9dbdef37d811b5ac5b1108f6f425cfb074e80933bdd165fdaafa1b65"
 
@@ -129,6 +141,57 @@ def test_certificate_bytes_are_pinned(name):
     else:
         cert = _oracle_certificate(inst, statement)
     assert _digest(certificate_to_json(g, cert)) == expected
+
+
+def _batch_theorem1(rng, g, d, ell):
+    # at most ell copies of each element, so rho(x) <= ell
+    n = g.order
+    m = n + d - min(d, ell) - 1
+    pool = [e for e in g.elements() for _ in range(ell)]
+    rng.shuffle(pool)
+    w = tuple([rng.randint(-n, 3 * n) for _ in range(m)])
+    return Instance(group=g, x=tuple(pool[:m]), w=w, ell=ell)
+
+
+def _batch_corollary(rng, g, d, ell):
+    # ell copies of the anchor at the end, at most ell of every other element
+    n = g.order
+    m = n + d - 1
+    elems = g.elements()
+    anchor = rng.choice(elems)
+    pool = [e for e in elems if e != anchor for _ in range(ell)]
+    rng.shuffle(pool)
+    x = tuple(pool[: m - ell]) + (anchor,) * ell
+    w = tuple([rng.randint(-n, 3 * n) for _ in range(m - ell)])
+    return Instance(group=g, x=x, w=w, ell=ell)
+
+
+def _batch_instances():
+    rng = random.Random(BATCH_SEED)
+    groups = [g for g in groups_up_to_order(24) if davenport_formula(g) is not None]
+    groups += [canonicalize(orders) for orders in BATCH_EXTRA_GROUPS]
+    for g in groups:
+        n, d = g.order, davenport_formula(g)
+        # theorem1 needs m <= n * ell and the corollary m - ell <= (n - 1) * ell
+        # for x to exist under the repetition bound; the corollary also ell < D
+        fit = [e for e in range(1, d + 2) if n + d - min(d, e) - 1 <= n * e]
+        for ell in sorted(set(rng.sample(fit, min(BATCH_BOUNDS_PER_GROUP, len(fit)))) | {d, d + 1}):
+            yield "theorem1", _batch_theorem1(rng, g, d, ell)
+        fit = [e for e in range(1, d) if n + d - 1 - e <= (n - 1) * e]
+        extra = {d - 1} if d - 1 in fit else set()
+        for ell in sorted(set(rng.sample(fit, min(BATCH_BOUNDS_PER_GROUP, len(fit)))) | extra):
+            yield "corollary", _batch_corollary(rng, g, d, ell)
+
+
+def test_seeded_batch_certificate_bytes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for statement, inst in _batch_instances():
+        cert = solve(inst, statement)
+        digest.update(dumps_stable(certificate_to_json(inst.group, cert)).encode("utf-8"))
+        count += 1
+    assert count == BATCH_SIZE
+    assert digest.hexdigest() == BATCH_DIGEST
 
 
 def test_scan_report_bytes_are_pinned():

@@ -22,17 +22,14 @@ from zsum.errors import (
 )
 from zsum.groups import canonicalize, groups_up_to_order, rho
 from zsum.serialize import certificate_to_json, dumps_stable
+from zsum.zerosum import ZeroSumWitness
 from zsum.weighted import (
     Certificate,
     Instance,
     Selection,
-    Shelling,
-    extend_shellable,
     fallback_search,
     instance_digest,
-    narrow_shelling,
     selection_value,
-    shelling_trim,
     solve,
     solve_corollary,
     solve_theorem1,
@@ -152,146 +149,145 @@ def test_word1_preconditions():
         solve_word1(Z2, ((1,), (1,)), (1, 1), 1)  # rho > ell
 
 
-# ---------------------------------------------------------------- shelling
+# ------------------------------------------------------ theorem1 shellings
 
 
-def _zero_weight_instance(g, m, ell):
-    elems = list(g.elements())
-    x = tuple(elems[i % len(elems)] for i in range(m))
-    return Instance(group=g, x=x, w=(0,) * m, ell=ell)
+def _check_theorem1_pairs(g, x, w, ell, d):
+    """_theorem1_pairs's answer, checked for the lemma's properties.  Each
+    call to the Davenport-property solver adds one wide block (width D), and
+    the narrow blocks (width ell) follow the wide ones."""
+    wide_calls = []
+    original = zsum.weighted.find_zero_sum_davenport
+
+    def counted(*args, **kwargs):
+        wide_calls.append(args)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zsum.weighted, "find_zero_sum_davenport", counted)
+        pairs, blocks = zsum.weighted._theorem1_pairs(g, x, w, ell, d)
+    n = g.order
+    indices = [i for i, _ in pairs]
+    images = [j for _, j in pairs]
+    assert sorted(i for b in blocks for i in b) == sorted(indices)  # blocks partition I
+    assert len(set(indices)) == len(indices) and len(set(images)) == len(images)
+    assert set(indices) | set(images) <= set(range(1, len(x) + 1))
+    fmap = dict(pairs)
+    for t, block in enumerate(blocks):
+        assert 1 <= len(block) <= (d if t < len(wide_calls) else ell)
+        assert weighted_value(g, w, x, block, [fmap[i] for i in block]) == g.zero()
+    assert weighted_value(g, w, x, indices, images) == g.zero()
+    assert n - min(d, ell) <= len(pairs) <= n - 1
+    return pairs, blocks
 
 
-def test_shelling_trim_takes_block_prefix():
-    z5 = canonicalize([5])
-    inst = _zero_weight_instance(z5, 5, 2)
-    sel = _sel(inst, [(i, i) for i in range(1, 6)])
-    sh = Shelling(selection=sel, blocks=((1, 2), (3, 4), (5,)), width=2)
-    trimmed = shelling_trim(inst, sh, 3)
-    assert trimmed.selection.indices == (1, 2)
-    assert trimmed.blocks == ((1, 2),)
-    assert shelling_trim(inst, sh, 5).selection.indices == (1, 2, 3, 4, 5)
-    assert shelling_trim(inst, sh, 0).blocks == ()
+def _patched_theorem1_pairs(monkeypatch, orders, ell, narrow_size, wide_size):
+    """_theorem1_pairs on zero weights, with each narrow block the first
+    ``narrow_size`` free weights and each wide block the first
+    ``wide_size``, so that only the cut decides the answer."""
+    g = canonicalize(orders)
+    d = davenport_get(g).value
+    m = g.order + d - min(d, ell) - 1
+    monkeypatch.setattr(
+        zsum.weighted, "_word1_constructive",
+        lambda g, x, w: [(t, t) for t in range(1, narrow_size + 1)],
+    )
+    monkeypatch.setattr(
+        zsum.weighted, "find_zero_sum_davenport",
+        lambda g, x, davenport_value: ZeroSumWitness(indices=tuple(range(1, wide_size + 1))),
+    )
+    x = [g.zero()] * m
+    return g, d, zsum.weighted._theorem1_pairs(g, x, [0] * m, ell, d)
 
 
-def test_shelling_trim_width_one_is_exact():
-    z5 = canonicalize([5])
-    inst = _zero_weight_instance(z5, 4, 2)
-    sel = _sel(inst, [(i, i) for i in range(1, 5)])
-    sh = Shelling(selection=sel, blocks=((1,), (2,), (3,), (4,)), width=1)
-    assert len(shelling_trim(inst, sh, 2).selection) == 2
+def test_shelling_trim_takes_block_prefix(monkeypatch):
+    # Z_2^4, ell = 2, m = 18: narrow (1, 2), (3, 4); wide blocks of four on
+    # 5..16 until two weights are left; the cut at n - 1 = 15 drops (3, 4)
+    _, _, (pairs, blocks) = _patched_theorem1_pairs(monkeypatch, [2, 2, 2, 2], 2, 2, 4)
+    assert blocks == ((5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 16), (1, 2))
+    assert pairs == [(i, i) for block in blocks for i in block]
 
 
-def test_shelling_trim_rejects_bad_target():
-    z5 = canonicalize([5])
-    inst = _zero_weight_instance(z5, 4, 2)
-    sel = _sel(inst, [(1, 1), (2, 2)])
-    sh = Shelling(selection=sel, blocks=((1, 2),), width=2)
-    with pytest.raises(InvalidArgument):
-        shelling_trim(inst, sh, 3)
-    with pytest.raises(InvalidArgument):
-        shelling_trim(inst, sh, -1)
+def test_shelling_trim_width_one_is_exact(monkeypatch):
+    # Z_2 x Z_8 (D = 9), ell = 2, m = 22: seven width-one narrow blocks and
+    # one wide block 8..16; the cut fills n - 1 = 15 exactly
+    _, _, (pairs, blocks) = _patched_theorem1_pairs(monkeypatch, [2, 8], 2, 1, 9)
+    assert blocks == (tuple(range(8, 17)), (1,), (2,), (3,), (4,), (5,), (6,))
+    assert len(pairs) == 15
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_shelling_trim_size_window_property(data):
-    # size of the trimmed domain always lands in [m0 - width + 1, m0]
-    z7 = canonicalize([7])
-    m = data.draw(st.integers(min_value=1, max_value=20))
-    inst = _zero_weight_instance(z7, m, 3)
-    cut_points = data.draw(
-        st.lists(st.integers(min_value=1, max_value=m - 1), max_size=6, unique=True)
-        if m > 1
-        else st.just([])
-    )
-    bounds = [0, *sorted(cut_points), m]
-    blocks = tuple(
-        tuple(range(lo + 1, hi + 1)) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
-    )
-    width = max(len(b) for b in blocks)
-    if width > 5:
-        return
-    sel = _sel(inst, [(i, i) for i in range(1, m + 1)])
-    sh = Shelling(selection=sel, blocks=blocks, width=width)
-    m0 = data.draw(st.integers(min_value=0, max_value=m))
-    trimmed = shelling_trim(inst, sh, m0)
-    assert max(m0 - width + 1, 0) <= len(trimmed.selection) <= m0
-    assert selection_value(inst, trimmed.selection) == z7.zero()
-
-
-# ----------------------------------------------------- extend / narrow
+    # whatever the block sizes within their widths, the cut lands in
+    # [n - min(D, ell), n - 1] and keeps a block prefix, wide blocks first
+    orders = data.draw(st.sampled_from([[2, 2, 2, 2], [2, 8], [4, 4], [3, 3], [7]]))
+    d = davenport_get(canonicalize(orders)).value
+    ell = data.draw(st.integers(min_value=1, max_value=d + 1))
+    narrow_size = data.draw(st.integers(min_value=1, max_value=min(ell, d)))
+    wide_size = data.draw(st.integers(min_value=1, max_value=d))
+    with pytest.MonkeyPatch.context() as mp:
+        g, d, (pairs, blocks) = _patched_theorem1_pairs(mp, orders, ell, narrow_size, wide_size)
+    n = g.order
+    assert n - min(d, ell) <= len(pairs) <= n - 1
+    # narrow blocks start within the first D - ell weights, wide ones after
+    is_wide = [b[0] > d - ell for b in blocks]
+    assert is_wide == sorted(is_wide, reverse=True)
+    assert all(len(b) == (wide_size if wide else narrow_size) for b, wide in zip(blocks, is_wide))
+    narrow = [i for b, wide in zip(blocks, is_wide) if not wide for i in b]
+    assert narrow == list(range(1, len(narrow) + 1))
 
 
 def test_extend_shellable_pairs_smallest_indices():
-    inst = _theorem1_instance(Z2, [(1,), (1,)], [1, 1], 1)
-    sh = extend_shellable(inst, [1, 2], [1, 2])
-    assert sh.selection.indices == (1, 2)
-    assert sh.selection.images == (1, 2)
-    assert sh.blocks == ((1, 2),)
+    # ell >= D on Z_2 x Z_2: one wide block from the D = 3 smallest weights
+    # and positions, the lexicographically smallest zero-sum block
+    g = canonicalize([2, 2])
+    pairs, blocks = zsum.weighted._theorem1_pairs(g, [(0, 1)] * 3, [1, 1, 1], 3, 3)
+    assert pairs == [(1, 1), (2, 2)]
+    assert blocks == ((1, 2),)
 
 
 def test_extend_shellable_empty_when_pool_short():
-    inst = _theorem1_instance(Z2, [(1,), (1,)], [1, 1], 1)
-    sh = extend_shellable(inst, [1], [1, 2])
-    assert sh.selection.indices == ()
-    assert sh.blocks == ()
-
-
-def test_extend_shellable_rejects_small_image_pool():
-    inst = _theorem1_instance(Z2, [(1,), (1,)], [1, 1], 1)
-    with pytest.raises(InvalidArgument):
-        extend_shellable(inst, [1, 2], [1])
+    # ell >= D with m = n - 1 < D: no wide block fits
+    assert zsum.weighted._theorem1_pairs(Z2, [(1,)], [1], 2, 2) == ([], ())
 
 
 def test_extend_shellable_domain_bound():
-    # |R| >= |A| - D + 1 whenever the loop can run at all
+    # ell >= D: the wide blocks leave fewer than D weights, so |I| >= n - D
     rng = random.Random(11)
+    groups = [canonicalize(orders) for orders in ([2, 2], [2, 2, 2], [2, 4], [3, 3], [2, 2, 2, 2])]
     for _ in range(60):
-        g = rng.choice([Z2, Z3, canonicalize([2, 2])])
+        g = rng.choice(groups)
         d = davenport_get(g).value
-        m = rng.randint(1, 7)
+        ell = rng.randint(d, d + 2)
+        m = g.order - 1
         elems = list(g.elements())
         x = tuple(rng.choice(elems) for _ in range(m))
         w = tuple(rng.randint(0, g.order) for _ in range(m))
-        inst = Instance(group=g, x=x, w=w, ell=1)
-        pool = list(range(1, m + 1))
-        sh = extend_shellable(inst, pool, pool)
-        assert len(sh.selection) >= len(pool) - d + 1
-        for block in sh.blocks:
-            assert len(block) <= d
-        if sh.blocks:
-            assert selection_value(inst, sh.selection) == g.zero()
+        _check_theorem1_pairs(g, x, w, ell, d)
 
 
 def test_narrow_shelling_examples():
-    inst = _theorem1_instance(Z2, [(0,), (1,)], [1, 1], 1)
-    sh = narrow_shelling(inst)
-    assert sh.selection.indices == (1,)
-    assert sh.selection.images == (1,)
-    inst = _theorem1_instance(Z3, [(1,), (2,), (0,)], [1, 1, 1], 2)
-    sh = narrow_shelling(inst)
-    assert len(sh.selection) >= 1  # D - ell = 1
-    assert sh.width <= 2
-    assert selection_value(inst, sh.selection) == (0,)
-
-
-def test_narrow_shelling_requires_ell_below_davenport():
-    inst = _theorem1_instance(Z2, [(0,), (1,)], [1, 1], 2)  # ell = D = 2
-    with pytest.raises(InvalidInstance):
-        narrow_shelling(inst)
+    assert zsum.weighted._theorem1_pairs(Z2, [(0,), (1,)], [1, 1], 1, 2) == ([(1, 1)], ((1,),))
+    pairs, _ = _check_theorem1_pairs(Z3, [(1,), (2,), (0,)], [1, 1, 1], 2, 3)
+    assert len(pairs) >= 1  # D - ell = 1
 
 
 def test_narrow_shelling_block_invariants():
     for x in itertools.product(Z3.elements(), repeat=3):
         if rho(x) > 2:
             continue
-        inst = Instance(group=Z3, x=x, w=(1, 2, 1), ell=2)
-        sh = narrow_shelling(inst)  # m = n - ell + D - 1 = 3
-        assert len(sh.selection) >= 1
-        assert all(1 <= len(b) <= 2 for b in sh.blocks)
-        flat = sorted(i for b in sh.blocks for i in b)
-        assert flat == list(sh.selection.indices)
-        assert selection_value(inst, sh.selection) == Z3.zero()
+        _check_theorem1_pairs(Z3, x, (1, 2, 1), 2, 3)  # m = n - ell + D - 1 = 3
+
+
+def test_theorem1_pairs_lemma_properties():
+    rng = random.Random(20261018)
+    groups = [Z2, Z3, Z4, canonicalize([2, 2]), canonicalize([2, 4]), canonicalize([2, 2, 2, 2]),
+              canonicalize([3, 3]), canonicalize([2, 8])]
+    for _ in range(300):
+        inst = _random_theorem1_instance(rng, groups)
+        d = davenport_get(inst.group).value
+        _check_theorem1_pairs(inst.group, inst.x, inst.w, inst.ell, d)
 
 
 # ---------------------------------------------------------------- theorem1
@@ -738,11 +734,13 @@ def _raise_violation(*args, **kwargs):
 
 
 @pytest.mark.parametrize("statement, step", [
-    ("theorem1", "_combine_narrow_and_wide"),
-    ("corollary", "_corollary_constructive"),
+    ("theorem1", "_theorem1_pairs"),
+    ("corollary", "_corollary_pairs"),
     ("word1", "_word1_constructive"),
 ])
-def test_fallback_uses_the_given_davenport_cache(monkeypatch, statement, step):
+def test_disabled_construction_reads_davenport_only_from_the_given_cache(
+    monkeypatch, statement, step
+):
     # a construction that misses is a bug: the solve raises TheoremViolation,
     # having read D only from ``own``
     default = DavenportCache()
@@ -785,6 +783,24 @@ def test_corollary_solve_verifies_once(monkeypatch):
     assert len(calls) == 1  # the corollary's own certificate, no inner one
 
 
+def test_corollary_solve_builds_one_selection_on_the_callers_instance(monkeypatch):
+    inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
+    instances = []
+    builds = []
+    build = Selection.build.__func__
+
+    def counted_build(cls, on, pairs):
+        builds.append(on)
+        return build(cls, on, pairs)
+
+    monkeypatch.setattr(Instance, "__post_init__", lambda self: instances.append(self))
+    monkeypatch.setattr(Selection, "build", classmethod(counted_build))
+    cert = solve_corollary(inst)
+    assert cert.selection.images == (1, 4, 5)
+    assert instances == []
+    assert len(builds) == 1 and builds[0] is inst
+
+
 def test_theorem1_narrow_path_calls_no_word1_solver(monkeypatch):
     calls = _counting(monkeypatch, "solve_word1")
     inst = Instance(group=Z4, x=((1,), (2,), (3,), (2,), (1,)), w=(0, 5, 1, 6, 2), ell=2)
@@ -796,9 +812,9 @@ def test_theorem1_narrow_path_calls_no_word1_solver(monkeypatch):
 
 def test_corollary_construction_with_a_wrong_value_raises(monkeypatch):
     inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
-    wrong = Selection.build(inst, [(1, 1), (2, 2), (3, 5)])  # size n, anchored
-    assert wrong.value != (0,)  # the target (1 + 1 + 1) * x_5 is zero
-    monkeypatch.setattr(zsum.weighted, "_corollary_constructive", lambda *args: wrong)
+    wrong = [(1, 1), (2, 2), (3, 5)]  # size n, anchored
+    assert Selection.build(inst, wrong).value != (0,)  # the target (1 + 1 + 1) * x_5 is zero
+    monkeypatch.setattr(zsum.weighted, "_corollary_pairs", lambda *args: wrong)
     with pytest.raises(TheoremViolation, match=r"corollary .* window \[3, 3\]"):
         solve_corollary(inst)
 
@@ -807,17 +823,16 @@ def test_corollary_inner_construction_outside_its_window_raises(monkeypatch):
     # the corollary pads theorem1's selection on the shifted sequence from
     # its reserve; one outside [n - r, n - 1] cannot be padded to n
     inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
-    empty = Shelling(selection=Selection(indices=(), images=(), value=(0,)), blocks=(), width=2)
-    monkeypatch.setattr(zsum.weighted, "_combine_narrow_and_wide", lambda *args: empty)
+    monkeypatch.setattr(zsum.weighted, "_theorem1_pairs", lambda *args: ([], ()))
     with pytest.raises(TheoremViolation, match=r"window \[1, 2\]"):
         solve_corollary(inst)
 
 
-def test_forced_theorem1_fallback_may_return_the_empty_selection(monkeypatch):
+def test_theorem1_oracle_may_return_the_empty_selection(monkeypatch):
     # cyclic G with ell >= n: the window is [0, n - 1], so the oracle's empty
     # selection is a valid answer (only word1 needs |I| >= 1); the solve
     # itself, with its construction disabled, raises rather than return it
-    monkeypatch.setattr(zsum.weighted, "extend_shellable", _raise_violation)
+    monkeypatch.setattr(zsum.weighted, "_theorem1_pairs", _raise_violation)
     inst = Instance(group=Z4, x=((1,), (1,), (1,)), w=(1, 1, 1), ell=4)
     with pytest.raises(TheoremViolation):
         solve(inst, "theorem1")
