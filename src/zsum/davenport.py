@@ -7,6 +7,15 @@ prefix, kept as a bit-vector indexed by lexicographic element rank:
 appending e is legal iff e != 0 and -e is not already reachable, and the
 new sums are one :meth:`AbelianGroup.translate` of the old ones by e.
 
+The search is branch-and-bound.  A legal append adds at least one new
+nonzero sum: sigma(S) + e is a sum of S.e but not of S, since
+sigma(S) + e = sigma(T) for some T in S would make e + sigma(S - T) = 0.
+So a prefix with s reachable sums grows by at most n - 1 - s more
+elements, and a subtree that cannot outgrow the best sequence found so far
+is skipped.  The best only moves on a strict increase and the walk is in
+lexicographic preorder, so the witness is still the lexicographically
+first zero-sum-free sequence of maximal length.
+
 Closed forms (cyclic, rank two, p-groups) serve as cross-checks and as the
 fast path in :func:`davenport_get`; everything lands in a cache keyed by
 the canonical invariant factors, optionally persisted to a JSON file.
@@ -19,7 +28,6 @@ first read; one that equals the closed-form record is accepted as it is.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -92,7 +100,10 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
             if len(stack) > best_len:
                 best_len = len(stack)
                 best_witness = tuple(stack)
-            dfs(e, new_mask)
+            # each further append adds a new nonzero sum: skip the subtree
+            # unless that room can carry it past the best length
+            if len(stack) + n - 1 - new_mask.bit_count() > best_len:
+                dfs(e, new_mask)
             stack.pop()
 
     dfs(1, 0)
@@ -156,6 +167,8 @@ def _read_cache_file(path: Path) -> dict[str, dict]:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as err:
         raise InvalidArgument(f"Davenport cache {path} is unreadable: {err}") from None
+    except RecursionError:
+        raise InvalidArgument(f"Davenport cache {path} is nested too deeply to read") from None
     if not isinstance(data, dict):
         raise InvalidArgument(
             f"Davenport cache {path} must hold a JSON object, got {type(data).__name__}"
@@ -189,7 +202,6 @@ class DavenportCache:
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._lock = threading.Lock()
         self._stored: dict[str, dict] = {}  # the file's entries, as JSON: read or put
         self._records: dict[str, DavenportRecord] = {}  # decoded, method "cache"
         if self.path is not None and self.path.exists():
@@ -203,16 +215,15 @@ class DavenportCache:
 
     def get(self, g: AbelianGroup) -> DavenportRecord | None:
         key = self.key_for(g)
-        with self._lock:
-            hit = self._records.get(key)
-            if hit is None:
-                entry = self._stored.get(key)
-                if entry is None:
-                    return None
-                witness = tuple([tuple(e) for e in entry["witness"]])
-                hit = DavenportRecord(group=g, value=entry["value"], witness=witness, method=METHOD_CACHE)
-                self._check_entry(key, hit)
-                self._records[key] = hit
+        hit = self._records.get(key)
+        if hit is None:
+            entry = self._stored.get(key)
+            if entry is None:
+                return None
+            witness = tuple([tuple(e) for e in entry["witness"]])
+            hit = DavenportRecord(group=g, value=entry["value"], witness=witness, method=METHOD_CACHE)
+            self._check_entry(key, hit)
+            self._records[key] = hit
         return hit
 
     def _check_entry(self, key: str, rec: DavenportRecord) -> None:
@@ -238,15 +249,14 @@ class DavenportCache:
 
     def put(self, record: DavenportRecord) -> None:
         key = self.key_for(record.group)
-        with self._lock:
-            self._stored[key] = {
-                "value": record.value,
-                "witness": [list(e) for e in record.witness],
-                "method": record.method,
-            }
-            self._records[key] = replace(record, method=METHOD_CACHE)
-            if self.path is not None:
-                self._persist()
+        self._stored[key] = {
+            "value": record.value,
+            "witness": [list(e) for e in record.witness],
+            "method": record.method,
+        }
+        self._records[key] = replace(record, method=METHOD_CACHE)
+        if self.path is not None:
+            self._persist()
 
     def _persist(self) -> None:
         from .serialize import atomic_write_text  # serialize imports this module

@@ -218,6 +218,8 @@ def load_json(path: str, what: str) -> Any:
         ) from None
     except UnicodeDecodeError as err:
         raise InvalidInstance(f"{path}: {what} file is not UTF-8 text: {err.reason}") from None
+    except RecursionError:
+        raise InvalidInstance(f"{path}: {what} file is nested too deeply to read") from None
     except OSError as err:
         raise InvalidInstance(f"cannot read {what} file {path}: {err.strerror}") from None
 

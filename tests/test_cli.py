@@ -56,6 +56,11 @@ def test_davenport_node_budget(capsys):
     assert main(["davenport", "--orders", "11", "--exact", "--node-budget", "2"]) == EXIT_RESOURCE_CAP
 
 
+def test_davenport_exact_z26_fits_a_small_node_budget(capsys):
+    assert main(["davenport", "--orders", "26", "--exact", "--node-budget", "400"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["value"] == 26
+
+
 def test_davenport_table(capsys):
     assert main(["davenport-table", "--max-order", "8"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -204,6 +209,24 @@ def test_unreadable_input_files_exit_invalid(tmp_path, capsys, case):
     assert main(argv) == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("role", ["instance", "certificate", "davenport-cache"])
+def test_too_deeply_nested_json_exits_invalid(tmp_path, capsys, role):
+    deep_path = tmp_path / "deep.json"
+    deep_path.write_text("[" * 200_000)
+    inst_path = tmp_path / "inst.json"
+    _write_instance(inst_path, "word1", [2], ((0,), (1,)), (2, 1), 1)
+    argv = {
+        "instance": ["solve", "--instance", str(deep_path), "--out", str(tmp_path / "c.json")],
+        "certificate": ["verify", "--instance", str(inst_path), "--cert", str(deep_path)],
+        "davenport-cache": ["davenport", "--orders", "4", "--cache", str(deep_path)],
+    }[role]
+    capsys.readouterr()
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_scan_conjecture_writes_report(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -259,6 +260,37 @@ def test_cache_hits_are_decoded_once(tmp_path):
     assert json.loads(written)["3x6"]["method"] == METHOD_FORMULA
     DavenportCache(path).put(first)
     assert path.read_text() == written
+
+
+def test_exact_records_up_to_order_26_are_pinned():
+    # (invariant factors, value, witness) of every group of order <= 26: the
+    # bound on the remaining room may skip subtrees, never change the answer
+    rows = []
+    for g in groups_up_to_order(26):
+        rec = davenport_exact(g)
+        rows.append([list(g.invariant_factors), rec.value, [list(e) for e in rec.witness]])
+    blob = json.dumps(rows, separators=(",", ":")).encode("utf-8")
+    assert len(rows) == 40
+    assert hashlib.sha256(blob).hexdigest() == (
+        "8f6a8581e9837874565e1721e247915e375b7757ff940ce57ad5561c3d9a0c95"
+    )
+
+
+def test_exact_witness_is_the_first_zero_sum_free_combination():
+    # combinations_with_replacement yields non-decreasing tuples in
+    # lexicographic order, independently of the pruned search
+    for g in groups_up_to_order(8):
+        rec = davenport_exact(g)
+        first = next(
+            seq
+            for seq in itertools.combinations_with_replacement(g.elements(), rec.value - 1)
+            if zero_sum_free_check(g, seq)
+        )
+        assert rec.witness == first, g.invariant_factors
+
+
+def test_exact_search_stops_growing_once_no_prefix_can_beat_the_witness():
+    assert davenport_exact(canonicalize([26]), node_budget=400).value == 26
 
 
 def test_node_budget_exhaustion_raises():
