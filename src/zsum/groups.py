@@ -25,8 +25,17 @@ from .errors import InvalidElement, InvalidGroup, InvalidInstance
 Element = tuple[int, ...]
 
 
+# Trial division runs up to the square root, so this caps it at 2^16 steps.
+MAX_FACTORED_ORDER = 2**32
+
+
 def _factorint(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine at the orders we handle."""
+    """Prime factorization by trial division, for n <= MAX_FACTORED_ORDER;
+    a larger n raises InvalidGroup instead of running for hours."""
+    if n > MAX_FACTORED_ORDER:
+        raise InvalidGroup(
+            f"order {n} exceeds {MAX_FACTORED_ORDER}, the largest order zsum factors"
+        )
     out: dict[int, int] = {}
     p = 2
     while p * p <= n:

@@ -13,10 +13,10 @@ Solvers, by statement tag:
   the bounded zero-sum solver to whichever sequence repeats less.
 * ``theorem1`` - given m = n + D - min(D, ell) - 1, a selection with
   n - min(D, ell) <= |I| <= n - 1 and value zero, built in one pass: narrow
-  blocks (width ell) from the word1 construction until they hold D - ell
-  indices (none when ell >= D), then wide blocks (width D) from the
-  Davenport property until fewer than D weights are free, then the longest
-  block prefix, wide blocks first, of total size <= n - 1.
+  blocks (width ell) from the word1 construction on sliding windows until
+  they hold D - ell indices (none when ell >= D), then wide blocks (width
+  D) from the Davenport property until fewer than D weights are free, then
+  the longest block prefix, wide blocks first, of total size <= n - 1.
 * ``corollary`` - given m = n + D - 1 and maximal repetition ell attained
   by the final position, an n-subset of [1, m - ell] whose weighted sum is
   (sum of the picked weights) * x_m, with position m in the image.
@@ -65,7 +65,7 @@ from .errors import (
     UnsatisfiableStatement,
 )
 from .groups import AbelianGroup, Element, canonicalize, rho
-from .zerosum import find_zero_sum_bounded, find_zero_sum_davenport
+from .zerosum import _lex_smallest_subset
 
 STATEMENT_THEOREM1 = "theorem1"
 STATEMENT_COROLLARY = "corollary"
@@ -204,39 +204,110 @@ def _positions_of(values: Sequence, target) -> list[int]:
     return [p + 1 for p, v in enumerate(values) if v == target]
 
 
-def _most_repeated(values: Sequence):
-    """Value of maximal multiplicity; ties break to the smallest value."""
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.values())
-    return min(v for v, c in counts.items() if c == best)
+class _Window:
+    """The word1 construction's view of one pool: the ``size`` smallest
+    labels (1-based indices into ``source``) not yet taken, in increasing
+    order, with their values and each value's multiplicity.
+
+    theorem1's narrow phase slides one window over the weights (reduced
+    mod n) and one over the positions: a block takes a few labels, and
+    ``refill`` appends the next untaken ones from a cursor, since no label
+    past the window has been taken.  ``rho``, the largest multiplicity, and
+    ``tiers[c]``, the values of multiplicity c, follow every change, so a
+    block reads rho and the smallest most-repeated value without a pass
+    over the window.
+    """
+
+    def __init__(self, group: AbelianGroup, source: Sequence, size: int) -> None:
+        self.group = group
+        self.source = source
+        self.cursor = 0  # labels 1..cursor have entered the window
+        self.labels: list[int] = []
+        self.values: list = []
+        self.count: dict = {}
+        self.tiers: list[set] = [set()]
+        self.rho = 0
+        self.refill(size)
+
+    def refill(self, size: int) -> None:
+        """Append untaken labels until the window holds ``size`` (or the
+        pool runs out)."""
+        start = self.cursor
+        self.cursor = min(len(self.source), start + size - len(self.labels))
+        added = self.source[start:self.cursor]
+        self.labels.extend(range(start + 1, self.cursor + 1))
+        self.values.extend(added)
+        count, tiers, rho = self.count, self.tiers, self.rho
+        for v in added:
+            c = count.get(v, 0) + 1
+            count[v] = c
+            if c == len(tiers):
+                tiers.append(set())
+            tiers[c - 1].discard(v)
+            tiers[c].add(v)
+            if c > rho:
+                rho = c
+        self.rho = rho
+
+    def take(self, slots: Sequence[int]) -> list[int]:
+        """Remove the given 1-based slots; their labels, in slot order."""
+        labels = [self.labels[s - 1] for s in slots]
+        for s in sorted(slots, reverse=True):
+            del self.labels[s - 1]
+            v = self.values.pop(s - 1)
+            c = self.count[v]
+            self.tiers[c].discard(v)
+            if c == self.rho and not self.tiers[c]:
+                self.rho -= 1
+            if c > 1:
+                self.count[v] = c - 1
+                self.tiers[c - 1].add(v)
+            else:
+                del self.count[v]
+        return labels
+
+    def slots_of_most_repeated(self, k: int) -> list[int]:
+        """The first k slots holding the smallest value of multiplicity rho."""
+        v = min(self.tiers[self.rho])
+        slots = [0]
+        for _ in range(k):
+            slots.append(self.values.index(v, slots[-1]) + 1)
+        return slots[1:]
 
 
-def _word1_constructive(
-    g: AbelianGroup, x: Sequence[Element], w: Sequence[int]
-) -> list[tuple[int, int]]:
-    """The word1 construction on raw sequences with |x| = |w| = |G|: the
-    pairs (i, f(i)) of a selection with 1 <= |I| <= rho(x) and value zero."""
-    n = g.order
-    z_n = canonicalize([n])
-    w_mod = _mod_n_sequence(z_n, w)
-    r = rho(x)
-    s = rho(w_mod)
+def _word_windows(
+    g: AbelianGroup, x: Sequence[Element], w: Sequence[int], size: int
+) -> tuple[_Window, _Window]:
+    """The weights' window (w reduced mod n, over Z_n) and the positions'
+    window (x, over g), each over its ``size`` smallest labels."""
+    z_n = canonicalize([g.order])
+    return _Window(z_n, _mod_n_sequence(z_n, w), size), _Window(g, x, size)
 
-    if s <= r:
+
+def _zero_sum(g: AbelianGroup, x: Sequence[Element], k: int) -> tuple[int, ...]:
+    """The lexicographically smallest nonempty zero-sum of length <= k in x,
+    as 1-based positions; the caller's hypotheses guarantee one (the bounded
+    fact for word1, the Davenport property for a wide block)."""
+    indices = _lex_smallest_subset(g, x, 1, k)
+    if indices is None:
+        raise TheoremViolation(
+            f"no zero-sum subsequence of length <= {k} in a length-{len(x)} "
+            f"sequence over {g.describe()}"
+        )
+    return indices
+
+
+def _word1_constructive(ws: _Window, xs: _Window) -> list[tuple[int, int]]:
+    """The word1 construction on windows of n = |G| weights (mod n) and
+    positions with rho(x) <= ell: the slot pairs (i, f(i)) of a selection
+    with 1 <= |I| <= rho(x) and value zero."""
+    if ws.rho <= xs.rho:
         # a zero-sum subset of the weights mod n, all mapped to one repeated value
-        wit = find_zero_sum_bounded(z_n, w_mod, s)
-        a = _most_repeated(x)
-        targets = _positions_of(x, a)
-        pairs = list(zip(wit.indices, targets))
-    else:
-        # a short zero-sum subset of x, fed by positions of one repeated weight
-        wit = find_zero_sum_bounded(g, x, r)
-        b = _most_repeated(w_mod)
-        sources = _positions_of(w_mod, b)[: len(wit.indices)]
-        pairs = list(zip(sources, wit.indices))
-    return pairs
+        wit = _zero_sum(ws.group, ws.values, ws.rho)
+        return list(zip(wit, xs.slots_of_most_repeated(len(wit))))
+    # a short zero-sum subset of x, fed by positions of one repeated weight
+    wit = _zero_sum(xs.group, xs.values, xs.rho)
+    return list(zip(ws.slots_of_most_repeated(len(wit)), wit))
 
 
 def _theorem1_pairs(
@@ -250,44 +321,39 @@ def _theorem1_pairs(
     Narrow blocks: while they hold fewer than D - ell indices, both free
     pools still hold at least n indices, so the word1 construction on the n
     smallest free weights and positions yields another block of size <= ell
-    (none when ell >= D).  Wide blocks: while D free weights remain, the
-    derived sequence w_i * x_h(i) over the D smallest free weights and
-    positions has a zero-sum block of size <= D (the Davenport property),
-    so fewer than D stay free.  Cut: the longest block prefix, wide blocks
-    first, of total size <= n - 1; when ell >= D that keeps every block,
-    since there are only m = n - 1 weights.
+    (none when ell >= D).  Those two windows slide from block to block.
+    Wide blocks: while D free weights remain, the derived sequence
+    w_i * x_h(i) over the D smallest free weights and positions has a
+    zero-sum block of size <= D (the Davenport property), so fewer than D
+    stay free.  Cut: the longest block prefix, wide blocks first, of total
+    size <= n - 1; when ell >= D that keeps every block, since there are
+    only m = n - 1 weights.
     """
     n = g.order
     positions = range(1, len(x) + 1)
     fmap: dict[int, int] = {}
 
-    def windows(size: int) -> tuple[list[int], list[int]]:
-        """The ``size`` smallest free weights and the ``size`` smallest free
-        positions."""
-        images = set(fmap.values())
-        return (
-            [i for i in positions if i not in fmap][:size],
-            [j for j in positions if j not in images][:size],
-        )
-
     narrow: list[tuple[int, ...]] = []
-    while len(fmap) < d - ell:
-        dom_win, img_win = windows(n)
-        assert len(dom_win) == len(img_win) == n
-        x_win = [x[j - 1] for j in img_win]
-        w_win = [w[i - 1] for i in dom_win]
-        block_pairs = [
-            (dom_win[i - 1], img_win[j - 1]) for i, j in _word1_constructive(g, x_win, w_win)
-        ]
-        fmap.update(block_pairs)
-        narrow.append(tuple(sorted([i for i, _ in block_pairs])))
+    if ell < d:
+        ws, xs = _word_windows(g, x, w, n)
+        while len(fmap) < d - ell:
+            ws.refill(n)
+            xs.refill(n)
+            assert len(ws.labels) == len(xs.labels) == n
+            slot_pairs = _word1_constructive(ws, xs)
+            block_pairs = list(zip(
+                ws.take([i for i, _ in slot_pairs]), xs.take([j for _, j in slot_pairs])
+            ))
+            fmap.update(block_pairs)
+            narrow.append(tuple(sorted([i for i, _ in block_pairs])))
 
     wide: list[tuple[int, ...]] = []
     while len(x) - len(fmap) >= d:
-        dom_win, img_win = windows(d)
+        images = set(fmap.values())
+        dom_win = [i for i in positions if i not in fmap][:d]
+        img_win = [j for j in positions if j not in images][:d]
         derived = [weighted_value(g, w, x, (i,), (j,)) for i, j in zip(dom_win, img_win)]
-        wit = find_zero_sum_davenport(g, derived, davenport_value=d)
-        block_pairs = [(dom_win[t - 1], img_win[t - 1]) for t in wit.indices]
+        block_pairs = [(dom_win[t - 1], img_win[t - 1]) for t in _zero_sum(g, derived, d)]
         fmap.update(block_pairs)
         wide.append(tuple([i for i, _ in block_pairs]))
 
@@ -405,7 +471,7 @@ def _construct(
     elif statement == STATEMENT_COROLLARY:
         pairs = _corollary_pairs(inst, d)
     else:
-        pairs = _word1_constructive(inst.group, inst.x, inst.w)
+        pairs = _word1_constructive(*_word_windows(inst.group, inst.x, inst.w, inst.m))
     sel = Selection.build(inst, pairs)
     return sel, (sel.indices,) if statement == STATEMENT_WORD1 else blocks
 

@@ -1,7 +1,9 @@
 """Unweighted zero-sum subsequence solvers.
 
-Three entry points share one engine.  The sequence is validated once at
-entry; after that a set of group elements is a bitmask over element ranks
+Three entry points share one engine.  Each validates its sequence once;
+the engine, ``_lex_smallest_subset``, trusts its input, so the weighted
+constructions call it directly on sequences built from a validated
+Instance.  A set of group elements is a bitmask over element ranks
 (:meth:`AbelianGroup.element_rank`) and adding an element to every member
 of a set is one :meth:`AbelianGroup.translate`.  A suffix table records,
 per start position and subset size, the bitmask of sums reachable from the
@@ -9,6 +11,14 @@ tail; when every nonempty size is allowed the size axis collapses to one
 "nonempty" mask per position.  A greedy forward pass over the table then
 emits the witness whose sorted index list is lexicographically smallest,
 which pins down golden outputs.
+
+Searches of length at most 3 (the word1 blocks of theorem1's narrow phase)
+skip the table: a kernel finds the same witness from a last-position map
+of the values, at a cost of about the length of the scan to the answer.
+Its inner scan has an allowance of cap * |x| steps; a sequence that uses
+it up (long runs with no short zero-sum, such as 1, 1, 1, 2, 2, 2, ... in
+Z_1024) goes to the table, so the worst case stays within a constant of
+the table's.
 
 The bounded solver realizes the classical fact that a length-n sequence
 over a group of order n with maximal repetition <= k contains a nonempty
@@ -71,19 +81,61 @@ def _nonempty_reach(g: AbelianGroup, x: Sequence[Element]) -> list[int]:
     return reach
 
 
-def _lex_smallest_subset(
+_GAVE_UP = object()  # the kernel's allowance ran out; the table decides
+
+
+def _short_zero_sum(
+    g: AbelianGroup, x: Sequence[Element], hi: int, allowance: int
+) -> object:
+    """The kernel for lo = 1 and hi <= 3: the lexicographically smallest
+    sorted index tuple of size <= hi summing to zero, None when there is
+    none, or _GAVE_UP once its inner scan has taken ``allowance`` steps.
+
+    One pass records the last position of every value.  Then positions p
+    are tried in order; the first that closes starts the answer.  p closes
+    when x_p = 0, or (hi >= 2) when -x_p occurs after p, or (hi = 3) when
+    some q > p has x_q = -x_p or has -x_p - x_q at a position after q.  A
+    tuple sorts before its extensions, so the answer is the first closing p,
+    alone if x_p = 0, then its first q, then the first r > q.  For hi <= 2 a
+    position costs one lookup; for hi = 3 each q scanned is one step of the
+    allowance.
+    """
+    factors = g.invariant_factors
+    zero = g.zero()
+    m = len(x)
+    last = dict(zip(x, range(m)))  # later positions overwrite earlier ones
+    for p, e in enumerate(x):
+        if e == zero:
+            return (p + 1,)
+        if hi == 1:
+            continue
+        need = tuple([-r % d for r, d in zip(e, factors)])
+        if hi == 2:
+            if last.get(need, -1) > p:
+                return (p + 1, x.index(need, p + 1) + 1)
+            continue
+        stop = min(m, p + 1 + allowance)
+        for q in range(p + 1, stop):
+            f = x[q]
+            if f == need:
+                return (p + 1, q + 1)
+            rest = tuple([(a - b) % d for a, b, d in zip(need, f, factors)])
+            if last.get(rest, -1) > q:
+                return (p + 1, q + 1, x.index(rest, q + 1) + 1)
+        if stop < m:
+            return _GAVE_UP
+        allowance -= stop - p - 1
+    return None
+
+
+def _table_walk(
     g: AbelianGroup,
     x: Sequence[Element],
     lo: int,
     hi: int,
 ) -> tuple[int, ...] | None:
-    """Lexicographically smallest sorted index tuple with size in [lo, hi]
-    (lo >= 1) summing to zero, or None."""
+    """The suffix-table walk behind _lex_smallest_subset."""
     m = len(x)
-    for e in x:
-        g.check_element(e)
-    if lo > hi:
-        return None
     factors = g.invariant_factors
     neg = [tuple([-r % d for r, d in zip(e, factors)]) for e in x]
 
@@ -122,6 +174,33 @@ def _lex_smallest_subset(
     )
 
 
+def _lex_smallest_subset(
+    g: AbelianGroup,
+    x: Sequence[Element],
+    lo: int,
+    hi: int,
+) -> tuple[int, ...] | None:
+    """Lexicographically smallest sorted index tuple with size in [lo, hi]
+    (lo >= 1) summing to zero, or None.  The entries of x are trusted.
+
+    Searches of length at most 3 from lo = 1 go to the kernel, with an
+    allowance of hi * |x| inner steps; past it, and for every other window,
+    the suffix-table walk decides.
+    """
+    if lo > hi:
+        return None
+    if lo == 1 and hi <= 3:
+        found = _short_zero_sum(g, x, hi, hi * len(x))
+        if found is not _GAVE_UP:
+            return found
+    return _table_walk(g, x, lo, hi)
+
+
+def _check_elements(g: AbelianGroup, x: Sequence[Element]) -> None:
+    for e in x:
+        g.check_element(e)
+
+
 def find_zero_sum_bounded(g: AbelianGroup, x: Sequence[Element], k: int) -> ZeroSumWitness:
     """Nonempty zero-sum subsequence of length <= k from a full-length
     sequence (|x| = |G|) with maximal repetition <= k."""
@@ -132,6 +211,7 @@ def find_zero_sum_bounded(g: AbelianGroup, x: Sequence[Element], k: int) -> Zero
         raise InvalidInstance(f"length cap k = {k} outside [1, {n}]")
     if rho(x) > k:
         raise InvalidInstance(f"maximal repetition {rho(x)} exceeds cap {k}")
+    _check_elements(g, x)
     indices = _lex_smallest_subset(g, x, 1, k)
     if indices is None:
         raise TheoremViolation(
@@ -149,6 +229,7 @@ def find_zero_sum_davenport(
     d = davenport_value if davenport_value is not None else davenport_get(g).value
     if len(x) < d:
         raise InvalidInstance(f"need length >= D = {d}, got {len(x)}")
+    _check_elements(g, x)
     indices = _lex_smallest_subset(g, x, 1, len(x))
     if indices is None:
         raise TheoremViolation(
@@ -163,6 +244,7 @@ def find_zero_sum_exact_length(
     """Zero-sum subsequence of exactly the given length, or None."""
     if not 1 <= length <= len(x):
         raise InvalidInstance(f"length {length} outside [1, {len(x)}]")
+    _check_elements(g, x)
     indices = _lex_smallest_subset(g, x, length, length)
     if indices is None:
         return None

@@ -41,6 +41,16 @@ def test_group_rejects_bad_orders(capsys):
     assert capsys.readouterr().err.strip() != ""
 
 
+def test_group_order_too_large_to_factor_exits_invalid(capsys):
+    # a prime above 2^32 would take trial division far past any time limit
+    assert main(["group", "--orders", "1000000000000000003"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: order 1000000000000000003 exceeds 4294967296, the largest order zsum factors\n"
+    )
+
+
 def test_davenport_value_and_witness(capsys):
     assert main(["davenport", "--orders", "3,3"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
@@ -157,6 +167,41 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "INVALID" in captured.out
     assert "size window" in captured.out or "size window" in captured.err
+
+
+# The verifier mutations a certificate file can express (its f is a map, so
+# it cannot carry a reordered or repeated domain, or an arity mismatch).
+# name: (edit to the certificate JSON, the line ``zsum verify`` prints)
+FILE_MUTANTS = {
+    "image-zero": (lambda c: c["f"].update({"9": 0}), "certificate: INVALID (image range)"),
+    "image-past-m": (lambda c: c["f"].update({"9": 12}), "certificate: INVALID (image range)"),
+    "blocks-merged-past-width": (
+        lambda c: c.update(shelling=[c["I"]]), "certificate: INVALID (shelling width)",
+    ),
+    "index-moved-between-blocks": (
+        lambda c: c.update(shelling=[[6, 7, 8, 9], [1, 3, 4], [5]]),
+        "certificate: INVALID (shelling block value)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_MUTANTS))
+def test_verify_names_the_check_a_mutated_certificate_file_fails(tmp_path, capsys, name):
+    # the theorem1 certificate of the verifier's mutation suite: I = {1, 3, ..., 9}
+    # on Z_3 x Z_3 (D = 5), shelled as (6, 7, 8, 9), (1, 3), (4, 5)
+    inst_path = tmp_path / "inst.json"
+    cert_path = tmp_path / "cert.json"
+    x = ((1, 0), (2, 2), (0, 2), (1, 2), (2, 1), (0, 1), (0, 0), (2, 1), (1, 1), (2, 2), (1, 0))
+    _write_instance(inst_path, "theorem1", [3, 3], x, (-3, 13, 6, 8, 17, 8, 6, 3, 11, 18, -5), 2)
+    assert main(["solve", "--instance", str(inst_path), "--out", str(cert_path)]) == EXIT_OK
+    cert = json.loads(cert_path.read_text())
+    assert cert["shelling"] == [[6, 7, 8, 9], [1, 3], [4, 5]]
+    edit, line = FILE_MUTANTS[name]
+    edit(cert)
+    cert_path.write_text(dumps_stable(cert))
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst_path), "--cert", str(cert_path)]) == EXIT_FAILED
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_verify_rejects_group_mismatch(tmp_path, capsys):

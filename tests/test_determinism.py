@@ -81,6 +81,14 @@ BATCH_SEED = 2026
 BATCH_SIZE = 495
 BATCH_DIGEST = "4a537f365f3b8e91ea3a35a41e801f5d28cd2f4636383a5b9feb3ab3846eee06"
 
+# One digest over 18 seeded theorem1 and corollary certificates on groups of
+# order 256, where theorem1's narrow phase runs hundreds of word1 blocks
+# (recorded before that phase's sliding windows and short-search kernel).
+LARGE_GROUPS = ([256], [16, 16], [2] * 8)
+LARGE_ELLS = (2, 3, 4)
+LARGE_SEED = 2026
+LARGE_DIGEST = "1fd85316864c4d429df7d8479908904db7db5cd9834b5a1a9eac22209136f299"
+
 SCAN_Z4_K2_DIGEST = "6ec751cc9dbdef37d811b5ac5b1108f6f425cfb074e80933bdd165fdaafa1b65"
 
 # Scans split over worker processes: an exhaustive one and a sampled one with
@@ -192,6 +200,22 @@ def test_seeded_batch_certificate_bytes_are_pinned():
         count += 1
     assert count == BATCH_SIZE
     assert digest.hexdigest() == BATCH_DIGEST
+
+
+def test_large_group_certificate_bytes_are_pinned():
+    rng = random.Random(LARGE_SEED)
+    digest = hashlib.sha256()
+    count = 0
+    for orders in LARGE_GROUPS:
+        g = canonicalize(orders)
+        d = davenport_formula(g)
+        for ell in LARGE_ELLS:
+            for statement, build in (("theorem1", _batch_theorem1), ("corollary", _batch_corollary)):
+                cert = solve(build(rng, g, d, ell), statement)
+                digest.update(dumps_stable(certificate_to_json(g, cert)).encode("utf-8"))
+                count += 1
+    assert count == 18
+    assert digest.hexdigest() == LARGE_DIGEST
 
 
 def test_scan_report_bytes_are_pinned():

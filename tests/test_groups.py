@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from zsum.errors import InvalidElement, InvalidGroup, InvalidInstance
 from zsum.groups import (
+    MAX_FACTORED_ORDER,
     AbelianGroup,
     canonicalize,
     groups_of_order,
@@ -70,6 +71,13 @@ def test_canonicalize_rejects_bad_orders():
         canonicalize([-3])
     with pytest.raises(InvalidGroup):
         canonicalize([4, 0, 6])
+
+
+def test_canonicalize_bounds_the_orders_it_factors():
+    assert canonicalize([MAX_FACTORED_ORDER]).invariant_factors == (2**32,)
+    assert canonicalize([4294967291]).order == 4294967291  # the largest prime below 2^32
+    with pytest.raises(InvalidGroup, match="exceeds 4294967296"):
+        canonicalize([3, MAX_FACTORED_ORDER + 1])
 
 
 def test_invariant_factor_chain_divisibility():

@@ -22,7 +22,6 @@ from zsum.errors import (
 )
 from zsum.groups import canonicalize, groups_up_to_order, rho
 from zsum.serialize import certificate_to_json, dumps_stable
-from zsum.zerosum import ZeroSumWitness
 from zsum.weighted import (
     Certificate,
     Instance,
@@ -154,17 +153,19 @@ def test_word1_preconditions():
 
 def _check_theorem1_pairs(g, x, w, ell, d):
     """_theorem1_pairs's answer, checked for the lemma's properties.  Each
-    call to the Davenport-property solver adds one wide block (width D), and
-    the narrow blocks (width ell) follow the wide ones."""
+    zero-sum search up to length D adds one wide block (width D), since
+    narrow ones search up to rho <= ell < D, and the narrow blocks (width
+    ell) follow the wide ones."""
     wide_calls = []
-    original = zsum.weighted.find_zero_sum_davenport
+    original = zsum.weighted._zero_sum
 
-    def counted(*args, **kwargs):
-        wide_calls.append(args)
-        return original(*args, **kwargs)
+    def counted(g, x, k):
+        if k == d:
+            wide_calls.append(x)
+        return original(g, x, k)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zsum.weighted, "find_zero_sum_davenport", counted)
+        mp.setattr(zsum.weighted, "_zero_sum", counted)
         pairs, blocks = zsum.weighted._theorem1_pairs(g, x, w, ell, d)
     n = g.order
     indices = [i for i, _ in pairs]
@@ -190,11 +191,10 @@ def _patched_theorem1_pairs(monkeypatch, orders, ell, narrow_size, wide_size):
     m = g.order + d - min(d, ell) - 1
     monkeypatch.setattr(
         zsum.weighted, "_word1_constructive",
-        lambda g, x, w: [(t, t) for t in range(1, narrow_size + 1)],
+        lambda ws, xs: [(t, t) for t in range(1, narrow_size + 1)],
     )
     monkeypatch.setattr(
-        zsum.weighted, "find_zero_sum_davenport",
-        lambda g, x, davenport_value: ZeroSumWitness(indices=tuple(range(1, wide_size + 1))),
+        zsum.weighted, "_zero_sum", lambda g, x, k: tuple(range(1, wide_size + 1))
     )
     x = [g.zero()] * m
     return g, d, zsum.weighted._theorem1_pairs(g, x, [0] * m, ell, d)
@@ -288,6 +288,34 @@ def test_theorem1_pairs_lemma_properties():
         inst = _random_theorem1_instance(rng, groups)
         d = davenport_get(inst.group).value
         _check_theorem1_pairs(inst.group, inst.x, inst.w, inst.ell, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=30),
+    st.integers(min_value=1, max_value=8),
+    st.lists(st.lists(st.integers(min_value=1, max_value=8), max_size=3), max_size=8),
+)
+def test_window_tallies_follow_takes_and_refills(source, size, takes):
+    # after every take and refill: the window is the smallest untaken labels,
+    # rho is the largest multiplicity and the most-repeated slots hold the
+    # smallest value of that multiplicity, recomputed from scratch
+    win = zsum.weighted._Window(Z2, source, size)
+    taken = set()
+    for slots in takes:
+        slots = sorted({s for s in slots if s <= len(win.labels)})
+        taken.update(win.take(slots))
+        win.refill(size)
+        untaken = [i for i in range(1, len(source) + 1) if i not in taken]
+        assert win.labels == untaken[:size]
+        assert win.values == [source[i - 1] for i in win.labels]
+        if win.values:
+            assert win.rho == rho(win.values)
+            top = min(v for v in win.values if win.values.count(v) == win.rho)
+            slots_top = win.slots_of_most_repeated(win.rho)
+            assert slots_top == [s for s, v in enumerate(win.values, 1) if v == top]
+        else:
+            assert win.rho == 0
 
 
 # ---------------------------------------------------------------- theorem1
@@ -539,6 +567,78 @@ def test_verify_checks_the_corollary_hypotheses():
     )
     assert not ok
     assert diags == ["hypotheses: ell = 1 but maximal repetition is 2"]
+
+
+# --------------------------------------------------- certificate mutations
+
+# A theorem1 certificate on Z_3 x Z_3 (n = 9, D = 5) at ell = 2: I has eight
+# indices, shelled as one wide block and two narrow ones.
+MUTATION_X = ((1, 0), (2, 2), (0, 2), (1, 2), (2, 1), (0, 1), (0, 0), (2, 1), (1, 1), (2, 2),
+              (1, 0))
+MUTATION_W = (-3, 13, 6, 8, 17, 8, 6, 3, 11, 18, -5)
+
+
+def _with_selection(cert, indices, images):
+    sel = dataclasses.replace(cert.selection, indices=tuple(indices), images=tuple(images))
+    return dataclasses.replace(cert, selection=sel)
+
+
+def _swap_first_two(cert):
+    i, f = list(cert.selection.indices), list(cert.selection.images)
+    i[0], i[1], f[0], f[1] = i[1], i[0], f[1], f[0]
+    return _with_selection(cert, i, f)
+
+
+def _set_last_image(cert, image):
+    return _with_selection(cert, cert.selection.indices, cert.selection.images[:-1] + (image,))
+
+
+# name: (mutation, the exact diagnostics it must draw)
+CERTIFICATE_MUTANTS = {
+    "arity": (
+        lambda c: _with_selection(c, c.selection.indices, c.selection.images[:-1]),
+        ["arity"],
+    ),
+    "domain-reordered": (_swap_first_two, ["domain order"]),
+    "domain-repeated": (
+        lambda c: _with_selection(c, (1, 1) + c.selection.indices[2:], c.selection.images),
+        ["domain order"],
+    ),
+    "image-repeated": (
+        lambda c: _set_last_image(c, c.selection.images[0]),
+        ["injectivity"],
+    ),
+    "index-past-w": (
+        lambda c: _with_selection(c, c.selection.indices[:-1] + (12,), c.selection.images),
+        ["index range"],
+    ),
+    "image-zero": (lambda c: _set_last_image(c, 0), ["image range"]),
+    "image-past-m": (lambda c: _set_last_image(c, 12), ["image range"]),
+    "blocks-merged-past-width": (
+        lambda c: dataclasses.replace(c, shelling=(c.selection.indices,)),
+        ["shelling width"],
+    ),
+    "empty-block": (
+        lambda c: dataclasses.replace(c, shelling=c.shelling + ((),)),
+        ["shelling width"],
+    ),
+    # index 4 contributes (0, 1): both touched blocks become nonzero, the
+    # total stays zero and every block stays within width D = 5
+    "index-moved-between-blocks": (
+        lambda c: dataclasses.replace(c, shelling=((6, 7, 8, 9), (1, 3, 4), (5,))),
+        ["shelling block value"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_MUTANTS))
+def test_each_certificate_mutation_draws_exactly_its_diagnostic(name):
+    inst = Instance(group=canonicalize([3, 3]), x=MUTATION_X, w=MUTATION_W, ell=2)
+    cert = solve_theorem1(inst)
+    assert cert.selection.indices == (1, 3, 4, 5, 6, 7, 8, 9)
+    assert cert.shelling == ((6, 7, 8, 9), (1, 3), (4, 5))
+    mutate, expected = CERTIFICATE_MUTANTS[name]
+    assert verify_certificate(inst, mutate(cert)) == (False, expected)
 
 
 # ---------------------------------------------------------------- fallback

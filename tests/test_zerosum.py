@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zsum import zerosum
 from zsum.davenport import davenport_get
 from zsum.errors import InvalidElement, InvalidInstance
 from zsum.groups import canonicalize, groups_up_to_order, rho
@@ -262,3 +263,83 @@ def test_solvers_reject_invalid_elements(bad):
         find_zero_sum_davenport(g, x)
     with pytest.raises(InvalidElement):
         find_zero_sum_exact_length(g, x, 2)
+
+
+# ------------------------------------------------------- short-search kernel
+
+KERNEL_GROUPS = [(5,), (8,), (12,), (2, 4), (3, 3), (2, 2, 2), (2, 2, 4)]
+
+
+@st.composite
+def _short_search_cases(draw):
+    """A group, a sequence over it and a cap in 1..3.  Half the sequences
+    draw from a few elements only, so many have no short zero-sum."""
+    g = canonicalize(draw(st.sampled_from(KERNEL_GROUPS)))
+    elements = g.elements()
+    pool = draw(st.one_of(
+        st.just(elements),
+        st.lists(st.sampled_from(elements[1:]), min_size=1, max_size=3, unique=True),
+    ))
+    x = draw(st.lists(st.sampled_from(pool), max_size=14))
+    return g, x, draw(st.integers(min_value=1, max_value=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_short_search_cases(), st.integers(min_value=0, max_value=40))
+def test_short_kernel_matches_the_suffix_table_walk(case, allowance):
+    g, x, cap = case
+    expected = zerosum._table_walk(g, x, 1, cap)
+    assert zerosum._lex_smallest_subset(g, x, 1, cap) == expected
+    assert zerosum._short_zero_sum(g, x, cap, len(x) ** 2) == expected
+    # any allowance either gives up or gives the same answer
+    found = zerosum._short_zero_sum(g, x, cap, allowance)
+    assert found is zerosum._GAVE_UP or found == expected
+
+
+@pytest.mark.parametrize("orders, x", [
+    ((12,), [(1,)] * 11),  # sums of at most three ones are 1, 2, 3
+    ((2, 2, 2), [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]),  # only the 4-sum is zero
+    ((3, 3), [(1, 0), (1, 0), (0, 1), (0, 1), (1, 1)]),  # only the 5-sum is zero
+])
+def test_short_kernel_reports_no_short_zero_sum(orders, x):
+    g = canonicalize(orders)
+    assert zerosum._table_walk(g, x, 1, 3) is None
+    assert zerosum._short_zero_sum(g, x, 3, len(x) ** 2) is None
+    assert zerosum._lex_smallest_subset(g, x, 1, 3) is None
+
+
+def test_short_kernel_hands_the_ascending_triples_of_z1024_to_the_table(monkeypatch):
+    # 1, 1, 1, 2, 2, 2, ..., 342: three entries sum to at most 1026, so the
+    # first zero-sum starts at position 1021, and every earlier p costs the
+    # kernel a full scan over the later positions
+    g = canonicalize([1024])
+    x = [(p // 3 + 1,) for p in range(1024)]
+    kernel_calls, table_calls = [], []
+    kernel, walk = zerosum._short_zero_sum, zerosum._table_walk
+
+    def counted_kernel(g, x, hi, allowance):
+        found = kernel(g, x, hi, allowance)
+        kernel_calls.append((hi, allowance, found is zerosum._GAVE_UP))
+        return found
+
+    def counted_walk(*args):
+        table_calls.append(args[2:])
+        return walk(*args)
+
+    monkeypatch.setattr(zerosum, "_short_zero_sum", counted_kernel)
+    monkeypatch.setattr(zerosum, "_table_walk", counted_walk)
+    assert zerosum._lex_smallest_subset(g, x, 1, 3) == (1021, 1022, 1024)
+    # the allowance is 3 * 1024 inner steps: it runs out and the table decides
+    assert kernel_calls == [(3, 3072, True)] and table_calls == [(1, 3)]
+
+
+def test_short_kernel_step_count_on_ascending_triples():
+    # the same shape on Z_64: the first zero-sum is (61, 62, 64); ruling out
+    # p = 1..60 scans the 63 + 62 + ... + 4 later positions, and p = 61
+    # closes at its first q, so the kernel needs exactly 2011 steps
+    g = canonicalize([64])
+    x = [(p // 3 + 1,) for p in range(64)]
+    assert sum(range(4, 64)) + 1 == 2011
+    assert zerosum._short_zero_sum(g, x, 3, 2011) == (61, 62, 64)
+    assert zerosum._short_zero_sum(g, x, 3, 2010) is zerosum._GAVE_UP
+    assert zerosum._lex_smallest_subset(g, x, 1, 3) == (61, 62, 64)  # via the table
