@@ -12,11 +12,13 @@ Solvers, by statement tag:
   the repetition of x against the repetition of w reduced mod n and applies
   the bounded zero-sum solver to whichever sequence repeats less.
 * ``theorem1`` - given m = n + D - min(D, ell) - 1, a selection with
-  n - min(D, ell) <= |I| <= n - 1 and value zero, built in one pass: narrow
-  blocks (width ell) from the word1 construction on sliding windows until
-  they hold D - ell indices (none when ell >= D), then wide blocks (width
-  D) from the Davenport property until fewer than D weights are free, then
-  the longest block prefix, wide blocks first, of total size <= n - 1.
+  n - min(D, ell) <= |I| <= n - 1 and value zero, built in one pass over
+  one pair of sliding windows (the n smallest free weights and positions):
+  narrow blocks (width ell) from the word1 construction until they hold
+  D - ell indices (none when ell >= D), then wide blocks (width D) from the
+  Davenport property on the windows' first D slots until fewer than D
+  weights are free, then the longest block prefix, wide blocks first, of
+  total size <= n - 1.
 * ``corollary`` - given m = n + D - 1 and maximal repetition ell attained
   by the final position, an n-subset of [1, m - ell] whose weighted sum is
   (sum of the picked weights) * x_m, with position m in the image.
@@ -192,30 +194,18 @@ def selection_value(inst: Instance, sel: Selection) -> Element:
     return weighted_value(inst.group, inst.w, inst.x, sel.indices, sel.images)
 
 
-def _mod_n_sequence(g_n: AbelianGroup, w: Sequence[int]) -> list[Element]:
-    """Weights reduced mod n as elements of Z_n (empty tuples if n = 1)."""
-    if g_n.order == 1:
-        return [()] * len(w)
-    n = g_n.order
-    return [(wi % n,) for wi in w]
-
-
-def _positions_of(values: Sequence, target) -> list[int]:
-    return [p + 1 for p, v in enumerate(values) if v == target]
-
-
 class _Window:
     """The word1 construction's view of one pool: the ``size`` smallest
     labels (1-based indices into ``source``) not yet taken, in increasing
     order, with their values and each value's multiplicity.
 
-    theorem1's narrow phase slides one window over the weights (reduced
-    mod n) and one over the positions: a block takes a few labels, and
-    ``refill`` appends the next untaken ones from a cursor, since no label
-    past the window has been taken.  ``rho``, the largest multiplicity, and
-    ``tiers[c]``, the values of multiplicity c, follow every change, so a
-    block reads rho and the smallest most-repeated value without a pass
-    over the window.
+    theorem1 slides one window over the weights (reduced mod n) and one
+    over the positions through both of its phases: a block takes a few
+    labels, and ``refill`` appends the next untaken ones from a cursor,
+    since no label past the window has been taken.  ``rho``, the largest
+    multiplicity, and ``tiers[c]``, the values of multiplicity c, follow
+    every change, so a narrow block reads rho and the smallest most-repeated
+    value without a pass over the window.
     """
 
     def __init__(self, group: AbelianGroup, source: Sequence, size: int) -> None:
@@ -280,8 +270,9 @@ def _word_windows(
 ) -> tuple[_Window, _Window]:
     """The weights' window (w reduced mod n, over Z_n) and the positions'
     window (x, over g), each over its ``size`` smallest labels."""
-    z_n = canonicalize([g.order])
-    return _Window(z_n, _mod_n_sequence(z_n, w), size), _Window(g, x, size)
+    n = g.order
+    w_mod_n = [()] * len(w) if n == 1 else [(wi % n,) for wi in w]
+    return _Window(canonicalize([n]), w_mod_n, size), _Window(g, x, size)
 
 
 def _zero_sum(g: AbelianGroup, x: Sequence[Element], k: int) -> tuple[int, ...]:
@@ -318,44 +309,37 @@ def _theorem1_pairs(
     pairs (i, f(i)) of a selection with n - min(D, ell) <= |I| <= n - 1 and
     value zero, and its shelling blocks, in one pass.
 
-    Narrow blocks: while they hold fewer than D - ell indices, both free
-    pools still hold at least n indices, so the word1 construction on the n
-    smallest free weights and positions yields another block of size <= ell
-    (none when ell >= D).  Those two windows slide from block to block.
-    Wide blocks: while D free weights remain, the derived sequence
-    w_i * x_h(i) over the D smallest free weights and positions has a
-    zero-sum block of size <= D (the Davenport property), so fewer than D
-    stay free.  Cut: the longest block prefix, wide blocks first, of total
-    size <= n - 1; when ell >= D that keeps every block, since there are
-    only m = n - 1 weights.
+    Both phases take blocks from one pair of windows, the n smallest free
+    weights and positions, and refill them.  Narrow blocks: while they hold
+    fewer than D - ell indices, both windows are full, so the word1
+    construction on them yields another block of size <= ell (none when
+    ell >= D).  Wide blocks: while D weights are free, the derived sequence
+    w_i * x_h(i) over the windows' first D slots (D <= n) has a zero-sum
+    block of size <= D (the Davenport property).  Cut: the longest block
+    prefix, wide blocks first, of total size <= n - 1; when ell >= D that
+    keeps every block, since there are only m = n - 1 weights.
     """
     n = g.order
-    positions = range(1, len(x) + 1)
+    ws, xs = _word_windows(g, x, w, n)
     fmap: dict[int, int] = {}
-
     narrow: list[tuple[int, ...]] = []
-    if ell < d:
-        ws, xs = _word_windows(g, x, w, n)
-        while len(fmap) < d - ell:
-            ws.refill(n)
-            xs.refill(n)
-            assert len(ws.labels) == len(xs.labels) == n
-            slot_pairs = _word1_constructive(ws, xs)
-            block_pairs = list(zip(
-                ws.take([i for i, _ in slot_pairs]), xs.take([j for _, j in slot_pairs])
-            ))
-            fmap.update(block_pairs)
-            narrow.append(tuple(sorted([i for i, _ in block_pairs])))
-
     wide: list[tuple[int, ...]] = []
     while len(x) - len(fmap) >= d:
-        images = set(fmap.values())
-        dom_win = [i for i in positions if i not in fmap][:d]
-        img_win = [j for j in positions if j not in images][:d]
-        derived = [weighted_value(g, w, x, (i,), (j,)) for i, j in zip(dom_win, img_win)]
-        block_pairs = [(dom_win[t - 1], img_win[t - 1]) for t in _zero_sum(g, derived, d)]
+        if len(fmap) < d - ell:  # narrow: word1 on the two full windows
+            assert len(ws.labels) == len(xs.labels) == n
+            slot_pairs, phase = _word1_constructive(ws, xs), narrow
+        else:  # wide: a Davenport zero-sum over the first D slot pairs
+            derived = [
+                weighted_value(g, w, x, (i,), (j,)) for i, j in zip(ws.labels[:d], xs.labels)
+            ]
+            slot_pairs, phase = [(t, t) for t in _zero_sum(g, derived, d)], wide
+        block_pairs = list(zip(
+            ws.take([s for s, _ in slot_pairs]), xs.take([t for _, t in slot_pairs])
+        ))
         fmap.update(block_pairs)
-        wide.append(tuple([i for i, _ in block_pairs]))
+        ws.refill(n)
+        xs.refill(n)
+        phase.append(tuple([i for i, _ in block_pairs]))
 
     kept: list[tuple[int, ...]] = []
     total = 0
@@ -376,7 +360,7 @@ def _corollary_pairs(inst: Instance, d: int) -> list[tuple[int, int]]:
     r = min(d, inst.ell)
     anchor = inst.x[-1]
     # reserve the r highest positions carrying the anchor value (m included)
-    reserve = _positions_of(inst.x, anchor)[-r:]
+    reserve = [p for p in range(1, inst.m + 1) if inst.x[p - 1] == anchor][-r:]
     reserved = set(reserve)
     keep = [p for p in range(1, inst.m + 1) if p not in reserved]
     # x is validated, so y = x - x_m is taken coordinate by coordinate
@@ -464,7 +448,8 @@ def _construct(
     inst: Instance, statement: str, d: int | None
 ) -> tuple[Selection, tuple[tuple[int, ...], ...] | None]:
     """The statement's construction: a selection, built once against
-    ``inst``, and, for theorem1 and word1, its shelling blocks."""
+    ``inst`` (unvalued if its map is malformed), and, for theorem1 and
+    word1, its shelling blocks."""
     blocks = None
     if statement == STATEMENT_THEOREM1:
         pairs, blocks = _theorem1_pairs(inst.group, inst.x, inst.w, inst.ell, d)
@@ -472,7 +457,12 @@ def _construct(
         pairs = _corollary_pairs(inst, d)
     else:
         pairs = _word1_constructive(*_word_windows(inst.group, inst.x, inst.w, inst.m))
-    sel = Selection.build(inst, pairs)
+    try:
+        sel = Selection.build(inst, pairs)
+    except InvalidSelection:
+        # a malformed map is a construction bug: the verifier names it
+        indices, images = zip(*sorted(pairs))
+        sel = Selection(indices=indices, images=images, value=inst.group.zero())
     return sel, (sel.indices,) if statement == STATEMENT_WORD1 else blocks
 
 

@@ -21,6 +21,8 @@ from zsum.serialize import certificate_to_json, dumps_stable, instance_to_json
 from zsum.weighted import Certificate, Instance, Selection, instance_digest
 from zsum.zerosum import ZeroSumWitness
 
+from test_weighted import _malformed_construction
+
 
 def _write_instance(path, statement, group_orders, x, w, ell):
     inst = Instance(group=canonicalize(group_orders), x=x, w=w, ell=ell)
@@ -516,3 +518,17 @@ def test_unwritable_davenport_cache_exits_invalid(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(blocker / "c.json") in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+
+
+@pytest.mark.parametrize("bad", ["repeated-image", "image-0", "image-m+1"])
+def test_solve_whose_construction_gives_a_malformed_map_exits_theorem_violation(
+    tmp_path, capsys, monkeypatch, bad
+):
+    inst = _malformed_construction(monkeypatch, "theorem1", bad)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dumps_stable(instance_to_json("theorem1", inst)))
+    rc = main(["solve", "--instance", str(inst_path), "--out", str(tmp_path / "cert.json")])
+    assert rc == EXIT_THEOREM_VIOLATION
+    err = capsys.readouterr().err
+    assert err.startswith("THEOREM VIOLATION: the theorem1 construction gave no valid selection")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]

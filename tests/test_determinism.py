@@ -89,6 +89,14 @@ LARGE_ELLS = (2, 3, 4)
 LARGE_SEED = 2026
 LARGE_DIGEST = "1fd85316864c4d429df7d8479908904db7db5cd9834b5a1a9eac22209136f299"
 
+# One digest over four seeded theorem1 and corollary certificates at ell = 2
+# on Z_2^10 and Z_2^11 (D = 11, 12), where theorem1's wide phase runs
+# hundreds of Davenport blocks (recorded before that phase slid its windows).
+WIDE_GROUPS = ([2] * 10, [2] * 11)
+WIDE_ELL = 2
+WIDE_SEED = 2026
+WIDE_DIGEST = "ce35874a68b8ddd0d019aa729ed12d9c57660087b176f878951a5ee51d2d7f9c"
+
 SCAN_Z4_K2_DIGEST = "6ec751cc9dbdef37d811b5ac5b1108f6f425cfb074e80933bdd165fdaafa1b65"
 
 # Scans split over worker processes: an exhaustive one and a sampled one with
@@ -216,6 +224,24 @@ def test_large_group_certificate_bytes_are_pinned():
                 count += 1
     assert count == 18
     assert digest.hexdigest() == LARGE_DIGEST
+
+
+def test_wide_heavy_certificate_bytes_are_pinned():
+    rng = random.Random(WIDE_SEED)
+    digest = hashlib.sha256()
+    count = 0
+    for orders in WIDE_GROUPS:
+        g = canonicalize(orders)
+        d = davenport_formula(g)
+        for statement, build in (("theorem1", _batch_theorem1), ("corollary", _batch_corollary)):
+            cert = solve(build(rng, g, d, WIDE_ELL), statement)
+            if statement == "theorem1":
+                # narrow blocks hold fewer than D indices, so most blocks are wide
+                assert len(cert.shelling) >= 500
+            digest.update(dumps_stable(certificate_to_json(g, cert)).encode("utf-8"))
+            count += 1
+    assert count == 4
+    assert digest.hexdigest() == WIDE_DIGEST
 
 
 def test_scan_report_bytes_are_pinned():

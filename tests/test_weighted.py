@@ -990,3 +990,66 @@ def test_solve_word1_verifies_once(monkeypatch):
     sh, path = solve_word1(Z4, ((1,), (2,), (3,), (3,)), (1, 2, 1, 3), 2)
     assert path == "constructive" and sh.blocks == (sh.selection.indices,)
     assert len(calls) == 1
+
+
+# One instance per statement, with the construction that answers it.
+MALFORMED_CASES = {
+    "theorem1": ("_theorem1_pairs", Instance(
+        group=canonicalize([3, 3]),
+        x=((1, 0), (2, 2), (0, 2), (1, 2), (2, 1), (0, 1), (0, 0), (2, 1), (1, 1), (2, 2), (1, 0)),
+        w=(-3, 13, 6, 8, 17, 8, 6, 3, 11, 18, -5), ell=2,
+    )),
+    "corollary": ("_corollary_pairs", Instance(
+        group=canonicalize([2, 4]),
+        x=((1, 3), (0, 2), (0, 3), (1, 2), (0, 0), (0, 1), (0, 1), (1, 2), (0, 2), (0, 0),
+           (1, 1), (1, 1)),
+        w=(17, 18, -6, -9, 18, -6, 12, 6, 17, 13), ell=2,
+    )),
+    "word1": ("_word1_constructive", Instance(
+        group=canonicalize([2, 4]),
+        x=((1, 1), (0, 2), (0, 1), (0, 3), (0, 2), (0, 3), (1, 3), (1, 2)),
+        w=(-1, 2, 10, 3, 2, 8, 4, -7), ell=2,
+    )),
+}
+
+
+def _repeat_an_image(pairs, m):
+    unused = min(set(range(1, m + 1)) - {i for i, _ in pairs})
+    return pairs + [(unused, pairs[0][1])]
+
+
+# name: (corruption of a construction's (i, f(i)) pairs on m positions, diagnostic)
+MALFORMED_MAPS = {
+    "repeated-image": (_repeat_an_image, "injectivity"),
+    "image-0": (lambda pairs, m: [(pairs[0][0], 0)] + pairs[1:], "image range"),
+    "image-m+1": (lambda pairs, m: [(pairs[0][0], m + 1)] + pairs[1:], "image range"),
+}
+
+
+def _malformed_construction(monkeypatch, statement, bad):
+    """Patch the statement's construction to corrupt its map; the instance."""
+    step, inst = MALFORMED_CASES[statement]
+    corrupt, _ = MALFORMED_MAPS[bad]
+    original = getattr(zsum.weighted, step)
+
+    def malformed(*args):
+        if statement == "theorem1":
+            pairs, blocks = original(*args)
+            return corrupt(pairs, inst.m), blocks
+        return corrupt(original(*args), inst.m)
+
+    monkeypatch.setattr(zsum.weighted, step, malformed)
+    return inst
+
+
+@pytest.mark.parametrize("bad", sorted(MALFORMED_MAPS))
+@pytest.mark.parametrize("statement", sorted(MALFORMED_CASES))
+def test_a_construction_with_a_malformed_map_raises_theorem_violation(monkeypatch, statement, bad):
+    # the verifier, not Selection.build, rejects the map: no InvalidSelection
+    # and no IndexError from valuing a position outside [1, m]
+    inst = _malformed_construction(monkeypatch, statement, bad)
+    diagnostic = MALFORMED_MAPS[bad][1]
+    with pytest.raises(
+        TheoremViolation, match=rf"the {statement} construction .* hypotheses: {diagnostic}$"
+    ):
+        solve(inst, statement)
