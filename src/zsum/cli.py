@@ -223,7 +223,8 @@ def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
         raise
     _emit(report.to_json(), args.out)
     print(
-        f"checked {report.checked} instances, "
+        f"checked {report.checked} instances "
+        f"({report.decided} classes decided), "
         f"{report.counterexample_count} counterexamples, "
         f"wall time {report.wall_time:.2f}s",
         file=sys.stderr,

@@ -10,31 +10,39 @@ k at least the Davenport constant.  A failing instance inside either regime
 contradicts a proved statement, so the scan raises TheoremViolation instead
 of recording a counterexample.
 
-Every instance is decided twice by independent routes, one run of equal x
-at a time (an exhaustive scan's weights vary fastest, so each x heads a run
-of up to |values|^k weight vectors).  x is validated once per run: its
-length, its maximal repetition, and its entries, both by the oracle's own
-``check_element`` and by the DFS's rank lookup.  The first route is a
+Whether a selection exists does not change if x is permuted, if w is
+permuted, or if any w_i changes by a multiple of exp(G).  So instances fall
+into classes keyed by (sorted ranks of x, sorted w_i mod exp(G)), and every
+class is decided twice by independent routes, once per worker that meets
+it; every other instance of the class reuses that decision.  Classes are
+decided one run of equal x at a time (an exhaustive scan's weights vary
+fastest, so each x heads a run of up to |values|^k weight vectors, and its
+runs share one list, whose keys are worked out once).  The rank lookup
+that keys x checks its entries; when a run has classes to decide, x is
+validated once for them: its length, its maximal repetition, and its
+entries again by the oracle's own ``check_element``.  The first route is a
 memoized DFS on element ranks (rank 0 is the zero element) over
 (weight index, used-position mask, running-sum rank) states: each weight
 value's row of w_i * x_j ranks is read off the group's cached scaling table
 (weights reduced mod the exponent, so negative, zero and huge weights all
-work) once per run, and the running sum moves through the cached rank
+work) once per such run, and the running sum moves through the cached rank
 addition table.  The second route is an independent lexicographic
 enumeration of all (I, f) pairs on the exhaustive oracle's core (the one
 ``fallback_search`` runs on), which values every candidate with its own
 per-coordinate arithmetic on the raw integers, so it trusts nothing the DFS
 computed.  Disagreement aborts the scan.  Counterexamples are, by
-construction, instances whose enumeration ran to exhaustion.
+construction, instances whose class's enumeration ran to exhaustion.  A
+reported witness is the oracle's selection for its own instance, not for
+its class's representative.
 
 Reports are deterministic byte-for-byte for a fixed configuration: the
 instance order is canonical (weights vary fastest), and volatile data (wall
-time, worker count) never enters the serialized form.  A scan's unit of
-work is a run of equal x.  Its run list (each admissible x with the one
-list of weight vectors, for an exhaustive scan; the sample grouped into
-runs, for a sampled one) is built once, in the calling process, and cut
-into contiguous slices of whole runs, one per worker, whose results are
-concatenated back in order.
+time, worker count, decided classes) never enters the serialized form.  A
+scan's unit of work is a run of equal x.  Its run list (each admissible x
+with the one list of weight vectors, for an exhaustive scan; the sample
+grouped into runs, for a sampled one) is built once, in the calling
+process, and cut into contiguous slices of whole runs, one per worker,
+whose results are concatenated back in order.
 """
 
 from __future__ import annotations
@@ -92,11 +100,13 @@ class ScanReport:
     witness_sample: tuple[dict, ...]
     wall_time: float
     authoritative: bool = True
+    decided: int = 0  # classes the workers decided, summed over workers
 
     def to_json(self) -> dict:
-        """Canonical report payload.  Wall time and worker count are kept
-        off the wire so reruns and different parallelism stay byte-identical;
-        wall time lives only on the in-memory record."""
+        """Canonical report payload.  Wall time, worker count and the
+        decided-class count are kept off the wire so reruns and different
+        parallelism stay byte-identical; wall time and ``decided`` live only
+        on the in-memory record."""
         return {
             "config": {
                 "orders": list(self.config.orders),
@@ -316,17 +326,39 @@ def _instance_json(x: tuple[Element, ...], w: tuple[int, ...]) -> dict:
 
 def _scan_worker(orders: tuple[int, ...], runs: list[Run]) -> dict:
     """Check one contiguous shard, given as runs of equal x; returns
-    JSON-safe partial results."""
+    JSON-safe partial results.
+
+    Decisions are kept per class key (sorted ranks of x, sorted w_i mod
+    exp(G)): only a run's unseen keys go through ``_check_sequence``, and a
+    witness is the oracle's selection for its own instance.
+    """
     g = canonicalize(orders)
-    checked = 0
+    exponent = g.exponent
+    decisions: dict[tuple[int, ...], dict[tuple[int, ...], bool]] = {}
+    keyed = None
+    checked = decided = 0
     counterexamples: list[dict] = []
     witnesses: list[dict] = []
     for x, ws in runs:
-        for w, sel in zip(ws, _check_sequence(g, x, ws)):
-            checked += 1
-            if sel is None:
+        if ws is not keyed:  # an exhaustive shard's runs share one ws list
+            keyed, keys = ws, [tuple(sorted([v % exponent for v in w])) for w in ws]
+            classes: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for key, w in zip(keys, ws):
+                classes.setdefault(key, w)  # each key's first weight vector
+        known = decisions.setdefault(tuple(sorted(_ranks(g, x))), {})
+        fresh = [key for key in classes if key not in known]
+        if fresh:
+            sels = _check_sequence(g, x, [classes[key] for key in fresh])
+            known.update(zip(fresh, [sel is not None for sel in sels]))
+            decided += len(fresh)
+        checked += len(ws)
+        if len(witnesses) >= WITNESS_SAMPLE_SIZE and all([known[key] for key in classes]):
+            continue  # nothing of this run is reported
+        for key, w in zip(keys, ws):
+            if not known[key]:
                 counterexamples.append(dict(_instance_json(x, w), recheck=RECHECK_TAG))
             elif len(witnesses) < WITNESS_SAMPLE_SIZE:
+                sel = enumerate_zero_selection(g, x, w)
                 witnesses.append(
                     {
                         "instance": _instance_json(x, w),
@@ -336,7 +368,8 @@ def _scan_worker(orders: tuple[int, ...], runs: list[Run]) -> dict:
                         },
                     }
                 )
-    return {"checked": checked, "counterexamples": counterexamples, "witnesses": witnesses}
+    return {"checked": checked, "decided": decided, "counterexamples": counterexamples,
+            "witnesses": witnesses}
 
 
 def _shards(total: int, workers: int) -> list[tuple[int, int]]:
@@ -411,4 +444,5 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
         witness_sample=tuple(witnesses),
         wall_time=time.perf_counter() - started,
         authoritative=True,
+        decided=sum(r["decided"] for r in results),
     )

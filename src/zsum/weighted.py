@@ -375,7 +375,9 @@ def _corollary_pairs(inst: Instance, d: int) -> list[tuple[int, int]]:
             f"the theorem1 construction inside the corollary missed window [{n - r}, {n - 1}]"
         )
 
-    pairs = [(i, keep[j - 1]) for i, j in inner]
+    # an inner image outside [1, len(keep)] becomes position 0, which the
+    # verifier rejects as out of range
+    pairs = [(i, keep[j - 1] if 1 <= j <= len(keep) else 0) for i, j in inner]
     picked = {i for i, _ in inner}
     free = [i for i in range(1, len(inst.w) + 1) if i not in picked]
     extra = free[: n - len(inner)]

@@ -21,7 +21,11 @@ from zsum.serialize import certificate_to_json, dumps_stable, instance_to_json
 from zsum.weighted import Certificate, Instance, Selection, instance_digest
 from zsum.zerosum import ZeroSumWitness
 
-from test_weighted import _malformed_construction
+from test_weighted import (
+    INNER_IMAGES_OUT_OF_RANGE,
+    _corollary_with_inner_image,
+    _malformed_construction,
+)
 
 
 def _write_instance(path, statement, group_orders, x, w, ell):
@@ -296,6 +300,9 @@ def test_scan_conjecture_writes_report(tmp_path, capsys):
     assert report["checked"] == 1836
     assert report["counterexample_count"] == 24
     assert report["authoritative"] is True
+    assert capsys.readouterr().err.startswith(
+        "checked 1836 instances (114 classes decided), 24 counterexamples, wall time "
+    )
 
 
 def test_scan_conjecture_budget_cap(tmp_path, capsys):
@@ -531,4 +538,19 @@ def test_solve_whose_construction_gives_a_malformed_map_exits_theorem_violation(
     assert rc == EXIT_THEOREM_VIOLATION
     err = capsys.readouterr().err
     assert err.startswith("THEOREM VIOLATION: the theorem1 construction gave no valid selection")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+@pytest.mark.parametrize("bad", sorted(INNER_IMAGES_OUT_OF_RANGE))
+def test_solve_whose_corollary_inner_image_is_out_of_range_exits_theorem_violation(
+    tmp_path, capsys, monkeypatch, bad
+):
+    inst = _corollary_with_inner_image(monkeypatch, INNER_IMAGES_OUT_OF_RANGE[bad])
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dumps_stable(instance_to_json("corollary", inst)))
+    rc = main(["solve", "--instance", str(inst_path), "--out", str(tmp_path / "cert.json")])
+    assert rc == EXIT_THEOREM_VIOLATION
+    err = capsys.readouterr().err
+    assert err.startswith("THEOREM VIOLATION: the corollary construction gave no valid selection")
+    assert err.rstrip().endswith("hypotheses: image range")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]

@@ -3,8 +3,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zsum.conjecture import (
     ScanConfig,
@@ -16,6 +18,9 @@ from zsum.conjecture import (
 )
 from zsum.errors import BudgetExceeded, InvalidArgument, InvalidElement, InvalidInstance
 from zsum.groups import canonicalize, groups_up_to_order, rho
+from zsum.serialize import dumps_stable
+
+from test_determinism import SCAN_Z4_K2_DIGEST, SCANS, _digest
 
 Z2 = canonicalize([2])
 Z3 = canonicalize([3])
@@ -353,3 +358,116 @@ def test_scan_builds_its_instances_once_in_the_calling_process(monkeypatch, mode
                                         sample_size=40, workers=workers))
     assert report.checked == (96 if mode == "exhaustive" else 40)
     assert len(calls) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_class_key_changes_keep_the_existence_of_a_selection(data):
+    # the scan decides one instance per key (sorted ranks of x, sorted w_i
+    # mod exp(G)); every change that keeps the key keeps the answer
+    g = data.draw(st.sampled_from(groups_up_to_order(6)))
+    factors, n = g.invariant_factors, g.order
+    x = data.draw(st.lists(st.sampled_from(g.elements()), min_size=n, max_size=n))
+    w = data.draw(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=3))
+    expected = _brute_zero_selection(factors, x, w)
+    x_order = data.draw(st.permutations(range(n)))
+    assert _brute_zero_selection(factors, [x[j] for j in x_order], w) == expected
+    w_order = data.draw(st.permutations(range(len(w))))
+    assert _brute_zero_selection(factors, x, [w[i] for i in w_order]) == expected
+    shifted = data.draw(st.integers(min_value=0, max_value=len(w) - 1))
+    w_shifted = [wi + g.exponent * (i == shifted) for i, wi in enumerate(w)]
+    assert _brute_zero_selection(factors, x, w_shifted) == expected
+
+
+def test_scan_decides_each_class_once_per_route(monkeypatch):
+    # exhaustive Z_4 with k = 4: 20,736 instances in 525 classes, each
+    # decided once by the DFS and once by the oracle; the oracle's other
+    # calls are the witness lookups, one per reported witness
+    import zsum.conjecture as conjecture
+
+    calls = Counter()
+    dfs, oracle, lookup = (conjecture._zero_selection_dfs, conjecture._zero_selection_oracle,
+                           conjecture.enumerate_zero_selection)
+
+    def counted_dfs(*args):
+        calls["dfs"] += 1
+        return dfs(*args)
+
+    def counted_oracle(g, x):
+        decide = oracle(g, x)
+
+        def counted(w):
+            calls["oracle"] += 1
+            return decide(w)
+
+        return counted
+
+    def counted_lookup(*args):
+        calls["lookup"] += 1
+        return lookup(*args)
+
+    monkeypatch.setattr(conjecture, "_zero_selection_dfs", counted_dfs)
+    monkeypatch.setattr(conjecture, "_zero_selection_oracle", counted_oracle)
+    monkeypatch.setattr(conjecture, "enumerate_zero_selection", counted_lookup)
+    report = conjecture_scan(ScanConfig(orders=(4,), k=4, weight_values=(1, 2, 3)))
+    assert report.checked == 20736
+    assert report.decided == 525
+    assert calls["dfs"] == 525
+    assert calls["lookup"] == len(report.witness_sample) == 5
+    assert calls["oracle"] - calls["lookup"] == 525
+    assert _digest(report.to_json()) == SCANS["z4-k4"][-1]
+
+
+def _benchmark_scans():
+    """The scan configurations of the benchmark, weights 1..n-1."""
+    configs = [((4,), 2, "exhaustive", 0, 0)] + [spec[:5] for spec in SCANS.values()]
+    for orders, k, mode, sample_size, seed in configs:
+        n = canonicalize(orders).order
+        yield ScanConfig(orders=orders, k=k, weight_values=tuple(range(1, n)), mode=mode,
+                         sample_size=sample_size, seed=seed)
+
+
+@pytest.mark.parametrize("config", list(_benchmark_scans()),
+                         ids=lambda c: f"{'x'.join(map(str, c.orders))}-k{c.k}-{c.mode}")
+def test_witnesses_are_their_own_instances_first_selections(config):
+    # a witness comes from its exact instance, not from its class's
+    # representative
+    g = canonicalize(config.orders)
+    report = conjecture_scan(config)
+    assert len(report.witness_sample) == 5
+    for item in report.witness_sample:
+        x = tuple(tuple(e) for e in item["instance"]["x"])
+        sel = enumerate_zero_selection(g, x, tuple(item["instance"]["w"]))
+        assert item["selection"] == {"indices": list(sel.indices), "images": list(sel.images)}
+
+
+
+def test_a_witness_of_an_already_decided_class_is_its_own_instances_selection():
+    # three instances of one class, x2 a permutation of x1 and (2, 1) of
+    # (1, 2), with three different first selections
+    import zsum.conjecture as conjecture
+
+    x1, x2 = ((1,), (3,), (2,), (2,)), ((2,), (1,), (2,), (3,))
+    runs = [(x1, [(1, 2), (2, 1)]), (x2, [(1, 2)])]
+    result = conjecture._scan_worker((4,), runs)
+    assert (result["checked"], result["decided"]) == (3, 1)
+    expected = [enumerate_zero_selection(Z4, x, w) for x, ws in runs for w in ws]
+    assert len({(sel.indices, sel.images) for sel in expected}) == 3
+    assert [item["selection"] for item in result["witnesses"]] == [
+        {"indices": list(sel.indices), "images": list(sel.images)} for sel in expected
+    ]
+
+def test_decided_count_stays_off_the_wire():
+    config = ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3))
+    report = conjecture_scan(config)
+    assert report.decided == 114
+    payload = report.to_json()
+    assert sorted(payload) == [
+        "authoritative", "checked", "config", "counterexample_count", "counterexamples",
+        "davenport", "group", "proven_subclass", "witness_sample",
+    ]
+    assert _digest(payload) == SCAN_Z4_K2_DIGEST
+    # workers may decide a class each, so the sum depends on the split
+    split = conjecture_scan(replace(config, workers=2))
+    assert split.decided >= report.decided
+    assert dumps_stable(split.to_json()) == dumps_stable(payload)

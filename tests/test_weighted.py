@@ -1053,3 +1053,34 @@ def test_a_construction_with_a_malformed_map_raises_theorem_violation(monkeypatc
         TheoremViolation, match=rf"the {statement} construction .* hypotheses: {diagnostic}$"
     ):
         solve(inst, statement)
+
+
+def _corollary_with_inner_image(monkeypatch, image):
+    """Patch the theorem1 construction inside a corollary solve on Z_2 x Z_4
+    so that its first pair maps to ``image(len(y))``, y being the kept
+    positions it runs on; the instance."""
+    _, inst = MALFORMED_CASES["corollary"]
+    original = zsum.weighted._theorem1_pairs
+
+    def malformed(g, y, w, ell, d):
+        pairs, blocks = original(g, y, w, ell, d)
+        return [(pairs[0][0], image(len(y)))] + pairs[1:], blocks
+
+    monkeypatch.setattr(zsum.weighted, "_theorem1_pairs", malformed)
+    return inst
+
+
+# name: inner image outside the kept positions [1, len(y)]
+INNER_IMAGES_OUT_OF_RANGE = {"inner-0": lambda kept: 0, "inner-past-end": lambda kept: kept + 1}
+
+
+@pytest.mark.parametrize("bad", sorted(INNER_IMAGES_OUT_OF_RANGE))
+def test_a_corollary_inner_image_outside_the_kept_positions_raises_theorem_violation(
+    monkeypatch, bad
+):
+    # no IndexError past the end, and 0 does not wrap to the last kept position
+    inst = _corollary_with_inner_image(monkeypatch, INNER_IMAGES_OUT_OF_RANGE[bad])
+    with pytest.raises(
+        TheoremViolation, match=r"the corollary construction .* hypotheses: image range$"
+    ):
+        solve(inst, "corollary")
