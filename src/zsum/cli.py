@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=(MODE_EXHAUSTIVE, MODE_SAMPLED), default=MODE_EXHAUSTIVE)
     p.add_argument("--sample-size", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that decide classes, capped at the CPU count")
     p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
     p.add_argument("--out", help="report output path (default stdout)")
     p.set_defaults(func=_cmd_scan_conjecture)

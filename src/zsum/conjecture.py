@@ -12,44 +12,44 @@ of recording a counterexample.
 
 Whether a selection exists does not change if x is permuted, if w is
 permuted, or if any w_i changes by a multiple of exp(G).  So instances fall
-into classes keyed by (sorted ranks of x, sorted w_i mod exp(G)), and every
-class is decided twice by independent routes, once per worker that meets
-it; every other instance of the class reuses that decision.  Classes are
-decided one run of equal x at a time (an exhaustive scan's weights vary
-fastest, so each x heads a run of up to |values|^k weight vectors, and its
-runs share one list, whose keys are worked out once).  The rank lookup
-that keys x checks its entries; when a run has classes to decide, x is
-validated once for them: its length, its maximal repetition, and its
-entries again by the oracle's own ``check_element``.  The first route is a
-memoized DFS on element ranks (rank 0 is the zero element) over
-(weight index, used-position mask, running-sum rank) states: each weight
-value's row of w_i * x_j ranks is read off the group's cached scaling table
-(weights reduced mod the exponent, so negative, zero and huge weights all
-work) once per such run, and the running sum moves through the cached rank
-addition table.  The second route is an independent lexicographic
-enumeration of all (I, f) pairs on the exhaustive oracle's core (the one
-``fallback_search`` runs on), which values every candidate with its own
-per-coordinate arithmetic on the raw integers, so it trusts nothing the DFS
-computed.  Disagreement aborts the scan.  Counterexamples are, by
-construction, instances whose class's enumeration ran to exhaustion.  A
-reported witness is the oracle's selection for its own instance, not for
-its class's representative.
+into classes keyed by (sorted ranks of x, sorted w_i mod exp(G)), and a scan
+keeps one table of classes, in the calling process: every class is decided
+once, twice over by independent routes, and every other instance of the
+class reads that decision.  A scan's unit of work is a run of equal x (an
+exhaustive scan's weights vary fastest, so each admissible x heads a run of
+up to |values|^k weight vectors, and its runs share one list, whose keys are
+worked out once; a sampled instance is a run of its own).  The first pass
+keys every run and collects each class the first time a run meets it,
+grouped by x.  Those groups are decided in process, or as contiguous slices
+on a pool of worker processes no larger than the machine; a worker only
+decides.  The rank lookup that keys x checks its entries; when x heads a
+group, it is validated once more for the group: its length, its maximal
+repetition, and its entries again by the oracle's own ``check_element``.
+The first route is a memoized DFS on element ranks (rank 0 is the zero
+element) over (weight index, used-position mask, running-sum rank) states:
+each weight value's row of w_i * x_j ranks is read off the group's cached
+scaling table (weights reduced mod the exponent, so negative, zero and huge
+weights all work) once per group, and the running sum moves through the
+cached rank addition table.  The second route is an independent
+lexicographic enumeration of all (I, f) pairs on the exhaustive oracle's
+core (the one ``fallback_search`` runs on), which values every candidate
+with its own per-coordinate arithmetic on the raw integers, so it trusts
+nothing the DFS computed.  Disagreement aborts the scan.  The second pass
+reads every instance's decision from the table, in canonical order.
+Counterexamples are, by construction, instances whose class's enumeration
+ran to exhaustion.  A reported witness is the oracle's selection for its
+own instance, not for its class's representative.
 
 Reports are deterministic byte-for-byte for a fixed configuration: the
 instance order is canonical (weights vary fastest), and volatile data (wall
-time, worker count, decided classes) never enters the serialized form.  A
-scan's unit of work is a run of equal x.  Its run list (each admissible x
-with the one list of weight vectors, for an exhaustive scan; the sample
-grouped into runs, for a sampled one) is built once, in the calling
-process, and cut into contiguous slices of whole runs, one per worker,
-whose results are concatenated back in order.
+time, worker count, decided classes) never enters the serialized form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
+import os
 import random
 import time
 from dataclasses import dataclass, replace
@@ -100,13 +100,14 @@ class ScanReport:
     witness_sample: tuple[dict, ...]
     wall_time: float
     authoritative: bool = True
-    decided: int = 0  # classes the workers decided, summed over workers
+    decided: int = 0  # classes in the scan's table; the same for any worker count
 
     def to_json(self) -> dict:
         """Canonical report payload.  Wall time, worker count and the
-        decided-class count are kept off the wire so reruns and different
-        parallelism stay byte-identical; wall time and ``decided`` live only
-        on the in-memory record."""
+        decided-class count are kept off the wire: the payload is a fact
+        about the instance space, byte-identical across reruns and worker
+        counts.  Wall time and ``decided`` live only on the in-memory
+        record."""
         return {
             "config": {
                 "orders": list(self.config.orders),
@@ -296,14 +297,6 @@ def _admissible_x(g: AbelianGroup, k: int) -> list[tuple[Element, ...]]:
 Run = tuple[tuple[Element, ...], Sequence[tuple[int, ...]]]
 
 
-def _sampled_runs(instances: list[tuple[tuple[Element, ...], tuple[int, ...]]]) -> list[Run]:
-    """Drawn instances as runs of consecutive equal x."""
-    return [
-        (x, [w for _, w in group])
-        for x, group in itertools.groupby(instances, key=operator.itemgetter(0))
-    ]
-
-
 def _sample_instances(
     g: AbelianGroup, config: ScanConfig
 ) -> list[tuple[tuple[Element, ...], tuple[int, ...]]]:
@@ -324,59 +317,16 @@ def _instance_json(x: tuple[Element, ...], w: tuple[int, ...]) -> dict:
     return {"x": [list(e) for e in x], "w": list(w)}
 
 
-def _scan_worker(orders: tuple[int, ...], runs: list[Run]) -> dict:
-    """Check one contiguous shard, given as runs of equal x; returns
-    JSON-safe partial results.
+def _weight_keys(ws: Sequence[Sequence[int]], exponent: int) -> list[tuple[int, ...]]:
+    """Each w's part of its class key: sorted w_i mod exp(G)."""
+    return [tuple(sorted([v % exponent for v in w])) for w in ws]
 
-    Decisions are kept per class key (sorted ranks of x, sorted w_i mod
-    exp(G)): only a run's unseen keys go through ``_check_sequence``, and a
-    witness is the oracle's selection for its own instance.
-    """
+
+def _decide(orders: tuple[int, ...], groups: list[Run]) -> list[bool]:
+    """Whether each w of each (x, ws) group, in order, has a zero selection,
+    by ``_check_sequence``: all a worker process does."""
     g = canonicalize(orders)
-    exponent = g.exponent
-    decisions: dict[tuple[int, ...], dict[tuple[int, ...], bool]] = {}
-    keyed = None
-    checked = decided = 0
-    counterexamples: list[dict] = []
-    witnesses: list[dict] = []
-    for x, ws in runs:
-        if ws is not keyed:  # an exhaustive shard's runs share one ws list
-            keyed, keys = ws, [tuple(sorted([v % exponent for v in w])) for w in ws]
-            classes: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for key, w in zip(keys, ws):
-                classes.setdefault(key, w)  # each key's first weight vector
-        known = decisions.setdefault(tuple(sorted(_ranks(g, x))), {})
-        fresh = [key for key in classes if key not in known]
-        if fresh:
-            sels = _check_sequence(g, x, [classes[key] for key in fresh])
-            known.update(zip(fresh, [sel is not None for sel in sels]))
-            decided += len(fresh)
-        checked += len(ws)
-        if len(witnesses) >= WITNESS_SAMPLE_SIZE and all([known[key] for key in classes]):
-            continue  # nothing of this run is reported
-        for key, w in zip(keys, ws):
-            if not known[key]:
-                counterexamples.append(dict(_instance_json(x, w), recheck=RECHECK_TAG))
-            elif len(witnesses) < WITNESS_SAMPLE_SIZE:
-                sel = enumerate_zero_selection(g, x, w)
-                witnesses.append(
-                    {
-                        "instance": _instance_json(x, w),
-                        "selection": {
-                            "indices": list(sel.indices),
-                            "images": list(sel.images),
-                        },
-                    }
-                )
-    return {"checked": checked, "decided": decided, "counterexamples": counterexamples,
-            "witnesses": witnesses}
-
-
-def _shards(total: int, workers: int) -> list[tuple[int, int]]:
-    if total == 0:
-        return []
-    chunk = max(math.ceil(total / workers), 1)
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    return [sel is not None for x, ws in groups for sel in _check_sequence(g, x, ws)]
 
 
 def conjecture_scan(config: ScanConfig) -> ScanReport:
@@ -406,27 +356,72 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
                 f"sample_size {config.sample_size} exceeds budget {config.budget}",
                 report=_empty_report(g, config, d),
             )
-        runs = _sampled_runs(_sample_instances(g, config))
-    shard_runs = [runs[lo:hi] for lo, hi in _shards(len(runs), config.workers)]
+        runs = [(x, [w]) for x, w in _sample_instances(g, config)]
 
-    if len(shard_runs) <= 1:
-        results = [_scan_worker(config.orders, shard) for shard in shard_runs]
+    # Pass 1: key every run, and collect each class the first time a run
+    # meets it, grouped by x.  A class is None in the table until decided.
+    exponent = g.exponent
+    table: dict[tuple[int, ...], dict[tuple[int, ...], bool | None]] = {}
+    rows = []  # per run, its x's row of the table
+    groups: list[Run] = []  # (x, the first w of each class it is the first to meet)
+    group_rows = []
+    keyed = None
+    for run in runs:
+        x, ws = run
+        if ws is not keyed:  # an exhaustive scan's runs share one ws list
+            keyed, classes = ws, {}
+            for key, w in zip(_weight_keys(ws, exponent), ws):
+                classes.setdefault(key, w)  # each key's first weight vector
+        known = table.setdefault(tuple(sorted(_ranks(g, x))), {})
+        fresh = [key for key in classes if key not in known]
+        if fresh:
+            known.update(dict.fromkeys(fresh))
+            # a run whose every w opens a class of its own is its own group
+            groups.append(run if len(fresh) == len(ws) else (x, [classes[key] for key in fresh]))
+            group_rows.append(known)
+        rows.append(known)
+
+    # Deciding: contiguous slices of the groups, in process or on a pool no
+    # larger than the machine.
+    parts = min(config.workers, os.cpu_count() or 1)
+    chunk = max(math.ceil(len(groups) / parts), 1)
+    slices = [groups[lo:lo + chunk] for lo in range(0, len(groups), chunk)]
+    if len(slices) <= 1:
+        verdicts = [_decide(config.orders, part) for part in slices]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(
-                _scan_worker, [config.orders] * len(shard_runs), shard_runs
-            ))
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+            verdicts = list(pool.map(_decide, [config.orders] * len(slices), slices))
+    found = itertools.chain.from_iterable(verdicts)
+    for (_, ws), known in zip(groups, group_rows):
+        known.update(zip(_weight_keys(ws, exponent), found))  # takes len(ws) verdicts
 
-    checked = sum(r["checked"] for r in results)
+    # Pass 2: every instance reads its class's decision, in canonical order.
+    checked = 0
     counterexamples: list[dict] = []
     witnesses: list[dict] = []
-    for r in results:
-        counterexamples.extend(r["counterexamples"])
-        for item in r["witnesses"]:
-            if len(witnesses) < WITNESS_SAMPLE_SIZE:
-                witnesses.append(item)
+    keyed = None
+    for (x, ws), known in zip(runs, rows):
+        checked += len(ws)
+        if len(witnesses) >= WITNESS_SAMPLE_SIZE and all(known.values()):
+            continue  # nothing of this run is reported
+        if ws is not keyed:
+            keyed, keys = ws, _weight_keys(ws, exponent)
+        for key, w in zip(keys, ws):
+            if not known[key]:
+                counterexamples.append(dict(_instance_json(x, w), recheck=RECHECK_TAG))
+            elif len(witnesses) < WITNESS_SAMPLE_SIZE:
+                sel = enumerate_zero_selection(g, x, w)
+                witnesses.append(
+                    {
+                        "instance": _instance_json(x, w),
+                        "selection": {
+                            "indices": list(sel.indices),
+                            "images": list(sel.images),
+                        },
+                    }
+                )
 
     for ce in counterexamples:
         w = ce["w"]
@@ -444,5 +439,5 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
         witness_sample=tuple(witnesses),
         wall_time=time.perf_counter() - started,
         authoritative=True,
-        decided=sum(r["decided"] for r in results),
+        decided=sum(len(ws) for _, ws in groups),
     )

@@ -468,26 +468,19 @@ def _construct(
     return sel, (sel.indices,) if statement == STATEMENT_WORD1 else blocks
 
 
-def fallback_search(
-    inst: Instance,
-    statement: str,
-    window: tuple[int, int] | None = None,
-) -> Selection | None:
+def fallback_search(inst: Instance, statement: str) -> Selection | None:
     """Exhaustive search over (I, f) pairs; the independent oracle.
 
     Enumerates index sets in lexicographic order (as sorted tuples) and, per
     set, image tuples in lexicographic order, so the first hit is the
     lexicographically smallest solution.  Returns the empty selection when
-    the window admits size 0 and no nonempty solution exists; returns None
-    when there is no solution at all.
+    the statement's window admits size 0 and no nonempty solution exists;
+    returns None when there is no solution at all.
     """
     g = inst.group
     if inst.m > ORACLE_CAP:
         raise OracleTooLarge(f"oracle cap is {ORACLE_CAP}, instance has m = {inst.m}")
-    if window is not None:
-        lo, hi = window
-    else:
-        lo, hi = _statement_window(inst, statement, davenport_get(g).value)
+    lo, hi = _statement_window(inst, statement, davenport_get(g).value)
     sel = _first_selection(
         _coordinate_columns(g, inst.x), inst.m, inst.w, _index_sets(len(inst.w), lo, hi),
         statement == STATEMENT_COROLLARY,

@@ -168,6 +168,8 @@ def test_scan_config_validation():
         conjecture_scan(ScanConfig(orders=(3,), k=1, weight_values=()))
     with pytest.raises(InvalidArgument):
         conjecture_scan(ScanConfig(orders=(3,), k=1, weight_values=(1,), mode="turbo"))
+    with pytest.raises(InvalidArgument):
+        conjecture_scan(ScanConfig(orders=(3,), k=1, weight_values=(1,), workers=0))
 
 
 def test_more_workers_than_instances():
@@ -275,13 +277,13 @@ def test_in_process_scan_builds_the_admissible_list_once(monkeypatch):
 
 
 def _scan_runs(g, k, values, mode, sample_size=0, seed=0):
-    """The runs of equal x a one-shard scan of this configuration checks."""
+    """The runs of equal x a scan of this configuration keys."""
     import zsum.conjecture as conjecture
 
     config = ScanConfig(orders=g.invariant_factors, k=k, weight_values=values, mode=mode,
                         sample_size=sample_size, seed=seed)
     if mode == "sampled":
-        return conjecture._sampled_runs(conjecture._sample_instances(g, config))
+        return [(x, [w]) for x, w in conjecture._sample_instances(g, config)]
     ws = list(itertools.product(values, repeat=k))
     return [(x, ws) for x in conjecture._admissible_x(g, k)]
 
@@ -442,20 +444,23 @@ def test_witnesses_are_their_own_instances_first_selections(config):
 
 
 
-def test_a_witness_of_an_already_decided_class_is_its_own_instances_selection():
+def test_a_witness_of_an_already_decided_class_is_its_own_instances_selection(monkeypatch):
     # three instances of one class, x2 a permutation of x1 and (2, 1) of
     # (1, 2), with three different first selections
     import zsum.conjecture as conjecture
 
     x1, x2 = ((1,), (3,), (2,), (2,)), ((2,), (1,), (2,), (3,))
-    runs = [(x1, [(1, 2), (2, 1)]), (x2, [(1, 2)])]
-    result = conjecture._scan_worker((4,), runs)
-    assert (result["checked"], result["decided"]) == (3, 1)
-    expected = [enumerate_zero_selection(Z4, x, w) for x, ws in runs for w in ws]
+    drawn = [(x1, (1, 2)), (x1, (2, 1)), (x2, (1, 2))]
+    monkeypatch.setattr(conjecture, "_sample_instances", lambda g, config: drawn)
+    report = conjecture_scan(ScanConfig(orders=(4,), k=2, weight_values=(1, 2),
+                                        mode="sampled", sample_size=3))
+    assert (report.checked, report.decided) == (3, 1)
+    expected = [enumerate_zero_selection(Z4, x, w) for x, w in drawn]
     assert len({(sel.indices, sel.images) for sel in expected}) == 3
-    assert [item["selection"] for item in result["witnesses"]] == [
+    assert [item["selection"] for item in report.witness_sample] == [
         {"indices": list(sel.indices), "images": list(sel.images)} for sel in expected
     ]
+
 
 def test_decided_count_stays_off_the_wire():
     config = ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3))
@@ -467,7 +472,44 @@ def test_decided_count_stays_off_the_wire():
         "davenport", "group", "proven_subclass", "witness_sample",
     ]
     assert _digest(payload) == SCAN_Z4_K2_DIGEST
-    # workers may decide a class each, so the sum depends on the split
-    split = conjecture_scan(replace(config, workers=2))
-    assert split.decided >= report.decided
-    assert dumps_stable(split.to_json()) == dumps_stable(payload)
+    # the scan keeps one class table, so the split decides no class twice
+    for workers in (1, 2, 3):
+        split = conjecture_scan(replace(config, workers=workers))
+        assert split.decided == report.decided
+        assert dumps_stable(split.to_json()) == dumps_stable(payload)
+
+
+def test_every_worker_count_decides_the_same_classes():
+    config = ScanConfig(orders=(5,), k=2, weight_values=(1, 2, 3, 4))
+    for workers in (1, 2, 3):
+        assert conjecture_scan(replace(config, workers=workers)).decided == 510
+
+
+def test_the_pool_is_no_larger_than_the_machine(monkeypatch):
+    # an in-process stand-in for the pool: it records its size and starts
+    # no process
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3))
+    many = conjecture_scan(replace(config, workers=1000))
+    cpus = os.cpu_count() or 1
+    assert len(sizes) == (cpus > 1)  # one CPU decides in process
+    assert all(size <= cpus for size in sizes)
+    assert dumps_stable(many.to_json()) == dumps_stable(conjecture_scan(config).to_json())

@@ -419,7 +419,7 @@ def test_corollary_unsatisfiable_when_ell_reaches_davenport():
     inst = Instance(group=Z2, x=((0,), (0,), (0,)), w=(1,), ell=3)
     with pytest.raises(UnsatisfiableStatement):
         solve_corollary(inst)
-    assert fallback_search(inst, "corollary", window=(2, 2)) is None
+    assert fallback_search(inst, "corollary") is None
 
 
 def test_corollary_rejects_anchor_mismatch():
@@ -665,12 +665,6 @@ def test_fallback_empty_selection_only_at_zero_window():
     sel = fallback_search(inst, "theorem1")
     assert sel is not None
     assert sel.indices == ()
-
-
-def test_fallback_respects_explicit_window():
-    inst = _theorem1_instance(Z3, [(1,), (2,), (0,)], [1, 1, 1], 2)
-    sel = fallback_search(inst, "theorem1", window=(2, 2))
-    assert sel is None or len(sel) == 2
 
 
 def test_fallback_oracle_cap():
