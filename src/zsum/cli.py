@@ -302,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
                    help="processes that decide classes, capped at the CPU count")
-    p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET,
+                   help="cap on the classes (x-class, w-class) an exhaustive scan decides, "
+                        "or on the instances a sampled scan draws; exit 5 above it")
     p.add_argument("--out", help="report output path (default stdout)")
     p.set_defaults(func=_cmd_scan_conjecture)
 

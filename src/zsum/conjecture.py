@@ -12,48 +12,69 @@ of recording a counterexample.
 
 Whether a selection exists does not change if x is permuted, if w is
 permuted, or if any w_i changes by a multiple of exp(G).  So instances fall
-into classes keyed by (sorted ranks of x, sorted w_i mod exp(G)), and a scan
-keeps one table of classes, in the calling process: every class is decided
-once, twice over by independent routes, and every other instance of the
-class reads that decision.  A scan's unit of work is a run of equal x (an
-exhaustive scan's weights vary fastest, so each admissible x heads a run of
-up to |values|^k weight vectors, and its runs share one list, whose keys are
-worked out once; a sampled instance is a run of its own).  The first pass
-keys every run and collects each class the first time a run meets it,
-grouped by x.  Those groups are decided in process, or as contiguous slices
-on a pool of worker processes no larger than the machine; a worker only
-decides.  The rank lookup that keys x checks its entries; when x heads a
-group, it is validated once more for the group: its length, its maximal
-repetition, and its entries again by the oracle's own ``check_element``.
-The first route is a memoized DFS on element ranks (rank 0 is the zero
-element) over (weight index, used-position mask, running-sum rank) states:
-each weight value's row of w_i * x_j ranks is read off the group's cached
-scaling table (weights reduced mod the exponent, so negative, zero and huge
-weights all work) once per group, and the running sum moves through the
-cached rank addition table.  The second route is an independent
-lexicographic enumeration of all (I, f) pairs on the exhaustive oracle's
-core (the one ``fallback_search`` runs on), which values every candidate
-with its own per-coordinate arithmetic on the raw integers, so it trusts
-nothing the DFS computed.  Disagreement aborts the scan.  The second pass
-reads every instance's decision from the table, in canonical order.
-Counterexamples are, by construction, instances whose class's enumeration
-ran to exhaustion.  A reported witness is the oracle's selection for its
-own instance, not for its class's representative.
+into classes keyed by (sorted ranks of x, sorted w_i mod exp(G)), and a
+scan's unit of work is the class, from generation to the report.  Every
+class is decided once, in one group per x-class: x's sorted representative
+against the scan's new weight classes, each on a vector of the scan's own
+weights ordered by residue (the smallest weight of each residue, or the
+class's first draw), so the oracle's integer arithmetic meets the weights
+themselves, not their residues; in process, or as contiguous slices of the
+groups on a pool of worker processes no larger than the machine; a worker
+only decides.
+
+An exhaustive scan generates its x-classes directly, as count vectors of
+ranks (each count at most k, summing to n), and its weight classes as the
+size-k multisets of residues; the budget caps their product, which is
+worked out before anything is generated.  Instances are then counted, not
+visited: an x-class of counts c holds n! / prod(c_r!) sequences, and a
+weight class its number of vectors in the weight product.  The listed
+counterexamples and witnesses, and the first instance of a proven regime
+that fails, are read off a merge of the x-classes: each yields its
+arrangements in lexicographic order, each with its chosen weight vectors in
+product order, so they come out in canonical order, lazily; an x-class is
+opened only when its representative could come next.  The weight vectors
+are walked depth first, dropping a prefix that no chosen class holds, so a
+listed instance costs at most k * (|values| + residues) steps, not a walk
+of the |values|^k weight product.  A sampled scan draws its instances as
+``random.Random(seed).choice`` would, keys each draw, decides its new
+classes grouped by x-class, and reads the report back in draw order.
+
+Each x-class representative is validated once for its group: its length,
+its maximal repetition, and its entries, by the oracle's own
+``check_element`` and by the rank lookup.  The first route is a memoized
+DFS on element ranks (rank 0 is the zero element) over (weight index,
+used-position mask, running-sum rank) states: each weight value's row of
+w_i * x_j ranks is read off the group's cached scaling table (weights
+reduced mod the exponent, so negative, zero and huge weights all work) once
+per group, and the running sum moves through the cached rank addition
+table.  The second route is an independent lexicographic enumeration of all
+(I, f) pairs on the exhaustive oracle's core (the one ``fallback_search``
+runs on), which values every candidate with its own per-coordinate
+arithmetic on the raw integers, so it trusts nothing the DFS computed.
+Disagreement aborts the scan.  Counterexamples are, by construction,
+instances whose class's enumeration ran to exhaustion.  A reported witness
+is the oracle's selection for its own instance, not for its class's
+representative.
 
 Reports are deterministic byte-for-byte for a fixed configuration: the
-instance order is canonical (weights vary fastest), and volatile data (wall
+instance order is canonical (x in lexicographic order, weights varying
+fastest in product order; a sample in draw order), and volatile data (wall
 time, worker count, decided classes) never enters the serialized form.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
+import heapq
 import itertools
 import math
+import operator
 import os
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .davenport import davenport_get
 from .errors import (
@@ -288,101 +309,191 @@ def _empty_report(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
     )
 
 
-def _admissible_x(g: AbelianGroup, k: int) -> list[tuple[Element, ...]]:
-    return [
-        x for x in itertools.product(g.elements(), repeat=g.order) if rho(x) <= k
-    ]
+def _x_class_count(n: int, k: int) -> int:
+    """How many x-classes an exhaustive scan has: count vectors (c_0, ...,
+    c_{n-1}) of ranks, each c_r in [0, k], summing to n.  Stars and bars,
+    with inclusion-exclusion over the ranks that would take more than k."""
+    return sum(
+        (-1) ** j * math.comb(n, j) * math.comb(2 * n - 1 - j * (k + 1), n - 1)
+        for j in range(n // (k + 1) + 1)
+    )
 
 
-Run = tuple[tuple[Element, ...], Sequence[tuple[int, ...]]]
+def _admissible_classes(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every x-class of an exhaustive scan as its count vector: how often
+    each rank appears, each count in [0, k], the counts summing to n.  In
+    descending lexicographic order, so the sorted representatives ascend;
+    each step lowers the last count that can give one to the ranks after
+    it, and refills those ranks greedily."""
+    counts = [0] * n
+
+    def fill(start: int, total: int) -> None:
+        for r in range(start, n):
+            counts[r] = min(k, total)
+            total -= counts[r]
+
+    fill(0, n)
+    while True:
+        yield tuple(counts)
+        later = 0  # what the ranks after i hold
+        for i in range(n - 2, -1, -1):
+            later += counts[i + 1]
+            if counts[i] and later < (n - 1 - i) * k:
+                counts[i] -= 1
+                fill(i + 1, later + 1)
+                break
+        else:
+            return
 
 
-def _sample_instances(
-    g: AbelianGroup, config: ScanConfig
-) -> list[tuple[tuple[Element, ...], tuple[int, ...]]]:
-    rng = random.Random(config.seed)
-    elements = list(g.elements())
-    n = g.order
-    out: list[tuple[tuple[Element, ...], tuple[int, ...]]] = []
+def _arrangements(ranks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings of a sorted rank tuple, in lexicographic
+    order (each step is the next permutation)."""
+    a = list(ranks)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def _weights_in(
+    values: Sequence[int], residue_index: Sequence[int], k: int,
+    fits: Callable[[tuple[int, ...]], bool],
+) -> Iterator[tuple[int, ...]]:
+    """The length-k weight vectors over ``values`` whose residue counts
+    (per residue index) ``fits`` accepts, in product order.  ``fits`` takes
+    the residue counts of a prefix and must hold exactly when some wanted
+    class contains them, so a dead prefix is dropped at once and a vector
+    costs at most k * (len(values) + residues) steps."""
+    w: list[int] = []
+
+    def extend(counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if len(w) == k:
+            yield tuple(w)
+            return
+        live = []
+        for r in range(len(counts)):
+            more = counts[:r] + (counts[r] + 1,) + counts[r + 1:]
+            live.append(more if fits(more) else None)
+        for v, r in zip(values, residue_index):
+            if live[r] is not None:
+                w.append(v)
+                yield from extend(live[r])
+                w.pop()
+
+    return extend((0,) * (max(residue_index) + 1))
+
+
+def _sample_draws(n: int, config: ScanConfig) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The sampled instances as (ranks of x, w), the draws of
+    ``random.Random(seed).choice`` on the group's elements (in rank order)
+    and on the weight values.  Each coordinate is drawn the way CPython's
+    ``choice`` draws an index: ``getrandbits(size.bit_length())`` until it
+    falls below the size; calling ``choice`` itself makes a 2,000-draw scan
+    of Z_6 about a third slower.  An x repeating some rank more than k times
+    is dropped before its weights are drawn."""
+    bits = random.Random(config.seed).getrandbits
+    values, k = config.weight_values, config.k
+    x_bits, size, w_bits = n.bit_length(), len(values), len(values).bit_length()
+    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     while len(out) < config.sample_size:
-        x = tuple(rng.choice(elements) for _ in range(n))
-        if rho(x) > config.k:
-            continue
-        w = tuple(rng.choice(config.weight_values) for _ in range(config.k))
-        out.append((x, w))
+        x: list[int] = []
+        while len(x) < n:
+            r = bits(x_bits)
+            if r < n:
+                x.append(r)
+        ordered = sorted(x)
+        if any(map(operator.eq, ordered, ordered[k:])):
+            continue  # some rank appears more than k times
+        w: list[int] = []
+        while len(w) < k:
+            r = bits(w_bits)
+            if r < size:
+                w.append(values[r])
+        out.append((tuple(x), tuple(w)))
     return out
 
 
-def _instance_json(x: tuple[Element, ...], w: tuple[int, ...]) -> dict:
-    return {"x": [list(e) for e in x], "w": list(w)}
+Instance = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _weight_keys(ws: Sequence[Sequence[int]], exponent: int) -> list[tuple[int, ...]]:
-    """Each w's part of its class key: sorted w_i mod exp(G)."""
-    return [tuple(sorted([v % exponent for v in w])) for w in ws]
+def _merged(streams: Iterable[tuple[tuple[int, ...], Iterator[Instance]]]) -> Iterator[Instance]:
+    """Merge sorted streams of instances, given in ascending order of a
+    lower bound on their x (an x-class's sorted representative).  A stream
+    is opened only once everything smaller than its bound is out, so a
+    report that wants a few instances opens the few x-classes they come
+    from, not all of them."""
+    heap: list[tuple[Instance, int, Iterator[Instance]]] = []
+
+    def pop() -> Instance:
+        item, i, stream = heap[0]
+        following = next(stream, None)
+        if following is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (following, i, stream))
+        return item
+
+    for i, (low, stream) in enumerate(streams):
+        while heap and heap[0][0][0] < low:
+            yield pop()
+        first = next(stream, None)
+        if first is not None:
+            heapq.heappush(heap, (first, i, stream))
+    while heap:
+        yield pop()
 
 
-def _decide(orders: tuple[int, ...], groups: list[Run]) -> list[bool]:
+def _instance_json(elements: list[Element], x: Sequence[int], w: Sequence[int]) -> dict:
+    return {"x": [list(elements[r]) for r in x], "w": list(w)}
+
+
+def _witness(g: AbelianGroup, elements: list[Element], x: Sequence[int], w: Sequence[int]) -> dict:
+    """The oracle's selection for this exact instance, not for its class's
+    representative."""
+    sel = enumerate_zero_selection(g, tuple([elements[r] for r in x]), w)
+    return {
+        "instance": _instance_json(elements, x, w),
+        "selection": {"indices": list(sel.indices), "images": list(sel.images)},
+    }
+
+
+def _violation(g: AbelianGroup, elements: list[Element], k: int, d: int,
+               x: Sequence[int], w: Sequence[int]) -> TheoremViolation:
+    return TheoremViolation(
+        f"instance in a proven regime has no zero selection: "
+        f"x={[list(elements[r]) for r in x]}, w={list(w)}, "
+        f"group orders {list(g.invariant_factors)}, k={k}, D={d}"
+    )
+
+
+def _proven(residues: Sequence[int], n: int, k: int, d: int) -> bool:
+    """A weight class lies in a proven regime: k >= D, or every weight
+    coprime to n (which its residue mod exp(G) decides)."""
+    return k >= d or all(math.gcd(n, r) == 1 for r in residues)
+
+
+Group = tuple[tuple[Element, ...], Sequence[tuple[int, ...]]]
+
+
+def _decide(orders: tuple[int, ...], groups: list[Group]) -> list[bool]:
     """Whether each w of each (x, ws) group, in order, has a zero selection,
     by ``_check_sequence``: all a worker process does."""
     g = canonicalize(orders)
     return [sel is not None for x, ws in groups for sel in _check_sequence(g, x, ws)]
 
 
-def conjecture_scan(config: ScanConfig) -> ScanReport:
-    """Run the scan; returns a deterministic report.
-
-    Raises BudgetExceeded (carrying an empty report flagged non-authoritative)
-    when the instance space exceeds the budget, and TheoremViolation if any
-    failing instance lies in a proven regime.
-    """
-    started = time.perf_counter()
-    g, config = _validated(config)
-    n = g.order
-    d = davenport_get(g).value
-
-    if config.mode == MODE_EXHAUSTIVE:
-        ceiling = (n**n) * (len(config.weight_values) ** config.k)
-        if ceiling > config.budget:
-            raise BudgetExceeded(
-                f"exhaustive space has up to {ceiling} instances, budget is {config.budget}",
-                report=_empty_report(g, config, d),
-            )
-        ws = list(itertools.product(config.weight_values, repeat=config.k))
-        runs = [(x, ws) for x in _admissible_x(g, config.k)]
-    else:
-        if config.sample_size > config.budget:
-            raise BudgetExceeded(
-                f"sample_size {config.sample_size} exceeds budget {config.budget}",
-                report=_empty_report(g, config, d),
-            )
-        runs = [(x, [w]) for x, w in _sample_instances(g, config)]
-
-    # Pass 1: key every run, and collect each class the first time a run
-    # meets it, grouped by x.  A class is None in the table until decided.
-    exponent = g.exponent
-    table: dict[tuple[int, ...], dict[tuple[int, ...], bool | None]] = {}
-    rows = []  # per run, its x's row of the table
-    groups: list[Run] = []  # (x, the first w of each class it is the first to meet)
-    group_rows = []
-    keyed = None
-    for run in runs:
-        x, ws = run
-        if ws is not keyed:  # an exhaustive scan's runs share one ws list
-            keyed, classes = ws, {}
-            for key, w in zip(_weight_keys(ws, exponent), ws):
-                classes.setdefault(key, w)  # each key's first weight vector
-        known = table.setdefault(tuple(sorted(_ranks(g, x))), {})
-        fresh = [key for key in classes if key not in known]
-        if fresh:
-            known.update(dict.fromkeys(fresh))
-            # a run whose every w opens a class of its own is its own group
-            groups.append(run if len(fresh) == len(ws) else (x, [classes[key] for key in fresh]))
-            group_rows.append(known)
-        rows.append(known)
-
-    # Deciding: contiguous slices of the groups, in process or on a pool no
-    # larger than the machine.
+def _decide_all(config: ScanConfig, groups: list[Group]) -> Iterator[bool]:
+    """Every group's verdicts, in order: contiguous slices of the groups,
+    decided in process or on a pool no larger than the machine."""
     parts = min(config.workers, os.cpu_count() or 1)
     chunk = max(math.ceil(len(groups) / parts), 1)
     slices = [groups[lo:lo + chunk] for lo in range(0, len(groups), chunk)]
@@ -393,51 +504,187 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
 
         with ProcessPoolExecutor(max_workers=len(slices)) as pool:
             verdicts = list(pool.map(_decide, [config.orders] * len(slices), slices))
-    found = itertools.chain.from_iterable(verdicts)
-    for (_, ws), known in zip(groups, group_rows):
-        known.update(zip(_weight_keys(ws, exponent), found))  # takes len(ws) verdicts
+    return itertools.chain.from_iterable(verdicts)
 
-    # Pass 2: every instance reads its class's decision, in canonical order.
-    checked = 0
-    counterexamples: list[dict] = []
-    witnesses: list[dict] = []
-    keyed = None
-    for (x, ws), known in zip(runs, rows):
-        checked += len(ws)
-        if len(witnesses) >= WITNESS_SAMPLE_SIZE and all(known.values()):
-            continue  # nothing of this run is reported
-        if ws is not keyed:
-            keyed, keys = ws, _weight_keys(ws, exponent)
-        for key, w in zip(keys, ws):
-            if not known[key]:
-                counterexamples.append(dict(_instance_json(x, w), recheck=RECHECK_TAG))
-            elif len(witnesses) < WITNESS_SAMPLE_SIZE:
-                sel = enumerate_zero_selection(g, x, w)
-                witnesses.append(
-                    {
-                        "instance": _instance_json(x, w),
-                        "selection": {
-                            "indices": list(sel.indices),
-                            "images": list(sel.images),
-                        },
-                    }
-                )
 
-    for ce in counterexamples:
-        w = ce["w"]
-        if config.k >= d or all(math.gcd(n, wi) == 1 for wi in w):
-            raise TheoremViolation(
-                f"instance in a proven regime has no zero selection: x={ce['x']}, w={w}, "
-                f"group orders {list(g.invariant_factors)}, k={config.k}, D={d}"
-            )
+def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
+    n, k, values, exponent = g.order, config.k, config.weight_values, g.exponent
+    per_residue = collections.Counter([v % exponent for v in values])
+    residues = sorted(per_residue)
+    classes = _x_class_count(n, k) * math.comb(len(residues) + k - 1, k)
+    if classes > config.budget:
+        raise BudgetExceeded(
+            f"exhaustive space has {classes} classes, budget is {config.budget}",
+            report=_empty_report(g, config, d),
+        )
+
+    # Every (x-class, w-class) pair, decided on the x-class's sorted
+    # representative, one group per x-class.  A w-class is its sorted
+    # residue indices, decided on the scan's smallest weight of each of
+    # them, so the oracle's arithmetic meets the weights themselves.
+    smallest: dict[int, int] = {}
+    for v in values:
+        smallest.setdefault(v % exponent, v)
+    w_classes = list(itertools.combinations_with_replacement(range(len(residues)), k))
+    firsts = [tuple([smallest[residues[j]] for j in w]) for w in w_classes]
+    elements = g.elements()
+    x_counts = list(_admissible_classes(n, k))
+    x_classes = [tuple([r for r, c in enumerate(counts) for _ in range(c)]) for counts in x_counts]
+    found = _decide_all(config, [(tuple([elements[r] for r in x]), firsts) for x in x_classes])
+    failing = [[i for i in range(len(w_classes)) if not next(found)] for _ in x_classes]
+
+    # Instances by counting: an x-class of counts c holds n! / prod(c_r!)
+    # distinct x, and a w-class with m_j weights of residue j holds
+    # k! / prod(m_j!) * prod(|values of residue j| ** m_j) vectors.
+    factorial = [math.factorial(c) for c in range(n + 1)]  # k <= n
+    w_counts: list[tuple[int, ...]] = []  # per w-class, m_j for each residue j
+    vectors = []
+    for w in w_classes:
+        m = [0] * len(residues)
+        for j in w:
+            m[j] += 1
+        w_counts.append(tuple(m))
+        vectors.append(factorial[k] // math.prod([factorial[c] for c in m])
+                       * math.prod([per_residue[r] ** c for r, c in zip(residues, m)]))
+    checked = failed = 0
+    for counts, fails in zip(x_counts, failing):
+        arranged = factorial[n] // math.prod([factorial[c] for c in counts])
+        checked += arranged * len(values) ** k
+        failed += arranged * sum([vectors[i] for i in fails])
+
+    # The report's instances: per x-class, the weight vectors of some of
+    # its failing w-classes, or of all the others.  A weight prefix goes on
+    # while a wanted w-class holds its residue counts; for the others, while
+    # more w-classes hold them than failing ones do.
+    residue_index = [residues.index(v % exponent) for v in values]
+
+    def holding(prefix: tuple[int, ...], chosen: list[int]) -> int:
+        """How many of the chosen w-classes hold these residue counts."""
+        return sum([all(map(operator.le, prefix, w_counts[i])) for i in chosen])
+
+    def among(chosen: list[int]) -> Callable[[tuple[int, ...]], bool] | None:
+        return (lambda prefix: holding(prefix, chosen) > 0) if chosen else None
+
+    def besides(fails: list[int]) -> Callable[[tuple[int, ...]], bool] | None:
+        if len(fails) == len(w_classes):
+            return None
+
+        def fits(prefix: tuple[int, ...]) -> bool:
+            rest = k - sum(prefix)
+            return math.comb(len(residues) - 1 + rest, rest) > holding(prefix, fails)
+
+        return fits
+
+    def instances(
+        fits_for: Callable[[list[int]], Callable[[tuple[int, ...]], bool] | None]
+    ) -> Iterator[Instance]:
+        """The wanted instances in canonical order, lazily: every x-class
+        with a wanted w-class yields its arrangements in lexicographic
+        order, each with the wanted w in product order, and the x-classes
+        merge.  x-classes with the same failing w-classes share one
+        memoized prefix test."""
+        def arranged(x: tuple[int, ...], fits: Callable[[tuple[int, ...]], bool]
+                     ) -> Iterator[Instance]:
+            for arrangement in _arrangements(x):
+                for w in _weights_in(values, residue_index, k, fits):
+                    yield arrangement, w
+
+        def streams() -> Iterator[tuple[tuple[int, ...], Iterator[Instance]]]:
+            shared: dict[tuple[int, ...], Callable[[tuple[int, ...]], bool] | None] = {}
+            for x, fails in zip(x_classes, failing):
+                if tuple(fails) not in shared:
+                    fits = fits_for(fails)
+                    shared[tuple(fails)] = fits and functools.cache(fits)
+                fits = shared[tuple(fails)]
+                if fits is not None:
+                    yield x, arranged(x, fits)
+
+        return _merged(streams())
+
+    proven = {i for i, w in enumerate(w_classes) if _proven([residues[j] for j in w], n, k, d)}
+    first = next(instances(lambda fails: among([i for i in fails if i in proven])), None)
+    if first is not None:
+        raise _violation(g, elements, k, d, *first)
 
     return replace(
         _empty_report(g, config, d),
         checked=checked,
-        counterexample_count=len(counterexamples),
-        counterexamples=tuple(counterexamples[:COUNTEREXAMPLE_CAP]),
-        witness_sample=tuple(witnesses),
-        wall_time=time.perf_counter() - started,
+        counterexample_count=failed,
+        counterexamples=tuple([
+            dict(_instance_json(elements, x, w), recheck=RECHECK_TAG)
+            for x, w in itertools.islice(instances(among), COUNTEREXAMPLE_CAP)
+        ]),
+        witness_sample=tuple([
+            _witness(g, elements, x, w)
+            for x, w in itertools.islice(instances(besides), WITNESS_SAMPLE_SIZE)
+        ]),
         authoritative=True,
-        decided=sum(len(ws) for _, ws in groups),
+        decided=classes,
     )
+
+
+def _sampled(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
+    if config.sample_size > config.budget:
+        raise BudgetExceeded(
+            f"sample_size {config.sample_size} exceeds budget {config.budget}",
+            report=_empty_report(g, config, d),
+        )
+    n, k, exponent = g.order, config.k, g.exponent
+    draws = _sample_draws(n, config)
+
+    # Key every draw, and collect its class, grouped by x-class; a class
+    # holds its first drawn w, on which it is decided, until its verdict.
+    # Like an exhaustive scan's, that w is ordered by residue.
+    table: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...] | bool]] = {}
+    keys = []
+    for x, w in draws:
+        key = (tuple(sorted(x)), tuple(sorted([v % exponent for v in w])))
+        row = table.setdefault(key[0], {})
+        if key[1] not in row:
+            row[key[1]] = tuple(sorted(w, key=lambda v: v % exponent))
+        keys.append(key)
+    elements = g.elements()
+    found = _decide_all(config, [
+        (tuple([elements[r] for r in x]), list(row.values())) for x, row in table.items()
+    ])
+    for row in table.values():
+        row.update(zip(row, found))  # takes len(row) verdicts
+
+    # Every draw reads its class's decision, in draw order.
+    failed = 0
+    counterexamples: list[dict] = []
+    witnesses: list[dict] = []
+    for (x, w), (x_key, w_key) in zip(draws, keys):
+        if not table[x_key][w_key]:
+            if _proven(w_key, n, k, d):
+                raise _violation(g, elements, k, d, x, w)
+            failed += 1
+            if len(counterexamples) < COUNTEREXAMPLE_CAP:
+                counterexamples.append(dict(_instance_json(elements, x, w), recheck=RECHECK_TAG))
+        elif len(witnesses) < WITNESS_SAMPLE_SIZE:
+            witnesses.append(_witness(g, elements, x, w))
+
+    return replace(
+        _empty_report(g, config, d),
+        checked=len(draws),
+        counterexample_count=failed,
+        counterexamples=tuple(counterexamples),
+        witness_sample=tuple(witnesses),
+        authoritative=True,
+        decided=sum(len(row) for row in table.values()),
+    )
+
+
+def conjecture_scan(config: ScanConfig) -> ScanReport:
+    """Run the scan; returns a deterministic report.
+
+    Raises BudgetExceeded (carrying an empty report flagged non-authoritative)
+    when the scan exceeds the budget (classes for an exhaustive scan,
+    instances for a sampled one), and TheoremViolation if any failing
+    instance lies in a proven regime.
+    """
+    started = time.perf_counter()
+    g, config = _validated(config)
+    d = davenport_get(g).value
+    scan = _exhaustive if config.mode == MODE_EXHAUSTIVE else _sampled
+    return replace(scan(g, config, d), wall_time=time.perf_counter() - started)

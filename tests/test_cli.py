@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import time
 
 import pytest
 
@@ -323,6 +325,22 @@ def test_scan_conjecture_budget_cap(tmp_path, capsys):
     assert rc == EXIT_RESOURCE_CAP
     report = json.loads(report_path.read_text())
     assert report["authoritative"] is False
+
+
+@pytest.mark.parametrize("order, k", [(40, 2), (20, 20), (40, 40)])
+def test_scan_conjecture_refuses_an_oversized_class_count_at_once(capsys, order, k):
+    # Z_40 with k = 2 has about 9.3e17 x-classes against 780 weight classes,
+    # and at k = n the weight classes alone run to about 3.5e10 (Z_20) and
+    # 5.4e21 (Z_40); both counts are worked out, not generated
+    from zsum.conjecture import _x_class_count
+
+    started = time.perf_counter()
+    assert main(["scan-conjecture", "--orders", str(order), "--k", str(k)]) == EXIT_RESOURCE_CAP
+    assert time.perf_counter() - started < 1.0
+    classes = _x_class_count(order, k) * math.comb(order - 1 + k - 1, k)  # weights 1..n-1
+    assert capsys.readouterr().err.splitlines() == [
+        f"budget exceeded: exhaustive space has {classes} classes, budget is 5000000"
+    ]
 
 
 def test_scan_conjecture_defaults_weights(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -16,7 +17,13 @@ from zsum.conjecture import (
     conjecture_scan,
     enumerate_zero_selection,
 )
-from zsum.errors import BudgetExceeded, InvalidArgument, InvalidElement, InvalidInstance
+from zsum.errors import (
+    BudgetExceeded,
+    InvalidArgument,
+    InvalidElement,
+    InvalidInstance,
+    TheoremViolation,
+)
 from zsum.groups import canonicalize, groups_up_to_order, rho
 from zsum.serialize import dumps_stable
 
@@ -261,31 +268,34 @@ def test_check_rejects_elements_outside_the_group():
 
 
 def test_in_process_scan_builds_the_admissible_list_once(monkeypatch):
+    # the admissible x-classes, not the admissible x
     import zsum.conjecture as conjecture
 
     calls = []
-    build = conjecture._admissible_x
+    build = conjecture._admissible_classes
 
-    def counted(g, k):
-        calls.append(k)
-        return build(g, k)
+    def counted(n, k):
+        calls.append((n, k))
+        return build(n, k)
 
-    monkeypatch.setattr(conjecture, "_admissible_x", counted)
+    monkeypatch.setattr(conjecture, "_admissible_classes", counted)
     report = conjecture_scan(ScanConfig(orders=(3,), k=2, weight_values=(1, 2)))
     assert report.checked == 96
-    assert calls == [2]
+    assert calls == [(3, 2)]
 
 
 def _scan_runs(g, k, values, mode, sample_size=0, seed=0):
-    """The runs of equal x a scan of this configuration keys."""
+    """The instances of a scan of this configuration, as runs of equal x."""
     import zsum.conjecture as conjecture
 
     config = ScanConfig(orders=g.invariant_factors, k=k, weight_values=values, mode=mode,
                         sample_size=sample_size, seed=seed)
+    elements = g.elements()
     if mode == "sampled":
-        return [(x, [w]) for x, w in conjecture._sample_instances(g, config)]
+        return [(tuple(elements[r] for r in x), [w])
+                for x, w in conjecture._sample_draws(g.order, config)]
     ws = list(itertools.product(values, repeat=k))
-    return [(x, ws) for x in conjecture._admissible_x(g, k)]
+    return [(x, ws) for x in itertools.product(elements, repeat=g.order) if rho(x) <= k]
 
 
 @pytest.mark.parametrize("orders, k, values, mode, sample_size, expected", [
@@ -335,8 +345,8 @@ def test_sampled_scan_report_bytes_do_not_depend_on_workers():
 
 
 @pytest.mark.parametrize("mode, make", [
-    ("exhaustive", "_admissible_x"),
-    ("sampled", "_sample_instances"),
+    ("exhaustive", "_admissible_classes"),
+    ("sampled", "_sample_draws"),
 ])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_builds_its_instances_once_in_the_calling_process(monkeypatch, mode, make,
@@ -449,13 +459,13 @@ def test_a_witness_of_an_already_decided_class_is_its_own_instances_selection(mo
     # (1, 2), with three different first selections
     import zsum.conjecture as conjecture
 
-    x1, x2 = ((1,), (3,), (2,), (2,)), ((2,), (1,), (2,), (3,))
+    x1, x2 = (1, 3, 2, 2), (2, 1, 2, 3)  # ranks, which on Z_4 are the residues
     drawn = [(x1, (1, 2)), (x1, (2, 1)), (x2, (1, 2))]
-    monkeypatch.setattr(conjecture, "_sample_instances", lambda g, config: drawn)
+    monkeypatch.setattr(conjecture, "_sample_draws", lambda n, config: drawn)
     report = conjecture_scan(ScanConfig(orders=(4,), k=2, weight_values=(1, 2),
                                         mode="sampled", sample_size=3))
     assert (report.checked, report.decided) == (3, 1)
-    expected = [enumerate_zero_selection(Z4, x, w) for x, w in drawn]
+    expected = [enumerate_zero_selection(Z4, tuple((r,) for r in x), w) for x, w in drawn]
     assert len({(sel.indices, sel.images) for sel in expected}) == 3
     assert [item["selection"] for item in report.witness_sample] == [
         {"indices": list(sel.indices), "images": list(sel.images)} for sel in expected
@@ -513,3 +523,198 @@ def test_the_pool_is_no_larger_than_the_machine(monkeypatch):
     assert len(sizes) == (cpus > 1)  # one CPU decides in process
     assert all(size <= cpus for size in sizes)
     assert dumps_stable(many.to_json()) == dumps_stable(conjecture_scan(config).to_json())
+
+
+def _choice_draws(g, config):
+    """A sample drawn as the scan always drew it: ``random.Random(seed).choice``
+    on the group's elements, then, for an x that repeats nothing more than k
+    times, on the weight values."""
+    rng = random.Random(config.seed)
+    elements = g.elements()
+    out = []
+    while len(out) < config.sample_size:
+        x = tuple(rng.choice(elements) for _ in range(g.order))
+        if rho(x) > config.k:
+            continue
+        out.append((x, tuple(rng.choice(config.weight_values) for _ in range(config.k))))
+    return out
+
+
+@pytest.mark.parametrize("order", [3, 5, 6, 7])
+def test_sampled_draws_are_random_choice_draws(order):
+    import zsum.conjecture as conjecture
+
+    g = canonicalize([order])
+    elements = g.elements()
+    for seed in range(21):
+        for size in range(1, 6):
+            values = tuple(range(-2, 3 * size - 2, 3))  # sorted, as a validated scan has them
+            config = ScanConfig(orders=(order,), k=1 + seed % 3, weight_values=values,
+                                mode="sampled", sample_size=8, seed=seed)
+            drawn = [(tuple(elements[r] for r in x), w)
+                     for x, w in conjecture._sample_draws(order, config)]
+            assert drawn == _choice_draws(g, config), (order, seed, size)
+
+
+def _nothing_has_a_selection(monkeypatch):
+    import zsum.conjecture as conjecture
+
+    monkeypatch.setattr(conjecture, "_zero_selection_dfs", lambda *args: False)
+    monkeypatch.setattr(conjecture, "_zero_selection_oracle", lambda g, x: lambda w: None)
+
+
+@pytest.mark.parametrize("orders, k, values, x, w", [
+    ((5,), 2, (1, 2), [[0], [0], [1], [1], [2]], [1, 1]),  # every weight coprime to 5
+    ((4,), 2, (2, 3), [[0], [0], [1], [1]], [3, 3]),  # (3, 3) is the only coprime class
+    ((2,), 2, (2,), [[0], [0]], [2, 2]),  # k >= D(Z_2) = 2
+])
+def test_an_exhaustive_failure_in_a_proven_regime_names_the_first_instance(
+        monkeypatch, orders, k, values, x, w):
+    # both routes patched to find nothing, so every class fails; the error
+    # names the first failing instance of a proven regime in canonical order
+    _nothing_has_a_selection(monkeypatch)
+    with pytest.raises(TheoremViolation) as err:
+        conjecture_scan(ScanConfig(orders=orders, k=k, weight_values=values))
+    assert str(err.value) == (  # D(Z_n) = n
+        f"instance in a proven regime has no zero selection: x={x}, w={w}, "
+        f"group orders {list(orders)}, k={k}, D={orders[0]}"
+    )
+
+
+@pytest.mark.parametrize("orders, values", [((5,), (1, 2)), ((4,), (2, 3))])
+def test_a_sampled_failure_in_a_proven_regime_names_the_first_drawn(monkeypatch, orders,
+                                                                    values):
+    import math
+
+    _nothing_has_a_selection(monkeypatch)
+    g = canonicalize(orders)
+    config = ScanConfig(orders=orders, k=2, weight_values=values, mode="sampled",
+                        sample_size=30, seed=3)
+    x, w = next((x, w) for x, w in _choice_draws(g, config)
+                if all(math.gcd(g.order, v) == 1 for v in w))
+    with pytest.raises(TheoremViolation) as err:
+        conjecture_scan(config)
+    assert f"x={[list(e) for e in x]}, w={list(w)}, " in str(err.value)
+
+
+def _per_instance_report(g, config):
+    """The report of a scan, and its class count, by deciding every instance
+    on its own, in canonical order."""
+    values, k = tuple(sorted(set(config.weight_values))), config.k
+    if config.mode == "sampled":
+        instances = _choice_draws(g, replace(config, weight_values=values))
+    else:
+        instances = [(x, w) for x in itertools.product(g.elements(), repeat=g.order)
+                     if rho(x) <= k for w in itertools.product(values, repeat=k)]
+    failing, witnesses, classes = [], [], set()
+    for x, w in instances:
+        classes.add((tuple(sorted(x)), tuple(sorted(v % g.exponent for v in w))))
+        sel = enumerate_zero_selection(g, x, w)
+        item = {"x": [list(e) for e in x], "w": list(w)}
+        if sel is None:
+            failing.append(dict(item, recheck="full enumeration of (I, f) exhausted"))
+        elif len(witnesses) < 5:
+            witnesses.append({"instance": item, "selection": {
+                "indices": list(sel.indices), "images": list(sel.images)}})
+    return (len(instances), len(failing), failing[:100], witnesses), len(classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_by_class_scan_matches_a_per_instance_walk(data):
+    g = data.draw(st.sampled_from(groups_up_to_order(4)))
+    k = data.draw(st.integers(min_value=1, max_value=min(3, g.order)))
+    values = tuple(data.draw(st.sets(st.integers(min_value=-6, max_value=6),
+                                     min_size=1, max_size=4)))
+    mode = data.draw(st.sampled_from(["exhaustive", "sampled"]))
+    config = ScanConfig(orders=g.invariant_factors, k=k, weight_values=values, mode=mode,
+                        sample_size=data.draw(st.integers(min_value=1, max_value=40)),
+                        seed=data.draw(st.integers(min_value=0, max_value=10**6)))
+    expected, classes = _per_instance_report(g, config)
+    # an exhaustive budget counts classes, a sampled one instances
+    size = classes if mode == "exhaustive" else config.sample_size
+    budget = data.draw(st.integers(min_value=max(size - 2, 1), max_value=size + 2))
+    if size > budget:
+        with pytest.raises(BudgetExceeded):
+            conjecture_scan(replace(config, budget=budget))
+        return
+    report = conjecture_scan(replace(config, budget=budget))
+    assert (report.checked, report.counterexample_count, list(report.counterexamples),
+            list(report.witness_sample)) == expected
+    assert report.decided == classes
+
+
+def test_a_long_list_of_multiples_of_the_exponent_lists_its_failures_at_once():
+    # a weight of residue 0 always has a selection, so the 10**4 multiples of
+    # 4 add no failure; listing the failures of weights 1, 2, 3 must not walk
+    # the 10**8 weight vectors of every failing arrangement
+    small = conjecture_scan(ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3)))
+    started = time.perf_counter()
+    big = conjecture_scan(ScanConfig(orders=(4,), k=2,
+                                     weight_values=(1, 2, 3) + tuple(range(4, 40_001, 4))))
+    assert time.perf_counter() - started < 5.0
+    assert big.checked == small.checked // 3**2 * 10_003**2
+    assert (big.counterexample_count, big.counterexamples) == (24, small.counterexamples)
+    assert [item["instance"]["w"] for item in big.witness_sample] == [
+        [1, 1], [1, 2], [1, 3], [1, 4], [1, 8],
+    ]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_each_class_is_decided_on_weights_of_the_scan(monkeypatch, mode):
+    # the oracle's integer arithmetic meets the scan's own negative and huge
+    # weights, not their residues: each class is decided on its first vector
+    # in product order, or on its first draw, ordered by residue
+    import zsum.conjecture as conjecture
+
+    seen = []
+    check = conjecture._check_sequence
+
+    def recorded(g, x, ws):
+        seen.extend((tuple(sorted(x)), tuple(w)) for w in ws)
+        return check(g, x, ws)
+
+    monkeypatch.setattr(conjecture, "_check_sequence", recorded)
+    values = (-7, -2, 3, 10**12 + 1)  # residues 1, 2, 3, 1 mod 4
+    config = ScanConfig(orders=(4,), k=2, weight_values=values, mode=mode,
+                        sample_size=60, seed=5)
+    report = conjecture_scan(config)
+    if mode == "sampled":
+        instances = _choice_draws(Z4, config)
+    else:
+        instances = [(x, w) for x in itertools.product(Z4.elements(), repeat=4)
+                     if rho(x) <= 2 for w in itertools.product(values, repeat=2)]
+    first = {}
+    for x, w in instances:
+        first.setdefault((tuple(sorted(x)), tuple(sorted(v % 4 for v in w))),
+                         (tuple(sorted(x)), tuple(sorted(w, key=lambda v: v % 4))))
+    assert len(seen) == report.decided
+    assert sorted(seen) == sorted(first.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=6),
+                max_size=5))
+def test_merged_streams_come_out_in_order(raw):
+    from zsum.conjecture import _merged
+
+    # stream i holds instances whose x is at least (i,)
+    lists = [sorted(((i + a,), (b,)) for a, b in items) for i, items in enumerate(raw)]
+    merged = list(_merged(((i,), iter(items)) for i, items in enumerate(lists)))
+    assert merged == sorted(itertools.chain.from_iterable(lists))
+
+
+def test_merged_streams_are_opened_only_when_they_could_come_next():
+    from zsum.conjecture import _merged
+
+    opened = []
+
+    def stream(low, ws):
+        opened.append(low)
+        yield from ((low, w) for w in ws)
+
+    streams = (((i,), stream((i,), [(1,), (2,)])) for i in range(10))
+    assert list(itertools.islice(_merged(streams), 3)) == [
+        ((0,), (1,)), ((0,), (2,)), ((1,), (1,)),
+    ]
+    assert opened == [(0,), (1,)]
