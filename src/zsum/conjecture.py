@@ -29,15 +29,16 @@ worked out before anything is generated.  Instances are then counted, not
 visited: an x-class of counts c holds n! / prod(c_r!) sequences, and a
 weight class its number of vectors in the weight product.  The listed
 counterexamples and witnesses, and the first instance of a proven regime
-that fails, are read off a merge of the x-classes: each yields its
-arrangements in lexicographic order, each with its chosen weight vectors in
-product order, so they come out in canonical order, lazily; an x-class is
-opened only when its representative could come next.  The weight vectors
-are walked depth first, dropping a prefix that no chosen class holds, so a
-listed instance costs at most k * (|values| + residues) steps, not a walk
-of the |values|^k weight product.  A sampled scan draws its instances as
-``random.Random(seed).choice`` would, keys each draw, decides its new
-classes grouped by x-class, and reads the report back in draw order.
+that fails, come from one depth-first walk, lazily: x walks the words over
+the ranks in lexicographic order, dropping a prefix whose rank counts no
+chosen x-class contains, and for each x a nested walk of the weight values
+in product order drops a prefix whose residue counts no chosen weight class
+of x's class contains.  That is the canonical order, and a listed instance
+costs at most 2n^2 + k * (|values| + residues) steps, not a walk of the
+n^n sequences or the |values|^k weight product.  A sampled scan draws its
+instances as ``random.Random(seed).choice`` would, keys each draw, decides
+its new classes grouped by x-class, and reads the report back in draw
+order; every x drawn, kept or not, counts against its budget.
 
 Each x-class representative is validated once for its group: its length,
 its maximal repetition, and its entries, by the oracle's own
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import heapq
 import itertools
 import math
 import operator
@@ -210,13 +210,6 @@ def _zero_selection_dfs(add: list[list[int]], derived: list[list[int]], n: int) 
     return walk(0, 0, 0)
 
 
-def _has_zero_selection(g: AbelianGroup, x: Sequence[Element], w: Sequence[int]) -> bool:
-    """The DFS route for one (x, w).  Looking up the ranks of x is its
-    validation: an entry that is not an element of G raises InvalidElement."""
-    rows = _rank_rows(g, _ranks(g, x), w)
-    return _zero_selection_dfs(g.rank_add_table, [rows[v] for v in w], len(x))
-
-
 def enumerate_zero_selection(
     g: AbelianGroup, x: Sequence[Element], w: Sequence[int]
 ) -> Selection | None:
@@ -346,50 +339,50 @@ def _admissible_classes(n: int, k: int) -> Iterator[tuple[int, ...]]:
             return
 
 
-def _arrangements(ranks: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The distinct orderings of a sorted rank tuple, in lexicographic
-    order (each step is the next permutation)."""
-    a = list(ranks)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
-
-
-def _weights_in(
-    values: Sequence[int], residue_index: Sequence[int], k: int,
-    fits: Callable[[tuple[int, ...]], bool],
+def _walk(
+    letters: Sequence[int], kinds: Sequence[int], length: int,
+    fits: Callable[[tuple[int, ...]], object],
 ) -> Iterator[tuple[int, ...]]:
-    """The length-k weight vectors over ``values`` whose residue counts
-    (per residue index) ``fits`` accepts, in product order.  ``fits`` takes
-    the residue counts of a prefix and must hold exactly when some wanted
-    class contains them, so a dead prefix is dropped at once and a vector
-    costs at most k * (len(values) + residues) steps."""
-    w: list[int] = []
+    """The words of ``length`` letters whose counts per kind (``kinds[i]``
+    is the kind of ``letters[i]``) ``fits`` accepts, in product order.
+    ``fits`` takes the counts of a prefix and must be true exactly when some
+    wanted class contains them, so a dead prefix is dropped at once and a
+    word costs at most length * (len(letters) + kinds) steps."""
+    word: list[int] = []
 
     def extend(counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(w) == k:
-            yield tuple(w)
-            return
-        live = []
-        for r in range(len(counts)):
-            more = counts[:r] + (counts[r] + 1,) + counts[r + 1:]
-            live.append(more if fits(more) else None)
-        for v, r in zip(values, residue_index):
+        live: dict[int, tuple[int, ...] | None] = {}  # per kind, tested when first met
+        for letter, r in zip(letters, kinds):
+            if r not in live:
+                more = counts[:r] + (counts[r] + 1,) + counts[r + 1:]
+                live[r] = more if fits(more) else None
             if live[r] is not None:
-                w.append(v)
-                yield from extend(live[r])
-                w.pop()
+                word.append(letter)
+                if len(word) == length:
+                    yield tuple(word)
+                else:
+                    yield from extend(live[r])
+                word.pop()
 
-    return extend((0,) * (max(residue_index) + 1))
+    return extend((0,) * (max(kinds) + 1))
+
+
+def _containing(
+    classes: list[tuple[int, ...]]
+) -> Callable[[tuple[int, ...]], list[tuple[int, ...]]]:
+    """``_walk``'s test for these classes' count vectors: the classes that
+    contain the counts of a prefix, empty when none does.  Memoized, and
+    read off the classes containing the counts with their last nonzero
+    count lowered by one."""
+    @functools.cache
+    def holding(counts: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if not any(counts):
+            return classes
+        r = max([i for i, c in enumerate(counts) if c])
+        lowered = counts[:r] + (counts[r] - 1,) + counts[r + 1:]
+        return [c for c in holding(lowered) if c[r] >= counts[r]]
+
+    return holding
 
 
 def _sample_draws(n: int, config: ScanConfig) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -399,12 +392,21 @@ def _sample_draws(n: int, config: ScanConfig) -> list[tuple[tuple[int, ...], tup
     ``choice`` draws an index: ``getrandbits(size.bit_length())`` until it
     falls below the size; calling ``choice`` itself makes a 2,000-draw scan
     of Z_6 about a third slower.  An x repeating some rank more than k times
-    is dropped before its weights are drawn."""
+    is dropped before its weights are drawn, but counts against the budget
+    like a kept one: BudgetExceeded once the budget's x are drawn short of
+    the sample."""
+    if config.sample_size > config.budget:
+        raise BudgetExceeded(f"sample_size {config.sample_size} exceeds budget {config.budget}")
     bits = random.Random(config.seed).getrandbits
     values, k = config.weight_values, config.k
     x_bits, size, w_bits = n.bit_length(), len(values), len(values).bit_length()
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    drawn = 0
     while len(out) < config.sample_size:
+        if drawn == config.budget:
+            raise BudgetExceeded(f"budget of {drawn} x draws kept {len(out)} of a sample of "
+                                 f"{config.sample_size}")
+        drawn += 1
         x: list[int] = []
         while len(x) < n:
             r = bits(x_bits)
@@ -420,36 +422,6 @@ def _sample_draws(n: int, config: ScanConfig) -> list[tuple[tuple[int, ...], tup
                 w.append(values[r])
         out.append((tuple(x), tuple(w)))
     return out
-
-
-Instance = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _merged(streams: Iterable[tuple[tuple[int, ...], Iterator[Instance]]]) -> Iterator[Instance]:
-    """Merge sorted streams of instances, given in ascending order of a
-    lower bound on their x (an x-class's sorted representative).  A stream
-    is opened only once everything smaller than its bound is out, so a
-    report that wants a few instances opens the few x-classes they come
-    from, not all of them."""
-    heap: list[tuple[Instance, int, Iterator[Instance]]] = []
-
-    def pop() -> Instance:
-        item, i, stream = heap[0]
-        following = next(stream, None)
-        if following is None:
-            heapq.heappop(heap)
-        else:
-            heapq.heapreplace(heap, (following, i, stream))
-        return item
-
-    for i, (low, stream) in enumerate(streams):
-        while heap and heap[0][0][0] < low:
-            yield pop()
-        first = next(stream, None)
-        if first is not None:
-            heapq.heappush(heap, (first, i, stream))
-    while heap:
-        yield pop()
 
 
 def _instance_json(elements: list[Element], x: Sequence[int], w: Sequence[int]) -> dict:
@@ -531,7 +503,6 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
     x_counts = list(_admissible_classes(n, k))
     x_classes = [tuple([r for r, c in enumerate(counts) for _ in range(c)]) for counts in x_counts]
     found = _decide_all(config, [(tuple([elements[r] for r in x]), firsts) for x in x_classes])
-    failing = [[i for i in range(len(w_classes)) if not next(found)] for _ in x_classes]
 
     # Instances by counting: an x-class of counts c holds n! / prod(c_r!)
     # distinct x, and a w-class with m_j weights of residue j holds
@@ -546,77 +517,54 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
         w_counts.append(tuple(m))
         vectors.append(factorial[k] // math.prod([factorial[c] for c in m])
                        * math.prod([per_residue[r] ** c for r, c in zip(residues, m)]))
+    # The x-classes, by their counts, under the w-classes they fail.
+    rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     checked = failed = 0
-    for counts, fails in zip(x_counts, failing):
+    for counts in x_counts:
+        fails = tuple([i for i in range(len(w_classes)) if not next(found)])
+        rows.setdefault(fails, []).append(counts)
         arranged = factorial[n] // math.prod([factorial[c] for c in counts])
         checked += arranged * len(values) ** k
         failed += arranged * sum([vectors[i] for i in fails])
 
-    # The report's instances: per x-class, the weight vectors of some of
-    # its failing w-classes, or of all the others.  A weight prefix goes on
-    # while a wanted w-class holds its residue counts; for the others, while
-    # more w-classes hold them than failing ones do.
+    # The report's instances, in canonical order, lazily: x walks the ranks
+    # while its counts fit an x-class with a chosen w-class, and then w
+    # walks the weights while its residue counts fit a chosen w-class of
+    # x's class.  x-classes with the same chosen w-classes share one test.
+    ranks = range(n)
     residue_index = [residues.index(v % exponent) for v in values]
 
-    def holding(prefix: tuple[int, ...], chosen: list[int]) -> int:
-        """How many of the chosen w-classes hold these residue counts."""
-        return sum([all(map(operator.le, prefix, w_counts[i])) for i in chosen])
-
-    def among(chosen: list[int]) -> Callable[[tuple[int, ...]], bool] | None:
-        return (lambda prefix: holding(prefix, chosen) > 0) if chosen else None
-
-    def besides(fails: list[int]) -> Callable[[tuple[int, ...]], bool] | None:
-        if len(fails) == len(w_classes):
-            return None
-
-        def fits(prefix: tuple[int, ...]) -> bool:
-            rest = k - sum(prefix)
-            return math.comb(len(residues) - 1 + rest, rest) > holding(prefix, fails)
-
-        return fits
-
     def instances(
-        fits_for: Callable[[list[int]], Callable[[tuple[int, ...]], bool] | None]
-    ) -> Iterator[Instance]:
-        """The wanted instances in canonical order, lazily: every x-class
-        with a wanted w-class yields its arrangements in lexicographic
-        order, each with the wanted w in product order, and the x-classes
-        merge.  x-classes with the same failing w-classes share one
-        memoized prefix test."""
-        def arranged(x: tuple[int, ...], fits: Callable[[tuple[int, ...]], bool]
-                     ) -> Iterator[Instance]:
-            for arrangement in _arrangements(x):
-                for w in _weights_in(values, residue_index, k, fits):
-                    yield arrangement, w
-
-        def streams() -> Iterator[tuple[tuple[int, ...], Iterator[Instance]]]:
-            shared: dict[tuple[int, ...], Callable[[tuple[int, ...]], bool] | None] = {}
-            for x, fails in zip(x_classes, failing):
-                if tuple(fails) not in shared:
-                    fits = fits_for(fails)
-                    shared[tuple(fails)] = fits and functools.cache(fits)
-                fits = shared[tuple(fails)]
-                if fits is not None:
-                    yield x, arranged(x, fits)
-
-        return _merged(streams())
+        choose: Callable[[tuple[int, ...]], Sequence[int]]
+    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        fits_for = functools.cache(lambda chosen: _containing([w_counts[i] for i in chosen]))
+        w_fits = {}
+        for fails, members in rows.items():
+            chosen = tuple(choose(fails))
+            if chosen:
+                w_fits.update(dict.fromkeys(members, fits_for(chosen)))
+        for x in _walk(ranks, ranks, n, _containing(list(w_fits))):
+            for w in _walk(values, residue_index, k, w_fits[tuple(map(x.count, ranks))]):
+                yield x, w
 
     proven = {i for i, w in enumerate(w_classes) if _proven([residues[j] for j in w], n, k, d)}
-    first = next(instances(lambda fails: among([i for i in fails if i in proven])), None)
+    first = next(instances(lambda fails: [i for i in fails if i in proven]), None)
     if first is not None:
         raise _violation(g, elements, k, d, *first)
 
+    every = set(range(len(w_classes)))
     return replace(
         _empty_report(g, config, d),
         checked=checked,
         counterexample_count=failed,
         counterexamples=tuple([
             dict(_instance_json(elements, x, w), recheck=RECHECK_TAG)
-            for x, w in itertools.islice(instances(among), COUNTEREXAMPLE_CAP)
+            for x, w in itertools.islice(instances(lambda fails: fails), COUNTEREXAMPLE_CAP)
         ]),
         witness_sample=tuple([
             _witness(g, elements, x, w)
-            for x, w in itertools.islice(instances(besides), WITNESS_SAMPLE_SIZE)
+            for x, w in itertools.islice(instances(lambda fails: sorted(every.difference(fails))),
+                                         WITNESS_SAMPLE_SIZE)
         ]),
         authoritative=True,
         decided=classes,
@@ -624,13 +572,12 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
 
 
 def _sampled(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
-    if config.sample_size > config.budget:
-        raise BudgetExceeded(
-            f"sample_size {config.sample_size} exceeds budget {config.budget}",
-            report=_empty_report(g, config, d),
-        )
     n, k, exponent = g.order, config.k, g.exponent
-    draws = _sample_draws(n, config)
+    try:
+        draws = _sample_draws(n, config)
+    except BudgetExceeded as err:
+        err.report = _empty_report(g, config, d)
+        raise
 
     # Key every draw, and collect its class, grouped by x-class; a class
     # holds its first drawn w, on which it is decided, until its verdict.
@@ -679,8 +626,8 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
     """Run the scan; returns a deterministic report.
 
     Raises BudgetExceeded (carrying an empty report flagged non-authoritative)
-    when the scan exceeds the budget (classes for an exhaustive scan,
-    instances for a sampled one), and TheoremViolation if any failing
+    when the scan exceeds the budget (classes for an exhaustive scan, x
+    draws, kept or not, for a sampled one), and TheoremViolation if any failing
     instance lies in a proven regime.
     """
     started = time.perf_counter()

@@ -343,6 +343,38 @@ def test_scan_conjecture_refuses_an_oversized_class_count_at_once(capsys, order,
     ]
 
 
+def test_a_sampled_scan_that_keeps_few_draws_ends_at_its_budget(capsys):
+    # an x of Z_20 repeats nothing (k = 1) with chance 20!/20^20, about 2e-8,
+    # so the sample is never filled; every x drawn counts against the budget
+    started = time.perf_counter()
+    assert main(["scan-conjecture", "--mode", "sampled", "--orders", "20", "--k", "1",
+                 "--sample-size", "1", "--budget", "10000"]) == EXIT_RESOURCE_CAP
+    assert time.perf_counter() - started < 5.0
+    assert capsys.readouterr().err.splitlines() == [
+        "budget exceeded: budget of 10000 x draws kept 0 of a sample of 1"
+    ]
+
+
+def test_only_selftest_loads_the_acceptance_battery():
+    import os
+    import subprocess
+    import sys
+
+    import zsum.acceptance as acceptance
+
+    # a fresh interpreter, importing this checkout's package
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zsum.cli.__file__)))
+    code = "import sys, zsum.cli; zsum.cli.build_parser(); print('zsum.acceptance' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True).stdout
+    assert loaded == "False\n"
+    # the parser names the battery's two scales without importing it
+    parser = zsum.cli.build_parser()
+    assert parser.parse_args(["selftest"]).scale == acceptance.SCALE_SMALL
+    assert parser.parse_args(["selftest", "--scale", acceptance.SCALE_FULL]).scale == (
+        acceptance.SCALE_FULL)
+
+
 def test_scan_conjecture_defaults_weights(capsys):
     rc = main(["scan-conjecture", "--orders", "2", "--k", "1"])
     assert rc == EXIT_OK

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from zsum.conjecture import (
     ScanConfig,
     ScanReport,
-    _has_zero_selection,
+    _containing,
+    _walk,
     conjecture_check_instance,
     conjecture_scan,
     enumerate_zero_selection,
@@ -219,6 +220,14 @@ def _brute_zero_selection(factors, x, w) -> bool:
     return False
 
 
+def _dfs_has_selection(g, x, w):
+    """The rank DFS alone, which also takes an x shorter than |G|."""
+    from zsum.conjecture import _rank_rows, _ranks, _zero_selection_dfs
+
+    rows = _rank_rows(g, _ranks(g, x), w)
+    return _zero_selection_dfs(g.rank_add_table, [rows[v] for v in w], len(x))
+
+
 def test_rank_dfs_matches_brute_force_on_small_groups():
     rng = random.Random(20240518)
     outcomes = Counter()
@@ -234,14 +243,15 @@ def test_rank_dfs_matches_brute_force_on_small_groups():
             assert rho(x) <= k
             w = tuple(rng.choice(weight_pool) for _ in range(k))
             expected = _brute_zero_selection(g.invariant_factors, x, w)
-            assert _has_zero_selection(g, x, w) == expected, (g.invariant_factors, x, w)
+            assert (conjecture_check_instance(g, x, w) is not None) == expected, (
+                g.invariant_factors, x, w)
             outcomes[expected] += 1
         # short x over the nonzero elements, where no selection is common
         for _ in range(20):
             x = tuple(rng.choice(elems[1:] or elems) for _ in range(rng.randint(1, 3)))
             w = tuple(rng.choice(weight_pool) for _ in range(rng.randint(1, 3)))
             expected = _brute_zero_selection(g.invariant_factors, x, w)
-            assert _has_zero_selection(g, x, w) == expected, (g.invariant_factors, x, w)
+            assert _dfs_has_selection(g, x, w) == expected, (g.invariant_factors, x, w)
             outcomes[expected] += 1
     # known failures of the unrestricted statement, plus huge and negative
     # weights that reduce to the same residues
@@ -253,7 +263,7 @@ def test_rank_dfs_matches_brute_force_on_small_groups():
         (((1,), (1,), (3,), (3,)), (-(10**15) + 1, 6)),
     ]:
         assert not _brute_zero_selection(z4.invariant_factors, x, w)
-        assert not _has_zero_selection(z4, x, w)
+        assert conjecture_check_instance(z4, x, w) is None
         outcomes[False] += 1
     assert outcomes[True] > 100 and outcomes[False] > 50
 
@@ -525,19 +535,24 @@ def test_the_pool_is_no_larger_than_the_machine(monkeypatch):
     assert dumps_stable(many.to_json()) == dumps_stable(conjecture_scan(config).to_json())
 
 
-def _choice_draws(g, config):
+def _choice_sample(g, config):
     """A sample drawn as the scan always drew it: ``random.Random(seed).choice``
     on the group's elements, then, for an x that repeats nothing more than k
-    times, on the weight values."""
+    times, on the weight values; and how many x it drew, kept or not."""
     rng = random.Random(config.seed)
     elements = g.elements()
-    out = []
+    out, drawn = [], 0
     while len(out) < config.sample_size:
         x = tuple(rng.choice(elements) for _ in range(g.order))
+        drawn += 1
         if rho(x) > config.k:
             continue
         out.append((x, tuple(rng.choice(config.weight_values) for _ in range(config.k))))
-    return out
+    return out, drawn
+
+
+def _choice_draws(g, config):
+    return _choice_sample(g, config)[0]
 
 
 @pytest.mark.parametrize("order", [3, 5, 6, 7])
@@ -631,8 +646,11 @@ def test_the_by_class_scan_matches_a_per_instance_walk(data):
                         sample_size=data.draw(st.integers(min_value=1, max_value=40)),
                         seed=data.draw(st.integers(min_value=0, max_value=10**6)))
     expected, classes = _per_instance_report(g, config)
-    # an exhaustive budget counts classes, a sampled one instances
-    size = classes if mode == "exhaustive" else config.sample_size
+    # an exhaustive budget counts classes, a sampled one x draws, kept or not
+    if mode == "exhaustive":
+        size = classes
+    else:
+        size = _choice_sample(g, replace(config, weight_values=tuple(sorted(values))))[1]
     budget = data.draw(st.integers(min_value=max(size - 2, 1), max_value=size + 2))
     if size > budget:
         with pytest.raises(BudgetExceeded):
@@ -692,29 +710,46 @@ def test_each_class_is_decided_on_weights_of_the_scan(monkeypatch, mode):
     assert sorted(seen) == sorted(first.values())
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=6),
-                max_size=5))
-def test_merged_streams_come_out_in_order(raw):
-    from zsum.conjecture import _merged
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_walk_lists_the_product_words_whose_counts_fit_in_product_order(data):
+    letters = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4, unique=True))
+    kinds = data.draw(st.lists(st.integers(0, 2), min_size=len(letters),
+                               max_size=len(letters)))
+    length = data.draw(st.integers(1, 4))
+    kind_count = max(kinds) + 1
+    wanted = data.draw(st.lists(st.lists(st.integers(0, length), min_size=kind_count,
+                                         max_size=kind_count).map(tuple), max_size=4))
 
-    # stream i holds instances whose x is at least (i,)
-    lists = [sorted(((i + a,), (b,)) for a, b in items) for i, items in enumerate(raw)]
-    merged = list(_merged(((i,), iter(items)) for i, items in enumerate(lists)))
-    assert merged == sorted(itertools.chain.from_iterable(lists))
+    def counts(word):
+        return tuple(sum(kinds[letters.index(a)] == r for a in word) for r in range(kind_count))
+
+    def fits(prefix):
+        return any(all(p <= c for p, c in zip(prefix, cls)) for cls in wanted)
+
+    expected = [word for word in itertools.product(letters, repeat=length)
+                if fits(counts(word))]
+    assert list(_walk(letters, kinds, length, fits)) == expected
+    # the scan's memoized test, on the same classes
+    assert list(_walk(letters, kinds, length, _containing(wanted))) == expected
 
 
-def test_merged_streams_are_opened_only_when_they_could_come_next():
-    from zsum.conjecture import _merged
+@pytest.mark.parametrize("kinds, length", [(1, 4), (3, 4), (4, 3), (6, 2)])
+def test_the_walk_finds_a_first_word_in_length_times_kinds_tests(kinds, length):
+    # whichever count vector is the only wanted class (the first and the
+    # last in lexicographic order among them), each position tests each
+    # kind at most once and no prefix is a dead end
+    letters = list(range(2 * kinds))  # two letters of each kind
+    for wanted in itertools.product(range(length + 1), repeat=kinds):
+        if sum(wanted) != length:
+            continue
+        test = _containing([wanted])
+        calls = []
 
-    opened = []
+        def fits(prefix):
+            calls.append(prefix)
+            return test(prefix)
 
-    def stream(low, ws):
-        opened.append(low)
-        yield from ((low, w) for w in ws)
-
-    streams = (((i,), stream((i,), [(1,), (2,)])) for i in range(10))
-    assert list(itertools.islice(_merged(streams), 3)) == [
-        ((0,), (1,)), ((0,), (2,)), ((1,), (1,)),
-    ]
-    assert opened == [(0,), (1,)]
+        first = next(_walk(letters, [a // 2 for a in letters], length, fits))
+        assert first == tuple(2 * r for r, c in enumerate(wanted) for _ in range(c))
+        assert len(calls) <= length * kinds, wanted
