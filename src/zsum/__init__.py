@@ -42,7 +42,19 @@ from .weighted import (
     solve_word1,
     verify_certificate,
 )
-from .conjecture import ScanConfig, ScanReport, conjecture_check_instance, conjecture_scan
+
+# The scanner loads on first use, so ``import zsum`` (and every CLI command
+# but scan-conjecture) does not pay for it.
+_CONJECTURE_NAMES = ("ScanConfig", "ScanReport", "conjecture_check_instance", "conjecture_scan")
+
+
+def __getattr__(name: str):
+    if name in _CONJECTURE_NAMES:
+        from . import conjecture
+
+        return getattr(conjecture, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AbelianGroup",

@@ -21,13 +21,6 @@ import argparse
 import os
 import sys
 
-from .conjecture import (
-    DEFAULT_SCAN_BUDGET,
-    MODE_EXHAUSTIVE,
-    MODE_SAMPLED,
-    ScanConfig,
-    conjecture_scan,
-)
 from .davenport import (
     DEFAULT_NODE_BUDGET,
     DavenportCache,
@@ -198,6 +191,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
+    from .conjecture import ScanConfig, conjecture_scan  # loaded by this command only
+
     n = canonicalize(_parse_int_list(args.orders, "--orders")).order
     if args.weights:
         values = _parse_int_list(args.weights, "--weights")
@@ -298,12 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", required=True)
     p.add_argument("--k", type=int, required=True, help="number of weights")
     p.add_argument("--weights", help="comma-separated weight values (default 1..n-1)")
-    p.add_argument("--mode", choices=(MODE_EXHAUSTIVE, MODE_SAMPLED), default=MODE_EXHAUSTIVE)
+    # conjecture.MODE_EXHAUSTIVE, MODE_SAMPLED and DEFAULT_SCAN_BUDGET, named
+    # without importing the scanner
+    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--sample-size", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
                    help="processes that decide classes, capped at the CPU count")
-    p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET,
+    p.add_argument("--budget", type=int, default=5_000_000,
                    help="cap on the classes (x-class, w-class) an exhaustive scan decides, "
                         "or on the x a sampled scan draws, kept or not; exit 5 above it")
     p.add_argument("--out", help="report output path (default stdout)")

@@ -16,6 +16,12 @@ is skipped.  The best only moves on a strict increase and the walk is in
 lexicographic preorder, so the witness is still the lexicographically
 first zero-sum-free sequence of maximal length.
 
+The first element ranges only over the nonzero ranks that are the smallest
+in their orbit under a subgroup H of Aut(G) (``AbelianGroup._orbit_minima``).
+An automorphism maps a zero-sum-free sequence to one of the same length, so
+D is unchanged; and were phi(S_0) below the first element S_0 of the witness
+S, sorted(phi(S)) would be a maximal sequence before S, so S is still found.
+
 Closed forms (cyclic, rank two, p-groups) serve as cross-checks and as the
 fast path in :func:`davenport_get`; everything lands in a cache keyed by
 the canonical invariant factors, optionally persisted to a JSON file.
@@ -82,9 +88,9 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
     stack: list[int] = []
     nodes = 0
 
-    def dfs(min_rank: int, sums_mask: int) -> None:
+    def dfs(candidates: Sequence[int], sums_mask: int) -> None:
         nonlocal best_len, best_witness, nodes
-        for e in range(min_rank, n):
+        for e in candidates:
             if sums_mask >> neg_rank[e] & 1:
                 continue  # appending e would close a zero-sum subset
             nodes += 1
@@ -103,10 +109,10 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
             # each further append adds a new nonzero sum: skip the subtree
             # unless that room can carry it past the best length
             if len(stack) + n - 1 - new_mask.bit_count() > best_len:
-                dfs(e, new_mask)
+                dfs(range(e, n), new_mask)
             stack.pop()
 
-    dfs(1, 0)
+    dfs(g._orbit_minima, 0)  # first elements: Aut(G)-orbit minima, as above
     witness = tuple([elements[r] for r in best_witness])
     return DavenportRecord(group=g, value=best_len + 1, witness=witness, method=METHOD_EXACT)
 

@@ -48,6 +48,24 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
+def _unit_generators(d: int) -> list[int]:
+    """Units of Z_d that generate its unit group, each outside the subgroup
+    the earlier ones span; empty for d <= 2."""
+    span: set[int] = {1}
+    gens = []
+    for u in range(2, d):
+        if u in span or math.gcd(u, d) != 1:
+            continue
+        gens.append(u)
+        grown = set(span)
+        coset = {s * u % d for s in span}
+        while not coset <= grown:  # the cosets span * u^k, until u^k is in span
+            grown |= coset
+            coset = {s * u % d for s in coset}
+        span = grown
+    return gens
+
+
 def invariant_factors_of(orders: Sequence[int]) -> tuple[int, ...]:
     """Recombine a diagonal presentation into the divisibility chain.
 
@@ -186,6 +204,47 @@ class AbelianGroup:
                 steps.append((keep, r * stride, full ^ keep, (d - r) * stride))
             out.append(steps)
         return out
+
+    def _automorphism_maps(self) -> list[list[int]]:
+        """Generators of a subgroup H of Aut(G), each as the list of image
+        ranks of the element ranks: unit scalings x_i -> u * x_i, swaps of
+        adjacent coordinates with equal invariant factors, and the shears
+        e_i -> e_i + (d_j / gcd(d_i, d_j)) * e_j, which are additive because
+        d_j divides that multiple of d_i."""
+        factors = self.invariant_factors
+        elements = self.elements()
+        images = []
+        for i, d in enumerate(factors):
+            for u in _unit_generators(d):
+                images.append([a[:i] + (u * a[i] % d,) + a[i + 1:] for a in elements])
+            for j, dj in enumerate(factors):
+                if j != i:
+                    c = dj // math.gcd(d, dj)
+                    images.append([a[:j] + ((a[j] + c * a[i]) % dj,) + a[j + 1:] for a in elements])
+            if i + 1 < len(factors) and factors[i + 1] == d:
+                images.append([a[:i] + (a[i + 1], a[i]) + a[i + 2:] for a in elements])
+        rank = self.element_rank
+        return [[rank(b) for b in image] for image in images]
+
+    @cached_property
+    def _orbit_minima(self) -> tuple[int, ...]:
+        """The nonzero element ranks that are the smallest in their orbit
+        under the H of :meth:`_automorphism_maps`, ascending: a union-find
+        over the ranks that always keeps the smaller root."""
+        parent = list(range(self.order))
+
+        def find(r: int) -> int:
+            while parent[r] != r:
+                parent[r] = parent[parent[r]]
+                r = parent[r]
+            return r
+
+        for image in self._automorphism_maps():
+            for a, b in enumerate(image):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+        return tuple([r for r in range(1, self.order) if parent[r] == r])
 
     @cached_property
     def rank_index(self) -> dict[Element, int]:

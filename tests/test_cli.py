@@ -375,6 +375,29 @@ def test_only_selftest_loads_the_acceptance_battery():
         acceptance.SCALE_FULL)
 
 
+def test_only_scan_conjecture_loads_the_scanner():
+    import os
+    import subprocess
+    import sys
+
+    import zsum.conjecture as conjecture
+
+    # a fresh interpreter, importing this checkout's package
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zsum.cli.__file__)))
+    code = ("import sys, zsum, zsum.cli; zsum.cli.build_parser(); "
+            "print('zsum.conjecture' in sys.modules, zsum.conjecture_scan.__module__)")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True).stdout
+    assert loaded == "False zsum.conjecture\n"
+    # the parser names the scanner's modes and default budget without importing it
+    parser = zsum.cli.build_parser()
+    argv = ["scan-conjecture", "--orders", "2", "--k", "1"]
+    args = parser.parse_args(argv)
+    assert (args.mode, args.budget) == (conjecture.MODE_EXHAUSTIVE, conjecture.DEFAULT_SCAN_BUDGET)
+    for mode in (conjecture.MODE_EXHAUSTIVE, conjecture.MODE_SAMPLED):
+        assert parser.parse_args([*argv, "--mode", mode]).mode == mode
+
+
 def test_scan_conjecture_defaults_weights(capsys):
     rc = main(["scan-conjecture", "--orders", "2", "--k", "1"])
     assert rc == EXIT_OK
@@ -476,7 +499,7 @@ def test_unwritable_out_path_exits_invalid(tmp_path, capsys, monkeypatch, comman
 
 
 @pytest.mark.parametrize("command, stub", [
-    ("scan-conjecture", "zsum.cli.conjecture_scan"),
+    ("scan-conjecture", "zsum.conjecture.conjecture_scan"),
     ("selftest", "zsum.acceptance.run_all"),
 ])
 def test_directory_out_path_exits_before_any_work(tmp_path, capsys, monkeypatch, command, stub):

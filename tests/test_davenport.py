@@ -22,7 +22,7 @@ from zsum.davenport import (
     zero_sum_free_check,
 )
 from zsum.errors import BudgetExceeded, InvalidArgument, InvalidElement
-from zsum.groups import canonicalize, groups_up_to_order
+from zsum.groups import canonicalize, groups_of_order, groups_up_to_order
 
 
 def _oracle_zero_sum_free(g, seq) -> bool:
@@ -274,6 +274,27 @@ def test_exact_records_up_to_order_26_are_pinned():
     assert hashlib.sha256(blob).hexdigest() == (
         "8f6a8581e9837874565e1721e247915e375b7757ff940ce57ad5561c3d9a0c95"
     )
+
+
+def test_exact_records_of_orders_27_to_30_are_pinned():
+    # recorded before the search started only at Aut(G)-orbit minima: the
+    # skipped roots may change the effort, never the answer
+    rows = []
+    for q in range(27, 31):
+        for g in groups_of_order(q):
+            rec = davenport_exact(g)
+            rows.append([list(g.invariant_factors), rec.value, [list(e) for e in rec.witness]])
+    blob = json.dumps(rows, separators=(",", ":")).encode("utf-8")
+    assert len(rows) == 7
+    assert hashlib.sha256(blob).hexdigest() == (
+        "2acbd82da7f466339c48867ce7e44763202b16ff3f7852026d1c4261c02b15da"
+    )
+
+
+def test_exact_search_skips_roots_an_automorphism_moves():
+    # a search from every first element takes 129,159 and 56,975 nodes
+    assert davenport_exact(canonicalize([5, 5]), node_budget=30_000).value == 9
+    assert davenport_exact(canonicalize([2, 2, 6]), node_budget=30_000).value == 8
 
 
 def test_exact_witness_is_the_first_zero_sum_free_combination():

@@ -257,3 +257,39 @@ def test_rank_tables_are_cached_per_group():
     assert g.rank_scale_table is g.rank_scale_table
     assert canonicalize([1]).rank_add_table == ((0,),)
     assert canonicalize([1]).rank_scale_table == ((0,),)
+
+
+def test_orbit_maps_are_automorphisms_and_minima_match_their_closure():
+    # exact Davenport search starts only at these minima, which is sound
+    # because every map is an automorphism
+    for g in groups_up_to_order(64):
+        n, add = g.order, g.rank_add_table
+        maps = g._automorphism_maps()
+        for image in maps:
+            assert sorted(image) == list(range(n)), g
+            for a, b in itertools.product(range(n), repeat=2):
+                assert image[add[a][b]] == add[image[a]][image[b]], (g, a, b)
+        minima = []
+        seen: set[int] = set()
+        for r in range(1, n):  # each new r is the smallest of its orbit
+            if r in seen:
+                continue
+            minima.append(r)
+            orbit, frontier = {r}, [r]
+            while frontier:
+                a = frontier.pop()
+                for image in maps:
+                    if image[a] not in orbit:
+                        orbit.add(image[a])
+                        frontier.append(image[a])
+            seen |= orbit
+        assert g._orbit_minima == tuple(minima), g
+
+
+def test_orbit_minima_examples():
+    assert canonicalize([5, 5])._orbit_minima == (1,)  # GL(2, 5) is transitive
+    # in Z_6 the orbits are the elements of each order
+    assert canonicalize([6])._orbit_minima == (1, 2, 3)
+    assert canonicalize([1])._orbit_minima == ()
+    g = canonicalize([2, 4])
+    assert g._orbit_minima is g._orbit_minima
