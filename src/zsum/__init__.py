@@ -7,7 +7,6 @@ from .errors import (
     InvalidElement,
     InvalidGroup,
     InvalidInstance,
-    InvalidSelection,
     OracleTooLarge,
     TheoremViolation,
     UnsatisfiableStatement,
@@ -35,7 +34,6 @@ from .weighted import (
     Shelling,
     fallback_search,
     instance_digest,
-    selection_value,
     solve,
     solve_corollary,
     solve_theorem1,
@@ -68,7 +66,6 @@ __all__ = [
     "InvalidElement",
     "InvalidGroup",
     "InvalidInstance",
-    "InvalidSelection",
     "OracleTooLarge",
     "ScanConfig",
     "ScanReport",
@@ -92,7 +89,6 @@ __all__ = [
     "groups_up_to_order",
     "instance_digest",
     "rho",
-    "selection_value",
     "solve",
     "solve_corollary",
     "solve_theorem1",

@@ -204,9 +204,9 @@ def _degenerate_corollary_check() -> tuple[int, int]:
 def criterion_theorem_exhaustive(scale: str = SCALE_SMALL) -> CriterionResult:
     """Main-window solver: 100% verified certificates on the stated suites.
 
-    ``solve`` runs ``verify_certificate`` (size window included) on every
-    certificate and raises TheoremViolation on a rejected one, so a
-    certificate it returns is counted without a second check.
+    ``solve`` runs the verifier's selection checks (size window included)
+    on every construction and raises TheoremViolation on a rejected one, so
+    a certificate it returns is counted without a second check.
     """
     failures = 0
     checked = 0
@@ -219,7 +219,8 @@ def criterion_theorem_exhaustive(scale: str = SCALE_SMALL) -> CriterionResult:
 
 def criterion_corollary_exhaustive(scale: str = SCALE_SMALL) -> CriterionResult:
     """Barycentric solver: verified certificates (size n, anchor included,
-    checked by ``solve``'s verification); degenerate family unsatisfiable."""
+    checked by ``solve``'s selection checks); degenerate family
+    unsatisfiable."""
     failures = 0
     checked = 0
     for inst in _corollary_suite():
@@ -235,8 +236,8 @@ def criterion_oracle_agreement(scale: str = SCALE_SMALL) -> CriterionResult:
     """Constructive and exhaustive routes agree on suites 5-6; both verify.
 
     Each instance is solved here again, because the agreement is stated per
-    instance; the solver's certificate carries ``solve``'s verification and
-    the oracle's is verified here.
+    instance; the solver's certificate carries ``solve``'s selection checks
+    and the oracle's is verified here.
     """
     failures = 0
     checked = 0
@@ -402,21 +403,21 @@ def criterion_determinism_roundtrip(scale: str = SCALE_SMALL) -> CriterionResult
     return CriterionResult(9, "determinism-and-roundtrip", not failures, details)
 
 
-CRITERIA: tuple[tuple[int, str, Callable[[str], CriterionResult]], ...] = (
-    (1, "davenport-cross-check", criterion_davenport),
-    (2, "bounded-zero-sum-totality", criterion_word0_totality),
-    (3, "egz-reproduction", criterion_egz),
-    (4, "gao-reproduction", criterion_gao),
-    (5, "main-window-exhaustive", criterion_theorem_exhaustive),
-    (6, "barycentric-exhaustive", criterion_corollary_exhaustive),
-    (7, "oracle-agreement", criterion_oracle_agreement),
-    (8, "conjecture-scan-integrity", criterion_scan_integrity),
-    (9, "determinism-and-roundtrip", criterion_determinism_roundtrip),
+CRITERIA: tuple[Callable[[str], CriterionResult], ...] = (
+    criterion_davenport,
+    criterion_word0_totality,
+    criterion_egz,
+    criterion_gao,
+    criterion_theorem_exhaustive,
+    criterion_corollary_exhaustive,
+    criterion_oracle_agreement,
+    criterion_scan_integrity,
+    criterion_determinism_roundtrip,
 )
 
 
 def run_all(scale: str = SCALE_SMALL) -> list[CriterionResult]:
-    return [fn(scale) for _, _, fn in CRITERIA]
+    return [criterion(scale) for criterion in CRITERIA]
 
 
 def summary_json(scale: str, results: list[CriterionResult]) -> dict:

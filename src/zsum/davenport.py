@@ -74,7 +74,11 @@ def zero_sum_free_check(g: AbelianGroup, seq: Sequence[Element]) -> bool:
 
 def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> DavenportRecord:
     """D(G) by exhaustive search; the witness is the lexicographically first
-    zero-sum-free sequence of maximal length (as a non-decreasing tuple)."""
+    zero-sum-free sequence of maximal length (as a non-decreasing tuple).
+    The walk keeps its own frames, so no recursion limit caps D(G).
+    InvalidArgument for a node budget below 1."""
+    if node_budget < 1:
+        raise InvalidArgument(f"node budget {node_budget} must be >= 1")
     n = g.order
     if n == 1:
         return DavenportRecord(group=g, value=1, witness=(), method=METHOD_EXACT)
@@ -87,9 +91,12 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
     best_witness: tuple[int, ...] = ()
     stack: list[int] = []
     nodes = 0
-
-    def dfs(candidates: Sequence[int], sums_mask: int) -> None:
-        nonlocal best_len, best_witness, nodes
+    # (candidates still to try, sums of the prefix): first elements are
+    # Aut(G)-orbit minima, as above; later ones never fall below the last
+    frames = [(iter(g._orbit_minima), 0)]
+    while frames:
+        candidates, sums_mask = frames[-1]
+        size = len(stack) + 1  # of the prefix with one candidate appended
         for e in candidates:
             if sums_mask >> neg_rank[e] & 1:
                 continue  # appending e would close a zero-sum subset
@@ -102,17 +109,20 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
                 )
             # the old sums, plus e added to each of them and to the empty sum
             new_mask = sums_mask | translate(sums_mask | 1, elements[e])
-            stack.append(e)
-            if len(stack) > best_len:
-                best_len = len(stack)
-                best_witness = tuple(stack)
+            if size > best_len:
+                best_len = size
+                best_witness = (*stack, e)
             # each further append adds a new nonzero sum: skip the subtree
             # unless that room can carry it past the best length
-            if len(stack) + n - 1 - new_mask.bit_count() > best_len:
-                dfs(range(e, n), new_mask)
-            stack.pop()
+            if size + n - 1 - new_mask.bit_count() > best_len:
+                stack.append(e)
+                frames.append((iter(range(e, n)), new_mask))
+                break  # descend; this frame resumes after e
+        else:  # every candidate tried: back up to the parent frame
+            frames.pop()
+            if stack:
+                stack.pop()
 
-    dfs(g._orbit_minima, 0)  # first elements: Aut(G)-orbit minima, as above
     witness = tuple([elements[r] for r in best_witness])
     return DavenportRecord(group=g, value=best_len + 1, witness=witness, method=METHOD_EXACT)
 

@@ -27,10 +27,6 @@ class InvalidInstance(ZsumError):
     """Solver input violating a stated precondition."""
 
 
-class InvalidSelection(ZsumError):
-    """Selection with a non-injective map or out-of-range indices."""
-
-
 class InvalidArgument(ZsumError):
     """Operation argument outside its legal range."""
 

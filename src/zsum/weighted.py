@@ -23,22 +23,23 @@ Solvers, by statement tag:
   by the final position, an n-subset of [1, m - ell] whose weighted sum is
   (sum of the picked weights) * x_m, with position m in the image.
 
-``solve(inst, statement)`` is the single entry point over the three: it
-returns a Certificate that the independent verifier has already accepted.
-All three run through one path: check the hypotheses, run the
-construction, and hand the certificate to ``verify_certificate``, the only
-check of its size window, anchor and value.  The proofs are constructive,
-so under the hypotheses a construction cannot miss; if the verifier rejects
-one, that is a bug and it raises TheoremViolation.  D(G) is looked up for
-theorem1 and the corollary only: the word1 statement does not mention it.
+``solve(inst, statement)`` is the single entry point over the three.  All
+run through one path: check the hypotheses, run the construction, and run
+the verifier's selection checks (structure, size window, anchor, value,
+shelling) once on its pairs; the certificate carries the value they
+recompute.  ``verify_certificate`` adds the hypotheses and the
+certificate's own claims (instance digest, cached value).  The proofs are
+constructive, so under the hypotheses a construction cannot miss; if a
+check rejects one, that is a bug and it raises TheoremViolation.  D(G) is
+looked up for theorem1 and the corollary only: word1 does not mention it.
 The answer rests on the verifier, not on a second solver: the exhaustive
 oracle (``fallback_search``) is the test-side ground truth only, and no
 solve calls it.  The constructions nest as the proofs do (the corollary
 runs theorem1's on x shifted by x_m, theorem1's narrow blocks come from
 word1's) without calling a public solver.  Each works on raw sequences and
-returns (i, f(i)) pairs; the selection is built once, against the caller's
-Instance.  All free choices resolve to the lexicographically smallest
-option, so identical instances yield byte-identical certificates.
+returns (i, f(i)) pairs; the selection is checked and built once, against
+the caller's Instance.  All free choices resolve to the lexicographically
+smallest option, so identical instances yield byte-identical certificates.
 
 Elements are validated once, when an Instance is built.  After that every
 weighted value - of a selection, a shelling block or a derived sequence
@@ -54,14 +55,13 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .davenport import DavenportCache, davenport_get
 from .errors import (
     InvalidArgument,
     InvalidInstance,
-    InvalidSelection,
     OracleTooLarge,
     TheoremViolation,
     UnsatisfiableStatement,
@@ -111,17 +111,6 @@ class Selection:
     images: tuple[int, ...]  # images[j] = f(indices[j]), 1-based positions
     value: Element
 
-    @classmethod
-    def build(cls, inst: Instance, pairs: Iterable[tuple[int, int]]) -> "Selection":
-        pairs = sorted(pairs)
-        indices = tuple([i for i, _ in pairs])
-        images = tuple([j for _, j in pairs])
-        sel = cls(indices=indices, images=images, value=inst.group.zero())
-        return replace(sel, value=selection_value(inst, sel))
-
-    def as_map(self) -> dict[int, int]:
-        return dict(zip(self.indices, self.images))
-
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -169,29 +158,13 @@ def weighted_value(
     coordinate: (sum of w_i * x_{f(i)}[c]) mod d_c.
 
     The operands are trusted: x comes from a validated Instance and the
-    positions from a checked selection or from the solvers' own pools.
+    positions from a map whose structure ``_check_selection`` has passed or
+    from the solvers' own pools.
     """
     return tuple([
         sum([w[i - 1] * x[j - 1][c] for i, j in zip(indices, images)]) % d
         for c, d in enumerate(g.invariant_factors)
     ])
-
-
-def selection_value(inst: Instance, sel: Selection) -> Element:
-    """Recompute sum w_i * x_{f(i)} from scratch, validating the selection."""
-    if len(sel.indices) != len(sel.images):
-        raise InvalidSelection("domain and image lists differ in length")
-    if any(a >= b for a, b in zip(sel.indices, sel.indices[1:])):
-        raise InvalidSelection(f"domain {sel.indices!r} is not strictly increasing")
-    if len(set(sel.images)) != len(sel.images):
-        raise InvalidSelection(f"map {sel.as_map()!r} is not injective")
-    for i in sel.indices:
-        if not 1 <= i <= len(inst.w):
-            raise InvalidSelection(f"weight index {i} outside [1, {len(inst.w)}]")
-    for j in sel.images:
-        if not 1 <= j <= inst.m:
-            raise InvalidSelection(f"position {j} outside [1, {inst.m}]")
-    return weighted_value(inst.group, inst.w, inst.x, sel.indices, sel.images)
 
 
 class _Window:
@@ -448,9 +421,9 @@ def _check_hypotheses(inst: Instance, statement: str, d: int | None) -> None:
 
 def _construct(
     inst: Instance, statement: str, d: int | None
-) -> tuple[Selection, tuple[tuple[int, ...], ...] | None]:
-    """The statement's construction: a selection, built once against
-    ``inst`` (unvalued if its map is malformed), and, for theorem1 and
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], ...] | None]:
+    """The statement's construction on ``inst``: its map as (indices,
+    images), sorted by index and not yet checked, and, for theorem1 and
     word1, its shelling blocks."""
     blocks = None
     if statement == STATEMENT_THEOREM1:
@@ -459,13 +432,10 @@ def _construct(
         pairs = _corollary_pairs(inst, d)
     else:
         pairs = _word1_constructive(*_word_windows(inst.group, inst.x, inst.w, inst.m))
-    try:
-        sel = Selection.build(inst, pairs)
-    except InvalidSelection:
-        # a malformed map is a construction bug: the verifier names it
-        indices, images = zip(*sorted(pairs))
-        sel = Selection(indices=indices, images=images, value=inst.group.zero())
-    return sel, (sel.indices,) if statement == STATEMENT_WORD1 else blocks
+    pairs = sorted(pairs)
+    indices = tuple([i for i, _ in pairs])
+    images = tuple([j for _, j in pairs])
+    return (indices, images), (indices,) if statement == STATEMENT_WORD1 else blocks
 
 
 def fallback_search(inst: Instance, statement: str) -> Selection | None:
@@ -556,103 +526,128 @@ def _zero_selection_oracle(
     return lambda w: _first_selection(columns, m, w, _index_sets(len(w), 1, len(w)), False)
 
 
-def verify_certificate(
-    inst: Instance,
-    cert: Certificate,
-    dav_cache: DavenportCache | None = None,
-) -> tuple[bool, list[str]]:
-    """Re-check the statement's hypotheses and re-derive every postcondition
-    from raw instance data.
+# verify_certificate's checks, in the order it reports them
+_CHECKS = ("hypotheses", "instance digest", "arity", "domain order", "injectivity",
+           "index range", "image range", "size window", "anchor position", "cached value",
+           "value", "shelling partition", "shelling width", "shelling block value")
 
-    Returns (ok, diagnostics); diagnostics name each failed check.  D(G)
-    is looked up for theorem1 and corollary certificates only.
+
+def _check_selection(
+    inst: Instance, statement: str, d: int | None, indices: Sequence[int], images: Sequence[int],
+    shelling: tuple[tuple[int, ...], ...] | None,
+) -> tuple[list[str], Element | None]:
+    """The checks of a selection (I, f) and its shelling against
+    ``statement``, from raw instance data: the map's structure (arity,
+    domain order, injectivity, index and image range), then the size
+    window, the corollary's anchor, the value against the statement's
+    target, and the shelling's partition, block widths and block values.
+
+    Returns the names of the failed checks and the recomputed value, which
+    is None when the map is malformed and so cannot be valued.
     """
+    if len(indices) != len(images):
+        return ["arity"], None
+    failed: list[str] = []
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        failed.append("domain order")
+    if len(set(images)) != len(images):
+        failed.append("injectivity")
+    if any(not 1 <= i <= len(inst.w) for i in indices):
+        failed.append("index range")
+    if any(not 1 <= j <= inst.m for j in images):
+        failed.append("image range")
+    if failed:
+        return failed, None
+
+    lo, hi = _statement_window(inst, statement, d)
+    if not lo <= len(indices) <= hi:
+        failed.append("size window")
+    if statement == STATEMENT_COROLLARY and inst.m not in images:
+        failed.append("anchor position")
+
     g = inst.group
-    diagnostics: list[str] = []
-    if cert.statement not in STATEMENTS:
-        return False, [f"unknown statement {cert.statement!r}"]
-    d = None if cert.statement == STATEMENT_WORD1 else davenport_get(g, cache=dav_cache).value
-    sel = cert.selection
+    value = weighted_value(g, inst.w, inst.x, indices, images)
+    if value != _statement_target(inst, statement, indices):
+        failed.append("value")
 
-    try:
-        _check_hypotheses(inst, cert.statement, d)
-    except (InvalidInstance, UnsatisfiableStatement) as err:
-        diagnostics.append(f"hypotheses: {err}")
-
-    if cert.instance_digest != instance_digest(inst):
-        diagnostics.append("instance digest")
-
-    if len(sel.indices) != len(sel.images):
-        diagnostics.append("arity")
-        return False, diagnostics
-    if any(a >= b for a, b in zip(sel.indices, sel.indices[1:])):
-        diagnostics.append("domain order")
-    if len(set(sel.images)) != len(sel.images):
-        diagnostics.append("injectivity")
-    if any(not 1 <= i <= len(inst.w) for i in sel.indices):
-        diagnostics.append("index range")
-    if any(not 1 <= j <= inst.m for j in sel.images):
-        diagnostics.append("image range")
-    if diagnostics:
-        return False, diagnostics
-
-    lo, hi = _statement_window(inst, cert.statement, d)
-    if not lo <= len(sel) <= hi:
-        diagnostics.append("size window")
-    if cert.statement == STATEMENT_COROLLARY and inst.m not in sel.images:
-        diagnostics.append("anchor position")
-
-    recomputed = weighted_value(g, inst.w, inst.x, sel.indices, sel.images)
-    if recomputed != sel.value:
-        diagnostics.append("cached value")
-    if recomputed != _statement_target(inst, cert.statement, sel.indices):
-        diagnostics.append("value")
-
-    if cert.shelling is not None:
-        width = d if cert.statement == STATEMENT_THEOREM1 else inst.ell
-        flat = [i for block in cert.shelling for i in block]
-        if sorted(flat) != list(sel.indices):
-            diagnostics.append("shelling partition")
-        if any(not 1 <= len(block) <= width for block in cert.shelling):
-            diagnostics.append("shelling width")
-        fmap = sel.as_map()
-        for block in cert.shelling:
+    if shelling is not None:
+        width = d if statement == STATEMENT_THEOREM1 else inst.ell
+        flat = [i for block in shelling for i in block]
+        if sorted(flat) != list(indices):
+            failed.append("shelling partition")
+        if any(not 1 <= len(block) <= width for block in shelling):
+            failed.append("shelling width")
+        fmap = dict(zip(indices, images))
+        for block in shelling:
             if any(i not in fmap for i in block):
                 continue  # partition diagnostic already covers this
             if weighted_value(g, inst.w, inst.x, block, [fmap[i] for i in block]) != g.zero():
-                diagnostics.append("shelling block value")
+                failed.append("shelling block value")
                 break
+    return failed, value
 
-    return not diagnostics, diagnostics
+
+def verify_certificate(
+    inst: Instance, cert: Certificate, dav_cache: DavenportCache | None = None
+) -> tuple[bool, list[str]]:
+    """Re-check the statement's hypotheses, the certificate's own claims
+    (instance digest, cached value) and its selection (``_check_selection``)
+    from raw instance data.
+
+    Returns (ok, diagnostics), naming each failed check in ``_CHECKS`` order.
+    Past failed hypotheses or a wrong digest, only the map's structure is
+    reported.  D(G) is looked up for theorem1 and corollary certificates only.
+    """
+    statement, sel = cert.statement, cert.selection
+    if statement not in STATEMENTS:
+        return False, [f"unknown statement {statement!r}"]
+    d = None if statement == STATEMENT_WORD1 else davenport_get(inst.group, cache=dav_cache).value
+    diagnostics: list[str] = []
+    try:
+        _check_hypotheses(inst, statement, d)
+    except (InvalidInstance, UnsatisfiableStatement) as err:
+        diagnostics.append(f"hypotheses: {err}")
+    if cert.instance_digest != instance_digest(inst):
+        diagnostics.append("instance digest")
+
+    failed, value = _check_selection(inst, statement, d, sel.indices, sel.images, cert.shelling)
+    if value is None:  # a malformed map: its structure is all that is checked
+        return False, diagnostics + failed
+    if diagnostics:
+        return False, diagnostics
+    if value != sel.value:
+        failed.append("cached value")
+    failed.sort(key=_CHECKS.index)
+    return not failed, failed
 
 
 def solve(
     inst: Instance, statement: str, *, dav_cache: DavenportCache | None = None
 ) -> Certificate:
     """Verified certificate for ``statement`` (one of STATEMENTS) on ``inst``:
-    hypotheses, construction, then ``verify_certificate``; a certificate the
-    verifier rejects raises TheoremViolation naming the failed checks."""
+    hypotheses, construction, then the verifier's selection checks, whose
+    recomputed value the certificate carries; a construction they reject
+    raises TheoremViolation naming the failed checks."""
     if statement not in STATEMENTS:
         raise InvalidArgument(f"unknown statement {statement!r}")
     d = None if statement == STATEMENT_WORD1 else davenport_get(inst.group, cache=dav_cache).value
     _check_hypotheses(inst, statement, d)
-    sel, blocks = _construct(inst, statement, d)
-    cert = Certificate(
-        statement=statement,
-        instance_digest=instance_digest(inst),
-        selection=sel,
-        shelling=blocks,
-        solve_path=SOLVE_CONSTRUCTIVE,
-        verified=False,
-    )
-    ok, diagnostics = verify_certificate(inst, cert, dav_cache=dav_cache)
-    if not ok:
+    (indices, images), blocks = _construct(inst, statement, d)
+    failed, value = _check_selection(inst, statement, d, indices, images, blocks)
+    if failed:
         lo, hi = _statement_window(inst, statement, d)
         raise TheoremViolation(
             f"the {statement} construction gave no valid selection in window "
-            f"[{lo}, {hi}] despite its hypotheses: {'; '.join(diagnostics)}"
+            f"[{lo}, {hi}] despite its hypotheses: {'; '.join(failed)}"
         )
-    return replace(cert, verified=True)
+    return Certificate(
+        statement=statement,
+        instance_digest=instance_digest(inst),
+        selection=Selection(indices=indices, images=images, value=value),
+        shelling=blocks,
+        solve_path=SOLVE_CONSTRUCTIVE,
+        verified=True,
+    )
 
 
 def solve_theorem1(inst: Instance, *, dav_cache: DavenportCache | None = None) -> Certificate:

@@ -108,15 +108,16 @@ def test_criterion_9_determinism_and_roundtrip():
     (criterion_oracle_agreement, 2 * 2608),  # solver's own + the oracle's
 ])
 def test_solved_certificates_are_verified_once(monkeypatch, criterion, calls):
+    # a solve runs the verifier's selection checks once, and so does each
+    # verify_certificate call
     counted = []
-    verify = zsum.weighted.verify_certificate
+    check = zsum.weighted._check_selection
 
     def counting(*args, **kwargs):
         counted.append(1)
-        return verify(*args, **kwargs)
+        return check(*args, **kwargs)
 
-    monkeypatch.setattr(zsum.weighted, "verify_certificate", counting)
-    monkeypatch.setattr(zsum.acceptance, "verify_certificate", counting)
+    monkeypatch.setattr(zsum.weighted, "_check_selection", counting)
     assert criterion().passed
     assert len(counted) == calls
 

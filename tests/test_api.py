@@ -17,7 +17,6 @@ PUBLIC_API = [
     "InvalidElement",
     "InvalidGroup",
     "InvalidInstance",
-    "InvalidSelection",
     "OracleTooLarge",
     "ScanConfig",
     "ScanReport",
@@ -41,7 +40,6 @@ PUBLIC_API = [
     "groups_up_to_order",
     "instance_digest",
     "rho",
-    "selection_value",
     "solve",
     "solve_corollary",
     "solve_theorem1",

@@ -79,6 +79,22 @@ def test_davenport_exact_z26_fits_a_small_node_budget(capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 26
 
 
+def test_davenport_exact_search_deeper_than_the_recursion_limit(capsys):
+    # the witness has 1,023 elements, one search frame each
+    assert main(["davenport", "--orders", "1024", "--exact"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] == 1024 and out["witness"] == [[1]] * 1023
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_davenport_exact_refuses_a_node_budget_below_one(capsys, budget):
+    argv = ["davenport", "--orders", "2,2,6", "--exact", "--node-budget", budget]
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: node budget {budget} must be >= 1\n"
+
+
 def test_davenport_table(capsys):
     assert main(["davenport-table", "--max-order", "8"]) == EXIT_OK
     out = capsys.readouterr().out

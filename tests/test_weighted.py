@@ -15,7 +15,6 @@ from zsum.errors import (
     InvalidArgument,
     InvalidElement,
     InvalidInstance,
-    InvalidSelection,
     OracleTooLarge,
     TheoremViolation,
     UnsatisfiableStatement,
@@ -28,7 +27,6 @@ from zsum.weighted import (
     Selection,
     fallback_search,
     instance_digest,
-    selection_value,
     solve,
     solve_corollary,
     solve_theorem1,
@@ -43,7 +41,10 @@ Z4 = canonicalize([4])
 
 
 def _sel(inst, pairs):
-    return Selection.build(inst, pairs)
+    """The selection of ``pairs`` (i, f(i)), sorted by index and valued."""
+    indices, images = zip(*sorted(pairs))
+    value = weighted_value(inst.group, inst.w, inst.x, indices, images)
+    return Selection(indices=indices, images=images, value=value)
 
 
 def _theorem1_instance(g, x, w, ell):
@@ -54,43 +55,25 @@ def _theorem1_instance(g, x, w, ell):
 
 
 def test_selection_value_examples():
-    inst = _theorem1_instance(Z3, [(1,), (2,)], [2, 2], 1)
-    sel = _sel(inst, [(1, 1), (2, 2)])
-    assert sel.value == (0,)  # 2*1 + 2*2 = 6 = 0 mod 3
-    empty = Selection(indices=(), images=(), value=Z3.zero())
-    assert selection_value(inst, empty) == (0,)
+    x, w = [(1,), (2,)], [2, 2]
+    assert weighted_value(Z3, w, x, (1, 2), (1, 2)) == (0,)  # 2*1 + 2*2 = 6 = 0 mod 3
+    assert weighted_value(Z3, w, x, (1, 2), (2, 2)) == (2,)  # 2*2 + 2*2 = 8 = 2 mod 3
+    assert weighted_value(Z3, w, x, (), ()) == (0,)
 
 
 def test_selection_value_weight_two_kills_order_two_elements():
     g = canonicalize([2, 2])
-    for x in itertools.product(g.elements(), repeat=1):
-        inst = Instance(group=g, x=x, w=(2,), ell=1)
-        sel = _sel(inst, [(1, 1)])
-        assert sel.value == g.zero()
+    for e in g.elements():
+        assert weighted_value(g, (2,), (e,), (1,), (1,)) == g.zero()
 
 
-def test_selection_build_sorts_domain_and_recomputes_value():
-    inst = _theorem1_instance(Z3, [(1,), (2,), (0,)], [1, 1, 1], 2)
-    sel = Selection.build(inst, [(2, 1), (1, 2)])
-    assert sel.indices == (1, 2)
-    assert sel.images == (2, 1)
-    assert sel.value == (0,)  # x_2 + x_1 = 2 + 1
-
-
-def test_selection_rejects_duplicate_images():
-    inst = _theorem1_instance(Z3, [(1,), (2,), (0,)], [1, 1, 1], 2)
-    with pytest.raises(InvalidSelection):
-        selection_value(inst, Selection(indices=(1, 2), images=(1, 1), value=(0,)))
-
-
-def test_selection_rejects_out_of_range():
-    inst = _theorem1_instance(Z3, [(1,), (2,), (0,)], [1, 1], 2)
-    with pytest.raises(InvalidSelection):
-        selection_value(inst, Selection(indices=(3,), images=(1,), value=(0,)))
-    with pytest.raises(InvalidSelection):
-        selection_value(inst, Selection(indices=(1,), images=(4,), value=(0,)))
-    with pytest.raises(InvalidSelection):
-        selection_value(inst, Selection(indices=(2, 1), images=(1, 2), value=(0,)))
+def test_solve_sorts_the_constructed_map_and_stamps_its_checked_value(monkeypatch):
+    # a word1 construction that lists its pairs out of index order
+    inst = Instance(group=Z3, x=((1,), (2,), (0,)), w=(1, 1, 1), ell=2)
+    monkeypatch.setattr(zsum.weighted, "_word1_constructive", lambda *args: [(2, 1), (1, 2)])
+    cert = solve(inst, "word1")
+    assert cert.selection == Selection(indices=(1, 2), images=(2, 1), value=(0,))  # 2 + 1
+    assert cert.shelling == ((1, 2),)
 
 
 # ------------------------------------------------------------------- word1
@@ -135,8 +118,7 @@ def test_word1_exhaustive_small():
                     sh, _ = solve_word1(g, x, w, ell)
                     sel = sh.selection
                     assert 1 <= len(sel) <= ell, (x, w, ell)
-                    inst = Instance(group=g, x=x, w=w, ell=ell)
-                    assert selection_value(inst, sel) == g.zero()
+                    assert weighted_value(g, w, x, sel.indices, sel.images) == g.zero()
 
 
 def test_word1_preconditions():
@@ -501,7 +483,7 @@ def test_verify_flags_duplicate_images():
 
 def test_verify_flags_size_window():
     inst, cert = _valid_theorem1_pair()
-    sel = Selection.build(inst, [(1, 1), (2, 2), (3, 3)])
+    sel = _sel(inst, [(1, 1), (2, 2), (3, 3)])
     tampered = dataclasses.replace(cert, selection=sel, shelling=None)
     ok, diags = verify_certificate(inst, tampered)
     assert not ok
@@ -549,7 +531,7 @@ def test_verify_flags_shelling_tampering():
 def test_verify_flags_anchor_violation_for_corollary():
     inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
     cert = solve_corollary(inst)
-    sel = Selection.build(inst, [(1, 1), (2, 2), (3, 3)])
+    sel = _sel(inst, [(1, 1), (2, 2), (3, 3)])
     tampered = dataclasses.replace(cert, selection=sel, shelling=None)
     ok, diags = verify_certificate(inst, tampered)
     assert not ok
@@ -648,7 +630,7 @@ def test_fallback_matches_constructive_feasibility():
     inst = _theorem1_instance(Z3, [(1,), (2,), (0,)], [1, 1, 1], 2)
     sel = fallback_search(inst, "theorem1")
     assert sel is not None
-    assert selection_value(inst, sel) == Z3.zero()
+    assert weighted_value(Z3, inst.w, inst.x, sel.indices, sel.images) == Z3.zero()
     assert 1 <= len(sel) <= 2
 
 
@@ -870,29 +852,51 @@ def _counting(monkeypatch, name):
 
 
 def test_corollary_solve_verifies_once(monkeypatch):
-    calls = _counting(monkeypatch, "verify_certificate")
+    calls = _counting(monkeypatch, "_check_selection")
     inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
     cert = solve_corollary(inst)
     assert cert.solve_path == "constructive"
-    assert len(calls) == 1  # the corollary's own certificate, no inner one
+    assert len(calls) == 1  # the corollary's own selection, no inner one
 
 
 def test_corollary_solve_builds_one_selection_on_the_callers_instance(monkeypatch):
     inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
     instances = []
-    builds = []
-    build = Selection.build.__func__
-
-    def counted_build(cls, on, pairs):
-        builds.append(on)
-        return build(cls, on, pairs)
-
     monkeypatch.setattr(Instance, "__post_init__", lambda self: instances.append(self))
-    monkeypatch.setattr(Selection, "build", classmethod(counted_build))
+    checks = _counting(monkeypatch, "_check_selection")
     cert = solve_corollary(inst)
     assert cert.selection.images == (1, 4, 5)
     assert instances == []
-    assert len(builds) == 1 and builds[0] is inst
+    assert len(checks) == 1 and checks[0][0] is inst
+
+
+# statement: an instance to solve; theorem1's selection has more than one
+# shelling block, so no block valuation is the selection's
+COUNTED_SOLVES = {
+    "theorem1": Instance(group=Z4, x=((1,), (2,), (3,), (2,), (1,)), w=(0, 5, 1, 6, 2), ell=2),
+    "corollary": Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2),
+    "word1": Instance(group=Z4, x=((1,), (2,), (3,), (3,)), w=(1, 2, 1, 3), ell=2),
+}
+
+
+@pytest.mark.parametrize("statement", sorted(COUNTED_SOLVES))
+def test_a_solve_checks_each_fact_once(monkeypatch, statement):
+    inst = COUNTED_SOLVES[statement]
+    counted = {
+        name: _counting(monkeypatch, name)
+        for name in ("instance_digest", "_check_hypotheses", "davenport_get", "weighted_value")
+    }
+    cert = solve(inst, statement)
+    assert len(counted["instance_digest"]) == 1
+    assert len(counted["_check_hypotheses"]) == 1
+    assert len(counted["davenport_get"]) == (statement != "word1")
+    if statement != "word1":  # word1's one shelling block is I itself
+        sel = cert.selection
+        valuations = [
+            args for args in counted["weighted_value"]
+            if (tuple(args[3]), tuple(args[4])) == (sel.indices, sel.images)
+        ]
+        assert len(valuations) == 1
 
 
 def test_theorem1_narrow_path_calls_no_word1_solver(monkeypatch):
@@ -907,7 +911,7 @@ def test_theorem1_narrow_path_calls_no_word1_solver(monkeypatch):
 def test_corollary_construction_with_a_wrong_value_raises(monkeypatch):
     inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
     wrong = [(1, 1), (2, 2), (3, 5)]  # size n, anchored
-    assert Selection.build(inst, wrong).value != (0,)  # the target (1 + 1 + 1) * x_5 is zero
+    assert _sel(inst, wrong).value != (0,)  # the target (1 + 1 + 1) * x_5 is zero
     monkeypatch.setattr(zsum.weighted, "_corollary_pairs", lambda *args: wrong)
     with pytest.raises(TheoremViolation, match=r"corollary .* window \[3, 3\]"):
         solve_corollary(inst)
@@ -980,7 +984,7 @@ def test_word1_solve_and_verify_read_no_davenport_constant(monkeypatch):
 
 
 def test_solve_word1_verifies_once(monkeypatch):
-    calls = _counting(monkeypatch, "verify_certificate")
+    calls = _counting(monkeypatch, "_check_selection")
     sh, path = solve_word1(Z4, ((1,), (2,), (3,), (3,)), (1, 2, 1, 3), 2)
     assert path == "constructive" and sh.blocks == (sh.selection.indices,)
     assert len(calls) == 1
