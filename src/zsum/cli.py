@@ -84,6 +84,14 @@ def _check_out_path(path: str | None) -> None:
         raise InvalidArgument(f"output directory does not exist: {directory}")
 
 
+def _check_node_budget(budget: int | None) -> None:
+    """InvalidArgument for a ``--node-budget`` below 1, checked before any
+    output: ``davenport-table`` prints its closed-form rows before it first
+    searches, and other routes never search at all."""
+    if budget is not None and budget < 1:
+        raise InvalidArgument(f"node budget {budget} must be >= 1")
+
+
 def _write(path: str, payload: dict) -> None:
     """Write ``payload`` as canonical JSON to ``path``, atomically;
     InvalidArgument naming the path if it cannot be written."""
@@ -320,6 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_out_path(getattr(args, "out", None))
+        _check_node_budget(getattr(args, "node_budget", None))
         return args.func(args)
     except TheoremViolation as err:
         print(f"THEOREM VIOLATION: {err}", file=sys.stderr)

@@ -22,6 +22,16 @@ An automorphism maps a zero-sum-free sequence to one of the same length, so
 D is unchanged; and were phi(S_0) below the first element S_0 of the witness
 S, sorted(phi(S)) would be a maximal sequence before S, so S is still found.
 
+The same argument runs below the root.  While the prefix holds one distinct
+element S_0, a new element must be the smallest in its orbit under
+Stab_H(S_0); while it holds two, S_0 < S_1, under the pointwise stabilizer
+Stab_H(S_0, S_1) (``AbelianGroup._minima_fixing``, by Schreier's lemma).
+Such a phi fixes the prefix S_0 ... S_{j-1} of the witness S, so were
+phi(S_j) < S_j, sorted(phi(S)) would again be a maximal sequence before S.
+The walk visits a subset of the nodes it would visit otherwise, in the same
+order, and finds the same witness.  A prefix with three distinct elements,
+or one whose stabilizer is trivial, tries every candidate.
+
 Closed forms (cyclic, rank two, p-groups) serve as cross-checks and as the
 fast path in :func:`davenport_get`; everything lands in a cache keyed by
 the canonical invariant factors, optionally persisted to a JSON file.
@@ -91,11 +101,15 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
     best_witness: tuple[int, ...] = ()
     stack: list[int] = []
     nodes = 0
-    # (candidates still to try, sums of the prefix): first elements are
-    # Aut(G)-orbit minima, as above; later ones never fall below the last
-    frames = [(iter(g._orbit_minima), 0)]
+    # (candidates still to try, sums of the prefix, symmetry left): first
+    # elements are Aut(G)-orbit minima, as above, and later ones never fall
+    # below the last.  The symmetry left is (distinct prefix elements,
+    # minima of their stabilizer) while those are at most two and fix
+    # something; every other frame tries all of range(e, n)
+    frames = [(iter(g._orbit_minima), 0, ((), 0))]
+    minima_fixing = g._minima_fixing
     while frames:
-        candidates, sums_mask = frames[-1]
+        candidates, sums_mask, symmetry = frames[-1]
         size = len(stack) + 1  # of the prefix with one candidate appended
         for e in candidates:
             if sums_mask >> neg_rank[e] & 1:
@@ -116,8 +130,19 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
             # unless that room can carry it past the best length
             if size + n - 1 - new_mask.bit_count() > best_len:
                 stack.append(e)
-                frames.append((iter(range(e, n)), new_mask))
-                break  # descend; this frame resumes after e
+                if symmetry is None:
+                    frames.append((iter(range(e, n)), new_mask, None))
+                    break  # descend; this frame resumes after e
+                points, minima = symmetry
+                if not points or points[-1] != e:
+                    points = (*points, e)
+                    minima = minima_fixing(points) if len(points) <= 2 else 0
+                if minima:
+                    kept = [r for r in range(e, n) if minima >> r & 1]
+                    frames.append((iter(kept), new_mask, (points, minima)))
+                else:
+                    frames.append((iter(range(e, n)), new_mask, None))
+                break  # as above
         else:  # every candidate tried: back up to the parent frame
             frames.pop()
             if stack:

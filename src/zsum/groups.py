@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidElement, InvalidGroup, InvalidInstance
 
@@ -64,6 +64,63 @@ def _unit_generators(d: int) -> list[int]:
             coset = {s * u % d for s in coset}
         span = grown
     return gens
+
+
+def _orbit_minima_mask(n: int, maps: Iterable[Sequence[int]]) -> int:
+    """Bit mask of the ranks in [0, n) that are the smallest in their orbit
+    under the group the rank permutations ``maps`` generate: a union-find
+    over the ranks that always keeps the smaller root."""
+    parent = list(range(n))
+
+    def find(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    for image in maps:
+        for a, b in enumerate(image):
+            if a != b:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    mask = 0
+    for r in range(n):
+        if parent[r] == r:
+            mask |= 1 << r
+    return mask
+
+
+def _schreier_generators(
+    n: int, maps: Sequence[Sequence[int]], point: int
+) -> Iterator[tuple[int, ...]]:
+    """Generators of the stabilizer of ``point`` in the group that the
+    permutations ``maps`` of [0, n) generate (Schreier's lemma): u_c^-1 g u_b
+    for each b in the orbit of ``point`` and each g, where c = g(b) and u_b
+    is a product of generators carrying ``point`` to b.  Identities are left
+    out; repeats are not."""
+    identity = tuple(range(n))
+    transversal = {point: identity}
+    orbit = [point]
+    for b in orbit:
+        u = transversal[b]
+        for g in maps:
+            if g[b] not in transversal:
+                transversal[g[b]] = tuple([g[x] for x in u])
+                orbit.append(g[b])
+    inverses: dict[int, list[int]] = {}
+    for b in orbit:
+        u = transversal[b]
+        for g in maps:
+            c = g[b]
+            inverse = inverses.get(c)
+            if inverse is None:
+                inverse = inverses[c] = [0] * n
+                for x, y in enumerate(transversal[c]):
+                    inverse[y] = x
+            s = tuple([inverse[g[x]] for x in u])
+            if s != identity:
+                yield s
 
 
 def invariant_factors_of(orders: Sequence[int]) -> tuple[int, ...]:
@@ -229,22 +286,40 @@ class AbelianGroup:
     @cached_property
     def _orbit_minima(self) -> tuple[int, ...]:
         """The nonzero element ranks that are the smallest in their orbit
-        under the H of :meth:`_automorphism_maps`, ascending: a union-find
-        over the ranks that always keeps the smaller root."""
-        parent = list(range(self.order))
+        under the H of :meth:`_automorphism_maps`, ascending."""
+        mask = _orbit_minima_mask(self.order, self._automorphism_maps())
+        return tuple([r for r in range(1, self.order) if mask >> r & 1])
 
-        def find(r: int) -> int:
-            while parent[r] != r:
-                parent[r] = parent[parent[r]]
-                r = parent[r]
-            return r
+    def _minima_fixing(self, points: tuple[int, ...]) -> int:
+        """Bit mask of the ranks that are the smallest in their orbit under
+        the pointwise stabilizer in H of one or two ranks ``points``; 0 when
+        that stabilizer is trivial.  Schreier's lemma gives generators of
+        Stab_H(a) from those of H, and of Stab_H(a, b) from those of
+        Stab_H(a).  Built on first request and cached per group; only the
+        generators of the one-point stabilizers are kept."""
+        masks = self._stabilizer_masks
+        mask = masks.get(points)
+        if mask is None:
+            n = self.order
+            gens = self._point_stabilizers.get(points[0])
+            if gens is None:
+                gens = list(set(_schreier_generators(n, self._automorphism_maps(), points[0])))
+                self._point_stabilizers[points[0]] = gens
+            if len(points) == 2 and gens:
+                gens = _schreier_generators(n, gens, points[1])
+            mask = _orbit_minima_mask(n, gens)
+            masks[points] = mask = 0 if mask == (1 << n) - 1 else mask
+        return mask
 
-        for image in self._automorphism_maps():
-            for a, b in enumerate(image):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        return tuple([r for r in range(1, self.order) if parent[r] == r])
+    @cached_property
+    def _point_stabilizers(self) -> dict[int, list[tuple[int, ...]]]:
+        """Rank a -> generators of Stab_H(a), filled by :meth:`_minima_fixing`."""
+        return {}
+
+    @cached_property
+    def _stabilizer_masks(self) -> dict[tuple[int, ...], int]:
+        """Fixed ranks -> stabilizer minima, filled by :meth:`_minima_fixing`."""
+        return {}
 
     @cached_property
     def rank_index(self) -> dict[Element, int]:

@@ -578,10 +578,15 @@ def _check_selection(
         if any(not 1 <= len(block) <= width for block in shelling):
             failed.append("shelling width")
         fmap = dict(zip(indices, images))
+        whole = tuple(indices)
         for block in shelling:
             if any(i not in fmap for i in block):
                 continue  # partition diagnostic already covers this
-            if weighted_value(g, inst.w, inst.x, block, [fmap[i] for i in block]) != g.zero():
+            if tuple(block) == whole:  # word1's one block is I: valued above
+                block_value = value
+            else:
+                block_value = weighted_value(g, inst.w, inst.x, block, [fmap[i] for i in block])
+            if block_value != g.zero():
                 failed.append("shelling block value")
                 break
     return failed, value

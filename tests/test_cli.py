@@ -95,6 +95,18 @@ def test_davenport_exact_refuses_a_node_budget_below_one(capsys, budget):
     assert captured.err == f"error: node budget {budget} must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["davenport", "--orders", "3,3", "--node-budget", "0"],  # closed form: no search
+    ["davenport", "--orders", "3,3", "--formula", "--node-budget", "-5"],
+    ["davenport-table", "--max-order", "26", "--node-budget", "0"],  # rows before a search
+])
+def test_a_node_budget_below_one_is_refused_before_any_output(capsys, argv):
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: node budget {argv[-1]} must be >= 1\n"
+
+
 def test_davenport_table(capsys):
     assert main(["davenport-table", "--max-order", "8"]) == EXIT_OK
     out = capsys.readouterr().out

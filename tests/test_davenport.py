@@ -291,10 +291,39 @@ def test_exact_records_of_orders_27_to_30_are_pinned():
     )
 
 
+def test_exact_records_of_orders_31_and_32_are_pinned():
+    # recorded before the search broke symmetry below the root: the
+    # stabilizer minima may change the effort, never the answer
+    rows = []
+    for q in range(31, 33):
+        for g in groups_of_order(q):
+            rec = davenport_exact(g)
+            rows.append([list(g.invariant_factors), rec.value, [list(e) for e in rec.witness]])
+    blob = json.dumps(rows, separators=(",", ":")).encode("utf-8")
+    assert len(rows) == 8
+    assert hashlib.sha256(blob).hexdigest() == (
+        "8cb318caa6e225a2a0b6d2bc8c8eceb8bc2c8cb71e07f2e2ee815f8c4775898c"
+    )
+
+
 def test_exact_search_skips_roots_an_automorphism_moves():
     # a search from every first element takes 129,159 and 56,975 nodes
     assert davenport_exact(canonicalize([5, 5]), node_budget=30_000).value == 9
     assert davenport_exact(canonicalize([2, 2, 6]), node_budget=30_000).value == 8
+
+
+def test_exact_search_skips_candidates_the_prefix_stabilizer_moves():
+    # minima under the stabilizers of the first two distinct elements; the
+    # search from root orbit minima alone takes 21,265 and 23,545 nodes
+    assert davenport_exact(canonicalize([5, 5]), node_budget=3_100).value == 9
+    assert davenport_exact(canonicalize([2, 2, 6]), node_budget=5_100).value == 8
+
+
+def test_exact_davenport_of_z2_z2_z2_z6():
+    # D* = 1 + 1 + 1 + 1 + 5 = 9; the search takes 477,882 nodes
+    rec = davenport_exact(canonicalize([2, 2, 2, 6]), node_budget=600_000)
+    assert rec.value == 9
+    assert rec.witness == ((0, 0, 0, 1),) * 5 + ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
 
 
 def test_exact_witness_is_the_first_zero_sum_free_combination():

@@ -10,6 +10,7 @@ from zsum.errors import InvalidElement, InvalidGroup, InvalidInstance
 from zsum.groups import (
     MAX_FACTORED_ORDER,
     AbelianGroup,
+    _schreier_generators,
     canonicalize,
     groups_of_order,
     groups_up_to_order,
@@ -293,3 +294,61 @@ def test_orbit_minima_examples():
     assert canonicalize([1])._orbit_minima == ()
     g = canonicalize([2, 4])
     assert g._orbit_minima is g._orbit_minima
+
+
+def _closure(n, maps):
+    """Every element of the group the rank permutations generate."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for image in maps:
+            q = tuple([image[a] for a in p])
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def _fixing_minima(n, group, points):
+    """Brute-force mask of the stabilizer's orbit minima; 0 if it is trivial."""
+    stab = [p for p in group if all(p[a] == a for a in points)]
+    mask = sum(1 << r for r in range(n) if all(p[r] >= r for p in stab))
+    return 0 if len(stab) == 1 else mask
+
+
+def _is_automorphism_fixing(g, perm, points):
+    add, n = g.rank_add_table, g.order
+    return (
+        sorted(perm) == list(range(n))
+        and all(perm[a] == a for a in points)
+        and all(perm[add[a][b]] == add[perm[a]][perm[b]]
+                for a, b in itertools.product(range(n), repeat=2))
+    )
+
+
+def test_stabilizer_minima_match_the_closed_stabilizers():
+    # exact Davenport search keeps only these minima while its prefix holds
+    # one or two distinct elements; each must be the closure's orbit minima
+    for g in groups_up_to_order(16):
+        n = g.order
+        group = _closure(n, g._automorphism_maps())
+        for a in g._orbit_minima:
+            one = g._minima_fixing((a,))
+            assert one == _fixing_minima(n, group, (a,)), (g, a)
+            gens = g._point_stabilizers[a]
+            assert all(_is_automorphism_fixing(g, p, (a,)) for p in gens), (g, a)
+            for b in range(a + 1, n):
+                if one and not one >> b & 1:
+                    continue  # the search never appends b after a
+                assert g._minima_fixing((a, b)) == _fixing_minima(n, group, (a, b)), (g, a, b)
+                for p in _schreier_generators(n, gens, b):
+                    assert _is_automorphism_fixing(g, p, (a, b)), (g, a, b)
+
+
+def test_stabilizer_minima_examples():
+    assert canonicalize([7])._minima_fixing((1,)) == 0  # only 1 fixes 1 in Z_7
+    assert canonicalize([2, 2])._minima_fixing((1,)) == 0b0111  # swaps 2 and 3
+    g = canonicalize([3, 3])
+    assert g._minima_fixing((1, 3)) == 0  # fixing a basis fixes everything
+    assert g._minima_fixing((1,)) is g._minima_fixing((1,))

@@ -890,13 +890,12 @@ def test_a_solve_checks_each_fact_once(monkeypatch, statement):
     assert len(counted["instance_digest"]) == 1
     assert len(counted["_check_hypotheses"]) == 1
     assert len(counted["davenport_get"]) == (statement != "word1")
-    if statement != "word1":  # word1's one shelling block is I itself
-        sel = cert.selection
-        valuations = [
-            args for args in counted["weighted_value"]
-            if (tuple(args[3]), tuple(args[4])) == (sel.indices, sel.images)
-        ]
-        assert len(valuations) == 1
+    sel = cert.selection
+    valuations = [
+        args for args in counted["weighted_value"]
+        if (tuple(args[3]), tuple(args[4])) == (sel.indices, sel.images)
+    ]
+    assert len(valuations) == 1
 
 
 def test_theorem1_narrow_path_calls_no_word1_solver(monkeypatch):
