@@ -14,7 +14,6 @@ from .errors import (
 )
 from .groups import AbelianGroup, Element, canonicalize, groups_of_order, groups_up_to_order, rho
 from .davenport import (
-    DavenportCache,
     DavenportRecord,
     davenport_exact,
     davenport_formula,
@@ -58,7 +57,6 @@ __all__ = [
     "AbelianGroup",
     "BudgetExceeded",
     "Certificate",
-    "DavenportCache",
     "DavenportRecord",
     "Element",
     "Instance",

@@ -10,9 +10,11 @@ violation (a construction missed under its hypotheses: a bug, reported
 loudly, never absorbed); 5 resource cap hit (Davenport search node budget
 or scan budget exceeded).
 
-All file output is atomic (temp file + rename).  The only environment
-variable honored is ZSUM_DAVENPORT_CACHE (cache path override); everything
-else is flags.
+All file output is atomic (temp file + rename).  Every setting is a flag,
+and no command reads a Davenport cache file: D(G) comes from the closed
+forms, the searched records of ``davenport.SEARCHED_FACTORS`` or the exact
+search.  A set ZSUM_DAVENPORT_CACHE, which once named such a file, exits 2
+naming the variable, so a stale setting is refused rather than ignored.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import sys
 
 from .davenport import (
     DEFAULT_NODE_BUDGET,
-    DavenportCache,
     davenport_exact,
     davenport_formula_record,
     davenport_get,
@@ -65,11 +66,6 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise InvalidInstance(f"{what} must be a comma-separated integer list, got {text!r}")
-
-
-def _cache_from(args: argparse.Namespace) -> DavenportCache | None:
-    path = getattr(args, "cache", None) or os.environ.get(CACHE_ENV_VAR)
-    return DavenportCache(path) if path else None
 
 
 def _check_out_path(path: str | None) -> None:
@@ -133,16 +129,15 @@ def _cmd_davenport(args: argparse.Namespace) -> int:
     elif args.exact:
         rec = davenport_exact(g, node_budget=args.node_budget)
     else:
-        rec = davenport_get(g, cache=_cache_from(args), node_budget=args.node_budget)
+        rec = davenport_get(g, node_budget=args.node_budget)
     _emit(davenport_record_to_json(rec), args.out)
     return EXIT_OK
 
 
 def _cmd_davenport_table(args: argparse.Namespace) -> int:
-    cache = _cache_from(args)
     print(f"{'order':>5s}  {'factors':<14s}  {'D':>3s}  method")
     for g in groups_up_to_order(args.max_order):
-        rec = davenport_get(g, cache=cache, node_budget=args.node_budget)
+        rec = davenport_get(g, node_budget=args.node_budget)
         factors = "x".join(str(d) for d in g.invariant_factors) or "1"
         print(f"{g.order:>5d}  {factors:<14s}  {rec.value:>3d}  {rec.method}")
     return EXIT_OK
@@ -174,7 +169,7 @@ def _cmd_zero_sum(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     statement, inst = load_instance(args.instance)
-    cert = solve(inst, statement, dav_cache=_cache_from(args))
+    cert = solve(inst, statement)
     _write(args.out, certificate_to_json(inst.group, cert))
     print(f"certificate written to {args.out}")
     print(f"verification: ok (solve_path = {cert.solve_path}, |I| = {len(cert.selection)})")
@@ -190,7 +185,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if cert.statement != statement:
         diagnostics.append("statement mismatch")
     if not diagnostics:
-        ok, diagnostics = verify_certificate(inst, cert, dav_cache=_cache_from(args))
+        ok, diagnostics = verify_certificate(inst, cert)
         if ok:
             print("certificate: VALID")
             return EXIT_OK
@@ -263,14 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="force exhaustive search")
     mode.add_argument("--formula", action="store_true", help="force closed form (error if none)")
-    p.add_argument("--cache", help="cache file path")
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_davenport)
 
     p = sub.add_parser("davenport-table", help="table of D(G) for all groups up to an order")
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--cache", help="cache file path")
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_davenport_table)
 
@@ -288,13 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the instance's statement, emit a certificate")
     p.add_argument("--instance", required=True)
     p.add_argument("--out", required=True, help="certificate output path")
-    p.add_argument("--cache", help="davenport cache file path")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="verify a certificate against an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--cert", required=True)
-    p.add_argument("--cache", help="davenport cache file path")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("scan-conjecture", help="counterexample scan over an instance space")
@@ -327,6 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if CACHE_ENV_VAR in os.environ:
+            raise InvalidArgument(f"{CACHE_ENV_VAR} is set, but zsum reads no Davenport cache file")
         _check_out_path(getattr(args, "out", None))
         _check_node_budget(getattr(args, "node_budget", None))
         return args.func(args)

@@ -33,22 +33,20 @@ order, and finds the same witness.  A prefix with three distinct elements,
 or one whose stabilizer is trivial, tries every candidate.
 
 Closed forms (cyclic, rank two, p-groups) serve as cross-checks and as the
-fast path in :func:`davenport_get`; everything lands in a cache keyed by
-the canonical invariant factors, optionally persisted to a JSON file.
-A closed-form witness (d_i - 1 copies of each generator) is zero-sum-free
-by construction and is not re-checked at run time; the tests check it.
-Cache-file entries come from outside the program, so each is checked when
-first read; one that equals the closed-form record is accepted as it is.
+fast path in :func:`davenport_get`, after an earlier lookup in the same
+process; the groups of order <= 64 that they miss are served from
+SEARCHED_FACTORS, and any other group is searched.  Nothing is read from or
+written to a file.  A closed-form witness (d_i - 1 copies of each generator)
+is zero-sum-free by construction and is not re-checked at run time; the
+tests check it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
-from .errors import BudgetExceeded, InvalidArgument, InvalidElement
+from .errors import BudgetExceeded, InvalidArgument
 from .groups import AbelianGroup, Element, _factorint
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -56,6 +54,17 @@ DEFAULT_NODE_BUDGET = 10**8
 METHOD_EXACT = "exact_search"
 METHOD_FORMULA = "formula"
 METHOD_CACHE = "cache"
+
+# The invariant factors of every group of order <= 64 that no closed form
+# covers.  On each, the exact search finds D = D* = 1 + sum (d_i - 1) with
+# generator_repeat_witness(g) as its witness (the tests re-derive both), so
+# davenport_get serves that record without repeating the search, which takes
+# up to half a minute (Z_2^2 x Z_14).  D = D* on C_2 + C_2 + C_2n is also
+# proven (Gao and Geroldinger, Zero-sum problems in finite abelian groups,
+# 2006).
+SEARCHED_FACTORS = frozenset({
+    (2, 2, 6), (2, 2, 10), (2, 2, 12), (2, 2, 14), (2, 2, 2, 6), (3, 3, 6),
+})
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,8 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceeded(
-                    f"davenport_exact exhausted {node_budget} nodes on {g.describe()}",
+                    f"davenport_exact exhausted {node_budget} nodes on {g.describe()}: "
+                    f"D >= {best_len + 1}",
                     lower_bound=best_len + 1,
                     witness=tuple([elements[r] for r in best_witness]),
                 )
@@ -196,134 +206,26 @@ def davenport_formula_record(g: AbelianGroup) -> DavenportRecord | None:
     )
 
 
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+_memo: dict[tuple[int, ...], DavenportRecord] = {}  # by invariant factors, method "cache"
 
 
-def _read_cache_file(path: Path) -> dict[str, dict]:
-    """The stored entries of a cache file, checked for shape only: a JSON
-    object whose entries each hold an integer ``value`` and a ``witness``
-    list of residue lists.  Anything else raises InvalidArgument."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as err:
-        raise InvalidArgument(f"Davenport cache {path} is unreadable: {err}") from None
-    except RecursionError:
-        raise InvalidArgument(f"Davenport cache {path} is nested too deeply to read") from None
-    if not isinstance(data, dict):
-        raise InvalidArgument(
-            f"Davenport cache {path} must hold a JSON object, got {type(data).__name__}"
-        )
-    for key, entry in data.items():
-        value = entry.get("value") if isinstance(entry, dict) else None
-        witness = entry.get("witness") if isinstance(entry, dict) else None
-        if not (
-            _is_int(value)
-            and isinstance(witness, list)
-            and all(isinstance(e, list) and all(_is_int(r) for r in e) for e in witness)
-        ):
-            raise InvalidArgument(
-                f"Davenport cache {path}: entry {key!r} needs an integer 'value' "
-                f"and a 'witness' list of residue lists"
-            )
-    return data
-
-
-class DavenportCache:
-    """Map from canonical factor key ("d1xd2x...": "1" for the trivial group)
-    to records; single-writer, optionally persisted as JSON.  A file that is
-    not JSON, or whose entries lack an integer value or a witness list, is
-    rejected with InvalidArgument when the cache is opened; so is an entry
-    whose value or witness is wrong, when it is first decoded, and a file
-    that cannot be written, when persisting.
-
-    Records are decoded once and served as they are; ``put`` also keeps the
-    entry in its JSON shape, which is what persisting writes.
-    """
-
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
-        self._stored: dict[str, dict] = {}  # the file's entries, as JSON: read or put
-        self._records: dict[str, DavenportRecord] = {}  # decoded, method "cache"
-        if self.path is not None and self.path.exists():
-            self._stored = _read_cache_file(self.path)
-
-    @staticmethod
-    def key_for(g: AbelianGroup) -> str:
-        if not g.invariant_factors:
-            return "1"
-        return "x".join(str(d) for d in g.invariant_factors)
-
-    def get(self, g: AbelianGroup) -> DavenportRecord | None:
-        key = self.key_for(g)
-        hit = self._records.get(key)
-        if hit is None:
-            entry = self._stored.get(key)
-            if entry is None:
-                return None
-            witness = tuple([tuple(e) for e in entry["witness"]])
-            hit = DavenportRecord(group=g, value=entry["value"], witness=witness, method=METHOD_CACHE)
-            self._check_entry(key, hit)
-            self._records[key] = hit
-        return hit
-
-    def _check_entry(self, key: str, rec: DavenportRecord) -> None:
-        """InvalidArgument unless a stored entry's value matches the closed
-        form where one applies and its witness is value - 1 zero-sum-free
-        elements of the group.  The closed-form record's own witness is
-        zero-sum-free by construction (see ``davenport_formula_record``), so
-        an entry that carries it is accepted without the subset check."""
-        where = f"Davenport cache {self.path}: entry {key!r}"
-        formula = davenport_formula(rec.group)
-        if formula is not None and rec.value != formula:
-            raise InvalidArgument(f"{where} has value {rec.value}, the closed form gives {formula}")
-        if formula is not None and rec.witness == generator_repeat_witness(rec.group):
-            return
-        try:
-            free = len(rec.witness) == rec.value - 1 and zero_sum_free_check(rec.group, rec.witness)
-        except InvalidElement:
-            free = False
-        if not free:
-            raise InvalidArgument(
-                f"{where} needs a witness of {rec.value - 1} zero-sum-free group elements"
-            )
-
-    def put(self, record: DavenportRecord) -> None:
-        key = self.key_for(record.group)
-        self._stored[key] = {
-            "value": record.value,
-            "witness": [list(e) for e in record.witness],
-            "method": record.method,
-        }
-        self._records[key] = replace(record, method=METHOD_CACHE)
-        if self.path is not None:
-            self._persist()
-
-    def _persist(self) -> None:
-        from .serialize import atomic_write_text  # serialize imports this module
-
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(str(self.path), json.dumps(self._stored, sort_keys=True, indent=2))
-        except OSError as err:
-            raise InvalidArgument(f"Davenport cache {self.path} cannot be written: {err}") from None
-
-
-_default_cache = DavenportCache()
-
-
-def davenport_get(
-    g: AbelianGroup,
-    cache: DavenportCache | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> DavenportRecord:
-    """Cache hit, else closed form, else exact search."""
-    cache = cache if cache is not None else _default_cache
-    hit = cache.get(g)
+def davenport_get(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> DavenportRecord:
+    """D(G) from, in order: an earlier lookup in this process (method
+    "cache"), the closed form, the record of a group in SEARCHED_FACTORS,
+    else the exact search."""
+    key = g.invariant_factors
+    hit = _memo.get(key)
     if hit is not None:
         return hit
     record = davenport_formula_record(g)
-    if record is None:
+    if record is None and key in SEARCHED_FACTORS:
+        record = DavenportRecord(
+            group=g,
+            value=1 + sum(d - 1 for d in key),
+            witness=generator_repeat_witness(g),
+            method=METHOD_EXACT,
+        )
+    elif record is None:
         record = davenport_exact(g, node_budget=node_budget)
-    cache.put(record)
+    _memo[key] = replace(record, method=METHOD_CACHE)
     return record

@@ -31,7 +31,8 @@ recompute.  ``verify_certificate`` adds the hypotheses and the
 certificate's own claims (instance digest, cached value).  The proofs are
 constructive, so under the hypotheses a construction cannot miss; if a
 check rejects one, that is a bug and it raises TheoremViolation.  D(G) is
-looked up for theorem1 and the corollary only: word1 does not mention it.
+looked up, through ``davenport_get`` and so at most once per group and
+process, for theorem1 and the corollary only: word1 does not mention it.
 The answer rests on the verifier, not on a second solver: the exhaustive
 oracle (``fallback_search``) is the test-side ground truth only, and no
 solve calls it.  The constructions nest as the proofs do (the corollary
@@ -58,7 +59,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .davenport import DavenportCache, davenport_get
+from .davenport import davenport_get
 from .errors import (
     InvalidArgument,
     InvalidInstance,
@@ -592,9 +593,7 @@ def _check_selection(
     return failed, value
 
 
-def verify_certificate(
-    inst: Instance, cert: Certificate, dav_cache: DavenportCache | None = None
-) -> tuple[bool, list[str]]:
+def verify_certificate(inst: Instance, cert: Certificate) -> tuple[bool, list[str]]:
     """Re-check the statement's hypotheses, the certificate's own claims
     (instance digest, cached value) and its selection (``_check_selection``)
     from raw instance data.
@@ -606,7 +605,7 @@ def verify_certificate(
     statement, sel = cert.statement, cert.selection
     if statement not in STATEMENTS:
         return False, [f"unknown statement {statement!r}"]
-    d = None if statement == STATEMENT_WORD1 else davenport_get(inst.group, cache=dav_cache).value
+    d = None if statement == STATEMENT_WORD1 else davenport_get(inst.group).value
     diagnostics: list[str] = []
     try:
         _check_hypotheses(inst, statement, d)
@@ -626,16 +625,14 @@ def verify_certificate(
     return not failed, failed
 
 
-def solve(
-    inst: Instance, statement: str, *, dav_cache: DavenportCache | None = None
-) -> Certificate:
+def solve(inst: Instance, statement: str) -> Certificate:
     """Verified certificate for ``statement`` (one of STATEMENTS) on ``inst``:
     hypotheses, construction, then the verifier's selection checks, whose
     recomputed value the certificate carries; a construction they reject
     raises TheoremViolation naming the failed checks."""
     if statement not in STATEMENTS:
         raise InvalidArgument(f"unknown statement {statement!r}")
-    d = None if statement == STATEMENT_WORD1 else davenport_get(inst.group, cache=dav_cache).value
+    d = None if statement == STATEMENT_WORD1 else davenport_get(inst.group).value
     _check_hypotheses(inst, statement, d)
     (indices, images), blocks = _construct(inst, statement, d)
     failed, value = _check_selection(inst, statement, d, indices, images, blocks)
@@ -655,19 +652,19 @@ def solve(
     )
 
 
-def solve_theorem1(inst: Instance, *, dav_cache: DavenportCache | None = None) -> Certificate:
+def solve_theorem1(inst: Instance) -> Certificate:
     """Certificate with n - min(D, ell) <= |I| <= n - 1 and value zero."""
-    return solve(inst, STATEMENT_THEOREM1, dav_cache=dav_cache)
+    return solve(inst, STATEMENT_THEOREM1)
 
 
-def solve_corollary(inst: Instance, *, dav_cache: DavenportCache | None = None) -> Certificate:
+def solve_corollary(inst: Instance) -> Certificate:
     """Certificate with |I| = n, image containing position m, and weighted
     sum equal to (sum of picked weights) * x_m.
 
     Raises UnsatisfiableStatement when ell >= D: then m - r = n - 1 and no
     n-subset of [1, m - r] exists.
     """
-    return solve(inst, STATEMENT_COROLLARY, dav_cache=dav_cache)
+    return solve(inst, STATEMENT_COROLLARY)
 
 
 def solve_word1(

@@ -9,7 +9,6 @@ PUBLIC_API = [
     "AbelianGroup",
     "BudgetExceeded",
     "Certificate",
-    "DavenportCache",
     "DavenportRecord",
     "Element",
     "Instance",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -7,6 +8,7 @@ import time
 import pytest
 
 import zsum.cli
+import zsum.davenport
 import zsum.weighted
 from zsum.cli import (
     EXIT_FAILED,
@@ -111,6 +113,37 @@ def test_davenport_table(capsys):
     assert main(["davenport-table", "--max-order", "8"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "2x4" in out or "2 x 4" in out.replace("⊕", "x")
+
+
+def test_davenport_to_order_64_needs_no_search(capsys, monkeypatch):
+    # closed forms and the six searched records cover every group of order
+    # <= 64; the digests are of the output of a search under the default budget
+    monkeypatch.setattr(zsum.davenport, "_memo", {})
+    assert main(["davenport-table", "--max-order", "64", "--node-budget", "1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    rows = {line.split()[1]: line.split()[2:] for line in out.splitlines()[1:]}
+    searched = {"2x2x6": "8", "2x2x10": "12", "2x2x2x6": "9", "2x2x12": "14", "3x3x6": "10",
+                "2x2x14": "16"}
+    for factors, value in searched.items():
+        assert rows[factors] == [value, "exact_search"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "24a591c18c453a1bc51b5713e44cd6e39d3445e73986cae45f16659266776363"
+    )
+    monkeypatch.setattr(zsum.davenport, "_memo", {})
+    assert main(["davenport", "--orders", "2,2,14", "--node-budget", "1"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "a33aee0d49a727ae4d46e7f44f84d3a6c4630b2f73905bd0b82b98f8461e71a1"
+    )
+
+
+def test_davenport_budget_exhaustion_reports_the_lower_bound(capsys):
+    argv = ["davenport", "--orders", "2,2,6", "--exact", "--node-budget", "3"]
+    assert main(argv) == EXIT_RESOURCE_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget exceeded: davenport_exact exhausted 3 nodes on Z_2 x Z_2 x Z_6: D >= 4\n"
+    )
 
 
 def test_solve_word0_example(tmp_path, capsys):
@@ -292,7 +325,7 @@ def test_unreadable_input_files_exit_invalid(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("role", ["instance", "certificate", "davenport-cache"])
+@pytest.mark.parametrize("role", ["instance", "certificate"])
 def test_too_deeply_nested_json_exits_invalid(tmp_path, capsys, role):
     deep_path = tmp_path / "deep.json"
     deep_path.write_text("[" * 200_000)
@@ -301,7 +334,6 @@ def test_too_deeply_nested_json_exits_invalid(tmp_path, capsys, role):
     argv = {
         "instance": ["solve", "--instance", str(deep_path), "--out", str(tmp_path / "c.json")],
         "certificate": ["verify", "--instance", str(inst_path), "--cert", str(deep_path)],
-        "davenport-cache": ["davenport", "--orders", "4", "--cache", str(deep_path)],
     }[role]
     capsys.readouterr()
     assert main(argv) == EXIT_INVALID
@@ -490,6 +522,64 @@ def test_verify_rejects_an_instance_outside_the_hypotheses(tmp_path, capsys):
     )
 
 
+def _one_position_short(tmp_path):
+    """theorem1 on Z_2^2 x Z_6 (n = 24, D = 8, no closed form) with ell = 2
+    and m = 28, one below n + D - min(D, ell) - 1 = 29: sound only if D were 7.
+    Also writes a Davenport cache file in the format earlier versions read,
+    claiming D = 7 with six zero-sum-free elements."""
+    g = canonicalize([2, 2, 6])
+    x = g.elements() + g.elements()[1:5]
+    inst = _write_instance(tmp_path / "inst.json", "theorem1", [2, 2, 6], x, tuple(range(1, 29)), 2)
+    (tmp_path / "dav.json").write_text(json.dumps(
+        {"2x2x6": {"value": 7, "witness": [[0, 0, 1]] * 5 + [[0, 1, 0]]}}
+    ))
+    return inst
+
+
+def test_solve_refuses_an_instance_one_position_short_whatever_cache_is_named(
+    tmp_path, capsys, monkeypatch
+):
+    _one_position_short(tmp_path)
+    argv = ["solve", "--instance", str(tmp_path / "inst.json"), "--out", str(tmp_path / "c.json")]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: need m = n + D - min(D, ell) - 1 = 29, got 28\n"
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--cache", str(tmp_path / "dav.json")])
+    assert exited.value.code == EXIT_INVALID
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
+    monkeypatch.setenv(zsum.cli.CACHE_ENV_VAR, str(tmp_path / "dav.json"))
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "error: ZSUM_DAVENPORT_CACHE is set, but zsum reads no Davenport cache file\n"
+    )
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_verify_refuses_a_certificate_that_takes_an_understated_davenport_constant(
+    tmp_path, capsys
+):
+    inst = _one_position_short(tmp_path)
+    # the certificate a solve taking D = 7 would write: only the hypotheses fail
+    (indices, images), blocks = zsum.weighted._construct(inst, "theorem1", 7)
+    failed, value = zsum.weighted._check_selection(inst, "theorem1", 7, indices, images, blocks)
+    assert failed == []
+    cert = Certificate(
+        statement="theorem1",
+        instance_digest=instance_digest(inst),
+        selection=Selection(indices=indices, images=images, value=value),
+        shelling=blocks,
+        solve_path="constructive",
+        verified=True,
+    )
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(dumps_stable(certificate_to_json(inst.group, cert)))
+    rc = main(["verify", "--instance", str(tmp_path / "inst.json"), "--cert", str(cert_path)])
+    assert rc == EXIT_FAILED
+    assert capsys.readouterr().out == (
+        "certificate: INVALID (hypotheses: need m = n + D - min(D, ell) - 1 = 29, got 28)\n"
+    )
+
+
 # the seven commands that take --out; "{}" stands for the output path
 OUT_COMMANDS = {
     "group": ["group", "--orders", "4", "--out", "{}"],
@@ -558,74 +648,6 @@ def test_selftest_writes_summary(tmp_path, capsys, monkeypatch):
     summary = json.loads(out_path.read_text())
     assert summary["all_passed"] is False
     assert [r["number"] for r in summary["results"]] == [1, 2]
-
-
-MALFORMED_CACHES = {
-    "top-level-list": "[1, 2]",
-    "no-value": '{"2x2": {"witness": [[0, 1], [1, 0]]}}',
-    "string-value": '{"2x2": {"value": "3", "witness": [[0, 1], [1, 0]]}}',
-    "no-witness": '{"2x2": {"value": 3}}',
-    "flat-witness": '{"2x2": {"value": 3, "witness": [1, 2]}}',
-    "entry-not-object": '{"2x2": [3]}',
-    "not-json": '{"2x2": {"value": 3,',
-}
-
-
-@pytest.mark.parametrize("name", sorted(MALFORMED_CACHES))
-def test_solve_rejects_malformed_davenport_cache(tmp_path, capsys, name):
-    text = MALFORMED_CACHES[name]
-    inst_path = tmp_path / "inst.json"
-    cert_path = tmp_path / "cert.json"
-    cache_path = tmp_path / "dav.json"
-    cache_path.write_text(text)
-    _write_instance(inst_path, "theorem1", [2, 2], ((0, 1), (1, 0), (1, 1), (0, 1)), (1, 1, 1, 1), 2)
-    rc = main(["solve", "--instance", str(inst_path), "--out", str(cert_path),
-               "--cache", str(cache_path)])
-    assert rc == EXIT_INVALID
-    assert "Davenport cache" in capsys.readouterr().err
-    assert not cert_path.exists()
-    assert cache_path.read_text() == text  # left as it was
-
-
-# entries of the right shape whose content is wrong
-UNSOUND_CACHES = {
-    "value-above-formula": '{"2x2": {"value": 4, "witness": [[0, 1], [1, 0], [1, 1]]}}',
-    "witness-too-short": '{"2x2": {"value": 3, "witness": [[0, 1]]}}',
-    "witness-has-zero-sum": '{"2x2": {"value": 3, "witness": [[0, 1], [0, 1]]}}',
-    "witness-outside-group": '{"2x2": {"value": 3, "witness": [[0, 1], [2, 0]]}}',
-}
-
-
-@pytest.mark.parametrize("name", sorted(UNSOUND_CACHES))
-def test_verify_rejects_unsound_davenport_cache(tmp_path, capsys, name):
-    inst_path = tmp_path / "inst.json"
-    cert_path = tmp_path / "cert.json"
-    cache_path = tmp_path / "dav.json"
-    _write_instance(inst_path, "theorem1", [2, 2], ((0, 1), (1, 0), (1, 1)), (1, 1, 1), 4)
-    assert main(["solve", "--instance", str(inst_path), "--out", str(cert_path)]) == EXIT_OK
-    # an empty selection: outside the window [n - D, n - 1] = [1, 3]
-    cert = json.loads(cert_path.read_text())
-    cert.update({"I": [], "f": {}, "shelling": None, "value": [0, 0]})
-    cert_path.write_text(dumps_stable(cert))
-    capsys.readouterr()
-    assert main(["verify", "--instance", str(inst_path), "--cert", str(cert_path)]) == EXIT_FAILED
-    assert "size window" in capsys.readouterr().out
-    cache_path.write_text(UNSOUND_CACHES[name])
-    rc = main(["verify", "--instance", str(inst_path), "--cert", str(cert_path),
-               "--cache", str(cache_path)])
-    assert rc == EXIT_INVALID
-    assert "Davenport cache" in capsys.readouterr().err
-
-
-def test_unwritable_davenport_cache_exits_invalid(tmp_path, capsys):
-    blocker = tmp_path / "F"
-    blocker.write_text("a file, not a directory")
-    rc = main(["davenport", "--orders", "6", "--cache", str(blocker / "c.json")])
-    assert rc == EXIT_INVALID
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(blocker / "c.json") in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
 
 
 @pytest.mark.parametrize("bad", ["repeated-image", "image-0", "image-m+1"])

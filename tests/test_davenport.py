@@ -3,16 +3,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zsum.davenport
 from zsum.davenport import (
     METHOD_CACHE,
     METHOD_EXACT,
     METHOD_FORMULA,
-    DavenportCache,
+    SEARCHED_FACTORS,
     DavenportRecord,
     davenport_exact,
     davenport_formula,
@@ -21,8 +21,9 @@ from zsum.davenport import (
     generator_repeat_witness,
     zero_sum_free_check,
 )
-from zsum.errors import BudgetExceeded, InvalidArgument, InvalidElement
+from zsum.errors import BudgetExceeded, InvalidElement
 from zsum.groups import canonicalize, groups_of_order, groups_up_to_order
+from zsum.serialize import davenport_record_to_json, dumps_stable
 
 
 def _oracle_zero_sum_free(g, seq) -> bool:
@@ -130,14 +131,13 @@ def test_generator_repeat_witness_is_zero_sum_free_when_formula_applies():
 
 
 def test_formula_record_is_not_rechecked_at_run_time(monkeypatch):
-    import zsum.davenport
-
     def refuse(*args):
         raise AssertionError("closed-form witness re-checked")
 
+    monkeypatch.setattr(zsum.davenport, "_memo", {})
     monkeypatch.setattr(zsum.davenport, "zero_sum_free_check", refuse)
     g = canonicalize([1024])
-    rec = davenport_get(g, cache=DavenportCache())
+    rec = davenport_get(g)
     assert (rec.value, rec.method) == (1024, METHOD_FORMULA)
     assert rec.witness == generator_repeat_witness(g)
 
@@ -152,114 +152,82 @@ def test_formula_record_matches_the_closed_form():
         assert rec.witness == generator_repeat_witness(g)
 
 
-def test_cache_entries_are_checked_when_first_read(tmp_path):
-    path = tmp_path / "dav.json"
-    path.write_text(json.dumps({
-        "2x2": {"value": 4, "witness": [[0, 1], [1, 0], [1, 1]]},  # D is 3
-        "2x2x6": {"value": 8, "witness": [[0, 0, 1]] * 7},  # seven copies are not zero-sum-free
-        "3": {"value": 3, "witness": [[1], [1]]},
-    }))
-    cache = DavenportCache(path)  # opening reads shapes only
-    assert davenport_get(canonicalize([3]), cache).method == METHOD_CACHE
-    for orders in ([2, 2], [2, 2, 6]):
-        with pytest.raises(InvalidArgument, match="Davenport cache"):
-            cache.get(canonicalize(orders))
-
-
-def test_closed_form_cache_entry_is_served_without_a_recheck(tmp_path, monkeypatch):
-    import zsum.davenport
-
-    path = tmp_path / "dav.json"
-    g = canonicalize([1024])
-    davenport_get(g, DavenportCache(path))
-
-    def refuse(*args):
-        raise AssertionError("closed-form cache entry re-checked")
-
-    monkeypatch.setattr(zsum.davenport, "zero_sum_free_check", refuse)
-    rec = davenport_get(g, DavenportCache(path))
-    assert (rec.value, rec.method) == (1024, METHOD_CACHE)
-    assert rec.witness == generator_repeat_witness(g)
-
-
-def test_other_cache_witnesses_are_still_checked(tmp_path, monkeypatch):
-    import zsum.davenport
-
-    path = tmp_path / "dav.json"
-    path.write_text(json.dumps({"4": {"value": 4, "witness": [[3], [3], [3]]}}))
-    checked = []
-    original = zsum.davenport.zero_sum_free_check
-
-    def counted(g, seq):
-        checked.append(seq)
-        return original(g, seq)
-
-    monkeypatch.setattr(zsum.davenport, "zero_sum_free_check", counted)
-    rec = davenport_get(canonicalize([4]), DavenportCache(path))
-    assert (rec.value, rec.witness, rec.method) == (4, ((3,), (3,), (3,)), METHOD_CACHE)
-    assert checked == [((3,), (3,), (3,))]
-
-
-def test_failed_cache_write_raises_invalid_argument_and_leaves_no_temp(tmp_path, monkeypatch):
-    def refuse(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(InvalidArgument, match="cannot be written"):
-        davenport_get(canonicalize([6]), DavenportCache(tmp_path / "dav.json"))
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_davenport_get_prefers_formula_then_caches(tmp_path):
-    cache = DavenportCache(tmp_path / "dav.json")
+def test_davenport_get_prefers_formula_then_caches(monkeypatch):
+    monkeypatch.setattr(zsum.davenport, "_memo", {})
     g = canonicalize([3, 6])
-    first = davenport_get(g, cache)
+    first = davenport_get(g)
     assert first.value == 8
     assert first.method == METHOD_FORMULA
-    second = davenport_get(g, cache)
+    second = davenport_get(canonicalize([6, 3]))  # the memo is keyed by invariant factors
     assert second.value == 8
     assert second.method == METHOD_CACHE
+    assert second.witness == first.witness
 
 
-def test_cache_round_trip_and_key_schema(tmp_path):
-    path = tmp_path / "dav.json"
-    cache = DavenportCache(path)
-    g = canonicalize([2, 2, 6])  # no closed form: exact route
-    rec = davenport_get(g, cache)
-    assert rec.method == METHOD_EXACT
-    raw = json.loads(path.read_text())
-    assert "2x2x6" in raw
-    trivial = davenport_get(canonicalize([1]), cache)
-    assert trivial.value == 1
-    raw = json.loads(path.read_text())
-    assert "1" in raw
-    # a fresh handle on the same file must serve from cache
-    reloaded = DavenportCache(path)
-    assert davenport_get(g, reloaded).method == METHOD_CACHE
-
-
-def test_cache_in_memory_when_no_path():
-    cache = DavenportCache()
+def test_cache_in_memory_when_no_path(monkeypatch):
+    monkeypatch.setattr(zsum.davenport, "_memo", {})
     g = canonicalize([4])
-    davenport_get(g, cache)
-    assert davenport_get(g, cache).method == METHOD_CACHE
+    davenport_get(g)
+    hit = davenport_get(g)
+    assert hit.method == METHOD_CACHE
+    assert davenport_get(g) is hit  # one record per group and process
 
 
-def test_cache_hits_are_decoded_once(tmp_path):
-    path = tmp_path / "dav.json"
-    g = canonicalize([3, 6])
-    first = davenport_get(g, DavenportCache(path))
-    written = path.read_text()
-    for cache in (DavenportCache(), DavenportCache(path)):  # put, then loaded from file
-        davenport_get(g, cache)
-        hit = cache.get(g)
-        assert hit.method == METHOD_CACHE
-        assert (hit.value, hit.witness) == (first.value, first.witness)
-        assert cache.get(g) is hit
-    # the file keeps the method that found the value
-    assert json.loads(written)["3x6"]["method"] == METHOD_FORMULA
-    DavenportCache(path).put(first)
-    assert path.read_text() == written
+# D(G) of each group in SEARCHED_FACTORS, as the exact search finds it
+SEARCHED_VALUES = {(2, 2, 6): 8, (2, 2, 10): 12, (2, 2, 2, 6): 9, (2, 2, 12): 14,
+                   (3, 3, 6): 10, (2, 2, 14): 16}
+
+
+def test_searched_groups_are_the_groups_to_order_64_without_a_closed_form():
+    missing = {g.invariant_factors for g in groups_up_to_order(64) if davenport_formula(g) is None}
+    assert missing == SEARCHED_FACTORS == set(SEARCHED_VALUES)
+
+
+def test_searched_records_are_served_without_a_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched record searched again")
+
+    monkeypatch.setattr(zsum.davenport, "_memo", {})
+    monkeypatch.setattr(zsum.davenport, "davenport_exact", refuse)
+    for factors, value in SEARCHED_VALUES.items():
+        g = canonicalize(factors)
+        rec = davenport_get(g, node_budget=1)
+        assert (rec.group, rec.value, rec.method) == (g, value, METHOD_EXACT)
+        assert len(rec.witness) == value - 1
+        assert zero_sum_free_check(g, rec.witness)
+
+
+@pytest.mark.parametrize("factors", [
+    (2, 2, 6),  # (2, 2, 2, 6) is test_exact_davenport_of_z2_z2_z2_z6
+    # about 43 s together
+    pytest.param((2, 2, 10), marks=pytest.mark.slow),
+    pytest.param((2, 2, 12), marks=pytest.mark.slow),
+    pytest.param((3, 3, 6), marks=pytest.mark.slow),
+    pytest.param((2, 2, 14), marks=pytest.mark.slow),
+], ids=lambda factors: "x".join(map(str, factors)))
+def test_searched_record_is_the_exact_search_record(monkeypatch, factors):
+    monkeypatch.setattr(zsum.davenport, "_memo", {})
+    g = canonicalize(factors)
+    served, searched = davenport_get(g), davenport_exact(g)
+    assert dumps_stable(davenport_record_to_json(served)) == (
+        dumps_stable(davenport_record_to_json(searched))
+    )
+
+
+# A zero-sum-free sequence of length 10 over Z_2^4 x Z_6, so D >= 11 > D* = 10
+# (Geroldinger and Schneider proved D > D* for C_2^4 + C_2k with k odd, 1992).
+# It is the witness of the BudgetExceeded that davenport_exact raises on this
+# group with node_budget=3_000_000, after about 8 s.
+Z2_4_Z6_WITNESS = (
+    (0, 0, 0, 0, 1), (0, 0, 0, 0, 1), (0, 0, 0, 0, 1), (0, 0, 0, 1, 1), (0, 0, 1, 0, 2),
+    (0, 1, 0, 0, 2), (0, 1, 1, 1, 2), (1, 0, 0, 0, 2), (1, 0, 1, 1, 2), (1, 1, 0, 1, 2),
+)
+
+
+def test_z2_4_z6_has_a_zero_sum_free_sequence_longer_than_olsons_bound():
+    g = canonicalize([2, 2, 2, 2, 6])
+    assert len(Z2_4_Z6_WITNESS) == 10 == sum(d - 1 for d in g.invariant_factors) + 1
+    assert zero_sum_free_check(g, Z2_4_Z6_WITNESS)
 
 
 def test_exact_records_up_to_order_26_are_pinned():
@@ -319,11 +287,13 @@ def test_exact_search_skips_candidates_the_prefix_stabilizer_moves():
     assert davenport_exact(canonicalize([2, 2, 6]), node_budget=5_100).value == 8
 
 
-def test_exact_davenport_of_z2_z2_z2_z6():
+def test_exact_davenport_of_z2_z2_z2_z6(monkeypatch):
     # D* = 1 + 1 + 1 + 1 + 5 = 9; the search takes 477,882 nodes
     rec = davenport_exact(canonicalize([2, 2, 2, 6]), node_budget=600_000)
     assert rec.value == 9
     assert rec.witness == ((0, 0, 0, 1),) * 5 + ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+    monkeypatch.setattr(zsum.davenport, "_memo", {})
+    assert davenport_get(canonicalize([2, 2, 2, 6])) == rec  # served as SEARCHED_FACTORS
 
 
 def test_exact_witness_is_the_first_zero_sum_free_combination():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import zsum.davenport
 import zsum.weighted
-from zsum.davenport import DavenportCache, davenport_get
+from zsum.davenport import davenport_get
 from zsum.errors import (
     InvalidArgument,
     InvalidElement,
@@ -364,15 +364,20 @@ def test_corollary_worked_example():
     assert ok, diags
 
 
-def test_corollary_uses_the_given_davenport_cache(monkeypatch):
-    default = DavenportCache()
-    monkeypatch.setattr(zsum.davenport, "_default_cache", default)
-    own = DavenportCache()
+def _refuse(*args, **kwargs):
+    raise AssertionError("called by a solve that should not need it")
+
+
+def test_corollary_reads_davenport_through_the_memo(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(zsum.davenport, "_memo", memo)
     inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
-    cert = solve_corollary(inst, dav_cache=own)
+    cert = solve_corollary(inst)
     assert cert.solve_path == "constructive"
-    assert own.get(Z3) is not None
-    assert default.get(Z3) is None
+    assert list(memo) == [Z3.invariant_factors]
+    # a second solve finds D in the memo, not in the closed form
+    monkeypatch.setattr(zsum.davenport, "davenport_formula_record", _refuse)
+    assert solve_corollary(inst) == cert
 
 
 def test_corollary_window_is_exactly_n():
@@ -814,25 +819,24 @@ def _raise_violation(*args, **kwargs):
     ("corollary", "_corollary_pairs"),
     ("word1", "_word1_constructive"),
 ])
-def test_disabled_construction_reads_davenport_only_from_the_given_cache(
+def test_disabled_construction_reads_davenport_only_through_the_memo(
     monkeypatch, statement, step
 ):
     # a construction that misses is a bug: the solve raises TheoremViolation,
-    # having read D only from ``own``
-    default = DavenportCache()
-    monkeypatch.setattr(zsum.davenport, "_default_cache", default)
+    # having looked D up once, or not at all for word1
+    memo = {}
+    monkeypatch.setattr(zsum.davenport, "_memo", memo)
     monkeypatch.setattr(zsum.weighted, step, _raise_violation)
-    own = DavenportCache()
     with pytest.raises(TheoremViolation):
         if statement == "theorem1":
             inst = Instance(group=Z4, x=((1,), (2,), (3,), (2,), (1,)), w=(0, 5, 1, 6, 2), ell=2)
-            solve_theorem1(inst, dav_cache=own)
+            solve_theorem1(inst)
         elif statement == "corollary":
             inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
-            solve_corollary(inst, dav_cache=own)
+            solve_corollary(inst)
         else:
             solve_word1(Z4, ((1,), (2,), (3,), (3,)), (1, 2, 1, 3), 2)
-    assert default.get(Z4) is None and default.get(Z3) is None
+    assert list(memo) == {"theorem1": [(4,)], "corollary": [(3,)], "word1": []}[statement]
 
 
 # ------------------------------------------------------------ solve pipeline
@@ -969,17 +973,17 @@ def test_a_certificate_the_verifier_rejects_raises_theorem_violation(monkeypatch
 
 
 def test_word1_solve_and_verify_read_no_davenport_constant(monkeypatch):
-    # D(Z_2 x Z_2 x Z_6) has no closed form; word1 does not mention D
-    default = DavenportCache()
-    monkeypatch.setattr(zsum.davenport, "_default_cache", default)
+    # word1 does not mention D
+    memo = {}
+    monkeypatch.setattr(zsum.davenport, "_memo", memo)
+    monkeypatch.setattr(zsum.weighted, "davenport_get", _refuse)
     g = canonicalize([2, 2, 6])
     elems = g.elements()
     x = tuple(elems[(5 * t) % 24] for t in range(24))  # every element once: rho(x) = 1
     inst = Instance(group=g, x=x, w=tuple(range(1, 25)), ell=1)
-    own = DavenportCache()
-    cert = solve(inst, "word1", dav_cache=own)
-    assert verify_certificate(inst, cert, dav_cache=own) == (True, [])
-    assert own.get(g) is None and default.get(g) is None
+    cert = solve(inst, "word1")
+    assert verify_certificate(inst, cert) == (True, [])
+    assert memo == {}
 
 
 def test_solve_word1_verifies_once(monkeypatch):
