@@ -20,6 +20,7 @@ naming the variable, so a stale setting is refused rather than ignored.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -105,10 +106,11 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_group(args: argparse.Namespace) -> int:
-    g = canonicalize(_parse_int_list(args.orders, "--orders"))
+    orders = _parse_int_list(args.orders, "--orders")
+    g = canonicalize(orders)
     _emit(
         {
-            "given": {"orders": list(g.given_orders)},
+            "given": {"orders": list(orders)},
             "canonical": group_to_json(g),
             "order": g.order,
             "exponent": g.exponent,
@@ -135,6 +137,8 @@ def _cmd_davenport(args: argparse.Namespace) -> int:
 
 
 def _cmd_davenport_table(args: argparse.Namespace) -> int:
+    if args.max_order < 1:
+        raise InvalidArgument(f"max order {args.max_order} must be >= 1")
     print(f"{'order':>5s}  {'factors':<14s}  {'D':>3s}  method")
     for g in groups_up_to_order(args.max_order):
         rec = davenport_get(g, node_budget=args.node_budget)
@@ -331,6 +335,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNSATISFIABLE
     except BudgetExceeded as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
+        if err.witness:  # the longest zero-sum-free sequence a search found
+            print(f"witness: {json.dumps(err.witness, separators=(',', ':'))}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
     except ZsumError as err:
         print(f"error: {err}", file=sys.stderr)

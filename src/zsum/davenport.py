@@ -17,7 +17,8 @@ lexicographic preorder, so the witness is still the lexicographically
 first zero-sum-free sequence of maximal length.
 
 The first element ranges only over the nonzero ranks that are the smallest
-in their orbit under a subgroup H of Aut(G) (``AbelianGroup._orbit_minima``).
+in their orbit under a subgroup H of Aut(G) (``AbelianGroup._minima_fixing``
+of no point).
 An automorphism maps a zero-sum-free sequence to one of the same length, so
 D is unchanged; and were phi(S_0) below the first element S_0 of the witness
 S, sorted(phi(S)) would be a maximal sequence before S, so S is still found.
@@ -25,20 +26,20 @@ S, sorted(phi(S)) would be a maximal sequence before S, so S is still found.
 The same argument runs below the root.  While the prefix holds one distinct
 element S_0, a new element must be the smallest in its orbit under
 Stab_H(S_0); while it holds two, S_0 < S_1, under the pointwise stabilizer
-Stab_H(S_0, S_1) (``AbelianGroup._minima_fixing``, by Schreier's lemma).
+Stab_H(S_0, S_1) (the same entry, by Schreier's lemma).
 Such a phi fixes the prefix S_0 ... S_{j-1} of the witness S, so were
 phi(S_j) < S_j, sorted(phi(S)) would again be a maximal sequence before S.
 The walk visits a subset of the nodes it would visit otherwise, in the same
 order, and finds the same witness.  A prefix with three distinct elements,
 or one whose stabilizer is trivial, tries every candidate.
 
-Closed forms (cyclic, rank two, p-groups) serve as cross-checks and as the
-fast path in :func:`davenport_get`, after an earlier lookup in the same
-process; the groups of order <= 64 that they miss are served from
-SEARCHED_FACTORS, and any other group is searched.  Nothing is read from or
-written to a file.  A closed-form witness (d_i - 1 copies of each generator)
-is zero-sum-free by construction and is not re-checked at run time; the
-tests check it.
+One closed form, Olson's D* = 1 + sum (d_i - 1), is D(G) at rank <= 2 and
+on p-groups; it is a cross-check and the fast path of :func:`davenport_get`
+after an earlier lookup in the same process.  The groups of order <= 64 it
+misses are served from SEARCHED_FACTORS, and any other group is searched.
+Nothing is read from or written to a file.  The D* witness (d_i - 1 copies
+of each generator) is zero-sum-free by construction and is not re-checked
+at run time; the tests check it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ METHOD_FORMULA = "formula"
 METHOD_CACHE = "cache"
 
 # The invariant factors of every group of order <= 64 that no closed form
-# covers.  On each, the exact search finds D = D* = 1 + sum (d_i - 1) with
+# covers.  On each, the exact search finds D = D* with
 # generator_repeat_witness(g) as its witness (the tests re-derive both), so
 # davenport_get serves that record without repeating the search, which takes
 # up to half a minute (Z_2^2 x Z_14).  D = D* on C_2 + C_2 + C_2n is also
@@ -99,9 +100,6 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
     if node_budget < 1:
         raise InvalidArgument(f"node budget {node_budget} must be >= 1")
     n = g.order
-    if n == 1:
-        return DavenportRecord(group=g, value=1, witness=(), method=METHOD_EXACT)
-
     elements = g.elements()  # rank 0 is the zero element
     neg_rank = [g.element_rank(g.neg(e)) for e in elements]
     translate = g.translate
@@ -111,12 +109,13 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
     stack: list[int] = []
     nodes = 0
     # (candidates still to try, sums of the prefix, symmetry left): first
-    # elements are Aut(G)-orbit minima, as above, and later ones never fall
-    # below the last.  The symmetry left is (distinct prefix elements,
-    # minima of their stabilizer) while those are at most two and fix
-    # something; every other frame tries all of range(e, n)
-    frames = [(iter(g._orbit_minima), 0, ((), 0))]
+    # elements are nonzero H-orbit minima (none on Z_1), as above, and later
+    # ones never fall below the last.  The symmetry left is (distinct prefix
+    # elements, minima of their stabilizer) while those are at most two and
+    # fix something; every other frame tries all of range(e, n)
     minima_fixing = g._minima_fixing
+    root = minima_fixing(())
+    frames = [(iter([r for r in range(1, n) if not root or root >> r & 1]), 0, ((), 0))]
     while frames:
         candidates, sums_mask, symmetry = frames[-1]
         size = len(stack) + 1  # of the prefix with one candidate appended
@@ -163,20 +162,11 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
 
 
 def davenport_formula(g: AbelianGroup) -> int | None:
-    """Closed forms where they are known exactly; None otherwise.
-
-    Cyclic: n.  Rank two d1 | d2: d1 + d2 - 1.  p-groups: 1 + sum (q_i - 1).
-    """
-    factors = g.invariant_factors
-    if len(factors) <= 1:
-        return g.order
-    if len(factors) == 2:
-        return factors[0] + factors[1] - 1
-    primes = set()
-    for d in factors:
-        primes.update(_factorint(d))
-    if len(primes) == 1:
-        return 1 + sum(d - 1 for d in factors)
+    """D* = 1 + sum (d_i - 1) where it is known to be D(G): rank at most
+    two, or exp(G) a prime power (every d_i divides exp(G), so G is then a
+    p-group); None otherwise."""
+    if g.rank <= 2 or len(_factorint(g.exponent)) == 1:
+        return 1 + sum(d - 1 for d in g.invariant_factors)
     return None
 
 
@@ -189,21 +179,19 @@ def generator_repeat_witness(g: AbelianGroup) -> tuple[Element, ...]:
     return tuple(sorted(witness))
 
 
-def davenport_formula_record(g: AbelianGroup) -> DavenportRecord | None:
-    """The closed-form record with its generator-repeat witness; None when
-    no closed form applies.
+def _d_star_record(g: AbelianGroup, method: str) -> DavenportRecord:
+    """D* = 1 + |witness| with the generator-repeat witness, unchecked: a
+    nonempty subsequence of d_i - 1 copies of each generator e_i sums to
+    (c_1, ..., c_r) with 0 <= c_i < d_i and not all c_i zero."""
+    witness = generator_repeat_witness(g)
+    return DavenportRecord(group=g, value=len(witness) + 1, witness=witness, method=method)
 
-    The witness is zero-sum-free by construction, so it is not re-checked:
-    a nonempty subsequence of d_i - 1 copies of each generator e_i sums to
-    (c_1, ..., c_r) with 0 <= c_i < d_i and not all c_i zero.  Its length,
-    sum (d_i - 1), is D - 1 for each of the closed forms.
-    """
-    value = davenport_formula(g)
-    if value is None:
+
+def davenport_formula_record(g: AbelianGroup) -> DavenportRecord | None:
+    """The D* record, method "formula", where D* = D(G); None otherwise."""
+    if davenport_formula(g) is None:
         return None
-    return DavenportRecord(
-        group=g, value=value, witness=generator_repeat_witness(g), method=METHOD_FORMULA
-    )
+    return _d_star_record(g, METHOD_FORMULA)
 
 
 _memo: dict[tuple[int, ...], DavenportRecord] = {}  # by invariant factors, method "cache"
@@ -219,12 +207,7 @@ def davenport_get(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> Da
         return hit
     record = davenport_formula_record(g)
     if record is None and key in SEARCHED_FACTORS:
-        record = DavenportRecord(
-            group=g,
-            value=1 + sum(d - 1 for d in key),
-            witness=generator_repeat_witness(g),
-            method=METHOD_EXACT,
-        )
+        record = _d_star_record(g, METHOD_EXACT)
     elif record is None:
         record = davenport_exact(g, node_budget=node_budget)
     _memo[key] = replace(record, method=METHOD_CACHE)

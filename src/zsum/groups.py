@@ -1,12 +1,13 @@
 """Finite abelian groups in invariant-factor form, plus element arithmetic.
 
-A group is described by its invariant factors d_1 | d_2 | ... | d_k (each
->= 2); elements are residue tuples with residues[i] in [0, d_i).  Arbitrary
-cyclic decompositions are accepted as input and canonicalized, so Z_4 x Z_6
-and Z_2 x Z_12 construct the same group object.  Elements always live in the
-canonical presentation.  Sets of elements can also be kept as bitmasks over
-element ranks and moved as a whole with :meth:`AbelianGroup.translate`;
-addition and scaling tables on ranks are built on first use.
+A group is its invariant factors d_1 | d_2 | ... | d_k (each >= 2) and
+nothing else; elements are residue tuples with residues[i] in [0, d_i).
+Arbitrary cyclic decompositions are accepted as input and canonicalized, so
+Z_4 x Z_6 and Z_2 x Z_12 build equal groups with equal hashes.  Elements
+always live in the canonical presentation.  Sets of elements can also be
+kept as bitmasks over element ranks and moved as a whole with
+:meth:`AbelianGroup.translate`; addition and scaling tables on ranks are
+built on first use.
 
 All values are immutable and hashable; they can be shared freely across
 workers.
@@ -149,25 +150,15 @@ def invariant_factors_of(orders: Sequence[int]) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AbelianGroup:
-    """Canonical presentation of a finite abelian group.
+    """Canonical presentation of a finite abelian group: its invariant
+    factors, which it compares and hashes by.
 
     Construct via :func:`canonicalize`; the constructor trusts its inputs.
-    Identity is the canonical form: groups given as [4, 6] and [2, 12]
-    compare equal (given_orders is kept only to echo user input).
     """
 
-    given_orders: tuple[int, ...]
     invariant_factors: tuple[int, ...]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AbelianGroup):
-            return NotImplemented
-        return self.invariant_factors == other.invariant_factors
-
-    def __hash__(self) -> int:
-        return hash(self.invariant_factors)
 
     @property
     def order(self) -> int:
@@ -283,17 +274,11 @@ class AbelianGroup:
         rank = self.element_rank
         return [[rank(b) for b in image] for image in images]
 
-    @cached_property
-    def _orbit_minima(self) -> tuple[int, ...]:
-        """The nonzero element ranks that are the smallest in their orbit
-        under the H of :meth:`_automorphism_maps`, ascending."""
-        mask = _orbit_minima_mask(self.order, self._automorphism_maps())
-        return tuple([r for r in range(1, self.order) if mask >> r & 1])
-
     def _minima_fixing(self, points: tuple[int, ...]) -> int:
         """Bit mask of the ranks that are the smallest in their orbit under
-        the pointwise stabilizer in H of one or two ranks ``points``; 0 when
-        that stabilizer is trivial.  Schreier's lemma gives generators of
+        the pointwise stabilizer in H of zero, one or two ranks ``points``
+        (the H of :meth:`_automorphism_maps` itself for none); 0 when that
+        stabilizer is trivial.  Schreier's lemma gives generators of
         Stab_H(a) from those of H, and of Stab_H(a, b) from those of
         Stab_H(a).  Built on first request and cached per group; only the
         generators of the one-point stabilizers are kept."""
@@ -301,10 +286,13 @@ class AbelianGroup:
         mask = masks.get(points)
         if mask is None:
             n = self.order
-            gens = self._point_stabilizers.get(points[0])
-            if gens is None:
-                gens = list(set(_schreier_generators(n, self._automorphism_maps(), points[0])))
-                self._point_stabilizers[points[0]] = gens
+            if not points:
+                gens = self._automorphism_maps()
+            else:
+                gens = self._point_stabilizers.get(points[0])
+                if gens is None:
+                    gens = list(set(_schreier_generators(n, self._automorphism_maps(), points[0])))
+                    self._point_stabilizers[points[0]] = gens
             if len(points) == 2 and gens:
                 gens = _schreier_generators(n, gens, points[1])
             mask = _orbit_minima_mask(n, gens)
@@ -358,12 +346,12 @@ class AbelianGroup:
         return " x ".join(f"Z_{d}" for d in self.invariant_factors)
 
 
-def canonicalize(given_orders: Sequence[int]) -> AbelianGroup:
+def canonicalize(orders: Sequence[int]) -> AbelianGroup:
     """Build the group for a list of cyclic orders (each >= 1)."""
-    orders = tuple(given_orders)
+    orders = tuple(orders)
     if not all(isinstance(d, int) and d >= 1 for d in orders):
         raise InvalidGroup(f"orders must be positive integers, got {orders!r}")
-    return AbelianGroup(given_orders=orders, invariant_factors=invariant_factors_of(orders))
+    return AbelianGroup(invariant_factors=invariant_factors_of(orders))
 
 
 def rho(x: Sequence) -> int:

@@ -360,6 +360,11 @@ def _corollary_pairs(inst: Instance, d: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _statement_d(inst: Instance, statement: str) -> int | None:
+    """D(G) for theorem1 and the corollary; None for word1, which omits it."""
+    return None if statement == STATEMENT_WORD1 else davenport_get(inst.group).value
+
+
 def _statement_window(inst: Instance, statement: str, d: int | None) -> tuple[int, int]:
     n = inst.group.order
     if statement == STATEMENT_THEOREM1:
@@ -451,7 +456,7 @@ def fallback_search(inst: Instance, statement: str) -> Selection | None:
     g = inst.group
     if inst.m > ORACLE_CAP:
         raise OracleTooLarge(f"oracle cap is {ORACLE_CAP}, instance has m = {inst.m}")
-    lo, hi = _statement_window(inst, statement, davenport_get(g).value)
+    lo, hi = _statement_window(inst, statement, _statement_d(inst, statement))
     sel = _first_selection(
         _coordinate_columns(g, inst.x), inst.m, inst.w, _index_sets(len(inst.w), lo, hi),
         statement == STATEMENT_COROLLARY,
@@ -605,7 +610,7 @@ def verify_certificate(inst: Instance, cert: Certificate) -> tuple[bool, list[st
     statement, sel = cert.statement, cert.selection
     if statement not in STATEMENTS:
         return False, [f"unknown statement {statement!r}"]
-    d = None if statement == STATEMENT_WORD1 else davenport_get(inst.group).value
+    d = _statement_d(inst, statement)
     diagnostics: list[str] = []
     try:
         _check_hypotheses(inst, statement, d)
@@ -632,7 +637,7 @@ def solve(inst: Instance, statement: str) -> Certificate:
     raises TheoremViolation naming the failed checks."""
     if statement not in STATEMENTS:
         raise InvalidArgument(f"unknown statement {statement!r}")
-    d = None if statement == STATEMENT_WORD1 else davenport_get(inst.group).value
+    d = _statement_d(inst, statement)
     _check_hypotheses(inst, statement, d)
     (indices, images), blocks = _construct(inst, statement, d)
     failed, value = _check_selection(inst, statement, d, indices, images, blocks)

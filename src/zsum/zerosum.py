@@ -220,13 +220,9 @@ def find_zero_sum_bounded(g: AbelianGroup, x: Sequence[Element], k: int) -> Zero
     return ZeroSumWitness(indices=indices)
 
 
-def find_zero_sum_davenport(
-    g: AbelianGroup,
-    x: Sequence[Element],
-    davenport_value: int | None = None,
-) -> ZeroSumWitness:
+def find_zero_sum_davenport(g: AbelianGroup, x: Sequence[Element]) -> ZeroSumWitness:
     """Nonempty zero-sum subsequence from any sequence of length >= D(G)."""
-    d = davenport_value if davenport_value is not None else davenport_get(g).value
+    d = davenport_get(g).value
     if len(x) < d:
         raise InvalidInstance(f"need length >= D = {d}, got {len(x)}")
     _check_elements(g, x)

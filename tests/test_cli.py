@@ -19,6 +19,7 @@ from zsum.cli import (
     EXIT_UNSATISFIABLE,
     main,
 )
+from zsum.davenport import zero_sum_free_check
 from zsum.errors import TheoremViolation
 from zsum.groups import canonicalize
 from zsum.serialize import certificate_to_json, dumps_stable, instance_to_json
@@ -44,6 +45,15 @@ def test_group_canonicalization(capsys):
     assert out["canonical"]["orders"] == [2, 12]
     assert out["order"] == 24
     assert out["exponent"] == 12
+
+
+def test_group_output_bytes_are_pinned(capsys):
+    # "given" echoes the orders as parsed; the group itself keeps only its
+    # invariant factors
+    assert main(["group", "--orders", "4,6"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "84948c1cbc55ff1f325426e3618ea4e3a4362a488af10436307b1d38426b1038"
+    )
 
 
 def test_group_rejects_bad_orders(capsys):
@@ -109,6 +119,14 @@ def test_a_node_budget_below_one_is_refused_before_any_output(capsys, argv):
     assert captured.err == f"error: node budget {argv[-1]} must be >= 1\n"
 
 
+@pytest.mark.parametrize("max_order", ["0", "-3"])
+def test_davenport_table_refuses_a_max_order_below_one(capsys, max_order):
+    assert main(["davenport-table", "--max-order", max_order]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max order {max_order} must be >= 1\n"
+
+
 def test_davenport_table(capsys):
     assert main(["davenport-table", "--max-order", "8"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -143,7 +161,10 @@ def test_davenport_budget_exhaustion_reports_the_lower_bound(capsys):
     assert captured.out == ""
     assert captured.err == (
         "budget exceeded: davenport_exact exhausted 3 nodes on Z_2 x Z_2 x Z_6: D >= 4\n"
+        "witness: [[0,0,1],[0,0,1],[0,0,1]]\n"
     )
+    witness = json.loads(captured.err.splitlines()[1].removeprefix("witness: "))
+    assert zero_sum_free_check(canonicalize([2, 2, 6]), [tuple(e) for e in witness])
 
 
 def test_solve_word0_example(tmp_path, capsys):

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from zsum.conjecture import ScanConfig, conjecture_scan
-from zsum.davenport import davenport_formula
+from zsum.davenport import SEARCHED_FACTORS, davenport_formula, davenport_get
 from zsum.groups import canonicalize, groups_up_to_order
 from zsum.serialize import certificate_to_json, dumps_stable
 from zsum.weighted import (
@@ -80,6 +80,12 @@ BATCH_BOUNDS_PER_GROUP = 7
 BATCH_SEED = 2026
 BATCH_SIZE = 495
 BATCH_DIGEST = "4a537f365f3b8e91ea3a35a41e801f5d28cd2f4636383a5b9feb3ab3846eee06"
+
+# One digest over 24 seeded theorem1 and corollary certificates on the six
+# groups of SEARCHED_FACTORS, which no closed form covers, at ell = 2 and
+# ell = D - 1; D comes from their searched records.
+SEARCHED_ELLS_SEED = 2026
+SEARCHED_DIGEST = "b3abadb7d860cb4f21ab664d65b3fe45d2c667e6ecdfd729b1df408efd6da3bc"
 
 # One digest over 18 seeded theorem1 and corollary certificates on groups of
 # order 256, where theorem1's narrow phase runs hundreds of word1 blocks
@@ -229,6 +235,24 @@ def test_seeded_batch_certificate_bytes_are_pinned():
         count += 1
     assert count == BATCH_SIZE
     assert digest.hexdigest() == BATCH_DIGEST
+
+
+def test_searched_group_certificates_verify_and_are_pinned():
+    rng = random.Random(SEARCHED_ELLS_SEED)
+    digest = hashlib.sha256()
+    count = 0
+    for factors in sorted(SEARCHED_FACTORS):
+        g = canonicalize(factors)
+        d = davenport_get(g).value
+        for ell in (2, d - 1):
+            for statement, build in (("theorem1", _batch_theorem1), ("corollary", _batch_corollary)):
+                inst = build(rng, g, d, ell)
+                cert = solve(inst, statement)
+                assert verify_certificate(inst, cert) == (True, []), (factors, ell, statement)
+                digest.update(dumps_stable(certificate_to_json(g, cert)).encode("utf-8"))
+                count += 1
+    assert count == 24
+    assert digest.hexdigest() == SEARCHED_DIGEST
 
 
 def test_large_group_certificate_bytes_are_pinned():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -105,6 +106,8 @@ def test_census_matches_canonical_form_up_to_48():
 
 
 def test_equality_is_up_to_isomorphism():
+    # a group is its invariant factors: the orders it was given are not kept
+    assert [f.name for f in dataclasses.fields(AbelianGroup)] == ["invariant_factors"]
     assert canonicalize([4, 6]) == canonicalize([2, 12])
     assert canonicalize([4, 6]) == canonicalize([12, 2])
     assert hash(canonicalize([4, 6])) == hash(canonicalize([2, 12]))
@@ -261,8 +264,9 @@ def test_rank_tables_are_cached_per_group():
 
 
 def test_orbit_maps_are_automorphisms_and_minima_match_their_closure():
-    # exact Davenport search starts only at these minima, which is sound
-    # because every map is an automorphism
+    # exact Davenport search starts only at these minima (the stabilizer of
+    # no point is H itself), which is sound because every map is an
+    # automorphism
     for g in groups_up_to_order(64):
         n, add = g.order, g.rank_add_table
         maps = g._automorphism_maps()
@@ -284,16 +288,23 @@ def test_orbit_maps_are_automorphisms_and_minima_match_their_closure():
                         orbit.add(image[a])
                         frontier.append(image[a])
             seen |= orbit
-        assert g._orbit_minima == tuple(minima), g
+        assert _nonzero_ranks(g._minima_fixing(()), n) == minima, g
+
+
+def _nonzero_ranks(mask, n):
+    """The nonzero ranks a stabilizer-minima mask keeps; 0 keeps them all."""
+    return [r for r in range(1, n) if not mask or mask >> r & 1]
 
 
 def test_orbit_minima_examples():
-    assert canonicalize([5, 5])._orbit_minima == (1,)  # GL(2, 5) is transitive
+    assert canonicalize([5, 5])._minima_fixing(()) == 0b11  # GL(2, 5) is transitive
     # in Z_6 the orbits are the elements of each order
-    assert canonicalize([6])._orbit_minima == (1, 2, 3)
-    assert canonicalize([1])._orbit_minima == ()
+    assert canonicalize([6])._minima_fixing(()) == 0b1111
+    assert _nonzero_ranks(canonicalize([1])._minima_fixing(()), 1) == []
     g = canonicalize([2, 4])
-    assert g._orbit_minima is g._orbit_minima
+    mask = g._minima_fixing(())
+    assert g._stabilizer_masks[()] is mask
+    assert g._minima_fixing(()) is mask
 
 
 def _closure(n, maps):
@@ -333,7 +344,8 @@ def test_stabilizer_minima_match_the_closed_stabilizers():
     for g in groups_up_to_order(16):
         n = g.order
         group = _closure(n, g._automorphism_maps())
-        for a in g._orbit_minima:
+        assert g._minima_fixing(()) == _fixing_minima(n, group, ())
+        for a in _nonzero_ranks(g._minima_fixing(()), n):
             one = g._minima_fixing((a,))
             assert one == _fixing_minima(n, group, (a,)), (g, a)
             gens = g._point_stabilizers[a]

@@ -983,6 +983,9 @@ def test_word1_solve_and_verify_read_no_davenport_constant(monkeypatch):
     inst = Instance(group=g, x=x, w=tuple(range(1, 25)), ell=1)
     cert = solve(inst, "word1")
     assert verify_certificate(inst, cert) == (True, [])
+    # nor does the oracle's word1 window, on an instance within its cap
+    small = Instance(group=Z4, x=((1,), (2,), (3,), (3,)), w=(1, 2, 1, 3), ell=2)
+    assert fallback_search(small, "word1") is not None
     assert memo == {}
 
 

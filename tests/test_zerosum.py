@@ -101,6 +101,15 @@ def test_davenport_route_requires_length_at_least_d():
         find_zero_sum_davenport(g, ((1,), (1,)))  # D(Z_3) = 3
 
 
+def test_davenport_route_reads_d_from_davenport_get():
+    # a zero-sum-free sequence one short of D(Z_2^2 x Z_6) = 8 (no closed
+    # form: the searched record) is refused as too short, not searched
+    g = canonicalize([2, 2, 6])
+    x = ((0, 0, 1),) * 5 + ((0, 1, 0), (1, 0, 0))
+    with pytest.raises(InvalidInstance, match=r"^need length >= D = 8, got 7$"):
+        find_zero_sum_davenport(g, x)
+
+
 def test_davenport_route_exhaustive_small():
     for orders in ([2], [3], [2, 2]):
         g = canonicalize(orders)
@@ -109,12 +118,6 @@ def test_davenport_route_exhaustive_small():
             wit = find_zero_sum_davenport(g, x)
             assert wit.indices == _oracle_bounded(g, x, d), (orders, x)
             assert g.sum(x[i - 1] for i in wit.indices) == g.zero()
-
-
-def test_davenport_route_accepts_precomputed_value():
-    g = canonicalize([4])
-    x = ((1,), (1,), (1,), (1,))
-    assert find_zero_sum_davenport(g, x, davenport_value=4).indices == (1, 2, 3, 4)
 
 
 def test_exact_length_examples():
@@ -244,7 +247,7 @@ def test_solvers_return_first_combination_hit(g):
         assert find_zero_sum_bounded(g, x, k).indices == _first_combination(g, x, range(1, k + 1))
 
         y = [rng.choice(elements) for _ in range(rng.randint(d, d + 2))]
-        wit = find_zero_sum_davenport(g, y, davenport_value=d)
+        wit = find_zero_sum_davenport(g, y)
         assert wit.indices == _first_combination(g, y, range(1, len(y) + 1))
 
         z = [rng.choice(elements) for _ in range(rng.randint(1, min(2 * n - 1, 12)))]
