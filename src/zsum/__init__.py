@@ -20,12 +20,7 @@ from .davenport import (
     davenport_get,
     zero_sum_free_check,
 )
-from .zerosum import (
-    ZeroSumWitness,
-    find_zero_sum_bounded,
-    find_zero_sum_davenport,
-    find_zero_sum_exact_length,
-)
+from .zerosum import find_zero_sum_bounded, find_zero_sum_davenport, find_zero_sum_exact_length
 from .weighted import (
     Certificate,
     Instance,
@@ -71,7 +66,6 @@ __all__ = [
     "Shelling",
     "TheoremViolation",
     "UnsatisfiableStatement",
-    "ZeroSumWitness",
     "ZsumError",
     "canonicalize",
     "conjecture_check_instance",

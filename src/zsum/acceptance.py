@@ -3,11 +3,9 @@
 Each criterion returns a CriterionResult with a deterministic details
 string (counts, never timings), so repeated runs produce identical
 machine-readable summaries.  The CLI ``selftest`` subcommand and the
-acceptance tests both drive `run_all`.
-
-Scale "small" runs every criterion at its stated size; "full" additionally
-sweeps exact Davenport computation against the closed forms for every
-group of order up to 16.
+acceptance tests both drive `run_all`.  Criterion 1 also sweeps exact
+Davenport computation against the closed forms for every group of order up
+to 16.
 """
 
 from __future__ import annotations
@@ -41,10 +39,6 @@ from .weighted import (
 )
 from .zerosum import find_zero_sum_bounded, find_zero_sum_exact_length
 
-SCALE_SMALL = "small"
-SCALE_FULL = "full"
-
-
 @dataclass(frozen=True)
 class CriterionResult:
     number: int
@@ -61,7 +55,7 @@ def _all_sequences(g: AbelianGroup, length: int) -> Iterator[tuple[Element, ...]
     return itertools.product(g.elements(), repeat=length)
 
 
-def criterion_davenport(scale: str = SCALE_SMALL) -> CriterionResult:
+def criterion_davenport() -> CriterionResult:
     """Exact search reproduces known Davenport constants with valid witnesses."""
     expected: list[tuple[list[int], int]] = [([n], n) for n in range(2, 11)]
     expected += [([2, 2], 3), ([2, 4], 5), ([3, 3], 5), ([2, 2, 2], 4), ([2, 6], 7)]
@@ -75,22 +69,19 @@ def criterion_davenport(scale: str = SCALE_SMALL) -> CriterionResult:
         if len(rec.witness) != value - 1 or not zero_sum_free_check(g, rec.witness):
             failures.append(f"witness for {orders} invalid")
     checked = len(expected)
-    if scale == SCALE_FULL:
-        for g in groups_up_to_order(16):
-            formula = davenport_formula(g)
-            exact = davenport_exact(g)
-            checked += 1
-            if not zero_sum_free_check(g, exact.witness):
-                failures.append(f"witness for {g.invariant_factors} not zero-sum-free")
-            if formula is not None and formula != exact.value:
-                failures.append(
-                    f"formula {formula} != exact {exact.value} for {g.invariant_factors}"
-                )
+    for g in groups_up_to_order(16):
+        formula = davenport_formula(g)
+        exact = davenport_exact(g)
+        checked += 1
+        if not zero_sum_free_check(g, exact.witness):
+            failures.append(f"witness for {g.invariant_factors} not zero-sum-free")
+        if formula is not None and formula != exact.value:
+            failures.append(f"formula {formula} != exact {exact.value} for {g.invariant_factors}")
     details = f"{checked} groups checked" + (f"; failures: {failures}" if failures else "")
     return CriterionResult(1, "davenport-cross-check", not failures, details)
 
 
-def criterion_word0_totality(scale: str = SCALE_SMALL) -> CriterionResult:
+def criterion_word0_totality() -> CriterionResult:
     """Bounded zero-sum solver succeeds on all length-n sequences, all legal caps."""
     failures = 0
     checked = 0
@@ -101,8 +92,7 @@ def criterion_word0_totality(scale: str = SCALE_SMALL) -> CriterionResult:
             for k in range(rho(x), n + 1):
                 checked += 1
                 wit = find_zero_sum_bounded(g, x, k)
-                total = g.sum(x[i - 1] for i in wit.indices)
-                if not (1 <= len(wit.indices) <= k) or total != g.zero():
+                if not 1 <= len(wit) <= k or g.sum(x[i - 1] for i in wit) != g.zero():
                     failures += 1
     details = f"{checked} (sequence, cap) pairs, {failures} failures"
     return CriterionResult(2, "bounded-zero-sum-totality", failures == 0, details)
@@ -117,16 +107,12 @@ def _exact_length_sweep(g: AbelianGroup, length: int) -> tuple[int, int]:
     for combo in itertools.combinations_with_replacement(list(g.elements()), length):
         checked += 1
         wit = find_zero_sum_exact_length(g, combo, n)
-        if wit is None:
-            failures += 1
-            continue
-        total = g.sum(combo[i - 1] for i in wit.indices)
-        if len(wit.indices) != n or total != g.zero():
+        if wit is None or len(wit) != n or g.sum(combo[i - 1] for i in wit) != g.zero():
             failures += 1
     return checked, failures
 
 
-def criterion_egz(scale: str = SCALE_SMALL) -> CriterionResult:
+def criterion_egz() -> CriterionResult:
     """Every length-(2n-1) multiset over Z_n has an exact-length-n zero sum
     (EGZ: the cyclic case of Gao's n + D - 1 theorem)."""
     sweeps = [_exact_length_sweep(_cyclic(n), 2 * n - 1) for n in (2, 3, 4, 5)]
@@ -136,7 +122,7 @@ def criterion_egz(scale: str = SCALE_SMALL) -> CriterionResult:
     return CriterionResult(3, "egz-reproduction", failures == 0, details)
 
 
-def criterion_gao(scale: str = SCALE_SMALL) -> CriterionResult:
+def criterion_gao() -> CriterionResult:
     """Every length-6 multiset over Z_2+Z_2 has an exact-length-4 zero sum."""
     checked, failures = _exact_length_sweep(canonicalize([2, 2]), 6)
     details = f"{checked} multisets, {failures} failures"
@@ -201,7 +187,7 @@ def _degenerate_corollary_check() -> tuple[int, int]:
     return checked, failures
 
 
-def criterion_theorem_exhaustive(scale: str = SCALE_SMALL) -> CriterionResult:
+def criterion_theorem_exhaustive() -> CriterionResult:
     """Main-window solver: 100% verified certificates on the stated suites.
 
     ``solve`` runs the verifier's selection checks (size window included)
@@ -217,7 +203,7 @@ def criterion_theorem_exhaustive(scale: str = SCALE_SMALL) -> CriterionResult:
     return CriterionResult(5, "main-window-exhaustive", failures == 0, details)
 
 
-def criterion_corollary_exhaustive(scale: str = SCALE_SMALL) -> CriterionResult:
+def criterion_corollary_exhaustive() -> CriterionResult:
     """Barycentric solver: verified certificates (size n, anchor included,
     checked by ``solve``'s selection checks); degenerate family
     unsatisfiable."""
@@ -232,7 +218,7 @@ def criterion_corollary_exhaustive(scale: str = SCALE_SMALL) -> CriterionResult:
     return CriterionResult(6, "barycentric-exhaustive", failures == 0, details)
 
 
-def criterion_oracle_agreement(scale: str = SCALE_SMALL) -> CriterionResult:
+def criterion_oracle_agreement() -> CriterionResult:
     """Constructive and exhaustive routes agree on suites 5-6; both verify.
 
     Each instance is solved here again, because the agreement is stated per
@@ -284,7 +270,7 @@ def _verify_scan_witnesses(g: AbelianGroup, report_json: dict) -> int:
     return bad
 
 
-def criterion_scan_integrity(scale: str = SCALE_SMALL) -> CriterionResult:
+def criterion_scan_integrity() -> CriterionResult:
     """Exhaustive scans complete; witnesses verify; zero violations inside
     the proven subclasses; reports byte-identical across 1/2/8 workers and
     across reruns.
@@ -338,7 +324,7 @@ def criterion_scan_integrity(scale: str = SCALE_SMALL) -> CriterionResult:
     return CriterionResult(8, "conjecture-scan-integrity", not failures, details)
 
 
-def criterion_determinism_roundtrip(scale: str = SCALE_SMALL) -> CriterionResult:
+def criterion_determinism_roundtrip() -> CriterionResult:
     """Byte-identical certificates on reruns; lossless JSON round-trips."""
     import random
 
@@ -403,7 +389,7 @@ def criterion_determinism_roundtrip(scale: str = SCALE_SMALL) -> CriterionResult
     return CriterionResult(9, "determinism-and-roundtrip", not failures, details)
 
 
-CRITERIA: tuple[Callable[[str], CriterionResult], ...] = (
+CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
     criterion_davenport,
     criterion_word0_totality,
     criterion_egz,
@@ -416,13 +402,12 @@ CRITERIA: tuple[Callable[[str], CriterionResult], ...] = (
 )
 
 
-def run_all(scale: str = SCALE_SMALL) -> list[CriterionResult]:
-    return [criterion(scale) for criterion in CRITERIA]
+def run_all() -> list[CriterionResult]:
+    return [criterion() for criterion in CRITERIA]
 
 
-def summary_json(scale: str, results: list[CriterionResult]) -> dict:
+def summary_json(results: list[CriterionResult]) -> dict:
     return {
-        "scale": scale,
         "all_passed": all(r.passed for r in results),
         "results": [
             {"number": r.number, "name": r.name, "passed": r.passed, "details": r.details}

@@ -49,7 +49,7 @@ from .serialize import (
     load_instance,
     zero_sum_witness_to_json,
 )
-from .weighted import solve, verify_certificate
+from .weighted import Instance, solve, verify_certificate
 from .zerosum import find_zero_sum_bounded, find_zero_sum_exact_length
 
 CACHE_ENV_VAR = "ZSUM_DAVENPORT_CACHE"
@@ -147,27 +147,30 @@ def _cmd_davenport_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _emit_witness(inst: Instance, indices: tuple[int, ...], out: str | None) -> None:
+    """Re-sum a finder's witness with the group's own checked arithmetic
+    (TheoremViolation if it misses zero), then emit it."""
+    g = inst.group
+    if g.sum(inst.x[i - 1] for i in indices) != g.zero():
+        raise TheoremViolation("witness failed independent re-summation")
+    _emit(zero_sum_witness_to_json(g, indices), out)
+
+
 def _cmd_solve_word0(args: argparse.Namespace) -> int:
     _, inst = load_instance(args.instance)
-    wit = find_zero_sum_bounded(inst.group, inst.x, inst.ell)
-    total = inst.group.sum(inst.x[i - 1] for i in wit.indices)
-    if total != inst.group.zero():
-        raise TheoremViolation("witness failed independent re-summation")
-    _emit(zero_sum_witness_to_json(inst.group, wit.indices), args.out)
+    indices = find_zero_sum_bounded(inst.group, inst.x, inst.ell)
+    _emit_witness(inst, indices, args.out)
     return EXIT_OK
 
 
 def _cmd_zero_sum(args: argparse.Namespace) -> int:
     _, inst = load_instance(args.instance)
-    wit = find_zero_sum_exact_length(inst.group, inst.x, args.length)
-    if wit is None:
+    indices = find_zero_sum_exact_length(inst.group, inst.x, args.length)
+    if indices is None:
         _emit({"group": group_to_json(inst.group), "indices": None}, args.out)
         print(f"no zero-sum subsequence of length {args.length} exists", file=sys.stderr)
         return EXIT_UNSATISFIABLE
-    total = inst.group.sum(inst.x[i - 1] for i in wit.indices)
-    if total != inst.group.zero():
-        raise TheoremViolation("witness failed independent re-summation")
-    _emit(zero_sum_witness_to_json(inst.group, wit.indices), args.out)
+    _emit_witness(inst, indices, args.out)
     return EXIT_OK
 
 
@@ -236,12 +239,12 @@ def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     from . import acceptance  # the battery's weight stays out of every other command
 
-    results = acceptance.run_all(args.scale)
+    results = acceptance.run_all()
     for r in results:
         verdict = "PASS" if r.passed else "FAIL"
         print(f"criterion {r.number} {r.name}: {verdict} ({r.details})")
     if args.out:
-        _write(args.out, acceptance.summary_json(args.scale, results))
+        _write(args.out, acceptance.summary_json(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILED
 
 
@@ -310,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan_conjecture)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    # acceptance.SCALE_SMALL and SCALE_FULL, named without importing the battery
-    p.add_argument("--scale", choices=("small", "full"), default="small")
     p.add_argument("--out", help="write machine-readable summary JSON here")
     p.set_defaults(func=_cmd_selftest)
 

@@ -253,12 +253,13 @@ class AbelianGroup:
             out.append(steps)
         return out
 
+    @cached_property
     def _automorphism_maps(self) -> list[list[int]]:
         """Generators of a subgroup H of Aut(G), each as the list of image
         ranks of the element ranks: unit scalings x_i -> u * x_i, swaps of
         adjacent coordinates with equal invariant factors, and the shears
         e_i -> e_i + (d_j / gcd(d_i, d_j)) * e_j, which are additive because
-        d_j divides that multiple of d_i."""
+        d_j divides that multiple of d_i.  Built once per group."""
         factors = self.invariant_factors
         elements = self.elements()
         images = []
@@ -277,7 +278,7 @@ class AbelianGroup:
     def _minima_fixing(self, points: tuple[int, ...]) -> int:
         """Bit mask of the ranks that are the smallest in their orbit under
         the pointwise stabilizer in H of zero, one or two ranks ``points``
-        (the H of :meth:`_automorphism_maps` itself for none); 0 when that
+        (the H of :attr:`_automorphism_maps` itself for none); 0 when that
         stabilizer is trivial.  Schreier's lemma gives generators of
         Stab_H(a) from those of H, and of Stab_H(a, b) from those of
         Stab_H(a).  Built on first request and cached per group; only the
@@ -287,11 +288,11 @@ class AbelianGroup:
         if mask is None:
             n = self.order
             if not points:
-                gens = self._automorphism_maps()
+                gens = self._automorphism_maps
             else:
                 gens = self._point_stabilizers.get(points[0])
                 if gens is None:
-                    gens = list(set(_schreier_generators(n, self._automorphism_maps(), points[0])))
+                    gens = list(set(_schreier_generators(n, self._automorphism_maps, points[0])))
                     self._point_stabilizers[points[0]] = gens
             if len(points) == 2 and gens:
                 gens = _schreier_generators(n, gens, points[1])

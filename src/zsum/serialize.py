@@ -9,16 +9,21 @@ Schemas (all group literals are ``{"orders": [d1, d2, ...]}``; outputs echo
 the canonical invariant-factor form):
 
 * instance: ``{"statement", "group", "x", "w", "ell"}``
-* certificate: ``{"statement", "group", "instance_digest", "selection":
-  {"indices", "images", "value"}, "shelling", "solve_path", "verified"}``
+* certificate: ``{"statement", "group", "instance_digest", "I", "f",
+  "value", "shelling", "solve_path", "verified"}``, with f's keys written
+  as ``str(i)``
 * zero-sum witness: ``{"group", "indices"}``
 * davenport record: ``{"group", "value", "witness", "method"}``
+
+A file that repeats a key within one object is refused, not read as its
+last value.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from typing import Any
 
@@ -26,6 +31,9 @@ from .davenport import DavenportRecord
 from .errors import InvalidElement, InvalidInstance
 from .groups import AbelianGroup, Element, canonicalize
 from .weighted import STATEMENTS, Certificate, Instance, Selection
+
+# str(i) for an integer i, the only map key read, so no two keys name one index
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def dumps_stable(obj: Any) -> str:
@@ -153,9 +161,9 @@ def certificate_from_json(obj: Any, where: str = "certificate") -> tuple[Abelian
     parsed: dict[int, int] = {}
     for key, image in fmap.items():
         _expect(
-            isinstance(key, str) and key.lstrip("-").isdigit(),
+            isinstance(key, str) and _CANONICAL_INT.fullmatch(key) is not None,
             f"{where}.f",
-            f"key {key!r} is not an integer",
+            f"key {key!r} is not an integer in canonical form",
         )
         _expect(
             isinstance(image, int) and not isinstance(image, bool),
@@ -206,10 +214,23 @@ def zero_sum_witness_to_json(g: AbelianGroup, indices: tuple[int, ...]) -> dict:
     return {"group": group_to_json(g), "indices": list(indices)}
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """json.load's object hook: a key repeated in one object is refused, not
+    resolved to its last value."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidInstance(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_json(path: str, what: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
+    except InvalidInstance as err:
+        raise InvalidInstance(f"{path}: {what} file has a {err}") from None
     except FileNotFoundError:
         raise InvalidInstance(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as err:
@@ -225,8 +246,8 @@ def load_json(path: str, what: str) -> Any:
 
 
 def load_instance(path: str) -> tuple[str, Instance]:
-    return instance_from_json(load_json(path, "instance"))
+    return instance_from_json(load_json(path, "instance"), f"{path}: instance")
 
 
 def load_certificate(path: str) -> tuple[AbelianGroup, Certificate]:
-    return certificate_from_json(load_json(path, "certificate"))
+    return certificate_from_json(load_json(path, "certificate"), f"{path}: certificate")

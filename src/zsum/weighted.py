@@ -30,7 +30,8 @@ shelling) once on its pairs; the certificate carries the value they
 recompute.  ``verify_certificate`` adds the hypotheses and the
 certificate's own claims (instance digest, cached value).  The proofs are
 constructive, so under the hypotheses a construction cannot miss; if a
-check rejects one, that is a bug and it raises TheoremViolation.  D(G) is
+check rejects one, that is a bug and it raises TheoremViolation, as
+``zerosum._zero_sum`` does for a zero-sum search inside one.  D(G) is
 looked up, through ``davenport_get`` and so at most once per group and
 process, for theorem1 and the corollary only: word1 does not mention it.
 The answer rests on the verifier, not on a second solver: the exhaustive
@@ -68,7 +69,7 @@ from .errors import (
     UnsatisfiableStatement,
 )
 from .groups import AbelianGroup, Element, canonicalize, rho
-from .zerosum import _lex_smallest_subset
+from .zerosum import _zero_sum
 
 STATEMENT_THEOREM1 = "theorem1"
 STATEMENT_COROLLARY = "corollary"
@@ -122,7 +123,6 @@ class Shelling:
 
     selection: Selection
     blocks: tuple[tuple[int, ...], ...]
-    width: int
 
 
 @dataclass(frozen=True)
@@ -247,19 +247,6 @@ def _word_windows(
     n = g.order
     w_mod_n = [()] * len(w) if n == 1 else [(wi % n,) for wi in w]
     return _Window(canonicalize([n]), w_mod_n, size), _Window(g, x, size)
-
-
-def _zero_sum(g: AbelianGroup, x: Sequence[Element], k: int) -> tuple[int, ...]:
-    """The lexicographically smallest nonempty zero-sum of length <= k in x,
-    as 1-based positions; the caller's hypotheses guarantee one (the bounded
-    fact for word1, the Davenport property for a wide block)."""
-    indices = _lex_smallest_subset(g, x, 1, k)
-    if indices is None:
-        raise TheoremViolation(
-            f"no zero-sum subsequence of length <= {k} in a length-{len(x)} "
-            f"sequence over {g.describe()}"
-        )
-    return indices
 
 
 def _word1_constructive(ws: _Window, xs: _Window) -> list[tuple[int, int]]:
@@ -682,4 +669,4 @@ def solve_word1(
     passed the verifier and the path is always SOLVE_CONSTRUCTIVE.
     """
     cert = solve(Instance(group=g, x=tuple(x), w=tuple(w), ell=ell), STATEMENT_WORD1)
-    return Shelling(selection=cert.selection, blocks=cert.shelling, width=ell), cert.solve_path
+    return Shelling(selection=cert.selection, blocks=cert.shelling), cert.solve_path

@@ -1,9 +1,9 @@
 """Unweighted zero-sum subsequence solvers.
 
-Three entry points share one engine.  Each validates its sequence once;
-the engine, ``_lex_smallest_subset``, trusts its input, so the weighted
-constructions call it directly on sequences built from a validated
-Instance.  A set of group elements is a bitmask over element ranks
+Three entry points share one engine and answer with sorted tuples of
+1-based positions.  Each validates its sequence once; the engine,
+``_lex_smallest_subset``, trusts its input, so the weighted constructions
+reach it directly on sequences built from a validated Instance.  A set of group elements is a bitmask over element ranks
 (:meth:`AbelianGroup.element_rank`) and adding an element to every member
 of a set is one :meth:`AbelianGroup.translate`.  A suffix table records,
 per start position and subset size, the bitmask of sums reachable from the
@@ -23,29 +23,19 @@ the table's.
 The bounded solver realizes the classical fact that a length-n sequence
 over a group of order n with maximal repetition <= k contains a nonempty
 zero-sum subsequence of length <= k; the Davenport solver realizes the
-defining property of D(G).  Both are guaranteed to succeed under their
-preconditions, so an empty-handed search raises TheoremViolation instead
-of returning "absent".
+defining property of D(G).  Both, and the weighted constructions built on
+these two facts, search through ``_zero_sum``: their preconditions
+guarantee success, so an empty-handed search raises TheoremViolation,
+never "absent".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .davenport import davenport_get
 from .errors import InvalidInstance, TheoremViolation
 from .groups import AbelianGroup, Element, rho
-
-
-@dataclass(frozen=True)
-class ZeroSumWitness:
-    """Sorted 1-based positions whose elements sum to the group zero."""
-
-    indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def _suffix_reach(g: AbelianGroup, x: Sequence[Element], cap: int) -> list[list[int]]:
@@ -196,12 +186,25 @@ def _lex_smallest_subset(
     return _table_walk(g, x, lo, hi)
 
 
+def _zero_sum(g: AbelianGroup, x: Sequence[Element], hi: int) -> tuple[int, ...]:
+    """The lexicographically smallest nonempty zero-sum of length <= hi in
+    x, for a caller whose hypotheses guarantee one: the bounded fact, or the
+    Davenport property.  The entries of x are trusted."""
+    indices = _lex_smallest_subset(g, x, 1, hi)
+    if indices is None:
+        raise TheoremViolation(
+            f"no zero-sum subsequence of length <= {hi} in a length-{len(x)} "
+            f"sequence over {g.describe()}"
+        )
+    return indices
+
+
 def _check_elements(g: AbelianGroup, x: Sequence[Element]) -> None:
     for e in x:
         g.check_element(e)
 
 
-def find_zero_sum_bounded(g: AbelianGroup, x: Sequence[Element], k: int) -> ZeroSumWitness:
+def find_zero_sum_bounded(g: AbelianGroup, x: Sequence[Element], k: int) -> tuple[int, ...]:
     """Nonempty zero-sum subsequence of length <= k from a full-length
     sequence (|x| = |G|) with maximal repetition <= k."""
     n = g.order
@@ -212,36 +215,23 @@ def find_zero_sum_bounded(g: AbelianGroup, x: Sequence[Element], k: int) -> Zero
     if rho(x) > k:
         raise InvalidInstance(f"maximal repetition {rho(x)} exceeds cap {k}")
     _check_elements(g, x)
-    indices = _lex_smallest_subset(g, x, 1, k)
-    if indices is None:
-        raise TheoremViolation(
-            f"no zero-sum subsequence of length <= {k} in {x!r} over {g.describe()}"
-        )
-    return ZeroSumWitness(indices=indices)
+    return _zero_sum(g, x, k)
 
 
-def find_zero_sum_davenport(g: AbelianGroup, x: Sequence[Element]) -> ZeroSumWitness:
+def find_zero_sum_davenport(g: AbelianGroup, x: Sequence[Element]) -> tuple[int, ...]:
     """Nonempty zero-sum subsequence from any sequence of length >= D(G)."""
     d = davenport_get(g).value
     if len(x) < d:
         raise InvalidInstance(f"need length >= D = {d}, got {len(x)}")
     _check_elements(g, x)
-    indices = _lex_smallest_subset(g, x, 1, len(x))
-    if indices is None:
-        raise TheoremViolation(
-            f"length-{len(x)} sequence over {g.describe()} (D = {d}) has no zero-sum subsequence"
-        )
-    return ZeroSumWitness(indices=indices)
+    return _zero_sum(g, x, len(x))
 
 
 def find_zero_sum_exact_length(
     g: AbelianGroup, x: Sequence[Element], length: int
-) -> ZeroSumWitness | None:
+) -> tuple[int, ...] | None:
     """Zero-sum subsequence of exactly the given length, or None."""
     if not 1 <= length <= len(x):
         raise InvalidInstance(f"length {length} outside [1, {len(x)}]")
     _check_elements(g, x)
-    indices = _lex_smallest_subset(g, x, length, length)
-    if indices is None:
-        return None
-    return ZeroSumWitness(indices=indices)
+    return _lex_smallest_subset(g, x, length, length)

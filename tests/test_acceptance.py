@@ -29,7 +29,7 @@ from zsum.errors import TheoremViolation
 
 def _run(criterion, number, name, limit_s, details):
     start = time.perf_counter()
-    result = criterion(scale="full")
+    result = criterion()
     elapsed = time.perf_counter() - start
     verdict = "PASS" if result.passed else "FAIL"
     print(f"criterion {number} ({name}): {verdict} in {elapsed:.1f}s - {result.details}")

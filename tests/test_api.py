@@ -23,7 +23,6 @@ PUBLIC_API = [
     "Shelling",
     "TheoremViolation",
     "UnsatisfiableStatement",
-    "ZeroSumWitness",
     "ZsumError",
     "canonicalize",
     "conjecture_check_instance",

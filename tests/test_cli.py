@@ -24,7 +24,6 @@ from zsum.errors import TheoremViolation
 from zsum.groups import canonicalize
 from zsum.serialize import certificate_to_json, dumps_stable, instance_to_json
 from zsum.weighted import Certificate, Instance, Selection, instance_digest
-from zsum.zerosum import ZeroSumWitness
 
 from test_weighted import (
     INNER_IMAGES_OUT_OF_RANGE,
@@ -198,7 +197,7 @@ def test_zero_sum_absent_is_unsatisfiable(tmp_path, capsys):
 def test_zero_sum_witness_failing_resummation_exits_theorem_violation(
     tmp_path, capsys, monkeypatch, command, solver
 ):
-    monkeypatch.setattr(zsum.cli, solver, lambda *args: ZeroSumWitness(indices=(1,)))
+    monkeypatch.setattr(zsum.cli, solver, lambda *args: (1,))
     inst_path = tmp_path / "inst.json"
     out_path = tmp_path / "witness.json"
     _write_instance(inst_path, "word1", [3], ((1,), (2,), (0,)), (1, 1, 1), 2)
@@ -257,6 +256,55 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "INVALID" in captured.out
     assert "size window" in captured.out or "size window" in captured.err
+
+
+# Map keys that name an index ambiguously.  A repeated key is written as raw
+# text, since a JSON writer cannot emit one; "01" and "1" both parse as 1;
+# "--1" is digits after minus signs but no integer.  name: (edit of the
+# certificate text, the key the error names)
+AMBIGUOUS_KEYS = {
+    "repeated-key": (lambda text: text.replace('"f": {', '"f": {"1": 99,'), "duplicate key '1'"),
+    "leading-zero": (
+        lambda text: json.dumps({**json.loads(text), "f": {"1": 99, "2": 2, "3": 3, "01": 1}}),
+        "key '01' is not an integer in canonical form",
+    ),
+    "double-minus": (
+        lambda text: text.replace('"f": {', '"f": {"--1": 1,'),
+        "key '--1' is not an integer in canonical form",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AMBIGUOUS_KEYS))
+def test_verify_refuses_a_certificate_map_that_names_an_index_twice(tmp_path, capsys, name):
+    inst_path = tmp_path / "inst.json"
+    cert_path = tmp_path / "cert.json"
+    _write_instance(inst_path, "word1", [3], ((1,), (1,), (1,)), (1, 1, 1), 3)
+    assert main(["solve", "--instance", str(inst_path), "--out", str(cert_path)]) == EXIT_OK
+    argv = ["verify", "--instance", str(inst_path), "--cert", str(cert_path)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "certificate: VALID\n"
+    edit, key = AMBIGUOUS_KEYS[name]
+    text = cert_path.read_text()
+    cert_path.write_text(edit(text))
+    assert cert_path.read_text() != text
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith(f"error: {cert_path}: certificate") and err.count("\n") == 1
+    assert key in err and "Traceback" not in err
+
+
+def test_a_repeated_key_in_an_instance_file_exits_invalid(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    _write_instance(inst_path, "word1", [3], ((1,), (1,), (1,)), (1, 1, 1), 3)
+    inst_path.write_text(inst_path.read_text().replace('"ell": 3', '"ell": 3, "ell": 1'))
+    assert main(["solve-word0", "--instance", str(inst_path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {inst_path}: instance file has a duplicate key 'ell'\n"
 
 
 # The verifier mutations a certificate file can express (its f is a map, so
@@ -441,19 +489,21 @@ def test_only_selftest_loads_the_acceptance_battery():
     import subprocess
     import sys
 
-    import zsum.acceptance as acceptance
-
     # a fresh interpreter, importing this checkout's package
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zsum.cli.__file__)))
     code = "import sys, zsum.cli; zsum.cli.build_parser(); print('zsum.acceptance' in sys.modules)"
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True).stdout
     assert loaded == "False\n"
-    # the parser names the battery's two scales without importing it
-    parser = zsum.cli.build_parser()
-    assert parser.parse_args(["selftest"]).scale == acceptance.SCALE_SMALL
-    assert parser.parse_args(["selftest", "--scale", acceptance.SCALE_FULL]).scale == (
-        acceptance.SCALE_FULL)
+
+
+def test_selftest_has_one_size(capsys):
+    # the battery always runs its full Davenport sweep, so there is no
+    # --scale to choose
+    with pytest.raises(SystemExit) as exited:
+        main(["selftest", "--scale", "full"])
+    assert exited.value.code == EXIT_INVALID
+    assert "unrecognized arguments: --scale full" in capsys.readouterr().err
 
 
 def test_only_scan_conjecture_loads_the_scanner():
@@ -618,7 +668,7 @@ OUT_COMMANDS = {
 def test_unwritable_out_path_exits_invalid(tmp_path, capsys, monkeypatch, command, where):
     import zsum.acceptance as acceptance
 
-    monkeypatch.setattr(acceptance, "run_all", lambda scale="small": [
+    monkeypatch.setattr(acceptance, "run_all", lambda: [
         acceptance.CriterionResult(number=1, name="stub", passed=True, details="ok"),
     ])
     monkeypatch.chdir(tmp_path)
@@ -653,7 +703,7 @@ def test_directory_out_path_exits_before_any_work(tmp_path, capsys, monkeypatch,
 def test_selftest_writes_summary(tmp_path, capsys, monkeypatch):
     import zsum.acceptance as acceptance
 
-    def fake_run_all(scale="small"):
+    def fake_run_all():
         return [
             acceptance.CriterionResult(number=1, name="stub", passed=True, details="ok"),
             acceptance.CriterionResult(number=2, name="stub2", passed=False, details="bad"),

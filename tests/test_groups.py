@@ -7,6 +7,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zsum.groups
+from zsum.davenport import davenport_exact
 from zsum.errors import InvalidElement, InvalidGroup, InvalidInstance
 from zsum.groups import (
     MAX_FACTORED_ORDER,
@@ -269,7 +271,7 @@ def test_orbit_maps_are_automorphisms_and_minima_match_their_closure():
     # automorphism
     for g in groups_up_to_order(64):
         n, add = g.order, g.rank_add_table
-        maps = g._automorphism_maps()
+        maps = g._automorphism_maps
         for image in maps:
             assert sorted(image) == list(range(n)), g
             for a, b in itertools.product(range(n), repeat=2):
@@ -289,6 +291,19 @@ def test_orbit_maps_are_automorphisms_and_minima_match_their_closure():
                         frontier.append(image[a])
             seen |= orbit
         assert _nonzero_ranks(g._minima_fixing(()), n) == minima, g
+
+
+@pytest.mark.parametrize("orders", [(2, 2, 6), (2, 12)])
+def test_one_search_builds_the_automorphism_maps_once(monkeypatch, orders):
+    # each build scales every coordinate by its unit generators once; the
+    # stabilizers of every first point then reuse the cached maps
+    calls = []
+    original = zsum.groups._unit_generators
+    monkeypatch.setattr(zsum.groups, "_unit_generators", lambda d: calls.append(d) or original(d))
+    g = canonicalize(list(orders))
+    davenport_exact(g)
+    assert calls == list(g.invariant_factors)
+    assert g._automorphism_maps is g._automorphism_maps
 
 
 def _nonzero_ranks(mask, n):
@@ -343,7 +358,7 @@ def test_stabilizer_minima_match_the_closed_stabilizers():
     # one or two distinct elements; each must be the closure's orbit minima
     for g in groups_up_to_order(16):
         n = g.order
-        group = _closure(n, g._automorphism_maps())
+        group = _closure(n, g._automorphism_maps)
         assert g._minima_fixing(()) == _fixing_minima(n, group, ())
         for a in _nonzero_ranks(g._minima_fixing(()), n):
             one = g._minima_fixing((a,))

@@ -106,7 +106,7 @@ def test_word1_single_block_shelling():
         for ell in range(max(rho(x), 1), 4):
             sh, _ = solve_word1(Z3, x, (1, 2, 1), ell)
             assert sh.blocks == (sh.selection.indices,)
-            assert sh.width <= ell
+            assert all(len(block) <= ell for block in sh.blocks)
 
 
 def test_word1_exhaustive_small():

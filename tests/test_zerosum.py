@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from zsum import zerosum
 from zsum.davenport import davenport_get
-from zsum.errors import InvalidElement, InvalidInstance
+from zsum.errors import InvalidElement, InvalidInstance, TheoremViolation
 from zsum.groups import canonicalize, groups_up_to_order, rho
+from zsum.weighted import Instance, solve
 from zsum.zerosum import (
     find_zero_sum_bounded,
     find_zero_sum_davenport,
@@ -46,14 +47,14 @@ def _all_sequences(g, n):
 def test_bounded_worked_example():
     g = canonicalize([4])
     wit = find_zero_sum_bounded(g, ((1,), (3,), (2,), (2,)), 2)
-    assert wit.indices == (1, 2)
+    assert wit == (1, 2)
 
 
 def test_bounded_rank_two_example():
     g = canonicalize([2, 2])
     x = ((1, 0), (1, 0), (0, 1), (1, 1))
     wit = find_zero_sum_bounded(g, x, 2)
-    assert wit.indices == (1, 2)
+    assert wit == (1, 2)
 
 
 def test_bounded_matches_oracle_exhaustively():
@@ -66,7 +67,7 @@ def test_bounded_matches_oracle_exhaustively():
                 expected = _oracle_bounded(g, x, k)
                 assert expected is not None, "word0 guarantee broken in oracle"
                 wit = find_zero_sum_bounded(g, x, k)
-                assert wit.indices == expected, (orders, x, k)
+                assert wit == expected, (orders, x, k)
 
 
 def test_bounded_preconditions():
@@ -84,15 +85,15 @@ def test_bounded_preconditions():
 
 def test_davenport_route_examples():
     g = canonicalize([3])
-    assert find_zero_sum_davenport(g, ((1,), (1,), (1,))).indices == (1, 2, 3)
+    assert find_zero_sum_davenport(g, ((1,), (1,), (1,))) == (1, 2, 3)
     g22 = canonicalize([2, 2])
     wit = find_zero_sum_davenport(g22, ((1, 1), (1, 1), (0, 1)))
-    assert wit.indices == (1, 2)
+    assert wit == (1, 2)
     # index-tuple order, not smallest-size-first: (1,2,3) beats the zero at (2,)
     wit = find_zero_sum_davenport(g, ((1,), (0,), (2,)))
-    assert wit.indices == (1, 2, 3)
+    assert wit == (1, 2, 3)
     wit = find_zero_sum_davenport(g, ((0,), (1,), (1,)))
-    assert wit.indices == (1,)
+    assert wit == (1,)
 
 
 def test_davenport_route_requires_length_at_least_d():
@@ -116,17 +117,17 @@ def test_davenport_route_exhaustive_small():
         d = davenport_get(g).value
         for x in _all_sequences(g, d):
             wit = find_zero_sum_davenport(g, x)
-            assert wit.indices == _oracle_bounded(g, x, d), (orders, x)
-            assert g.sum(x[i - 1] for i in wit.indices) == g.zero()
+            assert wit == _oracle_bounded(g, x, d), (orders, x)
+            assert g.sum(x[i - 1] for i in wit) == g.zero()
 
 
 def test_exact_length_examples():
     g = canonicalize([2])
     wit = find_zero_sum_exact_length(g, ((0,), (0,), (1,)), 2)
-    assert wit is not None and wit.indices == (1, 2)
+    assert wit is not None and wit == (1, 2)
     g3 = canonicalize([3])
     wit = find_zero_sum_exact_length(g3, ((1,), (1,), (1,), (2,), (2,)), 3)
-    assert wit is not None and wit.indices == (1, 2, 3)
+    assert wit is not None and wit == (1, 2, 3)
     assert find_zero_sum_exact_length(g3, ((1,), (1,)), 2) is None
 
 
@@ -140,14 +141,14 @@ def test_exact_length_matches_oracle():
                 if expected is None:
                     assert wit is None, (x, length)
                 else:
-                    assert wit is not None and wit.indices == expected, (x, length)
+                    assert wit is not None and wit == expected, (x, length)
 
 
 def test_exact_length_full_sequence_of_identical_elements():
     g = canonicalize([5])
     x = (((2,),) * 5)
     wit = find_zero_sum_exact_length(g, x, 5)
-    assert wit is not None and wit.indices == (1, 2, 3, 4, 5)
+    assert wit is not None and wit == (1, 2, 3, 4, 5)
 
 
 def test_exact_length_preconditions():
@@ -174,8 +175,8 @@ def test_bounded_at_group_order_always_succeeds():
         sample = itertools.islice(_all_sequences(g, n), 0, None, 11)
         for x in sample:
             wit = find_zero_sum_bounded(g, x, n)
-            assert 1 <= len(wit.indices) <= n
-            assert g.sum(x[i - 1] for i in wit.indices) == g.zero()
+            assert 1 <= len(wit) <= n
+            assert g.sum(x[i - 1] for i in wit) == g.zero()
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,7 +195,7 @@ def test_exact_length_property(data):
     for length in range(1, len(x) + 1):
         wit = find_zero_sum_exact_length(g, x, length)
         expected = _oracle_exact(g, x, length)
-        assert (wit.indices if wit else None) == expected
+        assert wit == expected
 
 
 # ------------------------------------------------------------ bitset kernel
@@ -244,16 +245,16 @@ def test_solvers_return_first_combination_hit(g):
     for _ in range(6):
         x = [rng.choice(elements) for _ in range(n)]
         k = rng.randint(rho(x), n)
-        assert find_zero_sum_bounded(g, x, k).indices == _first_combination(g, x, range(1, k + 1))
+        assert find_zero_sum_bounded(g, x, k) == _first_combination(g, x, range(1, k + 1))
 
         y = [rng.choice(elements) for _ in range(rng.randint(d, d + 2))]
         wit = find_zero_sum_davenport(g, y)
-        assert wit.indices == _first_combination(g, y, range(1, len(y) + 1))
+        assert wit == _first_combination(g, y, range(1, len(y) + 1))
 
         z = [rng.choice(elements) for _ in range(rng.randint(1, min(2 * n - 1, 12)))]
         length = rng.randint(1, len(z))
         wit = find_zero_sum_exact_length(g, z, length)
-        assert (wit.indices if wit else None) == _first_combination(g, z, [length])
+        assert wit == _first_combination(g, z, [length])
 
 
 @pytest.mark.parametrize("bad", [(1, 0), (), (3,), (-1,)])
@@ -346,3 +347,22 @@ def test_short_kernel_step_count_on_ascending_triples():
     assert zerosum._short_zero_sum(g, x, 3, 2011) == (61, 62, 64)
     assert zerosum._short_zero_sum(g, x, 3, 2010) is zerosum._GAVE_UP
     assert zerosum._lex_smallest_subset(g, x, 1, 3) == (61, 62, 64)  # via the table
+
+
+def test_the_finders_and_word1_share_one_cannot_miss_check(monkeypatch):
+    # with the engine stubbed to find nothing, the two finders whose
+    # hypotheses guarantee a zero-sum and the word1 construction all fail
+    # through zerosum._zero_sum, with its one message
+    monkeypatch.setattr(zerosum, "_lex_smallest_subset", lambda *args: None)
+    g = canonicalize([3])
+    x = ((1,), (1,), (1,))
+    message = "no zero-sum subsequence of length <= 3 in a length-3 sequence over Z_3"
+    calls = (
+        lambda: find_zero_sum_bounded(g, x, 3),
+        lambda: find_zero_sum_davenport(g, x),
+        lambda: solve(Instance(group=g, x=x, w=(1, 1, 1), ell=3), "word1"),
+    )
+    for call in calls:
+        with pytest.raises(TheoremViolation) as raised:
+            call()
+        assert str(raised.value) == message
