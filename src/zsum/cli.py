@@ -203,19 +203,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
     from .conjecture import ScanConfig, conjecture_scan  # loaded by this command only
 
-    n = canonicalize(_parse_int_list(args.orders, "--orders")).order
-    if args.weights:
+    orders = _parse_int_list(args.orders, "--orders")
+    if args.weights is not None:
         values = _parse_int_list(args.weights, "--weights")
     else:
-        values = tuple(range(1, n))  # default: nonzero residues
+        values = tuple(range(1, canonicalize(orders).order))  # default: nonzero residues
     config = ScanConfig(
-        orders=_parse_int_list(args.orders, "--orders"),
+        orders=orders,
         k=args.k,
         weight_values=values,
         mode=args.mode,
         sample_size=args.sample_size,
         seed=args.seed,
-        workers=args.workers,
         budget=args.budget,
     )
     try:
@@ -304,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--sample-size", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes that decide classes, capped at the CPU count")
     p.add_argument("--budget", type=int, default=5_000_000,
                    help="cap on the classes (x-class, w-class) an exhaustive scan decides, "
                         "or on the x a sampled scan draws, kept or not; exit 5 above it")

@@ -18,9 +18,8 @@ class is decided once, in one group per x-class: x's sorted representative
 against the scan's new weight classes, each on a vector of the scan's own
 weights ordered by residue (the smallest weight of each residue, or the
 class's first draw), so the oracle's integer arithmetic meets the weights
-themselves, not their residues; in process, or as contiguous slices of the
-groups on a pool of worker processes no larger than the machine; a worker
-only decides.
+themselves, not their residues.  Every class is decided in the calling
+process.
 
 An exhaustive scan generates its x-classes directly, as count vectors of
 ranks (each count at most k, summing to n), and its weight classes as the
@@ -60,7 +59,7 @@ representative.
 Reports are deterministic byte-for-byte for a fixed configuration: the
 instance order is canonical (x in lexicographic order, weights varying
 fastest in product order; a sample in draw order), and volatile data (wall
-time, worker count, decided classes) never enters the serialized form.
+time, decided classes) never enters the serialized form.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ import functools
 import itertools
 import math
 import operator
-import os
 import random
 import time
 from dataclasses import dataclass, replace
@@ -104,8 +102,16 @@ class ScanConfig:
     mode: str = MODE_EXHAUSTIVE
     sample_size: int = 0
     seed: int = 0
+    # Only 1 is accepted: the scan decides in process.  The field is kept for
+    # callers that still pass workers=1; the benchmark change (ROADMAP item 1)
+    # can drop it.
     workers: int = 1
     budget: int = DEFAULT_SCAN_BUDGET
+
+    def __post_init__(self) -> None:
+        if self.workers != 1:
+            raise InvalidArgument(f"workers = {self.workers} must be 1: "
+                                  "the scan decides in one process")
 
 
 @dataclass(frozen=True)
@@ -121,14 +127,13 @@ class ScanReport:
     witness_sample: tuple[dict, ...]
     wall_time: float
     authoritative: bool = True
-    decided: int = 0  # classes in the scan's table; the same for any worker count
+    decided: int = 0  # classes in the scan's table, each decided once
 
     def to_json(self) -> dict:
-        """Canonical report payload.  Wall time, worker count and the
-        decided-class count are kept off the wire: the payload is a fact
-        about the instance space, byte-identical across reruns and worker
-        counts.  Wall time and ``decided`` live only on the in-memory
-        record."""
+        """Canonical report payload.  Wall time and the decided-class count
+        are kept off the wire: the payload is a fact about the instance
+        space, byte-identical across reruns.  Wall time and ``decided`` live
+        only on the in-memory record."""
         return {
             "config": {
                 "orders": list(self.config.orders),
@@ -278,8 +283,6 @@ def _validated(config: ScanConfig) -> tuple[AbelianGroup, ScanConfig]:
         raise InvalidArgument(f"unknown mode {config.mode!r}")
     if config.mode == MODE_SAMPLED and config.sample_size < 1:
         raise InvalidArgument(f"sample_size = {config.sample_size} must be >= 1")
-    if config.workers < 1:
-        raise InvalidArgument(f"workers = {config.workers} must be >= 1")
     if config.budget < 1:
         raise InvalidArgument(f"budget = {config.budget} must be >= 1")
     return g, replace(config, orders=tuple(config.orders), weight_values=values)
@@ -456,27 +459,10 @@ def _proven(residues: Sequence[int], n: int, k: int, d: int) -> bool:
 Group = tuple[tuple[Element, ...], Sequence[tuple[int, ...]]]
 
 
-def _decide(orders: tuple[int, ...], groups: list[Group]) -> list[bool]:
+def _decide(g: AbelianGroup, groups: list[Group]) -> Iterator[bool]:
     """Whether each w of each (x, ws) group, in order, has a zero selection,
-    by ``_check_sequence``: all a worker process does."""
-    g = canonicalize(orders)
-    return [sel is not None for x, ws in groups for sel in _check_sequence(g, x, ws)]
-
-
-def _decide_all(config: ScanConfig, groups: list[Group]) -> Iterator[bool]:
-    """Every group's verdicts, in order: contiguous slices of the groups,
-    decided in process or on a pool no larger than the machine."""
-    parts = min(config.workers, os.cpu_count() or 1)
-    chunk = max(math.ceil(len(groups) / parts), 1)
-    slices = [groups[lo:lo + chunk] for lo in range(0, len(groups), chunk)]
-    if len(slices) <= 1:
-        verdicts = [_decide(config.orders, part) for part in slices]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
-            verdicts = list(pool.map(_decide, [config.orders] * len(slices), slices))
-    return itertools.chain.from_iterable(verdicts)
+    by ``_check_sequence``."""
+    return (sel is not None for x, ws in groups for sel in _check_sequence(g, x, ws))
 
 
 def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
@@ -502,7 +488,7 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
     elements = g.elements()
     x_counts = list(_admissible_classes(n, k))
     x_classes = [tuple([r for r, c in enumerate(counts) for _ in range(c)]) for counts in x_counts]
-    found = _decide_all(config, [(tuple([elements[r] for r in x]), firsts) for x in x_classes])
+    found = _decide(g, [(tuple([elements[r] for r in x]), firsts) for x in x_classes])
 
     # Instances by counting: an x-class of counts c holds n! / prod(c_r!)
     # distinct x, and a w-class with m_j weights of residue j holds
@@ -591,7 +577,7 @@ def _sampled(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
             row[key[1]] = tuple(sorted(w, key=lambda v: v % exponent))
         keys.append(key)
     elements = g.elements()
-    found = _decide_all(config, [
+    found = _decide(g, [
         (tuple([elements[r] for r in x]), list(row.values())) for x, row in table.items()
     ])
     for row in table.values():

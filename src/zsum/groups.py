@@ -9,8 +9,7 @@ kept as bitmasks over element ranks and moved as a whole with
 :meth:`AbelianGroup.translate`; addition and scaling tables on ranks are
 built on first use.
 
-All values are immutable and hashable; they can be shared freely across
-workers.
+All values are immutable and hashable.
 """
 
 from __future__ import annotations

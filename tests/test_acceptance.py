@@ -42,7 +42,7 @@ def _run(criterion, number, name, limit_s, details):
 def test_criterion_1_davenport_cross_check():
     _run(
         criterion_davenport, 1, "davenport-cross-check", 60,
-        "39 groups checked",
+        "25 groups checked",
     )
 
 
@@ -84,7 +84,7 @@ def test_criterion_6_barycentric_exhaustive():
 def test_criterion_7_oracle_agreement():
     _run(
         criterion_oracle_agreement, 7, "oracle-agreement", 240,
-        "2620 instances, 0 disagreements",
+        "2608 instances, 0 disagreements",
     )
 
 

@@ -536,6 +536,17 @@ def test_scan_conjecture_defaults_weights(capsys):
     assert out["config"]["weight_values"] == [1]
 
 
+@pytest.mark.parametrize("weights", ["", ","])
+def test_scan_conjecture_refuses_an_empty_weight_list(capsys, weights):
+    # an empty --weights is an empty set, not a request for the default
+    assert main(["scan-conjecture", "--orders", "4", "--k", "2", "--weights", weights]) == (
+        EXIT_INVALID
+    )
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weight value set is empty\n"
+
+
 def test_solve_with_a_disabled_construction_exits_theorem_violation(tmp_path, capsys, monkeypatch):
     def disabled(*args, **kwargs):
         raise TheoremViolation("construction disabled by the test")

@@ -26,7 +26,6 @@ from zsum.errors import (
     TheoremViolation,
 )
 from zsum.groups import canonicalize, groups_up_to_order, rho
-from zsum.serialize import dumps_stable
 
 from test_determinism import SCAN_Z4_K2_DIGEST, SCANS, _digest
 
@@ -115,13 +114,17 @@ def test_scan_counterexamples_lie_outside_proven_regimes():
         assert len(w) < 4  # not the k >= D regime
 
 
-def test_scan_worker_count_does_not_change_the_report():
-    base = conjecture_scan(ScanConfig(orders=(3,), k=2, weight_values=(1, 2), workers=1))
-    for workers in (2, 3, 8):
-        other = conjecture_scan(
-            ScanConfig(orders=(3,), k=2, weight_values=(1, 2), workers=workers)
-        )
-        assert other.to_json() == base.to_json()
+def test_the_scan_runs_in_one_process(capsys):
+    from zsum.cli import EXIT_INVALID, main
+
+    with pytest.raises(InvalidArgument, match="workers = 2 must be 1"):
+        ScanConfig(orders=(3,), k=2, weight_values=(1, 2), workers=2)
+    with pytest.raises(SystemExit) as exited:
+        main(["scan-conjecture", "--orders", "3", "--k", "2", "--workers", "2"])
+    assert exited.value.code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --workers 2" in captured.err
 
 
 def test_scan_rerun_is_identical():
@@ -178,11 +181,6 @@ def test_scan_config_validation():
         conjecture_scan(ScanConfig(orders=(3,), k=1, weight_values=(1,), mode="turbo"))
     with pytest.raises(InvalidArgument):
         conjecture_scan(ScanConfig(orders=(3,), k=1, weight_values=(1,), workers=0))
-
-
-def test_more_workers_than_instances():
-    report = conjecture_scan(ScanConfig(orders=(2,), k=1, weight_values=(1,), workers=8))
-    assert report.checked == 2
 
 
 def test_enumeration_oracle_agreement_random():
@@ -341,43 +339,23 @@ def test_route_disagreement_aborts_the_scan(monkeypatch, orders, flip, message):
         conjecture_scan(ScanConfig(orders=orders, k=2, weight_values=tuple(range(1, n))))
 
 
-def test_sampled_scan_report_bytes_do_not_depend_on_workers():
-    from zsum.serialize import dumps_stable
-
-    reports = {
-        workers: dumps_stable(conjecture_scan(ScanConfig(
-            orders=(6,), k=2, weight_values=(0, 1, 2, 3, 4, 5), mode="sampled",
-            sample_size=300, seed=5, workers=workers,
-        )).to_json())
-        for workers in (1, 2, 3)
-    }
-    assert reports[1] == reports[2] == reports[3]
-
-
 @pytest.mark.parametrize("mode, make", [
     ("exhaustive", "_admissible_classes"),
     ("sampled", "_sample_draws"),
 ])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_scan_builds_its_instances_once_in_the_calling_process(monkeypatch, mode, make,
-                                                               workers):
-    import os
-
+def test_scan_builds_its_instances_once_in_the_calling_process(monkeypatch, mode, make):
     import zsum.conjecture as conjecture
 
     calls = []
     build = getattr(conjecture, make)
-    caller = os.getpid()
 
     def counted(*args):
-        if os.getpid() != caller:
-            raise RuntimeError(f"{make} called in a worker process")
         calls.append(args)
         return build(*args)
 
     monkeypatch.setattr(conjecture, make, counted)
     report = conjecture_scan(ScanConfig(orders=(3,), k=2, weight_values=(1, 2), mode=mode,
-                                        sample_size=40, workers=workers))
+                                        sample_size=40))
     assert report.checked == (96 if mode == "exhaustive" else 40)
     assert len(calls) == 1
 
@@ -441,7 +419,8 @@ def test_scan_decides_each_class_once_per_route(monkeypatch):
 
 
 def _benchmark_scans():
-    """The scan configurations of the benchmark, weights 1..n-1."""
+    """The scan configurations of the benchmark and the pinned sampled Z_4
+    scan, weights 1..n-1."""
     configs = [((4,), 2, "exhaustive", 0, 0)] + [spec[:5] for spec in SCANS.values()]
     for orders, k, mode, sample_size, seed in configs:
         n = canonicalize(orders).order
@@ -492,47 +471,6 @@ def test_decided_count_stays_off_the_wire():
         "davenport", "group", "proven_subclass", "witness_sample",
     ]
     assert _digest(payload) == SCAN_Z4_K2_DIGEST
-    # the scan keeps one class table, so the split decides no class twice
-    for workers in (1, 2, 3):
-        split = conjecture_scan(replace(config, workers=workers))
-        assert split.decided == report.decided
-        assert dumps_stable(split.to_json()) == dumps_stable(payload)
-
-
-def test_every_worker_count_decides_the_same_classes():
-    config = ScanConfig(orders=(5,), k=2, weight_values=(1, 2, 3, 4))
-    for workers in (1, 2, 3):
-        assert conjecture_scan(replace(config, workers=workers)).decided == 510
-
-
-def test_the_pool_is_no_larger_than_the_machine(monkeypatch):
-    # an in-process stand-in for the pool: it records its size and starts
-    # no process
-    import concurrent.futures
-    import os
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    config = ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3))
-    many = conjecture_scan(replace(config, workers=1000))
-    cpus = os.cpu_count() or 1
-    assert len(sizes) == (cpus > 1)  # one CPU decides in process
-    assert all(size <= cpus for size in sizes)
-    assert dumps_stable(many.to_json()) == dumps_stable(conjecture_scan(config).to_json())
 
 
 def _choice_sample(g, config):
