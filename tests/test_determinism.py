@@ -288,6 +288,14 @@ def test_scan_report_bytes_are_pinned():
     assert _digest(report.to_json()) == SCAN_Z4_K2_DIGEST
 
 
+def test_scan_report_bytes_are_pinned_at_workers_1():
+    # perfbench builds its scans with workers=1, the one value ScanConfig
+    # still accepts; naming it must not change a byte of the report.
+    report = conjecture_scan(ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3), workers=1))
+    assert (report.checked, report.counterexample_count) == (1836, 24)
+    assert _digest(report.to_json()) == SCAN_Z4_K2_DIGEST
+
+
 @pytest.mark.parametrize("name", sorted(SCANS))
 def test_benchmark_scan_report_bytes_are_pinned(name):
     orders, k, mode, sample_size, seed, checked, failures, expected = SCANS[name]
