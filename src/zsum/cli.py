@@ -69,6 +69,14 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise InvalidInstance(f"{what} must be a comma-separated integer list, got {text!r}")
 
 
+def _parse_orders(text: str) -> tuple[int, ...]:
+    """``--orders``, refused when empty: the trivial group is ``--orders 1``."""
+    orders = _parse_int_list(text, "--orders")
+    if not orders:
+        raise InvalidArgument(f"--orders {text!r} names no cyclic order; the trivial group is 1")
+    return orders
+
+
 def _check_out_path(path: str | None) -> None:
     """InvalidArgument if ``--out`` names a directory or a file in a missing
     one; checked before any work, so a bad path costs nothing."""
@@ -106,7 +114,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_group(args: argparse.Namespace) -> int:
-    orders = _parse_int_list(args.orders, "--orders")
+    orders = _parse_orders(args.orders)
     g = canonicalize(orders)
     _emit(
         {
@@ -122,7 +130,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
 
 
 def _cmd_davenport(args: argparse.Namespace) -> int:
-    g = canonicalize(_parse_int_list(args.orders, "--orders"))
+    g = canonicalize(_parse_orders(args.orders))
     if args.formula:
         rec = davenport_formula_record(g)
         if rec is None:
@@ -203,7 +211,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
     from .conjecture import ScanConfig, conjecture_scan  # loaded by this command only
 
-    orders = _parse_int_list(args.orders, "--orders")
+    orders = _parse_orders(args.orders)
     if args.weights is not None:
         values = _parse_int_list(args.weights, "--weights")
     else:

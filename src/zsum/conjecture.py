@@ -14,7 +14,7 @@ Whether a selection exists does not change if x is permuted, if w is
 permuted, or if any w_i changes by a multiple of exp(G).  So instances fall
 into classes keyed by (sorted ranks of x, sorted w_i mod exp(G)), and a
 scan's unit of work is the class, from generation to the report.  Every
-class is decided once, in one group per x-class: x's sorted representative
+class is decided once, in one call per x-class: x's sorted representative
 against the scan's new weight classes, each on a vector of the scan's own
 weights ordered by residue (the smallest weight of each residue, or the
 class's first draw), so the oracle's integer arithmetic meets the weights
@@ -37,24 +37,27 @@ costs at most 2n^2 + k * (|values| + residues) steps, not a walk of the
 n^n sequences or the |values|^k weight product.  A sampled scan draws its
 instances as ``random.Random(seed).choice`` would, keys each draw, decides
 its new classes grouped by x-class, and reads the report back in draw
-order; every x drawn, kept or not, counts against its budget.
+order; every x drawn, kept or not, counts against its budget.  Both modes
+end in one report builder, fed their counts and three lazy instance streams.
 
-Each x-class representative is validated once for its group: its length,
-its maximal repetition, and its entries, by the oracle's own
-``check_element`` and by the rank lookup.  The first route is a memoized
-DFS on element ranks (rank 0 is the zero element) over (weight index,
-used-position mask, running-sum rank) states: each weight value's row of
-w_i * x_j ranks is read off the group's cached scaling table (weights
-reduced mod the exponent, so negative, zero and huge weights all work) once
-per group, and the running sum moves through the cached rank addition
-table.  The second route is an independent lexicographic enumeration of all
-(I, f) pairs on the exhaustive oracle's core (the one ``fallback_search``
-runs on), which values every candidate with its own per-coordinate
-arithmetic on the raw integers, so it trusts nothing the DFS computed.
-Disagreement aborts the scan.  Counterexamples are, by construction,
-instances whose class's enumeration ran to exhaustion.  A reported witness
-is the oracle's selection for its own instance, not for its class's
-representative.
+The scan trusts what it generated: every x it decides is a rank tuple it
+built or drew itself, so nothing is re-validated between generation and
+decision.  Checks live at the public edge: ``conjecture_check_instance``
+checks |x|, k, the maximal repetition and every entry, and
+``enumerate_zero_selection`` every entry.  Each class is decided by two
+routes.  The first is a memoized DFS on element ranks (rank 0 is the zero
+element) over (weight index, used-position mask, running-sum rank) states:
+each weight value's row of w_i * x_j ranks is read off the group's cached
+scaling table (weights reduced mod the exponent, so negative, zero and huge
+weights all work) once per x, and the running sum moves through the cached
+rank addition table.  The second route is an independent lexicographic
+enumeration of all (I, f) pairs on the exhaustive oracle's core (the one
+``fallback_search`` runs on), which values every candidate with its own
+per-coordinate arithmetic on the raw integers, so it trusts nothing the
+DFS computed.  Disagreement aborts the scan.  Counterexamples are, by
+construction, instances whose class's enumeration ran to exhaustion.  A
+reported witness is the oracle's selection for its own instance, not for
+its class's representative.
 
 Reports are deterministic byte-for-byte for a fixed configuration: the
 instance order is canonical (x in lexicographic order, weights varying
@@ -75,15 +78,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .davenport import davenport_get
-from .errors import (
-    BudgetExceeded,
-    InvalidArgument,
-    InvalidElement,
-    InvalidInstance,
-    TheoremViolation,
-)
+from .errors import BudgetExceeded, InvalidArgument, InvalidInstance, TheoremViolation
 from .groups import AbelianGroup, Element, canonicalize, rho
-from .weighted import Selection, _zero_selection_oracle
+from .weighted import Selection, _coordinate_columns, _first_selection, _index_sets
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
@@ -158,16 +155,6 @@ class ScanReport:
         }
 
 
-def _ranks(g: AbelianGroup, x: Sequence[Element]) -> list[int]:
-    index = g.rank_index
-    try:
-        return [index[e] for e in x]
-    except KeyError:
-        bad = next(e for e in x if e not in index)
-        g.check_element(bad)  # names the wrong arity or residue
-        raise InvalidElement(f"{bad!r} is not an element of {g.describe()}") from None
-
-
 def _rank_rows(
     g: AbelianGroup, ranks: Sequence[int], values: Iterable[int]
 ) -> dict[int, list[int]]:
@@ -215,45 +202,44 @@ def _zero_selection_dfs(add: list[list[int]], derived: list[list[int]], n: int) 
     return walk(0, 0, 0)
 
 
+def _first_zero(
+    columns: list[tuple[list[int], int]], m: int, w: Sequence[int]
+) -> Selection | None:
+    """The oracle on the unrestricted statement: the lexicographically first
+    nonempty (I, f) of value zero, or None."""
+    return _first_selection(columns, m, w, _index_sets(len(w), 1, len(w)), False)
+
+
 def enumerate_zero_selection(
     g: AbelianGroup, x: Sequence[Element], w: Sequence[int]
 ) -> Selection | None:
-    """Independent route: lexicographic enumeration over all (I, f)."""
-    return _zero_selection_oracle(g, x)(w)
+    """Independent route: lexicographic enumeration over all (I, f), after
+    checking every entry of x."""
+    for e in x:
+        g.check_element(e)
+    return _first_zero(_coordinate_columns(g, x), len(x), w)
 
 
-def _check_sequence(
-    g: AbelianGroup, x: Sequence[Element], ws: Sequence[Sequence[int]]
+def _decide(
+    g: AbelianGroup, elements: list[Element], x: Sequence[int], ws: Sequence[Sequence[int]]
 ) -> list[Selection | None]:
-    """Decide every weight vector in ``ws`` against one sequence x.
-
-    x is validated once for all of them: its length, its maximal repetition
-    against each |w|, and its entries, first by the oracle's own check and
-    then by the DFS's rank lookup.  The DFS's weight rows are built once per
-    distinct weight value.  Each w is then decided by the DFS and by the
-    lexicographic enumeration; the two must agree or an AssertionError is
-    raised.
-    """
-    n = g.order
-    if len(x) != n:
-        raise InvalidInstance(f"need |x| = |G| = {n}, got {len(x)}")
-    repetition = rho(x)
-    for w in ws:
-        if not 1 <= len(w) <= n:
-            raise InvalidInstance(f"need 1 <= k <= n = {n}, got k = {len(w)}")
-        if repetition > len(w):
-            raise InvalidInstance(f"maximal repetition {repetition} exceeds k = {len(w)}")
-    oracle = _zero_selection_oracle(g, x)
-    rows = _rank_rows(g, _ranks(g, x), itertools.chain.from_iterable(ws))
+    """Decide every weight vector in ``ws`` against one x, given as element
+    ranks, which are trusted.  The DFS's rows are built once per distinct
+    weight value and the oracle's columns once for x.  Each w is decided by
+    the DFS and by the lexicographic enumeration; the two must agree or an
+    AssertionError is raised."""
+    xs = tuple([elements[r] for r in x])
+    rows = _rank_rows(g, x, itertools.chain.from_iterable(ws))
+    columns = _coordinate_columns(g, xs)
     add = g.rank_add_table
     out: list[Selection | None] = []
     for w in ws:
-        fast = _zero_selection_dfs(add, [rows[v] for v in w], n)
-        sel = oracle(w)
+        fast = _zero_selection_dfs(add, [rows[v] for v in w], len(x))
+        sel = _first_zero(columns, len(x), w)
         if fast and sel is None:
-            raise AssertionError(f"DFS found a selection but enumeration did not: x={x!r}, w={w!r}")
+            raise AssertionError(f"DFS found a selection but enumeration did not: x={xs!r}, w={w!r}")
         if not fast and sel is not None:
-            raise AssertionError(f"enumeration found {sel!r} but DFS said none: x={x!r}, w={w!r}")
+            raise AssertionError(f"enumeration found {sel!r} but DFS said none: x={xs!r}, w={w!r}")
         out.append(sel)
     return out
 
@@ -268,7 +254,18 @@ def conjecture_check_instance(
     memoized DFS, then confirms by lexicographic enumeration; the two routes
     must agree or an AssertionError is raised.
     """
-    return _check_sequence(g, x, [w])[0]
+    n = g.order
+    if len(x) != n:
+        raise InvalidInstance(f"need |x| = |G| = {n}, got {len(x)}")
+    repetition = rho(x)
+    if not 1 <= len(w) <= n:
+        raise InvalidInstance(f"need 1 <= k <= n = {n}, got k = {len(w)}")
+    if repetition > len(w):
+        raise InvalidInstance(f"maximal repetition {repetition} exceeds k = {len(w)}")
+    for e in x:
+        g.check_element(e)
+    index = g.rank_index
+    return _decide(g, g.elements(), [index[e] for e in x], [w])[0]
 
 
 def _validated(config: ScanConfig) -> tuple[AbelianGroup, ScanConfig]:
@@ -434,20 +431,11 @@ def _instance_json(elements: list[Element], x: Sequence[int], w: Sequence[int]) 
 def _witness(g: AbelianGroup, elements: list[Element], x: Sequence[int], w: Sequence[int]) -> dict:
     """The oracle's selection for this exact instance, not for its class's
     representative."""
-    sel = enumerate_zero_selection(g, tuple([elements[r] for r in x]), w)
+    sel = _first_zero(_coordinate_columns(g, [elements[r] for r in x]), len(x), w)
     return {
         "instance": _instance_json(elements, x, w),
         "selection": {"indices": list(sel.indices), "images": list(sel.images)},
     }
-
-
-def _violation(g: AbelianGroup, elements: list[Element], k: int, d: int,
-               x: Sequence[int], w: Sequence[int]) -> TheoremViolation:
-    return TheoremViolation(
-        f"instance in a proven regime has no zero selection: "
-        f"x={[list(elements[r]) for r in x]}, w={list(w)}, "
-        f"group orders {list(g.invariant_factors)}, k={k}, D={d}"
-    )
 
 
 def _proven(residues: Sequence[int], n: int, k: int, d: int) -> bool:
@@ -456,13 +444,42 @@ def _proven(residues: Sequence[int], n: int, k: int, d: int) -> bool:
     return k >= d or all(math.gcd(n, r) == 1 for r in residues)
 
 
-Group = tuple[tuple[Element, ...], Sequence[tuple[int, ...]]]
-
-
-def _decide(g: AbelianGroup, groups: list[Group]) -> Iterator[bool]:
-    """Whether each w of each (x, ws) group, in order, has a zero selection,
-    by ``_check_sequence``."""
-    return (sel is not None for x, ws in groups for sel in _check_sequence(g, x, ws))
+def _report(
+    g: AbelianGroup, config: ScanConfig, d: int, checked: int, failed: int, decided: int,
+    violations: Iterable[tuple[Sequence[int], Sequence[int]]],
+    failures: Iterable[tuple[Sequence[int], Sequence[int]]],
+    successes: Iterable[tuple[Sequence[int], Sequence[int]]],
+) -> ScanReport:
+    """The report of ``checked`` instances in ``decided`` classes, ``failed``
+    of them without a selection, from three lazy streams of instances (x as
+    ranks, w), each in scan order: the failures in a proven regime, the
+    first of which raises TheoremViolation; the failures, the first
+    COUNTEREXAMPLE_CAP of them listed; and the instances with a selection,
+    the first WITNESS_SAMPLE_SIZE of them reported as witnesses."""
+    elements = g.elements()
+    first = next(iter(violations), None)
+    if first is not None:
+        x, w = first
+        raise TheoremViolation(
+            f"instance in a proven regime has no zero selection: "
+            f"x={[list(elements[r]) for r in x]}, w={list(w)}, "
+            f"group orders {list(g.invariant_factors)}, k={config.k}, D={d}"
+        )
+    return replace(
+        _empty_report(g, config, d),
+        checked=checked,
+        counterexample_count=failed,
+        counterexamples=tuple([
+            dict(_instance_json(elements, x, w), recheck=RECHECK_TAG)
+            for x, w in itertools.islice(failures, COUNTEREXAMPLE_CAP)
+        ]),
+        witness_sample=tuple([
+            _witness(g, elements, x, w)
+            for x, w in itertools.islice(successes, WITNESS_SAMPLE_SIZE)
+        ]),
+        authoritative=True,
+        decided=decided,
+    )
 
 
 def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
@@ -477,7 +494,7 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
         )
 
     # Every (x-class, w-class) pair, decided on the x-class's sorted
-    # representative, one group per x-class.  A w-class is its sorted
+    # representative, one call per x-class.  A w-class is its sorted
     # residue indices, decided on the scan's smallest weight of each of
     # them, so the oracle's arithmetic meets the weights themselves.
     smallest: dict[int, int] = {}
@@ -485,10 +502,6 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
         smallest.setdefault(v % exponent, v)
     w_classes = list(itertools.combinations_with_replacement(range(len(residues)), k))
     firsts = [tuple([smallest[residues[j]] for j in w]) for w in w_classes]
-    elements = g.elements()
-    x_counts = list(_admissible_classes(n, k))
-    x_classes = [tuple([r for r, c in enumerate(counts) for _ in range(c)]) for counts in x_counts]
-    found = _decide(g, [(tuple([elements[r] for r in x]), firsts) for x in x_classes])
 
     # Instances by counting: an x-class of counts c holds n! / prod(c_r!)
     # distinct x, and a w-class with m_j weights of residue j holds
@@ -506,8 +519,10 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
     # The x-classes, by their counts, under the w-classes they fail.
     rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     checked = failed = 0
-    for counts in x_counts:
-        fails = tuple([i for i in range(len(w_classes)) if not next(found)])
+    elements = g.elements()
+    for counts in _admissible_classes(n, k):
+        x = tuple([r for r, c in enumerate(counts) for _ in range(c)])
+        fails = tuple([i for i, sel in enumerate(_decide(g, elements, x, firsts)) if sel is None])
         rows.setdefault(fails, []).append(counts)
         arranged = factorial[n] // math.prod([factorial[c] for c in counts])
         checked += arranged * len(values) ** k
@@ -534,27 +549,11 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
                 yield x, w
 
     proven = {i for i, w in enumerate(w_classes) if _proven([residues[j] for j in w], n, k, d)}
-    first = next(instances(lambda fails: [i for i in fails if i in proven]), None)
-    if first is not None:
-        raise _violation(g, elements, k, d, *first)
-
     every = set(range(len(w_classes)))
-    return replace(
-        _empty_report(g, config, d),
-        checked=checked,
-        counterexample_count=failed,
-        counterexamples=tuple([
-            dict(_instance_json(elements, x, w), recheck=RECHECK_TAG)
-            for x, w in itertools.islice(instances(lambda fails: fails), COUNTEREXAMPLE_CAP)
-        ]),
-        witness_sample=tuple([
-            _witness(g, elements, x, w)
-            for x, w in itertools.islice(instances(lambda fails: sorted(every.difference(fails))),
-                                         WITNESS_SAMPLE_SIZE)
-        ]),
-        authoritative=True,
-        decided=classes,
-    )
+    return _report(g, config, d, checked, failed, classes,
+                   instances(lambda fails: [i for i in fails if i in proven]),
+                   instances(lambda fails: fails),
+                   instances(lambda fails: sorted(every.difference(fails))))
 
 
 def _sampled(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
@@ -577,35 +576,18 @@ def _sampled(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
             row[key[1]] = tuple(sorted(w, key=lambda v: v % exponent))
         keys.append(key)
     elements = g.elements()
-    found = _decide(g, [
-        (tuple([elements[r] for r in x]), list(row.values())) for x, row in table.items()
-    ])
-    for row in table.values():
-        row.update(zip(row, found))  # takes len(row) verdicts
+    for x, row in table.items():
+        verdicts = _decide(g, elements, x, list(row.values()))
+        row.update(zip(row, [sel is not None for sel in verdicts]))
 
     # Every draw reads its class's decision, in draw order.
-    failed = 0
-    counterexamples: list[dict] = []
-    witnesses: list[dict] = []
-    for (x, w), (x_key, w_key) in zip(draws, keys):
-        if not table[x_key][w_key]:
-            if _proven(w_key, n, k, d):
-                raise _violation(g, elements, k, d, x, w)
-            failed += 1
-            if len(counterexamples) < COUNTEREXAMPLE_CAP:
-                counterexamples.append(dict(_instance_json(elements, x, w), recheck=RECHECK_TAG))
-        elif len(witnesses) < WITNESS_SAMPLE_SIZE:
-            witnesses.append(_witness(g, elements, x, w))
-
-    return replace(
-        _empty_report(g, config, d),
-        checked=len(draws),
-        counterexample_count=failed,
-        counterexamples=tuple(counterexamples),
-        witness_sample=tuple(witnesses),
-        authoritative=True,
-        decided=sum(len(row) for row in table.values()),
-    )
+    found = [table[x_key][w_key] for x_key, w_key in keys]
+    failures = [(draw, w_key) for draw, (_, w_key), ok in zip(draws, keys, found) if not ok]
+    return _report(g, config, d, len(draws), len(failures),
+                   sum(len(row) for row in table.values()),
+                   (draw for draw, w_key in failures if _proven(w_key, n, k, d)),
+                   (draw for draw, _ in failures),
+                   itertools.compress(draws, found))
 
 
 def conjecture_scan(config: ScanConfig) -> ScanReport:

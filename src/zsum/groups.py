@@ -194,9 +194,6 @@ class AbelianGroup:
         self.check_element(a)
         return tuple([(-x) % d for x, d in zip(a, self.invariant_factors)])
 
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
-
     def scalar_mul(self, c: int, a: Element) -> Element:
         self.check_element(a)
         return tuple([(c * x) % d for x, d in zip(a, self.invariant_factors)])

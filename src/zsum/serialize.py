@@ -83,13 +83,7 @@ def group_from_json(obj: Any, where: str = "group") -> AbelianGroup:
 
 
 def element_from_json(g: AbelianGroup, obj: Any, where: str) -> Element:
-    values = _int_list(obj, where)
-    _expect(
-        len(values) == g.rank,
-        where,
-        f"element has {len(values)} coordinates, group rank is {g.rank}",
-    )
-    elem = tuple(values)
+    elem = tuple(_int_list(obj, where))
     try:
         g.check_element(elem)
     except InvalidElement as err:

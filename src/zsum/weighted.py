@@ -47,7 +47,8 @@ Elements are validated once, when an Instance is built.  After that every
 weighted value - of a selection, a shelling block or a derived sequence
 entry, and every value the verifier recomputes - comes from one kernel,
 ``weighted_value``, which trusts its operands.  The oracle is the exception
-on purpose: one private core, shared with the conjecture scanner, values
+on purpose: its private core, ``_first_selection``, which the conjecture
+scanner also runs on the columns it builds from its own rank tuples, values
 each candidate with its own per-coordinate arithmetic on the raw integers.
 """
 
@@ -58,7 +59,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .davenport import davenport_get
 from .errors import (
@@ -502,21 +503,6 @@ def _first_selection(
             else:
                 return Selection(indices=indices, images=images, value=tuple(target))
     return None
-
-
-def _zero_selection_oracle(
-    g: AbelianGroup, x: Sequence[Element]
-) -> Callable[[Sequence[int]], Selection | None]:
-    """The exhaustive oracle for the unrestricted statement against one x:
-    checks every entry of x, then returns a function that gives, for a
-    weight vector w, the lexicographically first nonempty (I, f) of value
-    zero, or None.  x's columns are built once for all the w it is given.
-    """
-    for e in x:
-        g.check_element(e)
-    columns = _coordinate_columns(g, x)
-    m = len(x)
-    return lambda w: _first_selection(columns, m, w, _index_sets(len(w), 1, len(w)), False)
 
 
 # verify_certificate's checks, in the order it reports them

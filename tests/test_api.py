@@ -50,3 +50,20 @@ PUBLIC_API = [
 def test_public_api_is_pinned_and_resolves():
     assert sorted(zsum.__all__) == PUBLIC_API
     assert [name for name in PUBLIC_API if not hasattr(zsum, name)] == []
+
+
+def test_the_package_imports_without_site_packages():
+    # zsum is stdlib only: under ``python -S`` no site-packages directory is
+    # on the path, and the library, the CLI and the modules it loads lazily
+    # must all still import
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zsum.__file__)))
+    code = ("import sys, zsum, zsum.cli, zsum.conjecture, zsum.acceptance; "
+            "print('site' in sys.modules, any('-packages' in p for p in sys.path))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "False False\n"

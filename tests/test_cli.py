@@ -547,6 +547,47 @@ def test_scan_conjecture_refuses_an_empty_weight_list(capsys, weights):
     assert captured.err == "error: weight value set is empty\n"
 
 
+@pytest.mark.parametrize("command", [["group"], ["davenport"], ["scan-conjecture", "--k", "1"]],
+                         ids=["group", "davenport", "scan-conjecture"])
+@pytest.mark.parametrize("orders", ["", ","], ids=["empty", "comma"])
+def test_an_empty_order_list_is_refused(capsys, command, orders):
+    # an empty --orders names no group, not the trivial one
+    assert main([*command, "--orders", orders]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --orders {orders!r} names no cyclic order; the trivial group is 1\n"
+    )
+
+
+def test_orders_1_is_the_trivial_group(capsys):
+    assert main(["group", "--orders", "1"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["canonical"] == {"orders": []}
+    assert canonicalize([]) == canonicalize([1])
+
+
+@pytest.mark.parametrize("target, path", [("instance", "x[0]"), ("certificate", "value")])
+def test_a_wrong_arity_element_exits_invalid_naming_its_path(tmp_path, capsys, target, path):
+    inst_path = tmp_path / "inst.json"
+    cert_path = tmp_path / "cert.json"
+    _write_instance(inst_path, "theorem1", [3], ((1,), (2,), (0,)), (1, 1, 1), 2)
+    assert main(["solve", "--instance", str(inst_path), "--out", str(cert_path)]) == EXIT_OK
+    file = inst_path if target == "instance" else cert_path
+    obj = json.loads(file.read_text())
+    if target == "instance":
+        obj["x"][0] = [1, 0]
+    else:
+        obj["value"] = [0, 0]
+    file.write_text(dumps_stable(obj))
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst_path), "--cert", str(cert_path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"{target}.{path}: element " in captured.err
+    assert "has arity 2, group rank is 1" in captured.err
+
+
 def test_solve_with_a_disabled_construction_exits_theorem_violation(tmp_path, capsys, monkeypatch):
     def disabled(*args, **kwargs):
         raise TheoremViolation("construction disabled by the test")

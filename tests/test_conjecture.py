@@ -220,9 +220,9 @@ def _brute_zero_selection(factors, x, w) -> bool:
 
 def _dfs_has_selection(g, x, w):
     """The rank DFS alone, which also takes an x shorter than |G|."""
-    from zsum.conjecture import _rank_rows, _ranks, _zero_selection_dfs
+    from zsum.conjecture import _rank_rows, _zero_selection_dfs
 
-    rows = _rank_rows(g, _ranks(g, x), w)
+    rows = _rank_rows(g, [g.rank_index[e] for e in x], w)
     return _zero_selection_dfs(g.rank_add_table, [rows[v] for v in w], len(x))
 
 
@@ -313,12 +313,13 @@ def _scan_runs(g, k, values, mode, sample_size=0, seed=0):
 ])
 def test_batched_decisions_equal_the_single_instance_check(orders, k, values, mode,
                                                            sample_size, expected):
-    from zsum.conjecture import _check_sequence
+    from zsum.conjecture import _decide
 
     g = canonicalize(orders)
+    elements, index = g.elements(), g.rank_index
     checked = 0
     for x, ws in _scan_runs(g, k, values, mode, sample_size, seed=11):
-        for w, sel in zip(ws, _check_sequence(g, x, ws)):
+        for w, sel in zip(ws, _decide(g, elements, [index[e] for e in x], ws)):
             assert sel == conjecture_check_instance(g, x, w), (x, w)
             assert (sel is None) == (not _brute_zero_selection(g.invariant_factors, x, w))
             checked += 1
@@ -386,36 +387,47 @@ def test_scan_decides_each_class_once_per_route(monkeypatch):
     import zsum.conjecture as conjecture
 
     calls = Counter()
-    dfs, oracle, lookup = (conjecture._zero_selection_dfs, conjecture._zero_selection_oracle,
-                           conjecture.enumerate_zero_selection)
+    dfs, oracle = conjecture._zero_selection_dfs, conjecture._first_selection
 
     def counted_dfs(*args):
         calls["dfs"] += 1
         return dfs(*args)
 
-    def counted_oracle(g, x):
-        decide = oracle(g, x)
-
-        def counted(w):
-            calls["oracle"] += 1
-            return decide(w)
-
-        return counted
-
-    def counted_lookup(*args):
-        calls["lookup"] += 1
-        return lookup(*args)
+    def counted_oracle(*args):
+        calls["oracle"] += 1
+        return oracle(*args)
 
     monkeypatch.setattr(conjecture, "_zero_selection_dfs", counted_dfs)
-    monkeypatch.setattr(conjecture, "_zero_selection_oracle", counted_oracle)
-    monkeypatch.setattr(conjecture, "enumerate_zero_selection", counted_lookup)
+    monkeypatch.setattr(conjecture, "_first_selection", counted_oracle)
     report = conjecture_scan(ScanConfig(orders=(4,), k=4, weight_values=(1, 2, 3)))
     assert report.checked == 20736
     assert report.decided == 525
     assert calls["dfs"] == 525
-    assert calls["lookup"] == len(report.witness_sample) == 5
-    assert calls["oracle"] - calls["lookup"] == 525
+    assert len(report.witness_sample) == 5
+    assert calls["oracle"] == 525 + 5
     assert _digest(report.to_json()) == SCANS["z4-k4"][-1]
+
+
+def test_the_scan_validates_nothing_it_generated(monkeypatch):
+    # every x the scan decides is a rank tuple it generated or drew, so no
+    # entry is checked again; only the public edge checks elements
+    from zsum.groups import AbelianGroup
+
+    calls = Counter()
+    check = AbelianGroup.check_element
+
+    def counted(self, a):
+        calls["check_element"] += 1
+        return check(self, a)
+
+    monkeypatch.setattr(AbelianGroup, "check_element", counted)
+    exhaustive = conjecture_scan(ScanConfig(orders=(4,), k=4, weight_values=(1, 2, 3)))
+    sampled = conjecture_scan(ScanConfig(orders=(6,), k=2, weight_values=(1, 2, 3, 4, 5),
+                                         mode="sampled", sample_size=2000, seed=1))
+    assert (exhaustive.checked, sampled.checked) == (20736, 2000)
+    assert calls["check_element"] == 0
+    conjecture_check_instance(Z4, ((1,), (2,), (3,), (0,)), (1, 2))
+    assert calls["check_element"] == 4
 
 
 def _benchmark_scans():
@@ -513,7 +525,7 @@ def _nothing_has_a_selection(monkeypatch):
     import zsum.conjecture as conjecture
 
     monkeypatch.setattr(conjecture, "_zero_selection_dfs", lambda *args: False)
-    monkeypatch.setattr(conjecture, "_zero_selection_oracle", lambda g, x: lambda w: None)
+    monkeypatch.setattr(conjecture, "_first_selection", lambda *args: None)
 
 
 @pytest.mark.parametrize("orders, k, values, x, w", [
@@ -624,13 +636,13 @@ def test_each_class_is_decided_on_weights_of_the_scan(monkeypatch, mode):
     import zsum.conjecture as conjecture
 
     seen = []
-    check = conjecture._check_sequence
+    decide = conjecture._decide
 
-    def recorded(g, x, ws):
-        seen.extend((tuple(sorted(x)), tuple(w)) for w in ws)
-        return check(g, x, ws)
+    def recorded(g, elements, x, ws):
+        seen.extend((tuple(sorted(elements[r] for r in x)), tuple(w)) for w in ws)
+        return decide(g, elements, x, ws)
 
-    monkeypatch.setattr(conjecture, "_check_sequence", recorded)
+    monkeypatch.setattr(conjecture, "_decide", recorded)
     values = (-7, -2, 3, 10**12 + 1)  # residues 1, 2, 3, 1 mod 4
     config = ScanConfig(orders=(4,), k=2, weight_values=values, mode=mode,
                         sample_size=60, seed=5)

@@ -140,7 +140,6 @@ def test_group_laws_exhaustive_up_to_16():
             assert g.scalar_mul(g.exponent, a) == zero
         for a, b in itertools.product(elems, repeat=2):
             assert g.add(a, b) == g.add(b, a)
-            assert g.sub(a, b) == g.add(a, g.neg(b))
         # associativity on a deterministic slice to keep order-16 groups quick
         for a, b, c in itertools.islice(itertools.product(elems, repeat=3), 0, None, 7):
             assert g.add(g.add(a, b), c) == g.add(a, g.add(b, c))
@@ -232,7 +231,7 @@ def test_add_commutes_and_sub_inverts(data):
     orders, (a, b) = data
     g = canonicalize(orders)
     assert g.add(a, b) == g.add(b, a)
-    assert g.sub(g.add(a, b), b) == a
+    assert g.add(g.add(a, b), g.neg(b)) == a
 
 
 def test_sum_and_element_rank():

@@ -427,7 +427,7 @@ def test_corollary_translation_identity():
     anchor = inst.x[inst.m - 1]
     acc = g.zero()
     for i, j in zip(cert.selection.indices, cert.selection.images):
-        acc = g.add(acc, g.scalar_mul(inst.w[i - 1], g.sub(inst.x[j - 1], anchor)))
+        acc = g.add(acc, g.scalar_mul(inst.w[i - 1], g.add(inst.x[j - 1], g.neg(anchor))))
     assert acc == g.zero()
 
 
