@@ -43,9 +43,9 @@ end in one report builder, fed their counts and three lazy instance streams.
 The scan trusts what it generated: every x it decides is a rank tuple it
 built or drew itself, so nothing is re-validated between generation and
 decision.  Checks live at the public edge: ``conjecture_check_instance``
-checks |x|, k, the maximal repetition and every entry, and
-``enumerate_zero_selection`` every entry.  Each class is decided by two
-routes.  The first is a memoized DFS on element ranks (rank 0 is the zero
+checks |x|, k, every entry and then the maximal repetition (which hashes
+the entries), and ``enumerate_zero_selection`` every entry.  Each class is
+decided by two routes.  The first is a memoized DFS on element ranks (rank 0 is the zero
 element) over (weight index, used-position mask, running-sum rank) states:
 each weight value's row of w_i * x_j ranks is read off the group's cached
 scaling table (weights reduced mod the exponent, so negative, zero and huge
@@ -249,21 +249,21 @@ def conjecture_check_instance(
 ) -> Selection | None:
     """Verified zero-value selection, or None for a counterexample candidate.
 
-    Requires |x| = |G|, 1 <= |w| <= |G|, maximal repetition of x at most
-    |w|, and elements of G (InvalidElement otherwise).  Decides via the
-    memoized DFS, then confirms by lexicographic enumeration; the two routes
-    must agree or an AssertionError is raised.
+    Requires |x| = |G|, 1 <= |w| <= |G|, elements of G (InvalidElement
+    otherwise, checked before the repetition) and maximal repetition of x
+    at most |w|.  Decides via the memoized DFS, then confirms by
+    lexicographic enumeration; the two routes must agree or an
+    AssertionError is raised.
     """
     n = g.order
     if len(x) != n:
         raise InvalidInstance(f"need |x| = |G| = {n}, got {len(x)}")
-    repetition = rho(x)
     if not 1 <= len(w) <= n:
         raise InvalidInstance(f"need 1 <= k <= n = {n}, got k = {len(w)}")
-    if repetition > len(w):
-        raise InvalidInstance(f"maximal repetition {repetition} exceeds k = {len(w)}")
     for e in x:
         g.check_element(e)
+    if rho(x) > len(w):
+        raise InvalidInstance(f"maximal repetition {rho(x)} exceeds k = {len(w)}")
     index = g.rank_index
     return _decide(g, g.elements(), [index[e] for e in x], [w])[0]
 

@@ -175,10 +175,16 @@ class AbelianGroup:
         return (0,) * self.rank
 
     def check_element(self, a: Element) -> None:
+        """InvalidElement unless ``a`` is a tuple of ints (bools refused), one
+        per invariant factor d, each in [0, d)."""
         factors = self.invariant_factors
+        if type(a) is not tuple:
+            raise InvalidElement(f"element {a!r} is not a tuple")
         if len(a) != len(factors):
             raise InvalidElement(f"element {a!r} has arity {len(a)}, group rank is {len(factors)}")
         for r, d in zip(a, factors):
+            if type(r) is not int:
+                raise InvalidElement(f"residue {r!r} in {a!r} is not an integer")
             if not 0 <= r < d:
                 raise InvalidElement(f"residue {r} out of range [0, {d}) in {a!r}")
 

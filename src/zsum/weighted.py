@@ -23,25 +23,28 @@ Solvers, by statement tag:
   by the final position, an n-subset of [1, m - ell] whose weighted sum is
   (sum of the picked weights) * x_m, with position m in the image.
 
-``solve(inst, statement)`` is the single entry point over the three.  All
-run through one path: check the hypotheses, run the construction, and run
-the verifier's selection checks (structure, size window, anchor, value,
-shelling) once on its pairs; the certificate carries the value they
-recompute.  ``verify_certificate`` adds the hypotheses and the
-certificate's own claims (instance digest, cached value).  The proofs are
-constructive, so under the hypotheses a construction cannot miss; if a
-check rejects one, that is a bug and it raises TheoremViolation, as
-``zerosum._zero_sum`` does for a zero-sum search inside one.  D(G) is
-looked up, through ``davenport_get`` and so at most once per group and
-process, for theorem1 and the corollary only: word1 does not mention it.
-The answer rests on the verifier, not on a second solver: the exhaustive
-oracle (``fallback_search``) is the test-side ground truth only, and no
-solve calls it.  The constructions nest as the proofs do (the corollary
-runs theorem1's on x shifted by x_m, theorem1's narrow blocks come from
-word1's) without calling a public solver.  Each works on raw sequences and
-returns (i, f(i)) pairs; the selection is checked and built once, against
-the caller's Instance.  All free choices resolve to the lexicographically
-smallest option, so identical instances yield byte-identical certificates.
+``solve(inst, statement)`` is the single entry point over the three.  What
+a statement asks of a selection (D(G), the size window, the widest
+shelling block) comes from one function, ``_rules``, read by the solver,
+the verifier and the oracle.  A solve checks the hypotheses, runs the
+construction and runs the verifier's selection checks (structure, size
+window, anchor, value, shelling) once on its pairs; the certificate
+carries the value they recompute.  ``verify_certificate`` adds the
+hypotheses, the instance digest and the cached value, and names each
+failure in the order it is checked.  The proofs are constructive, so under
+the hypotheses a construction cannot miss; if a check rejects one, that is
+a bug and it raises TheoremViolation, as ``zerosum._zero_sum`` does for a
+zero-sum search inside one.  D(G) is looked up, through ``davenport_get``
+and so at most once per group and process, for theorem1 and the corollary
+only: word1 does not mention it.  The answer rests on the verifier, not
+on a second solver: the exhaustive oracle (``fallback_search``) is the
+test-side ground truth only, and no solve calls it.  The constructions
+nest as the proofs do (the corollary runs theorem1's on x shifted by x_m,
+theorem1's narrow blocks come from word1's) without calling a public
+solver.  Each works on raw sequences and returns (i, f(i)) pairs; the
+selection is checked and built once, against the caller's Instance.  All
+free choices resolve to the lexicographically smallest option, so
+identical instances yield byte-identical certificates.
 
 Elements are validated once, when an Instance is built.  After that every
 weighted value - of a selection, a shelling block or a derived sequence
@@ -348,29 +351,20 @@ def _corollary_pairs(inst: Instance, d: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _statement_d(inst: Instance, statement: str) -> int | None:
-    """D(G) for theorem1 and the corollary; None for word1, which omits it."""
-    return None if statement == STATEMENT_WORD1 else davenport_get(inst.group).value
-
-
-def _statement_window(inst: Instance, statement: str, d: int | None) -> tuple[int, int]:
-    n = inst.group.order
-    if statement == STATEMENT_THEOREM1:
-        r = min(d, inst.ell)
-        return n - r, n - 1
+def _rules(inst: Instance, statement: str) -> tuple[int | None, int, int, int | None]:
+    """What ``statement`` asks of a selection on ``inst``, as (D, lo, hi,
+    width): D(G), None for word1, which does not mention it; the size window
+    lo <= |I| <= hi; and the widest shelling block, None for the corollary,
+    which has no shelling.  InvalidArgument for an unknown statement."""
+    n, ell = inst.group.order, inst.ell
     if statement == STATEMENT_WORD1:
-        return 1, inst.ell
-    if statement == STATEMENT_COROLLARY:
-        return n, n
-    raise InvalidArgument(f"unknown statement {statement!r}")
-
-
-def _statement_target(inst: Instance, statement: str, indices: Sequence[int]) -> Element:
-    g = inst.group
-    if statement == STATEMENT_COROLLARY:
-        # (sum of the picked weights) * x_m: every picked weight placed on x_m
-        return weighted_value(g, inst.w, inst.x, indices, [inst.m] * len(indices))
-    return g.zero()
+        return None, 1, ell, ell
+    if statement not in STATEMENTS:
+        raise InvalidArgument(f"unknown statement {statement!r}")
+    d = davenport_get(inst.group).value
+    if statement == STATEMENT_THEOREM1:
+        return d, n - min(d, ell), n - 1, d
+    return d, n, n, None
 
 
 def _check_hypotheses(inst: Instance, statement: str, d: int | None) -> None:
@@ -444,7 +438,7 @@ def fallback_search(inst: Instance, statement: str) -> Selection | None:
     g = inst.group
     if inst.m > ORACLE_CAP:
         raise OracleTooLarge(f"oracle cap is {ORACLE_CAP}, instance has m = {inst.m}")
-    lo, hi = _statement_window(inst, statement, _statement_d(inst, statement))
+    _, lo, hi, _ = _rules(inst, statement)
     sel = _first_selection(
         _coordinate_columns(g, inst.x), inst.m, inst.w, _index_sets(len(inst.w), lo, hi),
         statement == STATEMENT_COROLLARY,
@@ -505,21 +499,18 @@ def _first_selection(
     return None
 
 
-# verify_certificate's checks, in the order it reports them
-_CHECKS = ("hypotheses", "instance digest", "arity", "domain order", "injectivity",
-           "index range", "image range", "size window", "anchor position", "cached value",
-           "value", "shelling partition", "shelling width", "shelling block value")
-
-
 def _check_selection(
-    inst: Instance, statement: str, d: int | None, indices: Sequence[int], images: Sequence[int],
-    shelling: tuple[tuple[int, ...], ...] | None,
+    inst: Instance, statement: str, rules: tuple[int | None, int, int, int | None],
+    indices: Sequence[int], images: Sequence[int],
+    shelling: tuple[tuple[int, ...], ...] | None, claimed: Element | None,
 ) -> tuple[list[str], Element | None]:
     """The checks of a selection (I, f) and its shelling against
-    ``statement``, from raw instance data: the map's structure (arity,
-    domain order, injectivity, index and image range), then the size
-    window, the corollary's anchor, the value against the statement's
-    target, and the shelling's partition, block widths and block values.
+    ``statement``'s ``rules`` (``_rules``), from raw instance data, each
+    failure named in the order checked: the map's structure (arity, domain
+    order, injectivity, index and image range), then the size window, the
+    corollary's anchor, the ``claimed`` value (a certificate's; None skips
+    it), the value against the statement's target, and the shelling's
+    partition, block widths and block values.
 
     Returns the names of the failed checks and the recomputed value, which
     is None when the map is malformed and so cannot be valued.
@@ -538,23 +529,28 @@ def _check_selection(
     if failed:
         return failed, None
 
-    lo, hi = _statement_window(inst, statement, d)
+    _, lo, hi, width = rules
     if not lo <= len(indices) <= hi:
         failed.append("size window")
-    if statement == STATEMENT_COROLLARY and inst.m not in images:
-        failed.append("anchor position")
-
     g = inst.group
+    target = g.zero()
+    if statement == STATEMENT_COROLLARY:
+        if inst.m not in images:
+            failed.append("anchor position")
+        # (sum of the picked weights) * x_m: every picked weight placed on x_m
+        target = weighted_value(g, inst.w, inst.x, indices, [inst.m] * len(indices))
     value = weighted_value(g, inst.w, inst.x, indices, images)
-    if value != _statement_target(inst, statement, indices):
+    if claimed is not None and claimed != value:
+        failed.append("cached value")
+    if value != target:
         failed.append("value")
 
     if shelling is not None:
-        width = d if statement == STATEMENT_THEOREM1 else inst.ell
         flat = [i for block in shelling for i in block]
         if sorted(flat) != list(indices):
             failed.append("shelling partition")
-        if any(not 1 <= len(block) <= width for block in shelling):
+        # the corollary has no shelling, so no block width passes
+        if any(width is None or not 1 <= len(block) <= width for block in shelling):
             failed.append("shelling width")
         fmap = dict(zip(indices, images))
         whole = tuple(indices)
@@ -572,35 +568,32 @@ def _check_selection(
 
 
 def verify_certificate(inst: Instance, cert: Certificate) -> tuple[bool, list[str]]:
-    """Re-check the statement's hypotheses, the certificate's own claims
-    (instance digest, cached value) and its selection (``_check_selection``)
+    """Re-check the statement's hypotheses, the certificate's own instance
+    digest and its selection with its cached value (``_check_selection``),
     from raw instance data.
 
-    Returns (ok, diagnostics), naming each failed check in ``_CHECKS`` order.
+    Returns (ok, diagnostics), naming each failed check in the order made.
     Past failed hypotheses or a wrong digest, only the map's structure is
     reported.  D(G) is looked up for theorem1 and corollary certificates only.
     """
     statement, sel = cert.statement, cert.selection
-    if statement not in STATEMENTS:
-        return False, [f"unknown statement {statement!r}"]
-    d = _statement_d(inst, statement)
+    try:
+        rules = _rules(inst, statement)
+    except InvalidArgument as err:
+        return False, [str(err)]
     diagnostics: list[str] = []
     try:
-        _check_hypotheses(inst, statement, d)
+        _check_hypotheses(inst, statement, rules[0])
     except (InvalidInstance, UnsatisfiableStatement) as err:
         diagnostics.append(f"hypotheses: {err}")
     if cert.instance_digest != instance_digest(inst):
         diagnostics.append("instance digest")
-
-    failed, value = _check_selection(inst, statement, d, sel.indices, sel.images, cert.shelling)
-    if value is None:  # a malformed map: its structure is all that is checked
-        return False, diagnostics + failed
-    if diagnostics:
-        return False, diagnostics
-    if value != sel.value:
-        failed.append("cached value")
-    failed.sort(key=_CHECKS.index)
-    return not failed, failed
+    failed, value = _check_selection(
+        inst, statement, rules, sel.indices, sel.images, cert.shelling, sel.value
+    )
+    if value is None or not diagnostics:
+        diagnostics += failed
+    return not diagnostics, diagnostics
 
 
 def solve(inst: Instance, statement: str) -> Certificate:
@@ -608,14 +601,11 @@ def solve(inst: Instance, statement: str) -> Certificate:
     hypotheses, construction, then the verifier's selection checks, whose
     recomputed value the certificate carries; a construction they reject
     raises TheoremViolation naming the failed checks."""
-    if statement not in STATEMENTS:
-        raise InvalidArgument(f"unknown statement {statement!r}")
-    d = _statement_d(inst, statement)
+    d, lo, hi, _ = rules = _rules(inst, statement)
     _check_hypotheses(inst, statement, d)
     (indices, images), blocks = _construct(inst, statement, d)
-    failed, value = _check_selection(inst, statement, d, indices, images, blocks)
+    failed, value = _check_selection(inst, statement, rules, indices, images, blocks, None)
     if failed:
-        lo, hi = _statement_window(inst, statement, d)
         raise TheoremViolation(
             f"the {statement} construction gave no valid selection in window "
             f"[{lo}, {hi}] despite its hypotheses: {'; '.join(failed)}"

@@ -1,9 +1,11 @@
 """Unweighted zero-sum subsequence solvers.
 
 Three entry points share one engine and answer with sorted tuples of
-1-based positions.  Each validates its sequence once; the engine,
+1-based positions.  Each validates its sequence once, every entry before
+the maximal repetition (which hashes them); the engine,
 ``_lex_smallest_subset``, trusts its input, so the weighted constructions
-reach it directly on sequences built from a validated Instance.  A set of group elements is a bitmask over element ranks
+reach it directly on sequences built from a validated Instance.  A set of
+group elements is a bitmask over element ranks
 (:meth:`AbelianGroup.element_rank`) and adding an element to every member
 of a set is one :meth:`AbelianGroup.translate`.  A suffix table records,
 per start position and subset size, the bitmask of sums reachable from the
@@ -212,9 +214,9 @@ def find_zero_sum_bounded(g: AbelianGroup, x: Sequence[Element], k: int) -> tupl
         raise InvalidInstance(f"need a sequence of length |G| = {n}, got {len(x)}")
     if not 1 <= k <= n:
         raise InvalidInstance(f"length cap k = {k} outside [1, {n}]")
+    _check_elements(g, x)
     if rho(x) > k:
         raise InvalidInstance(f"maximal repetition {rho(x)} exceeds cap {k}")
-    _check_elements(g, x)
     return _zero_sum(g, x, k)
 
 

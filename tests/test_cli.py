@@ -684,7 +684,10 @@ def test_verify_refuses_a_certificate_that_takes_an_understated_davenport_consta
     inst = _one_position_short(tmp_path)
     # the certificate a solve taking D = 7 would write: only the hypotheses fail
     (indices, images), blocks = zsum.weighted._construct(inst, "theorem1", 7)
-    failed, value = zsum.weighted._check_selection(inst, "theorem1", 7, indices, images, blocks)
+    # rules taking D = 7 on n = 24 with ell = 2: window [22, 23], blocks up to 7 wide
+    failed, value = zsum.weighted._check_selection(
+        inst, "theorem1", (7, 22, 23, 7), indices, images, blocks, None
+    )
     assert failed == []
     cert = Certificate(
         statement="theorem1",

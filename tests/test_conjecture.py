@@ -275,6 +275,21 @@ def test_check_rejects_elements_outside_the_group():
         conjecture_check_instance(Z4, ((1,), (2,), (3, 0), (0,)), (1, 2))  # wrong arity
 
 
+NOT_TUPLES_OF_INTS = {
+    "list": [[1], [2], [3], [0]],  # rho used to hash them first: a bare TypeError
+    "float": ((1,), (2.0,), (3,), (0,)),
+    "bool": ((True,), (2,), (3,), (0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_TUPLES_OF_INTS))
+@pytest.mark.parametrize("edge", [conjecture_check_instance, enumerate_zero_selection],
+                         ids=["check", "enumerate"])
+def test_the_public_edge_refuses_entries_that_are_not_tuples_of_ints(edge, name):
+    with pytest.raises(InvalidElement):
+        edge(Z4, NOT_TUPLES_OF_INTS[name], (1, 2))
+
+
 def test_in_process_scan_builds_the_admissible_list_once(monkeypatch):
     # the admissible x-classes, not the admissible x
     import zsum.conjecture as conjecture

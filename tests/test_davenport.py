@@ -327,6 +327,12 @@ def test_witness_rejects_foreign_elements():
         zero_sum_free_check(g, [(1, 1)])
 
 
+@pytest.mark.parametrize("bad", [[1], (1.0,), (True,)], ids=["list", "float", "bool"])
+def test_zero_sum_free_check_refuses_entries_that_are_not_tuples_of_ints(bad):
+    with pytest.raises(InvalidElement):
+        zero_sum_free_check(canonicalize([4]), [(2,), bad])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from([(2,), (3,), (4,), (2, 2), (5,), (6,)]).flatmap(

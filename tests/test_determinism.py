@@ -319,3 +319,21 @@ def test_larger_exhaustive_scan_report_bytes_are_pinned(name):
         checked, failures, decided,
     )
     assert _digest(report.to_json()) == expected
+
+
+# zsum scan-conjecture --orders 2,6 --k 2 at the default budget: a group of
+# squarefree exponent with counterexamples (479,001,600 = 12! of them)
+SCAN_Z2XZ6_K2 = (337282659806400, 479001600, 1549569,
+                 "af0537c19d7e2061f533cf5c2ddace03027e286b441418a82c93604749150745")
+
+
+@pytest.mark.slow
+def test_the_z2xz6_scan_report_bytes_are_pinned():
+    report = conjecture_scan(ScanConfig(orders=(2, 6), k=2, weight_values=tuple(range(1, 12))))
+    assert (report.checked, report.counterexample_count, report.decided) == SCAN_Z2XZ6_K2[:3]
+    assert report.counterexamples[0]["x"] == [
+        [0, 1], [0, 1], [0, 5], [0, 5], [1, 1], [1, 1], [1, 2], [1, 2], [1, 4], [1, 4],
+        [1, 5], [1, 5],
+    ]
+    assert report.counterexamples[0]["w"] == [1, 2]
+    assert _digest(report.to_json()) == SCAN_Z2XZ6_K2[3]

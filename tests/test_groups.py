@@ -174,6 +174,13 @@ def test_check_element_rejects_out_of_range():
         g.check_element((0, -1))
 
 
+@pytest.mark.parametrize("bad", [[1, 0], 1, (1.0, 0), (True, 0), (0, False)],
+                         ids=["list", "int", "float", "bool", "bool-last"])
+def test_check_element_refuses_what_is_not_a_tuple_of_ints(bad):
+    with pytest.raises(InvalidElement):
+        canonicalize([2, 4]).check_element(bad)
+
+
 def test_rho_examples():
     assert rho([(1,), (1,), (2,)]) == 2
     assert rho([(0, 0)]) == 1

@@ -628,6 +628,59 @@ def test_each_certificate_mutation_draws_exactly_its_diagnostic(name):
     assert verify_certificate(inst, mutate(cert)) == (False, expected)
 
 
+def _moved(cert, index, image, value):
+    """``cert`` with f(index) moved to ``image`` and the cached value set."""
+    sel = cert.selection
+    images = tuple(image if i == index else j for i, j in zip(sel.indices, sel.images))
+    return dataclasses.replace(cert, selection=dataclasses.replace(sel, images=images, value=value))
+
+
+MULTI_X = tuple((v,) for v in (1, 2, 3, 4, 1, 2, 3))
+COROLLARY_Z3 = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
+
+# name: (statement, instance solved, edit to its certificate, instance the
+# edited certificate is checked against, the diagnostics in the order reported)
+MULTI_FAILURES = {
+    "theorem1-image-moved-and-cached-value": (
+        "theorem1", Instance(group=canonicalize([5]), x=MULTI_X, w=(1, 2, 3, 4, 1, 2, 3), ell=2),
+        lambda c: _moved(c, 1, 3, (1,)), None,
+        ["cached value", "value", "shelling block value"],
+    ),
+    "corollary-anchor-moved-and-cached-value": (
+        "corollary", COROLLARY_Z3, lambda c: _moved(c, 3, 3, (1,)), None,
+        ["anchor position", "cached value", "value"],
+    ),
+    "corollary-hypotheses-digest-and-injectivity": (
+        "corollary", COROLLARY_Z3,
+        lambda c: _with_selection(c, c.selection.indices, (1, 1, 1)),
+        dataclasses.replace(COROLLARY_Z3, ell=1),
+        ["hypotheses: ell = 1 but maximal repetition is 2", "instance digest", "injectivity"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_FAILURES))
+def test_a_certificate_failing_several_checks_names_them_in_check_order(name):
+    # recorded on the verifier that sorted its findings by a fixed table
+    statement, inst, edit, checked_against, expected = MULTI_FAILURES[name]
+    cert = solve(inst, statement)
+    if statement == "theorem1":
+        assert cert.selection.images[0] == 1
+    else:
+        assert cert.selection.images[-1] == 5
+    assert verify_certificate(checked_against or inst, edit(cert)) == (False, expected)
+
+
+def test_a_corollary_certificate_carrying_a_shelling_is_refused():
+    # the corollary defines no shelling, so no block width passes, even
+    # when every block is narrow and zero-valued
+    inst = Instance(group=Z3, x=((0,), (1,), (2,), (1,), (0,)), w=(1, 1, 1), ell=2)
+    cert = solve(inst, "corollary")
+    assert cert.shelling is None and cert.selection.images == (2, 3, 5)
+    shelled = dataclasses.replace(cert, shelling=((1, 2), (3,)))
+    assert verify_certificate(inst, shelled) == (False, ["shelling width"])
+
+
 # ---------------------------------------------------------------- fallback
 
 
@@ -770,6 +823,12 @@ def test_instance_rejects_invalid_elements(orders, bad):
     g = canonicalize(orders)
     with pytest.raises(InvalidElement):
         Instance(group=g, x=(g.zero(), bad), w=(1, 1), ell=1)
+
+
+@pytest.mark.parametrize("bad", [[1], (1.0,), (True,)], ids=["list", "float", "bool"])
+def test_instance_refuses_entries_that_are_not_tuples_of_ints(bad):
+    with pytest.raises(InvalidElement):
+        Instance(group=Z3, x=((0,), bad, (2,)), w=(1, 1, 1), ell=1)
 
 
 def _word1_certificate(inst):

@@ -269,6 +269,18 @@ def test_solvers_reject_invalid_elements(bad):
         find_zero_sum_exact_length(g, x, 2)
 
 
+@pytest.mark.parametrize("bad", [[1], (1.0,), (True,)], ids=["list", "float", "bool"])
+@pytest.mark.parametrize("finder", [
+    lambda g, x: find_zero_sum_bounded(g, x, 3),
+    find_zero_sum_davenport,
+    lambda g, x: find_zero_sum_exact_length(g, x, 2),
+], ids=["bounded", "davenport", "exact-length"])
+def test_finders_refuse_entries_that_are_not_tuples_of_ints(finder, bad):
+    # entries are checked before the maximal repetition, which hashes them
+    with pytest.raises(InvalidElement):
+        finder(canonicalize([3]), ((0,), bad, (2,)))
+
+
 # ------------------------------------------------------- short-search kernel
 
 KERNEL_GROUPS = [(5,), (8,), (12,), (2, 4), (3, 3), (2, 2, 2), (2, 2, 4)]
