@@ -235,7 +235,7 @@ def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
     _emit(report.to_json(), args.out)
     print(
         f"checked {report.checked} instances "
-        f"({report.decided} classes decided), "
+        f"({report.decided} orbits decided), "
         f"{report.counterexample_count} counterexamples, "
         f"wall time {report.wall_time:.2f}s",
         file=sys.stderr,

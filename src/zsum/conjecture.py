@@ -13,13 +13,21 @@ of recording a counterexample.
 Whether a selection exists does not change if x is permuted, if w is
 permuted, or if any w_i changes by a multiple of exp(G).  So instances fall
 into classes keyed by (sorted ranks of x, sorted w_i mod exp(G)), and a
-scan's unit of work is the class, from generation to the report.  Every
-class is decided once, in one call per x-class: x's sorted representative
-against the scan's new weight classes, each on a vector of the scan's own
-weights ordered by residue (the smallest weight of each residue, or the
-class's first draw), so the oracle's integer arithmetic meets the weights
-themselves, not their residues.  Every class is decided in the calling
-process.
+scan's unit of work is the class, from generation to the report.  Two
+actions on classes keep the answer too.  An automorphism phi of G moves an
+x-class (count c_r to rank phi(r)): phi(sum w_i * x_f(i)) =
+sum w_i * phi(x_f(i)), and phi keeps the maximal repetition.  A unit u mod
+exp(G) moves a w-class to u * w: sum (u * w_i) * x_f(i) =
+u * sum w_i * x_f(i), which is zero exactly when the sum is.  So the scan
+groups its x-classes into orbits under the generators of the group's
+H <= Aut(G), and its w-classes into orbits under every unit whose image
+class is in the scan, and decides one pair of classes per orbit pair, in
+one call per x-orbit: the sorted representative of the x-orbit's first
+class against the first class of every w-orbit, each on a vector of the
+scan's own weights ordered by residue (the smallest weight of each
+residue, or the class's first draw), so the oracle's integer arithmetic
+meets the weights themselves, not their residues.  Every class reads its
+orbit pair's verdict, in the calling process.
 
 An exhaustive scan generates its x-classes directly, as count vectors of
 ranks (each count at most k, summing to n), and its weight classes as the
@@ -35,34 +43,36 @@ in product order drops a prefix whose residue counts no chosen weight class
 of x's class contains.  That is the canonical order, and a listed instance
 costs at most 2n^2 + k * (|values| + residues) steps, not a walk of the
 n^n sequences or the |values|^k weight product.  A sampled scan draws its
-instances as ``random.Random(seed).choice`` would, keys each draw, decides
-its new classes grouped by x-class, and reads the report back in draw
-order; every x drawn, kept or not, counts against its budget.  Both modes
-end in one report builder, fed their counts and three lazy instance streams.
+instances as ``random.Random(seed).choice`` would, keys each draw, groups
+the classes it drew into orbits, decides the orbit pairs it drew, and
+reads the report back in draw order; every x drawn, kept or not, counts
+against its budget.  Both modes end in one report builder, fed their
+counts and three lazy instance streams.
 
 The scan trusts what it generated: every x it decides is a rank tuple it
 built or drew itself, so nothing is re-validated between generation and
 decision.  Checks live at the public edge: ``conjecture_check_instance``
-checks |x|, k, every entry and then the maximal repetition (which hashes
-the entries), and ``enumerate_zero_selection`` every entry.  Each class is
-decided by two routes.  The first is a memoized DFS on element ranks (rank 0 is the zero
-element) over (weight index, used-position mask, running-sum rank) states:
-each weight value's row of w_i * x_j ranks is read off the group's cached
-scaling table (weights reduced mod the exponent, so negative, zero and huge
-weights all work) once per x, and the running sum moves through the cached
-rank addition table.  The second route is an independent lexicographic
-enumeration of all (I, f) pairs on the exhaustive oracle's core (the one
-``fallback_search`` runs on), which values every candidate with its own
-per-coordinate arithmetic on the raw integers, so it trusts nothing the
-DFS computed.  Disagreement aborts the scan.  Counterexamples are, by
-construction, instances whose class's enumeration ran to exhaustion.  A
-reported witness is the oracle's selection for its own instance, not for
-its class's representative.
+checks |x|, k, every entry, every weight and then the maximal repetition
+(which hashes the entries), and ``enumerate_zero_selection`` every entry
+and every weight.  Each decided pair is decided by two routes.  The first
+is a memoized DFS on element ranks (rank 0 is the zero element) over
+(weight index, used-position mask, running-sum rank) states: each weight
+value's row of w_i * x_j ranks is read off the group's cached scaling
+table (weights reduced mod the exponent, so negative, zero and huge
+weights all work) once per x, and the running sum moves through the
+cached rank addition table.  The second route is an independent
+lexicographic enumeration of all (I, f) pairs on the exhaustive oracle's
+core (the one ``fallback_search`` runs on), which values every candidate
+with its own per-coordinate arithmetic on the raw integers, so it trusts
+nothing the DFS computed.  Disagreement aborts the scan.  Counterexamples are, by
+construction, instances whose orbit pair's enumeration ran to
+exhaustion.  A reported witness is the oracle's selection for its own
+instance, not for its class's or orbit's representative.
 
 Reports are deterministic byte-for-byte for a fixed configuration: the
 instance order is canonical (x in lexicographic order, weights varying
 fastest in product order; a sample in draw order), and volatile data (wall
-time, decided classes) never enters the serialized form.
+time, decided orbit pairs) never enters the serialized form.
 """
 
 from __future__ import annotations
@@ -79,8 +89,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .davenport import davenport_get
 from .errors import BudgetExceeded, InvalidArgument, InvalidInstance, TheoremViolation
-from .groups import AbelianGroup, Element, canonicalize, rho
-from .weighted import Selection, _coordinate_columns, _first_selection, _index_sets
+from .groups import AbelianGroup, Element, _orbit_roots, canonicalize, rho
+from .weighted import (
+    Selection,
+    _check_weights,
+    _coordinate_columns,
+    _first_selection,
+    _index_sets,
+)
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
@@ -124,10 +140,10 @@ class ScanReport:
     witness_sample: tuple[dict, ...]
     wall_time: float
     authoritative: bool = True
-    decided: int = 0  # classes in the scan's table, each decided once
+    decided: int = 0  # orbit pairs decided, each once by both routes
 
     def to_json(self) -> dict:
-        """Canonical report payload.  Wall time and the decided-class count
+        """Canonical report payload.  Wall time and the decided orbit pairs
         are kept off the wire: the payload is a fact about the instance
         space, byte-identical across reruns.  Wall time and ``decided`` live
         only on the in-memory record."""
@@ -214,9 +230,10 @@ def enumerate_zero_selection(
     g: AbelianGroup, x: Sequence[Element], w: Sequence[int]
 ) -> Selection | None:
     """Independent route: lexicographic enumeration over all (I, f), after
-    checking every entry of x."""
+    checking every entry of x and every weight."""
     for e in x:
         g.check_element(e)
+    _check_weights(w)
     return _first_zero(_coordinate_columns(g, x), len(x), w)
 
 
@@ -250,10 +267,10 @@ def conjecture_check_instance(
     """Verified zero-value selection, or None for a counterexample candidate.
 
     Requires |x| = |G|, 1 <= |w| <= |G|, elements of G (InvalidElement
-    otherwise, checked before the repetition) and maximal repetition of x
-    at most |w|.  Decides via the memoized DFS, then confirms by
-    lexicographic enumeration; the two routes must agree or an
-    AssertionError is raised.
+    otherwise, checked before the repetition), ``int`` weights
+    (InvalidInstance otherwise) and maximal repetition of x at most |w|.
+    Decides via the memoized DFS, then confirms by lexicographic
+    enumeration; the two routes must agree or an AssertionError is raised.
     """
     n = g.order
     if len(x) != n:
@@ -262,6 +279,7 @@ def conjecture_check_instance(
         raise InvalidInstance(f"need 1 <= k <= n = {n}, got k = {len(w)}")
     for e in x:
         g.check_element(e)
+    _check_weights(w)
     if rho(x) > len(w):
         raise InvalidInstance(f"maximal repetition {rho(x)} exceeds k = {len(w)}")
     index = g.rank_index
@@ -273,6 +291,9 @@ def _validated(config: ScanConfig) -> tuple[AbelianGroup, ScanConfig]:
     n = g.order
     if not 1 <= config.k <= n:
         raise InvalidArgument(f"k = {config.k} must lie in [1, {n}]")
+    for v in config.weight_values:
+        if type(v) is not int:
+            raise InvalidArgument(f"weight value {v!r} is not an integer")
     values = tuple(sorted(set(config.weight_values)))
     if not values:
         raise InvalidArgument("weight value set is empty")
@@ -444,17 +465,37 @@ def _proven(residues: Sequence[int], n: int, k: int, d: int) -> bool:
     return k >= d or all(math.gcd(n, r) == 1 for r in residues)
 
 
+def _orbits(
+    g: AbelianGroup, x_classes: Sequence[tuple[int, ...]], w_classes: Sequence[tuple[int, ...]]
+) -> tuple[list[int], list[int]]:
+    """The orbit roots (``groups._orbit_roots``) of a scan's x-classes, as
+    count vectors of ranks, under the generators of the group's H <= Aut(G);
+    and of its w-classes, as sorted residues mod exp(G), under multiplication
+    by every unit mod exp(G).  Neither action changes whether a selection
+    exists.  A generator phi moves count c_phi(r) to rank r: that is phi^-1
+    moving c_r to rank phi^-1(r), and it links the same pairs of classes as
+    phi does."""
+    exponent = g.exponent
+    units = [u for u in range(2, exponent) if math.gcd(u, exponent) == 1]
+    return (
+        _orbit_roots(x_classes, [lambda c, image=image: tuple(map(c.__getitem__, image))
+                                 for image in g._automorphism_maps]),
+        _orbit_roots(w_classes, [lambda w, u=u: tuple(sorted([u * r % exponent for r in w]))
+                                 for u in units]),
+    )
+
+
 def _report(
     g: AbelianGroup, config: ScanConfig, d: int, checked: int, failed: int, decided: int,
     violations: Iterable[tuple[Sequence[int], Sequence[int]]],
     failures: Iterable[tuple[Sequence[int], Sequence[int]]],
     successes: Iterable[tuple[Sequence[int], Sequence[int]]],
 ) -> ScanReport:
-    """The report of ``checked`` instances in ``decided`` classes, ``failed``
-    of them without a selection, from three lazy streams of instances (x as
-    ranks, w), each in scan order: the failures in a proven regime, the
-    first of which raises TheoremViolation; the failures, the first
-    COUNTEREXAMPLE_CAP of them listed; and the instances with a selection,
+    """The report of ``checked`` instances in ``decided`` orbit pairs,
+    ``failed`` of them without a selection, from three lazy streams of
+    instances (x as ranks, w), each in scan order: the failures in a proven
+    regime, the first of which raises TheoremViolation; the failures, the
+    first COUNTEREXAMPLE_CAP of them listed; and the instances with a selection,
     the first WITNESS_SAMPLE_SIZE of them reported as witnesses."""
     elements = g.elements()
     first = next(iter(violations), None)
@@ -493,10 +534,9 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
             report=_empty_report(g, config, d),
         )
 
-    # Every (x-class, w-class) pair, decided on the x-class's sorted
-    # representative, one call per x-class.  A w-class is its sorted
-    # residue indices, decided on the scan's smallest weight of each of
-    # them, so the oracle's arithmetic meets the weights themselves.
+    # A w-class is its sorted residue indices, decided on the scan's
+    # smallest weight of each of them, so the oracle's arithmetic meets the
+    # weights themselves.
     smallest: dict[int, int] = {}
     for v in values:
         smallest.setdefault(v % exponent, v)
@@ -516,17 +556,29 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
         w_counts.append(tuple(m))
         vectors.append(factorial[k] // math.prod([factorial[c] for c in m])
                        * math.prod([per_residue[r] ** c for r, c in zip(residues, m)]))
+
+    # One decision per orbit pair, one call per x-orbit: the sorted
+    # representative of its first class against the first class of every
+    # w-orbit.  Every class reads its orbit pair's verdict.
+    x_classes = list(_admissible_classes(n, k))
+    x_roots, w_roots = _orbits(g, x_classes, [tuple([residues[j] for j in w]) for w in w_classes])
+    w_firsts = [i for i, root in enumerate(w_roots) if root == i]
     # The x-classes, by their counts, under the w-classes they fail.
     rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    orbit_fails: dict[int, tuple[int, ...]] = {}  # per x-orbit, by its first class
     checked = failed = 0
     elements = g.elements()
-    for counts in _admissible_classes(n, k):
-        x = tuple([r for r, c in enumerate(counts) for _ in range(c)])
-        fails = tuple([i for i, sel in enumerate(_decide(g, elements, x, firsts)) if sel is None])
+    for i, (counts, root) in enumerate(zip(x_classes, x_roots)):
+        if root == i:
+            x = tuple([r for r, c in enumerate(counts) for _ in range(c)])
+            verdicts = _decide(g, elements, x, [firsts[j] for j in w_firsts])
+            failing = {j for j, sel in zip(w_firsts, verdicts) if sel is None}
+            orbit_fails[i] = tuple([j for j, w_root in enumerate(w_roots) if w_root in failing])
+        fails = orbit_fails[root]
         rows.setdefault(fails, []).append(counts)
         arranged = factorial[n] // math.prod([factorial[c] for c in counts])
         checked += arranged * len(values) ** k
-        failed += arranged * sum([vectors[i] for i in fails])
+        failed += arranged * sum([vectors[j] for j in fails])
 
     # The report's instances, in canonical order, lazily: x walks the ranks
     # while its counts fit an x-class with a chosen w-class, and then w
@@ -550,7 +602,7 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
 
     proven = {i for i, w in enumerate(w_classes) if _proven([residues[j] for j in w], n, k, d)}
     every = set(range(len(w_classes)))
-    return _report(g, config, d, checked, failed, classes,
+    return _report(g, config, d, checked, failed, len(orbit_fails) * len(w_firsts),
                    instances(lambda fails: [i for i in fails if i in proven]),
                    instances(lambda fails: fails),
                    instances(lambda fails: sorted(every.difference(fails))))
@@ -564,27 +616,34 @@ def _sampled(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
         err.report = _empty_report(g, config, d)
         raise
 
-    # Key every draw, and collect its class, grouped by x-class; a class
-    # holds its first drawn w, on which it is decided, until its verdict.
-    # Like an exhaustive scan's, that w is ordered by residue.
-    table: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...] | bool]] = {}
+    # Key every draw; a w-class keeps its first draw, ordered by residue like
+    # an exhaustive scan's weights.  The drawn classes fall into orbits, and
+    # each x-orbit is decided in one call, its first class's sorted ranks
+    # against the first draw of every w-orbit drawn with one of its classes.
+    first_w: dict[tuple[int, ...], tuple[int, ...]] = {}
     keys = []
     for x, w in draws:
-        key = (tuple(sorted(x)), tuple(sorted([v % exponent for v in w])))
-        row = table.setdefault(key[0], {})
-        if key[1] not in row:
-            row[key[1]] = tuple(sorted(w, key=lambda v: v % exponent))
-        keys.append(key)
+        w_key = tuple(sorted([v % exponent for v in w]))
+        if w_key not in first_w:
+            first_w[w_key] = tuple(sorted(w, key=lambda v: v % exponent))
+        keys.append((tuple(sorted(x)), w_key))
+    x_classes, w_classes = list(dict.fromkeys([x for x, _ in keys])), list(first_w)
+    x_roots, w_roots = _orbits(g, [tuple(map(x.count, range(n))) for x in x_classes], w_classes)
+    x_root = dict(zip(x_classes, [x_classes[i] for i in x_roots]))
+    w_root = dict(zip(w_classes, [w_classes[i] for i in w_roots]))
+    wanted: dict[tuple[int, ...], dict[tuple[int, ...], None]] = {}
+    for x_key, w_key in dict.fromkeys(keys):
+        wanted.setdefault(x_root[x_key], {})[w_root[w_key]] = None
+    verdicts: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
     elements = g.elements()
-    for x, row in table.items():
-        verdicts = _decide(g, elements, x, list(row.values()))
-        row.update(zip(row, [sel is not None for sel in verdicts]))
+    for x, ws in wanted.items():
+        for w_key, sel in zip(ws, _decide(g, elements, x, [first_w[w] for w in ws])):
+            verdicts[x, w_key] = sel is not None
 
-    # Every draw reads its class's decision, in draw order.
-    found = [table[x_key][w_key] for x_key, w_key in keys]
+    # Every draw reads its orbit pair's decision, in draw order.
+    found = [verdicts[x_root[x_key], w_root[w_key]] for x_key, w_key in keys]
     failures = [(draw, w_key) for draw, (_, w_key), ok in zip(draws, keys, found) if not ok]
-    return _report(g, config, d, len(draws), len(failures),
-                   sum(len(row) for row in table.values()),
+    return _report(g, config, d, len(draws), len(failures), len(verdicts),
                    (draw for draw, w_key in failures if _proven(w_key, n, k, d)),
                    (draw for draw, _ in failures),
                    itertools.compress(draws, found))

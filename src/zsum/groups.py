@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidElement, InvalidGroup, InvalidInstance
 
@@ -66,27 +66,36 @@ def _unit_generators(d: int) -> list[int]:
     return gens
 
 
+def _orbit_roots(items: Sequence, moves: Iterable[Callable]) -> list[int]:
+    """Per item, the index of the first item of its orbit in the order of
+    ``items``, under the maps ``moves``: a union-find over the indices that
+    always keeps the smaller root.  An item is joined only to its images
+    that are themselves in ``items``, so on a list that the maps do not keep
+    an orbit is a class of items linked through the list."""
+    index = {item: i for i, item in enumerate(items)}
+    parent = list(range(len(items)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for move in moves:
+        for i, j in enumerate(map(index.get, map(move, items))):
+            if j is not None and j != i:
+                a, b = find(i), find(j)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(len(items))]
+
+
 def _orbit_minima_mask(n: int, maps: Iterable[Sequence[int]]) -> int:
     """Bit mask of the ranks in [0, n) that are the smallest in their orbit
-    under the group the rank permutations ``maps`` generate: a union-find
-    over the ranks that always keeps the smaller root."""
-    parent = list(range(n))
-
-    def find(r: int) -> int:
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
-    for image in maps:
-        for a, b in enumerate(image):
-            if a != b:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+    under the group the rank permutations ``maps`` generate."""
     mask = 0
-    for r in range(n):
-        if parent[r] == r:
+    for r, root in enumerate(_orbit_roots(range(n), [image.__getitem__ for image in maps])):
+        if root == r:
             mask |= 1 << r
     return mask
 

@@ -85,14 +85,22 @@ SOLVE_CONSTRUCTIVE = "constructive"
 ORACLE_CAP = 12
 
 
+def _check_weights(w: Sequence[int]) -> None:
+    """InvalidInstance unless every weight is an ``int`` (bools refused)."""
+    for v in w:
+        if type(v) is not int:
+            raise InvalidInstance(f"weight {v!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A sequence over a group, integer weights, and a repetition bound.
 
     ``w`` may be shorter than ``x`` (the corollary drops the reserved tail),
     so length relations are checked per statement, not here.  Every entry of
-    ``x`` is checked against the group on construction (InvalidElement), so
-    the rest of this module trusts it.
+    ``x`` is checked against the group on construction (InvalidElement), and
+    every weight and ``ell`` must be an ``int`` (InvalidInstance), so the
+    rest of this module trusts them.
     """
 
     group: AbelianGroup
@@ -103,6 +111,9 @@ class Instance:
     def __post_init__(self) -> None:
         for e in self.x:
             self.group.check_element(e)
+        _check_weights(self.w)
+        if type(self.ell) is not int:
+            raise InvalidInstance(f"ell = {self.ell!r} is not an integer")
 
     @property
     def m(self) -> int:

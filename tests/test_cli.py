@@ -432,7 +432,7 @@ def test_scan_conjecture_writes_report(tmp_path, capsys):
     assert report["counterexample_count"] == 24
     assert report["authoritative"] is True
     assert capsys.readouterr().err.startswith(
-        "checked 1836 instances (114 classes decided), 24 counterexamples, wall time "
+        "checked 1836 instances (48 orbits decided), 24 counterexamples, wall time "
     )
 
 

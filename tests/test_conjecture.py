@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -27,7 +28,7 @@ from zsum.errors import (
 )
 from zsum.groups import canonicalize, groups_up_to_order, rho
 
-from test_determinism import SCAN_Z4_K2_DIGEST, SCANS, _digest
+from test_determinism import EXHAUSTIVE_SCANS, SCAN_Z4_K2_DIGEST, SCANS, _digest
 
 Z2 = canonicalize([2])
 Z3 = canonicalize([3])
@@ -290,6 +291,23 @@ def test_the_public_edge_refuses_entries_that_are_not_tuples_of_ints(edge, name)
         edge(Z4, NOT_TUPLES_OF_INTS[name], (1, 2))
 
 
+@pytest.mark.parametrize("w", [(1.5, 2), ("a", 1), (True, 2)], ids=["float", "str", "bool"])
+@pytest.mark.parametrize("edge", [conjecture_check_instance, enumerate_zero_selection],
+                         ids=["check", "enumerate"])
+def test_the_public_edge_refuses_weights_that_are_not_ints(edge, w):
+    # a float or a string once ended in a bare TypeError, and True was taken
+    with pytest.raises(InvalidInstance, match="is not an integer"):
+        edge(Z4, ((1,), (2,), (3,), (0,)), w)
+
+
+@pytest.mark.parametrize("values", [(1.5, 2), ("a", 1), (True, 2)], ids=["float", "str", "bool"])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_a_scan_refuses_weight_values_that_are_not_ints(mode, values):
+    config = ScanConfig(orders=(4,), k=2, weight_values=values, mode=mode, sample_size=10)
+    with pytest.raises(InvalidArgument, match=f"^weight value {values[0]!r} is not an integer$"):
+        conjecture_scan(config)
+
+
 def test_in_process_scan_builds_the_admissible_list_once(monkeypatch):
     # the admissible x-classes, not the admissible x
     import zsum.conjecture as conjecture
@@ -396,9 +414,11 @@ def test_class_key_changes_keep_the_existence_of_a_selection(data):
 
 
 def test_scan_decides_each_class_once_per_route(monkeypatch):
-    # exhaustive Z_4 with k = 4: 20,736 instances in 525 classes, each
-    # decided once by the DFS and once by the oracle; the oracle's other
-    # calls are the witness lookups, one per reported witness
+    # exhaustive Z_4 with k = 4: 20,736 instances in 525 classes, which fall
+    # into 198 orbit pairs (22 x-orbits of 35 x-classes under x -> 3x, 9
+    # w-orbits of 15 w-classes under w -> 3w); each pair is decided once by
+    # the DFS and once by the oracle, and the oracle's other calls are the
+    # witness lookups, one per reported witness
     import zsum.conjecture as conjecture
 
     calls = Counter()
@@ -416,10 +436,10 @@ def test_scan_decides_each_class_once_per_route(monkeypatch):
     monkeypatch.setattr(conjecture, "_first_selection", counted_oracle)
     report = conjecture_scan(ScanConfig(orders=(4,), k=4, weight_values=(1, 2, 3)))
     assert report.checked == 20736
-    assert report.decided == 525
-    assert calls["dfs"] == 525
+    assert report.decided == 198
+    assert calls["dfs"] == 198
     assert len(report.witness_sample) == 5
-    assert calls["oracle"] == 525 + 5
+    assert calls["oracle"] == 198 + 5
     assert _digest(report.to_json()) == SCANS["z4-k4"][-1]
 
 
@@ -491,7 +511,7 @@ def test_a_witness_of_an_already_decided_class_is_its_own_instances_selection(mo
 def test_decided_count_stays_off_the_wire():
     config = ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3))
     report = conjecture_scan(config)
-    assert report.decided == 114
+    assert report.decided == 48  # 12 x-orbits times 4 w-orbits
     payload = report.to_json()
     assert sorted(payload) == [
         "authoritative", "checked", "config", "counterexample_count", "counterexamples",
@@ -577,9 +597,45 @@ def test_a_sampled_failure_in_a_proven_regime_names_the_first_drawn(monkeypatch,
     assert f"x={[list(e) for e in x]}, w={list(w)}, " in str(err.value)
 
 
+def _components(items, moves):
+    """A label per item: the items linked through ``items`` by the maps
+    ``moves`` (an edge from a to move(a) when both are items) share one."""
+    linked = {a: set() for a in items}
+    for a in items:
+        for move in moves:
+            b = move(a)
+            if b in linked:
+                linked[a].add(b)
+                linked[b].add(a)
+    label = {}
+    for a in items:
+        if a not in label:
+            label[a], todo = a, [a]
+            while todo:
+                for b in linked[todo.pop()]:
+                    if b not in label:
+                        label[b] = a
+                        todo.append(b)
+    return label
+
+
+def _orbit_labels(g, classes):
+    """The orbits of the x-classes and of the w-classes of the (sorted x,
+    sorted residues of w) classes, as two labellings: x-classes linked by
+    the group's automorphism generators, w-classes by multiplication by the
+    units mod exp(G), each only through the given classes."""
+    elements, index, exponent = g.elements(), g.rank_index, g.exponent
+    x_moves = [lambda x, image=image: tuple(sorted(elements[image[index[e]]] for e in x))
+               for image in g._automorphism_maps]
+    w_moves = [lambda w, u=u: tuple(sorted(u * r % exponent for r in w))
+               for u in range(1, exponent) if math.gcd(u, exponent) == 1]
+    return (_components({x for x, _ in classes}, x_moves),
+            _components({w for _, w in classes}, w_moves))
+
+
 def _per_instance_report(g, config):
-    """The report of a scan, and its class count, by deciding every instance
-    on its own, in canonical order."""
+    """The report of a scan, and its classes, by deciding every instance on
+    its own, in canonical order."""
     values, k = tuple(sorted(set(config.weight_values))), config.k
     if config.mode == "sampled":
         instances = _choice_draws(g, replace(config, weight_values=values))
@@ -596,7 +652,7 @@ def _per_instance_report(g, config):
         elif len(witnesses) < 5:
             witnesses.append({"instance": item, "selection": {
                 "indices": list(sel.indices), "images": list(sel.images)}})
-    return (len(instances), len(failing), failing[:100], witnesses), len(classes)
+    return (len(instances), len(failing), failing[:100], witnesses), classes
 
 
 @settings(max_examples=60, deadline=None)
@@ -613,7 +669,7 @@ def test_the_by_class_scan_matches_a_per_instance_walk(data):
     expected, classes = _per_instance_report(g, config)
     # an exhaustive budget counts classes, a sampled one x draws, kept or not
     if mode == "exhaustive":
-        size = classes
+        size = len(classes)
     else:
         size = _choice_sample(g, replace(config, weight_values=tuple(sorted(values))))[1]
     budget = data.draw(st.integers(min_value=max(size - 2, 1), max_value=size + 2))
@@ -624,7 +680,9 @@ def test_the_by_class_scan_matches_a_per_instance_walk(data):
     report = conjecture_scan(replace(config, budget=budget))
     assert (report.checked, report.counterexample_count, list(report.counterexamples),
             list(report.witness_sample)) == expected
-    assert report.decided == classes
+    # one decision per orbit pair among the scan's classes
+    x_label, w_label = _orbit_labels(g, classes)
+    assert report.decided == len({(x_label[x], w_label[w]) for x, w in classes})
 
 
 def test_a_long_list_of_multiples_of_the_exponent_lists_its_failures_at_once():
@@ -646,8 +704,9 @@ def test_a_long_list_of_multiples_of_the_exponent_lists_its_failures_at_once():
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_each_class_is_decided_on_weights_of_the_scan(monkeypatch, mode):
     # the oracle's integer arithmetic meets the scan's own negative and huge
-    # weights, not their residues: each class is decided on its first vector
-    # in product order, or on its first draw, ordered by residue
+    # weights, not their residues: each orbit pair is decided once, on the
+    # first vector in product order, or the first draw, ordered by residue,
+    # of one of its classes
     import zsum.conjecture as conjecture
 
     seen = []
@@ -667,12 +726,20 @@ def test_each_class_is_decided_on_weights_of_the_scan(monkeypatch, mode):
     else:
         instances = [(x, w) for x in itertools.product(Z4.elements(), repeat=4)
                      if rho(x) <= 2 for w in itertools.product(values, repeat=2)]
-    first = {}
+    classes, first_w = set(), {}
     for x, w in instances:
-        first.setdefault((tuple(sorted(x)), tuple(sorted(v % 4 for v in w))),
-                         (tuple(sorted(x)), tuple(sorted(w, key=lambda v: v % 4))))
-    assert len(seen) == report.decided
-    assert sorted(seen) == sorted(first.values())
+        residues = tuple(sorted(v % 4 for v in w))
+        classes.add((tuple(sorted(x)), residues))
+        first_w.setdefault(residues, tuple(sorted(w, key=lambda v: v % 4)))
+    x_label, w_label = _orbit_labels(Z4, classes)
+    decided = []
+    for x, w in seen:
+        residues = tuple(sorted(v % 4 for v in w))
+        assert w == first_w[residues]
+        decided.append((x_label[x], w_label[residues]))
+    assert len(set(decided)) == len(seen) == report.decided
+    assert set(decided) == {(x_label[x], w_label[w]) for x, w in classes}
+    assert report.decided == {"exhaustive": 48, "sampled": 32}[mode]
 
 
 @settings(max_examples=200, deadline=None)
@@ -718,3 +785,73 @@ def test_the_walk_finds_a_first_word_in_length_times_kinds_tests(kinds, length):
         first = next(_walk(letters, [a // 2 for a in letters], length, fits))
         assert first == tuple(2 * r for r, c in enumerate(wanted) for _ in range(c))
         assert len(calls) <= length * kinds, wanted
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_automorphisms_and_units_keep_whether_a_selection_exists(data):
+    # the scan decides one class per orbit pair; the independent oracle must
+    # answer every image (phi(x), u * w) of an instance as it answers (x, w)
+    g = data.draw(st.sampled_from(groups_up_to_order(12)))
+    n, exponent, elements, index = g.order, g.exponent, g.elements(), g.rank_index
+    k = data.draw(st.integers(min_value=1, max_value=min(3, n)))
+    x = tuple(data.draw(st.permutations(elements * k))[:n])  # rho(x) <= k
+    w = tuple(data.draw(st.lists(st.integers(min_value=-30, max_value=30),
+                                 min_size=k, max_size=k)))
+    none = enumerate_zero_selection(g, x, w) is None
+    units = [u for u in range(1, exponent + 1) if math.gcd(u, exponent) == 1]
+    for image in [list(range(n))] + g._automorphism_maps:
+        moved = tuple(elements[image[index[e]]] for e in x)
+        for u in units:
+            scaled = tuple(u * v for v in w)
+            assert (enumerate_zero_selection(g, moved, scaled) is None) == none, (moved, scaled)
+
+
+def _multinomial(counts):
+    return math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
+
+
+# every exhaustive scan pinned in tier-1, as (orders, k, weights)
+PINNED_EXHAUSTIVE = (
+    [((3,), 2, (1, 2)), ((4,), 2, (1, 2, 3))]
+    + [(spec[0], spec[1], None) for spec in SCANS.values() if spec[2] == "exhaustive"]
+    + [spec[:3] for spec in EXHAUSTIVE_SCANS.values()]
+)
+
+
+@pytest.mark.parametrize("orders, k, weights", PINNED_EXHAUSTIVE,
+                         ids=[f"{'x'.join(map(str, o))}-k{k}" + (f"-w{w[0]}..{w[-1]}" if w else "")
+                              for o, k, w in PINNED_EXHAUSTIVE])
+def test_orbit_decisions_match_one_decision_per_class(orders, k, weights):
+    # every (x-class, w-class) pair decided on its own, one _decide per
+    # x-class over every w-class, gives the orbit scan's counterexamples
+    from zsum.conjecture import RECHECK_TAG, _decide
+
+    g = canonicalize(orders)
+    n, exponent, elements = g.order, g.exponent, g.elements()
+    values = tuple(sorted(weights or range(1, n)))
+    smallest = {}
+    for v in values:
+        smallest.setdefault(v % exponent, v)
+    w_classes = list(itertools.combinations_with_replacement(sorted(smallest), k))
+    firsts = [tuple(smallest[r] for r in w) for w in w_classes]
+    failing = set()
+    for x in itertools.combinations_with_replacement(range(n), n):
+        if rho(x) <= k:
+            for w, sel in zip(w_classes, _decide(g, elements, x, firsts)):
+                if sel is None:
+                    failing.add((x, w))
+    per_residue = Counter(v % exponent for v in values)
+    count = sum(_multinomial(Counter(x).values()) * _multinomial(Counter(w).values())
+                * math.prod(per_residue[r] ** c for r, c in Counter(w).items())
+                for x, w in failing)
+    listed = []
+    for x in sorted({p for x, _ in failing for p in itertools.permutations(x)}):
+        for w in itertools.product(values, repeat=k):
+            if (tuple(sorted(x)), tuple(sorted(v % exponent for v in w))) in failing:
+                listed.append({"x": [list(elements[r]) for r in x], "w": list(w),
+                               "recheck": RECHECK_TAG})
+    report = conjecture_scan(ScanConfig(orders=orders, k=k, weight_values=values,
+                                        budget=10**9))
+    assert report.counterexample_count == count
+    assert list(report.counterexamples) == listed[:100]

@@ -127,21 +127,21 @@ SCANS = {
 # Larger exhaustive scans, budget 10**9, recorded on the scan that decided
 # every instance in turn, before it counted instances by class; weights are
 # 1..n-1 unless given (-6..6 repeats residues and lists 100 of 288 failures):
-# name: (orders, k, weights, checked, counterexamples, decided classes, digest)
+# name: (orders, k, weights, checked, counterexamples, decided orbit pairs, digest)
 EXHAUSTIVE_SCANS = {
-    "z6-k2": ((6,), 2, None, 738000, 0, 2115,
+    "z6-k2": ((6,), 2, None, 738000, 0, 693,
               "7909697aac03d360f9b0eed04f12eb59c8d7089ac69f82b72f43712ba95378dc"),
-    "z6-k3": ((6,), 3, None, 5527500, 0, 11760,
+    "z6-k3": ((6,), 3, None, 5527500, 0, 3382,
               "9ecf518c1e1f48f57d34a25a20c159228bed5c0c7bb877623770679e4899ecb9"),
-    "z6-k4": ((6,), 4, None, 29043750, 0, 29820,
+    "z6-k4": ((6,), 4, None, 29043750, 0, 8588,
               "de7ef5d892cddd87bca3c76f87b62fed10cf1f874b1d9c9a833b8e2ed0b33972"),
-    "z7-k2": ((7,), 2, None, 16692480, 0, 8253,
+    "z7-k2": ((7,), 2, None, 16692480, 0, 272,
               "95f7dba7abc44ebb8c024156ec66b643ebad67da33bb42d0a4a3560d6183b88a"),
-    "z7-k3": ((7,), 3, None, 165246480, 0, 63168,
+    "z7-k3": ((7,), 3, None, 165246480, 0, 1920,
               "b0835959ce0b90cd5f1c0cf2a11d99ada7b1b50051e9222bf0654eaf6a386261"),
-    "z2xz2-k4": ((2, 2), 4, None, 20736, 0, 175,
+    "z2xz2-k4": ((2, 2), 4, None, 20736, 0, 55,
                  "730fd5c7ce9f086921798d1a88dc43e8ae378707907032ba662b4282097f57e0"),
-    "z4-k2-weights-6..6": ((4,), 2, tuple(range(-6, 7)), 34476, 288, 190,
+    "z4-k2-weights-6..6": ((4,), 2, tuple(range(-6, 7)), 34476, 288, 84,
                            "1b025a14c8440bbb4edc5c3acdd7ccab6beead8401b61d137d755346be50161a"),
 }
 
@@ -322,12 +322,12 @@ def test_larger_exhaustive_scan_report_bytes_are_pinned(name):
 
 
 # zsum scan-conjecture --orders 2,6 --k 2 at the default budget: a group of
-# squarefree exponent with counterexamples (479,001,600 = 12! of them)
-SCAN_Z2XZ6_K2 = (337282659806400, 479001600, 1549569,
+# squarefree exponent with counterexamples (479,001,600 = 12! of them), its
+# 1,549,569 classes decided as 88,764 orbit pairs
+SCAN_Z2XZ6_K2 = (337282659806400, 479001600, 88764,
                  "af0537c19d7e2061f533cf5c2ddace03027e286b441418a82c93604749150745")
 
 
-@pytest.mark.slow
 def test_the_z2xz6_scan_report_bytes_are_pinned():
     report = conjecture_scan(ScanConfig(orders=(2, 6), k=2, weight_values=tuple(range(1, 12))))
     assert (report.checked, report.counterexample_count, report.decided) == SCAN_Z2XZ6_K2[:3]

@@ -13,6 +13,7 @@ from zsum.errors import InvalidElement, InvalidGroup, InvalidInstance
 from zsum.groups import (
     MAX_FACTORED_ORDER,
     AbelianGroup,
+    _orbit_roots,
     _schreier_generators,
     canonicalize,
     groups_of_order,
@@ -269,6 +270,20 @@ def test_rank_tables_are_cached_per_group():
     assert g.rank_scale_table is g.rank_scale_table
     assert canonicalize([1]).rank_add_table == ((0,),)
     assert canonicalize([1]).rank_scale_table == ((0,),)
+
+
+def test_orbit_roots_are_the_first_item_of_each_orbit_linked_through_the_list():
+    # x -> 3x mod 7 is one 6-cycle on the units, 1 -> 3 -> 2 -> 6 -> 4 -> 5;
+    # the maps' images outside the list link nothing
+    triple = [lambda x: 3 * x % 7]
+    assert _orbit_roots([2, 1, 3, 6, 4, 5], triple) == [0] * 6
+    assert _orbit_roots([2, 1], triple) == [0, 1]  # 2 -> 6 and 1 -> 3 are not listed
+    assert _orbit_roots([2, 1, 3], triple) == [0, 0, 0]  # 1 -> 3 -> 2
+    # x -> -x and x -> 2x mod 9 on the residues: {0}, the units and {3, 6}
+    moves = [lambda x: -x % 9, lambda x: 2 * x % 9]
+    assert _orbit_roots(range(9), moves) == [0, 1, 1, 3, 1, 1, 3, 1, 1]
+    assert _orbit_roots([6, 5, 3, 0], moves) == [0, 1, 0, 3]
+    assert _orbit_roots([], moves) == []
 
 
 def test_orbit_maps_are_automorphisms_and_minima_match_their_closure():

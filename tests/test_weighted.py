@@ -831,6 +831,19 @@ def test_instance_refuses_entries_that_are_not_tuples_of_ints(bad):
         Instance(group=Z3, x=((0,), bad, (2,)), w=(1, 1, 1), ell=1)
 
 
+@pytest.mark.parametrize("w, ell, message", [
+    # a float weight once solved to a certificate valued (0.0,) that verified
+    ((1.0, 1, 1), 2, "weight 1.0 is not an integer"),
+    (("a", 1, 1), 2, "weight 'a' is not an integer"),  # once a bare TypeError
+    ((True, 1, 1), 2, "weight True is not an integer"),
+    ((1, 1, 1), 2.0, "ell = 2.0 is not an integer"),
+    ((1, 1, 1), True, "ell = True is not an integer"),
+], ids=["float-weight", "str-weight", "bool-weight", "float-ell", "bool-ell"])
+def test_instance_refuses_weights_and_ell_that_are_not_ints(w, ell, message):
+    with pytest.raises(InvalidInstance, match=f"^{message}$"):
+        solve(Instance(group=Z3, x=((1,), (2,), (0,)), w=w, ell=ell), "theorem1")
+
+
 def _word1_certificate(inst):
     sh, path = solve_word1(inst.group, inst.x, inst.w, inst.ell)
     cert = Certificate(
