@@ -287,6 +287,10 @@ def conjecture_check_instance(
 
 
 def _validated(config: ScanConfig) -> tuple[AbelianGroup, ScanConfig]:
+    for field in ("k", "sample_size", "budget", "seed"):
+        value = getattr(config, field)
+        if type(value) is not int:
+            raise InvalidArgument(f"{field} = {value!r} is not an integer")
     g = canonicalize(config.orders)
     n = g.order
     if not 1 <= config.k <= n:

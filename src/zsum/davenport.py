@@ -5,7 +5,8 @@ exact search walks non-decreasing element sequences depth-first (killing
 permutation symmetry) and prunes with the set of sums reachable from the
 prefix, kept as a bit-vector indexed by lexicographic element rank:
 appending e is legal iff e != 0 and -e is not already reachable, and the
-new sums are one :meth:`AbelianGroup.translate` of the old ones by e.
+new sums are one :meth:`AbelianGroup.translate` of the old ones by the rank
+of e.
 
 The search is branch-and-bound.  A legal append adds at least one new
 nonzero sum: sigma(S) + e is a sum of S.e but not of S, since
@@ -60,7 +61,7 @@ METHOD_CACHE = "cache"
 # covers.  On each, the exact search finds D = D* with
 # generator_repeat_witness(g) as its witness (the tests re-derive both), so
 # davenport_get serves that record without repeating the search, which takes
-# up to half a minute (Z_2^2 x Z_14).  D = D* on C_2 + C_2 + C_2n is also
+# up to about 20 s (Z_2^2 x Z_14).  D = D* on C_2 + C_2 + C_2n is also
 # proven (Gao and Geroldinger, Zero-sum problems in finite abelian groups,
 # 2006).
 SEARCHED_FACTORS = frozenset({
@@ -101,7 +102,8 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
         raise InvalidArgument(f"node budget {node_budget} must be >= 1")
     n = g.order
     elements = g.elements()  # rank 0 is the zero element
-    neg_rank = [g.element_rank(g.neg(e)) for e in elements]
+    factors = g.invariant_factors
+    neg_rank = [g.element_rank([-x % d for x, d in zip(e, factors)]) for e in elements]
     translate = g.translate
 
     best_len = 0
@@ -131,7 +133,7 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
                     witness=tuple([elements[r] for r in best_witness]),
                 )
             # the old sums, plus e added to each of them and to the empty sum
-            new_mask = sums_mask | translate(sums_mask | 1, elements[e])
+            new_mask = sums_mask | translate(sums_mask | 1, e)
             if size > best_len:
                 best_len = size
                 best_witness = (*stack, e)

@@ -5,9 +5,9 @@ nothing else; elements are residue tuples with residues[i] in [0, d_i).
 Arbitrary cyclic decompositions are accepted as input and canonicalized, so
 Z_4 x Z_6 and Z_2 x Z_12 build equal groups with equal hashes.  Elements
 always live in the canonical presentation.  Sets of elements can also be
-kept as bitmasks over element ranks and moved as a whole with
-:meth:`AbelianGroup.translate`; addition and scaling tables on ranks are
-built on first use.
+kept as bitmasks over element ranks and moved as a whole by an element,
+given by its rank, with :meth:`AbelianGroup.translate`; its shift steps per
+rank, and addition and scaling tables on ranks, are built on first use.
 
 All values are immutable and hashable.
 """
@@ -230,39 +230,42 @@ class AbelianGroup:
             rank = rank * d + r
         return rank
 
-    def translate(self, mask: int, e: Element) -> int:
+    def translate(self, mask: int, r: int) -> int:
         """Translate a set of elements, kept as a bitmask over element ranks,
-        by ``e``: bit ``element_rank(a)`` moves to ``element_rank(a + e)``.
+        by the element of rank ``r``: bit ``element_rank(a)`` moves to
+        ``element_rank(a + elements()[r])``.
 
-        Two masked shifts per nonzero coordinate of ``e``.  ``e`` is trusted;
-        callers validate it once with :meth:`check_element`.
+        Two masked shifts per nonzero coordinate of that element.  ``r`` is
+        trusted; callers take it from :attr:`rank_index` or a rank table.
         """
-        for steps, r in zip(self._translation_steps, e):
-            if r:
-                keep, up, wrap, down = steps[r]
-                mask = (mask & keep) << up | (mask & wrap) >> down
+        for keep, up, wrap, down in self._rank_shifts[r]:
+            mask = (mask & keep) << up | (mask & wrap) >> down
         return mask
 
     @cached_property
-    def _translation_steps(self) -> list[list[tuple[int, int, int, int]]]:
-        """Per coordinate i and residue r in [1, d_i): the bits whose i-th
-        residue is below d_i - r move up by r * stride_i, the others wrap
-        down by (d_i - r) * stride_i, where stride_i is the product of the
-        later invariant factors.  Masks repeat once per block of d_i * stride_i
-        bits, so each is one repunit multiply instead of a per-bit loop."""
+    def _rank_shifts(self) -> list[tuple[tuple[int, int, int, int], ...]]:
+        """Per element rank, the (keep, up, wrap, down) steps of the element's
+        nonzero coordinates, in coordinate order.  For coordinate i and
+        residue r in [1, d_i), the bits whose i-th residue is below d_i - r
+        move up by r * stride_i, the others wrap down by (d_i - r) * stride_i,
+        where stride_i is the product of the later invariant factors.  Masks
+        repeat once per block of d_i * stride_i bits, so each is one repunit
+        multiply instead of a per-bit loop.  The step tuples are shared
+        between ranks: n short tuples over sum(d_i) steps."""
         n = self.order
         full = (1 << n) - 1
-        out = []
+        shifts: list[tuple[tuple[int, int, int, int], ...]] = [()]
         stride = n
         for d in self.invariant_factors:
             stride //= d
             repunit = full // ((1 << d * stride) - 1)  # lowest bit of every block
-            steps = [(0, 0, 0, 0)]  # residue 0 never shifts
+            steps = [()]  # residue 0 never shifts
             for r in range(1, d):
                 keep = ((1 << (d - r) * stride) - 1) * repunit
-                steps.append((keep, r * stride, full ^ keep, (d - r) * stride))
-            out.append(steps)
-        return out
+                steps.append(((keep, r * stride, full ^ keep, (d - r) * stride),))
+            # ranks are mixed-radix with the last coordinate fastest
+            shifts = [head + step for head in shifts for step in steps]
+        return shifts
 
     @cached_property
     def _automorphism_maps(self) -> list[list[int]]:

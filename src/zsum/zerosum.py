@@ -6,13 +6,14 @@ the maximal repetition (which hashes them); the engine,
 ``_lex_smallest_subset``, trusts its input, so the weighted constructions
 reach it directly on sequences built from a validated Instance.  A set of
 group elements is a bitmask over element ranks
-(:meth:`AbelianGroup.element_rank`) and adding an element to every member
-of a set is one :meth:`AbelianGroup.translate`.  A suffix table records,
-per start position and subset size, the bitmask of sums reachable from the
-tail; when every nonempty size is allowed the size axis collapses to one
-"nonempty" mask per position.  A greedy forward pass over the table then
-emits the witness whose sorted index list is lexicographically smallest,
-which pins down golden outputs.
+(:meth:`AbelianGroup.element_rank`); a search maps its sequence to ranks
+once, and adding an element to every member of a set is one
+:meth:`AbelianGroup.translate` by the element's rank.  A suffix table
+records, per start position and subset size, the bitmask of sums reachable
+from the tail; when every nonempty size is allowed the size axis collapses
+to one "nonempty" mask per position.  A greedy forward pass over the table
+then emits the witness whose sorted index list is lexicographically
+smallest, which pins down golden outputs.
 
 Searches of length at most 3 (the word1 blocks of theorem1's narrow phase)
 skip the table: a kernel finds the same witness from a last-position map
@@ -40,16 +41,17 @@ from .errors import InvalidInstance, TheoremViolation
 from .groups import AbelianGroup, Element, rho
 
 
-def _suffix_reach(g: AbelianGroup, x: Sequence[Element], cap: int) -> list[list[int]]:
+def _suffix_reach(g: AbelianGroup, ranks: Sequence[int], cap: int) -> list[list[int]]:
     """tables[p][c] = bitmask (over element ranks) of the sums of the
-    c-element subsets of positions p..m-1, for c <= cap; positions are
-    0-based and tables[m] is the empty tail, whose only sum is zero (rank 0)."""
-    m = len(x)
+    c-element subsets of positions p..m-1 of the sequence with element ranks
+    ``ranks``, for c <= cap; positions are 0-based and tables[m] is the
+    empty tail, whose only sum is zero (rank 0)."""
+    m = len(ranks)
     translate = g.translate
     tail = [1] + [0] * cap
     tables = [tail]
     for p in range(m - 1, -1, -1):
-        e = x[p]
+        e = ranks[p]
         cur = tail.copy()
         for c in range(min(cap, m - p), 0, -1):
             if tail[c - 1]:
@@ -60,14 +62,14 @@ def _suffix_reach(g: AbelianGroup, x: Sequence[Element], cap: int) -> list[list[
     return tables
 
 
-def _nonempty_reach(g: AbelianGroup, x: Sequence[Element]) -> list[int]:
+def _nonempty_reach(g: AbelianGroup, ranks: Sequence[int]) -> list[int]:
     """reach[p] = bitmask of the sums of the nonempty subsets of positions
     p..m-1: the suffix table with its size axis collapsed."""
     translate = g.translate
     reach = [0]
     mask = 0
-    for p in range(len(x) - 1, -1, -1):
-        mask |= translate(mask | 1, x[p])  # bit 0: the empty sum
+    for p in range(len(ranks) - 1, -1, -1):
+        mask |= translate(mask | 1, ranks[p])  # bit 0: the empty sum
         reach.append(mask)
     reach.reverse()
     return reach
@@ -129,18 +131,20 @@ def _table_walk(
     """The suffix-table walk behind _lex_smallest_subset."""
     m = len(x)
     factors = g.invariant_factors
-    neg = [tuple([-r % d for r, d in zip(e, factors)]) for e in x]
+    index = g.rank_index
+    ranks = [index[e] for e in x]
+    neg = [index[tuple([-r % d for r, d in zip(e, factors)])] for e in x]
 
     # completes(p, need, count): some subset of positions p..m-1 sums to the
     # single-bit mask `need` and brings a prefix of `count` picks into [lo, hi]
     if lo <= 1 and hi >= m:
-        reach = _nonempty_reach(g, x)
+        reach = _nonempty_reach(g, ranks)
 
         def completes(p: int, need: int, count: int) -> bool:
             return bool(reach[p] & need)
 
     else:
-        tables = _suffix_reach(g, x, hi)
+        tables = _suffix_reach(g, ranks, hi)
 
         def completes(p: int, need: int, count: int) -> bool:
             row = tables[p]

@@ -308,6 +308,19 @@ def test_a_scan_refuses_weight_values_that_are_not_ints(mode, values):
         conjecture_scan(config)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k", 2.0), ("k", True), ("sample_size", 2.5), ("sample_size", True),
+    ("budget", 10**9 + 0.5), ("budget", True), ("seed", 1.5), ("seed", False),
+])
+def test_a_scan_refuses_counts_and_seeds_that_are_not_ints(field, value):
+    # k=2.0 once ended in a bare TypeError, k=True ran as k = 1, and
+    # sample_size=2.5 drew 3 instances
+    config = replace(ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3), mode="sampled",
+                                sample_size=10), **{field: value})
+    with pytest.raises(InvalidArgument, match=f"^{field} = {value!r} is not an integer$"):
+        conjecture_scan(config)
+
+
 def test_in_process_scan_builds_the_admissible_list_once(monkeypatch):
     # the admissible x-classes, not the admissible x
     import zsum.conjecture as conjecture

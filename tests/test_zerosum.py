@@ -208,13 +208,21 @@ def test_translate_agrees_with_add(orders):
     rng = random.Random(len(elements))
     for e in elements:
         for a in elements:
-            moved = g.translate(1 << g.element_rank(a), e)
+            moved = g.translate(1 << g.element_rank(a), g.element_rank(e))
             assert moved == 1 << g.element_rank(g.add(a, e)), (orders, a, e)
         # a many-element set moves as a whole
         subset = [a for a in elements if rng.random() < 0.5]
         mask = sum(1 << g.element_rank(a) for a in subset)
         expected = sum(1 << g.element_rank(g.add(a, e)) for a in subset)
-        assert g.translate(mask, e) == expected, (orders, e)
+        assert g.translate(mask, g.element_rank(e)) == expected, (orders, e)
+
+
+def test_translate_moves_each_rank_by_the_rank_addition_table():
+    for g in groups_up_to_order(32):
+        add = g.rank_add_table
+        for a in range(g.order):
+            for r in range(g.order):
+                assert g.translate(1 << a, r) == 1 << add[a][r], (g.invariant_factors, a, r)
 
 
 def _is_zero_sum(g, x, idx):
