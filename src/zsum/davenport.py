@@ -18,8 +18,8 @@ lexicographic preorder, so the witness is still the lexicographically
 first zero-sum-free sequence of maximal length.
 
 The first element ranges only over the nonzero ranks that are the smallest
-in their orbit under a subgroup H of Aut(G) (``AbelianGroup._minima_fixing``
-of no point).
+in their orbit under a subgroup H of Aut(G) (``_minima_fixing`` of no point;
+the generators of H are ``AbelianGroup._automorphism_maps``).
 An automorphism maps a zero-sum-free sequence to one of the same length, so
 D is unchanged; and were phi(S_0) below the first element S_0 of the witness
 S, sorted(phi(S)) would be a maximal sequence before S, so S is still found.
@@ -32,7 +32,8 @@ Such a phi fixes the prefix S_0 ... S_{j-1} of the witness S, so were
 phi(S_j) < S_j, sorted(phi(S)) would again be a maximal sequence before S.
 The walk visits a subset of the nodes it would visit otherwise, in the same
 order, and finds the same witness.  A prefix with three distinct elements,
-or one whose stabilizer is trivial, tries every candidate.
+or one whose stabilizer is trivial, tries every candidate.  A frame
+carries only its fixed points; ``_minima_fixing`` is cached by group value.
 
 One closed form, Olson's D* = 1 + sum (d_i - 1), is D(G) at rank <= 2 and
 on p-groups; it is a cross-check and the fast path of :func:`davenport_get`
@@ -46,10 +47,11 @@ at run time; the tests check it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import cache
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, InvalidArgument
-from .groups import AbelianGroup, Element, _factorint
+from .groups import AbelianGroup, Element, _factorint, _orbit_roots
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -78,26 +80,87 @@ class DavenportRecord:
 
 
 def zero_sum_free_check(g: AbelianGroup, seq: Sequence[Element]) -> bool:
-    """True iff no nonempty subset of seq sums to zero.
+    """True iff no nonempty subset of seq sums to zero, once every entry
+    has passed ``check_element`` (InvalidElement otherwise).
 
     Incremental reachable-sum set: zero first appears exactly when some new
     element e is itself zero or hits -e among the sums so far.
     """
+    for e in seq:
+        g.check_element(e)
     zero = g.zero()
     sums: set[Element] = set()
     for e in seq:
-        g.check_element(e)
         if e == zero or g.neg(e) in sums:
             return False
         sums = sums | {g.add(s, e) for s in sums} | {e}
     return True
 
 
+def _schreier_generators(
+    n: int, maps: Sequence[Sequence[int]], point: int
+) -> Iterator[tuple[int, ...]]:
+    """Generators of the stabilizer of ``point`` in the group that the
+    permutations ``maps`` of [0, n) generate (Schreier's lemma): u_c^-1 g u_b
+    for each b in the orbit of ``point`` and each g, where c = g(b) and u_b
+    is a product of generators carrying ``point`` to b.  Identities are left
+    out; repeats are not."""
+    identity = tuple(range(n))
+    transversal = {point: identity}
+    orbit = [point]
+    for b in orbit:
+        u = transversal[b]
+        for g in maps:
+            if g[b] not in transversal:
+                transversal[g[b]] = tuple([g[x] for x in u])
+                orbit.append(g[b])
+    inverses: dict[int, list[int]] = {}
+    for b in orbit:
+        u = transversal[b]
+        for g in maps:
+            c = g[b]
+            inverse = inverses.get(c)
+            if inverse is None:
+                inverse = inverses[c] = [0] * n
+                for x, y in enumerate(transversal[c]):
+                    inverse[y] = x
+            s = tuple([inverse[g[x]] for x in u])
+            if s != identity:
+                yield s
+
+
+@cache
+def _stabilizer(g: AbelianGroup, a: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of Stab_H(a), for the H of ``AbelianGroup._automorphism_maps``
+    and a rank a, repeats removed; cached by the group's value."""
+    return tuple(set(_schreier_generators(g.order, g._automorphism_maps, a)))
+
+
+@cache
+def _minima_fixing(g: AbelianGroup, points: tuple[int, ...]) -> int:
+    """Bit mask of the ranks that are the smallest in their orbit under the
+    pointwise stabilizer in H of zero, one or two ranks ``points`` (H
+    itself for none); 0 when that stabilizer is trivial.  Schreier's lemma
+    gives generators of Stab_H(a, b) from those of Stab_H(a).  Cached by the
+    group's value, so equal groups share their entries."""
+    n = g.order
+    gens = _stabilizer(g, points[0]) if points else g._automorphism_maps
+    if len(points) == 2 and gens:
+        gens = _schreier_generators(n, gens, points[1])
+    mask = 0
+    for r, root in enumerate(_orbit_roots(range(n), [image.__getitem__ for image in gens])):
+        if root == r:
+            mask |= 1 << r
+    return 0 if mask == (1 << n) - 1 else mask
+
+
 def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> DavenportRecord:
     """D(G) by exhaustive search; the witness is the lexicographically first
     zero-sum-free sequence of maximal length (as a non-decreasing tuple).
     The walk keeps its own frames, so no recursion limit caps D(G).
-    InvalidArgument for a node budget below 1."""
+    InvalidArgument unless the node budget is an int >= 1 (bools refused)."""
+    if type(node_budget) is not int:
+        raise InvalidArgument(f"node budget {node_budget!r} is not an integer")
     if node_budget < 1:
         raise InvalidArgument(f"node budget {node_budget} must be >= 1")
     n = g.order
@@ -110,16 +173,15 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
     best_witness: tuple[int, ...] = ()
     stack: list[int] = []
     nodes = 0
-    # (candidates still to try, sums of the prefix, symmetry left): first
+    # (candidates still to try, sums of the prefix, fixed points): first
     # elements are nonzero H-orbit minima (none on Z_1), as above, and later
-    # ones never fall below the last.  The symmetry left is (distinct prefix
-    # elements, minima of their stabilizer) while those are at most two and
-    # fix something; every other frame tries all of range(e, n)
-    minima_fixing = g._minima_fixing
-    root = minima_fixing(())
-    frames = [(iter([r for r in range(1, n) if not root or root >> r & 1]), 0, ((), 0))]
+    # ones never fall below the last.  The fixed points are the distinct
+    # prefix elements while they are at most two and their stabilizer is
+    # not trivial, else None; a frame with None tries all of range(e, n)
+    root = _minima_fixing(g, ())
+    frames = [(iter([r for r in range(1, n) if not root or root >> r & 1]), 0, ())]
     while frames:
-        candidates, sums_mask, symmetry = frames[-1]
+        candidates, sums_mask, points = frames[-1]
         size = len(stack) + 1  # of the prefix with one candidate appended
         for e in candidates:
             if sums_mask >> neg_rank[e] & 1:
@@ -141,19 +203,16 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
             # unless that room can carry it past the best length
             if size + n - 1 - new_mask.bit_count() > best_len:
                 stack.append(e)
-                if symmetry is None:
-                    frames.append((iter(range(e, n)), new_mask, None))
-                    break  # descend; this frame resumes after e
-                points, minima = symmetry
-                if not points or points[-1] != e:
-                    points = (*points, e)
-                    minima = minima_fixing(points) if len(points) <= 2 else 0
+                fixed = points
+                if fixed is not None and fixed[-1:] != (e,):
+                    fixed = (*fixed, e) if len(fixed) < 2 else None
+                minima = fixed is not None and _minima_fixing(g, fixed)
                 if minima:
                     kept = [r for r in range(e, n) if minima >> r & 1]
-                    frames.append((iter(kept), new_mask, (points, minima)))
+                    frames.append((iter(kept), new_mask, fixed))
                 else:
                     frames.append((iter(range(e, n)), new_mask, None))
-                break  # as above
+                break  # descend; this frame resumes after e
         else:  # every candidate tried: back up to the parent frame
             frames.pop()
             if stack:

@@ -7,7 +7,11 @@ Z_4 x Z_6 and Z_2 x Z_12 build equal groups with equal hashes.  Elements
 always live in the canonical presentation.  Sets of elements can also be
 kept as bitmasks over element ranks and moved as a whole by an element,
 given by its rank, with :meth:`AbelianGroup.translate`; its shift steps per
-rank, and addition and scaling tables on ranks, are built on first use.
+rank, and addition and scaling tables on ranks, are built on first use, and
+once per process: :func:`canonicalize` returns one object per chain.  The
+Davenport search and the conjecture scan share the generators of a subgroup
+H of Aut(G) (``AbelianGroup._automorphism_maps``) and one orbit engine
+(``_orbit_roots``); the stabilizers live in ``zsum.davenport``.
 
 All values are immutable and hashable.
 """
@@ -17,8 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidElement, InvalidGroup, InvalidInstance
 
@@ -90,48 +94,6 @@ def _orbit_roots(items: Sequence, moves: Iterable[Callable]) -> list[int]:
     return [find(i) for i in range(len(items))]
 
 
-def _orbit_minima_mask(n: int, maps: Iterable[Sequence[int]]) -> int:
-    """Bit mask of the ranks in [0, n) that are the smallest in their orbit
-    under the group the rank permutations ``maps`` generate."""
-    mask = 0
-    for r, root in enumerate(_orbit_roots(range(n), [image.__getitem__ for image in maps])):
-        if root == r:
-            mask |= 1 << r
-    return mask
-
-
-def _schreier_generators(
-    n: int, maps: Sequence[Sequence[int]], point: int
-) -> Iterator[tuple[int, ...]]:
-    """Generators of the stabilizer of ``point`` in the group that the
-    permutations ``maps`` of [0, n) generate (Schreier's lemma): u_c^-1 g u_b
-    for each b in the orbit of ``point`` and each g, where c = g(b) and u_b
-    is a product of generators carrying ``point`` to b.  Identities are left
-    out; repeats are not."""
-    identity = tuple(range(n))
-    transversal = {point: identity}
-    orbit = [point]
-    for b in orbit:
-        u = transversal[b]
-        for g in maps:
-            if g[b] not in transversal:
-                transversal[g[b]] = tuple([g[x] for x in u])
-                orbit.append(g[b])
-    inverses: dict[int, list[int]] = {}
-    for b in orbit:
-        u = transversal[b]
-        for g in maps:
-            c = g[b]
-            inverse = inverses.get(c)
-            if inverse is None:
-                inverse = inverses[c] = [0] * n
-                for x, y in enumerate(transversal[c]):
-                    inverse[y] = x
-            s = tuple([inverse[g[x]] for x in u])
-            if s != identity:
-                yield s
-
-
 def invariant_factors_of(orders: Sequence[int]) -> tuple[int, ...]:
     """Recombine a diagonal presentation into the divisibility chain.
 
@@ -141,6 +103,8 @@ def invariant_factors_of(orders: Sequence[int]) -> tuple[int, ...]:
     """
     buckets: dict[int, list[int]] = {}
     for d in orders:
+        if type(d) is not int:
+            raise InvalidGroup(f"cyclic order {d!r} is not an integer")
         if d < 1:
             raise InvalidGroup(f"cyclic order must be >= 1, got {d}")
         for p, e in _factorint(d).items():
@@ -163,7 +127,8 @@ class AbelianGroup:
     """Canonical presentation of a finite abelian group: its invariant
     factors, which it compares and hashes by.
 
-    Construct via :func:`canonicalize`; the constructor trusts its inputs.
+    Construct via :func:`canonicalize`, which hands out one object per
+    chain; the constructor trusts its inputs.
     """
 
     invariant_factors: tuple[int, ...]
@@ -289,41 +254,6 @@ class AbelianGroup:
         rank = self.element_rank
         return [[rank(b) for b in image] for image in images]
 
-    def _minima_fixing(self, points: tuple[int, ...]) -> int:
-        """Bit mask of the ranks that are the smallest in their orbit under
-        the pointwise stabilizer in H of zero, one or two ranks ``points``
-        (the H of :attr:`_automorphism_maps` itself for none); 0 when that
-        stabilizer is trivial.  Schreier's lemma gives generators of
-        Stab_H(a) from those of H, and of Stab_H(a, b) from those of
-        Stab_H(a).  Built on first request and cached per group; only the
-        generators of the one-point stabilizers are kept."""
-        masks = self._stabilizer_masks
-        mask = masks.get(points)
-        if mask is None:
-            n = self.order
-            if not points:
-                gens = self._automorphism_maps
-            else:
-                gens = self._point_stabilizers.get(points[0])
-                if gens is None:
-                    gens = list(set(_schreier_generators(n, self._automorphism_maps, points[0])))
-                    self._point_stabilizers[points[0]] = gens
-            if len(points) == 2 and gens:
-                gens = _schreier_generators(n, gens, points[1])
-            mask = _orbit_minima_mask(n, gens)
-            masks[points] = mask = 0 if mask == (1 << n) - 1 else mask
-        return mask
-
-    @cached_property
-    def _point_stabilizers(self) -> dict[int, list[tuple[int, ...]]]:
-        """Rank a -> generators of Stab_H(a), filled by :meth:`_minima_fixing`."""
-        return {}
-
-    @cached_property
-    def _stabilizer_masks(self) -> dict[tuple[int, ...], int]:
-        """Fixed ranks -> stabilizer minima, filled by :meth:`_minima_fixing`."""
-        return {}
-
     @cached_property
     def rank_index(self) -> dict[Element, int]:
         """Element to rank: the inverse of :meth:`elements`, n entries."""
@@ -362,11 +292,15 @@ class AbelianGroup:
 
 
 def canonicalize(orders: Sequence[int]) -> AbelianGroup:
-    """Build the group for a list of cyclic orders (each >= 1)."""
-    orders = tuple(orders)
-    if not all(isinstance(d, int) and d >= 1 for d in orders):
-        raise InvalidGroup(f"orders must be positive integers, got {orders!r}")
-    return AbelianGroup(invariant_factors=invariant_factors_of(orders))
+    """The group for a list of cyclic orders (each an int >= 1, bools
+    refused): one shared object per invariant-factor chain, so its cached
+    tables are built once per process."""
+    return _interned(invariant_factors_of(orders))
+
+
+@cache
+def _interned(invariant_factors: tuple[int, ...]) -> AbelianGroup:
+    return AbelianGroup(invariant_factors=invariant_factors)
 
 
 def rho(x: Sequence) -> int:
@@ -381,10 +315,10 @@ def rho(x: Sequence) -> int:
 
 def groups_of_order(q: int) -> list[AbelianGroup]:
     """All abelian groups of order q, one per invariant-factor chain."""
+    if type(q) is not int:
+        raise InvalidGroup(f"order {q!r} is not an integer")
     if q < 1:
         raise InvalidGroup(f"order must be >= 1, got {q}")
-    if q == 1:
-        return [canonicalize([1])]
 
     def chains_desc(rem: int, cap: int) -> list[list[int]]:
         # descending chains c_1 >= c_2 >= ..., c_{i+1} | c_i, product rem
@@ -405,6 +339,8 @@ def groups_of_order(q: int) -> list[AbelianGroup]:
 
 
 def groups_up_to_order(max_order: int) -> list[AbelianGroup]:
+    if type(max_order) is not int:
+        raise InvalidGroup(f"max order {max_order!r} is not an integer")
     out = []
     for q in range(1, max_order + 1):
         out.extend(groups_of_order(q))

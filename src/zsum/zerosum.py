@@ -216,6 +216,8 @@ def find_zero_sum_bounded(g: AbelianGroup, x: Sequence[Element], k: int) -> tupl
     n = g.order
     if len(x) != n:
         raise InvalidInstance(f"need a sequence of length |G| = {n}, got {len(x)}")
+    if type(k) is not int:
+        raise InvalidInstance(f"length cap k = {k!r} is not an integer")
     if not 1 <= k <= n:
         raise InvalidInstance(f"length cap k = {k} outside [1, {n}]")
     _check_elements(g, x)
@@ -237,6 +239,8 @@ def find_zero_sum_exact_length(
     g: AbelianGroup, x: Sequence[Element], length: int
 ) -> tuple[int, ...] | None:
     """Zero-sum subsequence of exactly the given length, or None."""
+    if type(length) is not int:
+        raise InvalidInstance(f"length {length!r} is not an integer")
     if not 1 <= length <= len(x):
         raise InvalidInstance(f"length {length} outside [1, {len(x)}]")
     _check_elements(g, x)

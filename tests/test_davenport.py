@@ -21,7 +21,7 @@ from zsum.davenport import (
     generator_repeat_witness,
     zero_sum_free_check,
 )
-from zsum.errors import BudgetExceeded, InvalidElement
+from zsum.errors import BudgetExceeded, InvalidArgument, InvalidElement
 from zsum.groups import canonicalize, groups_of_order, groups_up_to_order
 from zsum.serialize import davenport_record_to_json, dumps_stable
 
@@ -341,6 +341,12 @@ def test_node_budget_exhaustion_raises():
     assert err.value.lower_bound >= 1
 
 
+@pytest.mark.parametrize("budget", ["x", True, 2.5, None])
+def test_node_budget_must_be_an_int(budget):
+    with pytest.raises(InvalidArgument, match="is not an integer"):
+        davenport_exact(canonicalize([3]), node_budget=budget)
+
+
 def test_witness_rejects_foreign_elements():
     g = canonicalize([4])
     with pytest.raises(InvalidElement):
@@ -351,6 +357,13 @@ def test_witness_rejects_foreign_elements():
 def test_zero_sum_free_check_refuses_entries_that_are_not_tuples_of_ints(bad):
     with pytest.raises(InvalidElement):
         zero_sum_free_check(canonicalize([4]), [(2,), bad])
+
+
+@pytest.mark.parametrize("seq", [[(0,), (5,)], [(1,), (1,), [7]]])
+def test_zero_sum_free_check_checks_every_entry_before_it_answers(seq):
+    # a zero-sum closes before the malformed entry, which is refused anyway
+    with pytest.raises(InvalidElement):
+        zero_sum_free_check(canonicalize([2]), seq)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zsum.groups
-from zsum.davenport import davenport_exact
+from zsum.davenport import _minima_fixing, _schreier_generators, _stabilizer, davenport_exact
 from zsum.errors import InvalidElement, InvalidGroup, InvalidInstance
 from zsum.groups import (
     MAX_FACTORED_ORDER,
     AbelianGroup,
     _orbit_roots,
-    _schreier_generators,
     canonicalize,
     groups_of_order,
     groups_up_to_order,
@@ -76,6 +75,19 @@ def test_canonicalize_rejects_bad_orders():
         canonicalize([-3])
     with pytest.raises(InvalidGroup):
         canonicalize([4, 0, 6])
+
+
+@pytest.mark.parametrize("orders", [[True, 2], [2.0], ["4"], [4, None]])
+def test_canonicalize_refuses_orders_that_are_not_ints(orders):
+    with pytest.raises(InvalidGroup, match="is not an integer"):
+        canonicalize(orders)
+
+
+def test_canonicalize_returns_one_object_per_chain():
+    # the cached tables of a group are then built once per process
+    assert canonicalize([4, 6]) is canonicalize([2, 12])
+    assert canonicalize([2, 12]) is canonicalize((12, 2))
+    assert canonicalize([8]) is not canonicalize([2, 4])
 
 
 def test_canonicalize_bounds_the_orders_it_factors():
@@ -211,6 +223,15 @@ def test_groups_up_to_order_sorted_and_complete():
     assert len({g.invariant_factors for g in gs}) == len(gs)
 
 
+@pytest.mark.parametrize("census, bad", [
+    (groups_of_order, 2.0), (groups_of_order, True), (groups_of_order, "8"),
+    (groups_up_to_order, 2.5), (groups_up_to_order, True), (groups_up_to_order, None),
+])
+def test_census_helpers_refuse_orders_that_are_not_ints(census, bad):
+    with pytest.raises(InvalidGroup, match="is not an integer"):
+        census(bad)
+
+
 @given(st.lists(st.integers(min_value=1, max_value=12), min_size=0, max_size=4))
 def test_canonicalize_total_on_valid_orders(orders):
     g = canonicalize(orders)
@@ -311,7 +332,7 @@ def test_orbit_maps_are_automorphisms_and_minima_match_their_closure():
                         orbit.add(image[a])
                         frontier.append(image[a])
             seen |= orbit
-        assert _nonzero_ranks(g._minima_fixing(()), n) == minima, g
+        assert _nonzero_ranks(_minima_fixing(g, ()), n) == minima, g
 
 
 @pytest.mark.parametrize("orders", [(2, 2, 6), (2, 12)])
@@ -321,7 +342,9 @@ def test_one_search_builds_the_automorphism_maps_once(monkeypatch, orders):
     calls = []
     original = zsum.groups._unit_generators
     monkeypatch.setattr(zsum.groups, "_unit_generators", lambda d: calls.append(d) or original(d))
-    g = canonicalize(list(orders))
+    g = AbelianGroup(invariant_factors=orders)  # not the interned object
+    _stabilizer.cache_clear()
+    _minima_fixing.cache_clear()
     davenport_exact(g)
     assert calls == list(g.invariant_factors)
     assert g._automorphism_maps is g._automorphism_maps
@@ -333,14 +356,25 @@ def _nonzero_ranks(mask, n):
 
 
 def test_orbit_minima_examples():
-    assert canonicalize([5, 5])._minima_fixing(()) == 0b11  # GL(2, 5) is transitive
+    assert _minima_fixing(canonicalize([5, 5]), ()) == 0b11  # GL(2, 5) is transitive
     # in Z_6 the orbits are the elements of each order
-    assert canonicalize([6])._minima_fixing(()) == 0b1111
-    assert _nonzero_ranks(canonicalize([1])._minima_fixing(()), 1) == []
+    assert _minima_fixing(canonicalize([6]), ()) == 0b1111
+    assert _nonzero_ranks(_minima_fixing(canonicalize([1]), ()), 1) == []
     g = canonicalize([2, 4])
-    mask = g._minima_fixing(())
-    assert g._stabilizer_masks[()] is mask
-    assert g._minima_fixing(()) is mask
+    mask = _minima_fixing(g, ())
+    assert _minima_fixing(g, ()) is mask
+
+
+def test_equal_groups_share_their_stabilizer_minima():
+    # the cache is keyed by the group's value: a group built outside
+    # canonicalize reads the interned group's entry and builds no maps
+    interned = canonicalize([3, 9])
+    mask = _minima_fixing(interned, (1,))
+    assert mask > 256  # a fresh int object, so `is` shows the shared entry
+    other = AbelianGroup(invariant_factors=(3, 9))
+    assert other is not interned
+    assert _minima_fixing(other, (1,)) is mask
+    assert "_automorphism_maps" not in vars(other)
 
 
 def _closure(n, maps):
@@ -380,23 +414,23 @@ def test_stabilizer_minima_match_the_closed_stabilizers():
     for g in groups_up_to_order(16):
         n = g.order
         group = _closure(n, g._automorphism_maps)
-        assert g._minima_fixing(()) == _fixing_minima(n, group, ())
-        for a in _nonzero_ranks(g._minima_fixing(()), n):
-            one = g._minima_fixing((a,))
+        assert _minima_fixing(g, ()) == _fixing_minima(n, group, ())
+        for a in _nonzero_ranks(_minima_fixing(g, ()), n):
+            one = _minima_fixing(g, (a,))
             assert one == _fixing_minima(n, group, (a,)), (g, a)
-            gens = g._point_stabilizers[a]
+            gens = _stabilizer(g, a)
             assert all(_is_automorphism_fixing(g, p, (a,)) for p in gens), (g, a)
             for b in range(a + 1, n):
                 if one and not one >> b & 1:
                     continue  # the search never appends b after a
-                assert g._minima_fixing((a, b)) == _fixing_minima(n, group, (a, b)), (g, a, b)
+                assert _minima_fixing(g, (a, b)) == _fixing_minima(n, group, (a, b)), (g, a, b)
                 for p in _schreier_generators(n, gens, b):
                     assert _is_automorphism_fixing(g, p, (a, b)), (g, a, b)
 
 
 def test_stabilizer_minima_examples():
-    assert canonicalize([7])._minima_fixing((1,)) == 0  # only 1 fixes 1 in Z_7
-    assert canonicalize([2, 2])._minima_fixing((1,)) == 0b0111  # swaps 2 and 3
+    assert _minima_fixing(canonicalize([7]), (1,)) == 0  # only 1 fixes 1 in Z_7
+    assert _minima_fixing(canonicalize([2, 2]), (1,)) == 0b0111  # swaps 2 and 3
     g = canonicalize([3, 3])
-    assert g._minima_fixing((1, 3)) == 0  # fixing a basis fixes everything
-    assert g._minima_fixing((1,)) is g._minima_fixing((1,))
+    assert _minima_fixing(g, (1, 3)) == 0  # fixing a basis fixes everything
+    assert _minima_fixing(g, (1,)) is _minima_fixing(g, (1,))

@@ -159,6 +159,14 @@ def test_exact_length_preconditions():
         find_zero_sum_exact_length(g, ((1,), (2,)), 3)
 
 
+@pytest.mark.parametrize("finder", [find_zero_sum_bounded, find_zero_sum_exact_length])
+@pytest.mark.parametrize("bad", [2.0, True, "2"])
+def test_finders_refuse_lengths_that_are_not_ints(finder, bad):
+    x = ((1,), (2,), (3,), (0,))
+    with pytest.raises(InvalidInstance, match="is not an integer"):
+        finder(canonicalize([4]), x, bad)
+
+
 def test_erdos_ginzburg_ziv_small():
     # any 2n-1 elements of Z_n contain an n-subset summing to zero
     for n in (2, 3, 4):
