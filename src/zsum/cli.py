@@ -26,6 +26,7 @@ import sys
 
 from .davenport import (
     DEFAULT_NODE_BUDGET,
+    _check_budget,
     davenport_exact,
     davenport_formula_record,
     davenport_get,
@@ -87,14 +88,6 @@ def _check_out_path(path: str | None) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise InvalidArgument(f"output directory does not exist: {directory}")
-
-
-def _check_node_budget(budget: int | None) -> None:
-    """InvalidArgument for a ``--node-budget`` below 1, checked before any
-    output: ``davenport-table`` prints its closed-form rows before it first
-    searches, and other routes never search at all."""
-    if budget is not None and budget < 1:
-        raise InvalidArgument(f"node budget {budget} must be >= 1")
 
 
 def _write(path: str, payload: dict) -> None:
@@ -331,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
         if CACHE_ENV_VAR in os.environ:
             raise InvalidArgument(f"{CACHE_ENV_VAR} is set, but zsum reads no Davenport cache file")
         _check_out_path(getattr(args, "out", None))
-        _check_node_budget(getattr(args, "node_budget", None))
+        if hasattr(args, "node_budget"):  # before any output: davenport-table prints rows first
+            _check_budget(args.node_budget)
         return args.func(args)
     except TheoremViolation as err:
         print(f"THEOREM VIOLATION: {err}", file=sys.stderr)

@@ -51,23 +51,26 @@ counts and three lazy instance streams.
 
 The scan trusts what it generated: every x it decides is a rank tuple it
 built or drew itself, so nothing is re-validated between generation and
-decision.  Checks live at the public edge: ``conjecture_check_instance``
-checks |x|, k, every entry, every weight and then the maximal repetition
-(which hashes the entries), and ``enumerate_zero_selection`` every entry
-and every weight.  Each decided pair is decided by two routes.  The first
-is a memoized DFS on element ranks (rank 0 is the zero element) over
-(weight index, used-position mask, running-sum rank) states: each weight
-value's row of w_i * x_j ranks is read off the group's cached scaling
-table (weights reduced mod the exponent, so negative, zero and huge
-weights all work) once per x, and the running sum moves through the
-cached rank addition table.  The second route is an independent
-lexicographic enumeration of all (I, f) pairs on the exhaustive oracle's
-core (the one ``fallback_search`` runs on), which values every candidate
-with its own per-coordinate arithmetic on the raw integers, so it trusts
-nothing the DFS computed.  Disagreement aborts the scan.  Counterexamples are, by
-construction, instances whose orbit pair's enumeration ran to
-exhaustion.  A reported witness is the oracle's selection for its own
-instance, not for its class's or orbit's representative.
+decision.  The public edge checks with the rules of ``zsum.groups``:
+``conjecture_check_instance`` the weights (a list or tuple of ints), then
+x, |x|, k = |w| and the maximal repetition through the bounded finder's
+``zerosum._check_full_length``; ``enumerate_zero_selection`` x and the
+weights; ``_validated`` a ScanConfig, whose ``orders`` and
+``weight_values`` are lists or tuples of ints.  Each decided pair is
+decided by two routes.  The first is a memoized DFS on element ranks (rank
+0 is the zero element) over (weight index, used-position mask, running-sum
+rank) states: each weight value's row of w_i * x_j ranks is read off the
+group's cached scaling table (weights reduced mod the exponent, so
+negative, zero and huge weights all work) once per x, and the running sum
+moves through the cached rank addition table.  The second route is an
+independent lexicographic enumeration of all (I, f) pairs on the
+exhaustive oracle's core (the one ``fallback_search`` runs on), which
+values every candidate with its own per-coordinate arithmetic on the raw
+integers, so it trusts nothing the DFS computed.  Disagreement aborts the
+scan.  Counterexamples are, by construction, instances whose orbit pair's
+enumeration ran to exhaustion.  A reported witness is the oracle's
+selection for its own instance, not for its class's or orbit's
+representative.
 
 Reports are deterministic byte-for-byte for a fixed configuration: the
 instance order is canonical (x in lexicographic order, weights varying
@@ -89,14 +92,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .davenport import davenport_get
 from .errors import BudgetExceeded, InvalidArgument, InvalidInstance, TheoremViolation
-from .groups import AbelianGroup, Element, _orbit_roots, canonicalize, rho
-from .weighted import (
-    Selection,
-    _check_weights,
-    _coordinate_columns,
-    _first_selection,
-    _index_sets,
-)
+from .groups import AbelianGroup, Element, _checked_int, _checked_ints, _orbit_roots, canonicalize
+from .weighted import Selection, _coordinate_columns, _first_selection, _index_sets
+from .zerosum import _check_full_length
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
@@ -230,10 +228,10 @@ def enumerate_zero_selection(
     g: AbelianGroup, x: Sequence[Element], w: Sequence[int]
 ) -> Selection | None:
     """Independent route: lexicographic enumeration over all (I, f), after
-    checking every entry of x and every weight."""
-    for e in x:
-        g.check_element(e)
-    _check_weights(w)
+    checking x (``check_elements``) and the weights (a list or tuple of
+    ``int``)."""
+    g.check_elements(x)
+    _checked_ints(w, "weight", InvalidInstance)
     return _first_zero(_coordinate_columns(g, x), len(x), w)
 
 
@@ -266,39 +264,25 @@ def conjecture_check_instance(
 ) -> Selection | None:
     """Verified zero-value selection, or None for a counterexample candidate.
 
-    Requires |x| = |G|, 1 <= |w| <= |G|, elements of G (InvalidElement
-    otherwise, checked before the repetition), ``int`` weights
-    (InvalidInstance otherwise) and maximal repetition of x at most |w|.
-    Decides via the memoized DFS, then confirms by lexicographic
-    enumeration; the two routes must agree or an AssertionError is raised.
+    Checks w (a list or tuple of ints), then the bounded finder's
+    hypotheses with k = |w| (``zerosum._check_full_length``).  Decides via
+    the memoized DFS, then confirms by lexicographic enumeration; the two
+    routes must agree or an AssertionError is raised.
     """
-    n = g.order
-    if len(x) != n:
-        raise InvalidInstance(f"need |x| = |G| = {n}, got {len(x)}")
-    if not 1 <= len(w) <= n:
-        raise InvalidInstance(f"need 1 <= k <= n = {n}, got k = {len(w)}")
-    for e in x:
-        g.check_element(e)
-    _check_weights(w)
-    if rho(x) > len(w):
-        raise InvalidInstance(f"maximal repetition {rho(x)} exceeds k = {len(w)}")
+    _check_full_length(g, x, len(_checked_ints(w, "weight", InvalidInstance)))
     index = g.rank_index
     return _decide(g, g.elements(), [index[e] for e in x], [w])[0]
 
 
 def _validated(config: ScanConfig) -> tuple[AbelianGroup, ScanConfig]:
     for field in ("k", "sample_size", "budget", "seed"):
-        value = getattr(config, field)
-        if type(value) is not int:
-            raise InvalidArgument(f"{field} = {value!r} is not an integer")
+        _checked_int(getattr(config, field), f"{field} =", InvalidArgument)
     g = canonicalize(config.orders)
     n = g.order
     if not 1 <= config.k <= n:
         raise InvalidArgument(f"k = {config.k} must lie in [1, {n}]")
-    for v in config.weight_values:
-        if type(v) is not int:
-            raise InvalidArgument(f"weight value {v!r} is not an integer")
-    values = tuple(sorted(set(config.weight_values)))
+    values = tuple(sorted(set(_checked_ints(config.weight_values, "weight value",
+                                            InvalidArgument))))
     if not values:
         raise InvalidArgument("weight value set is empty")
     if config.mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):

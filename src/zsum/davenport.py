@@ -41,7 +41,9 @@ after an earlier lookup in the same process.  The groups of order <= 64 it
 misses are served from SEARCHED_FACTORS, and any other group is searched.
 Nothing is read from or written to a file.  The D* witness (d_i - 1 copies
 of each generator) is zero-sum-free by construction and is not re-checked
-at run time; the tests check it.
+at run time; the tests check it.  ``davenport_exact``, ``davenport_get``
+and the CLI check a node budget first, searched or not, with one rule,
+``_check_budget``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from functools import cache
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, InvalidArgument
-from .groups import AbelianGroup, Element, _factorint, _orbit_roots
+from .groups import AbelianGroup, Element, _checked_int, _factorint, _orbit_roots
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -80,14 +82,13 @@ class DavenportRecord:
 
 
 def zero_sum_free_check(g: AbelianGroup, seq: Sequence[Element]) -> bool:
-    """True iff no nonempty subset of seq sums to zero, once every entry
-    has passed ``check_element`` (InvalidElement otherwise).
+    """True iff no nonempty subset of seq sums to zero, once ``seq`` has
+    passed ``check_elements`` (InvalidInstance or InvalidElement otherwise).
 
     Incremental reachable-sum set: zero first appears exactly when some new
     element e is itself zero or hits -e among the sums so far.
     """
-    for e in seq:
-        g.check_element(e)
+    g.check_elements(seq)
     zero = g.zero()
     sums: set[Element] = set()
     for e in seq:
@@ -154,15 +155,18 @@ def _minima_fixing(g: AbelianGroup, points: tuple[int, ...]) -> int:
     return 0 if mask == (1 << n) - 1 else mask
 
 
+def _check_budget(node_budget: object) -> None:
+    """InvalidArgument unless the node budget is an int >= 1 (bools refused)."""
+    if _checked_int(node_budget, "node budget", InvalidArgument) < 1:
+        raise InvalidArgument(f"node budget {node_budget} must be >= 1")
+
+
 def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> DavenportRecord:
     """D(G) by exhaustive search; the witness is the lexicographically first
     zero-sum-free sequence of maximal length (as a non-decreasing tuple).
     The walk keeps its own frames, so no recursion limit caps D(G).
-    InvalidArgument unless the node budget is an int >= 1 (bools refused)."""
-    if type(node_budget) is not int:
-        raise InvalidArgument(f"node budget {node_budget!r} is not an integer")
-    if node_budget < 1:
-        raise InvalidArgument(f"node budget {node_budget} must be >= 1")
+    InvalidArgument unless the node budget passes ``_check_budget``."""
+    _check_budget(node_budget)
     n = g.order
     elements = g.elements()  # rank 0 is the zero element
     factors = g.invariant_factors
@@ -261,7 +265,8 @@ _memo: dict[tuple[int, ...], DavenportRecord] = {}  # by invariant factors, meth
 def davenport_get(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> DavenportRecord:
     """D(G) from, in order: an earlier lookup in this process (method
     "cache"), the closed form, the record of a group in SEARCHED_FACTORS,
-    else the exact search."""
+    else the exact search; the node budget is checked first."""
+    _check_budget(node_budget)
     key = g.invariant_factors
     hit = _memo.get(key)
     if hit is not None:

@@ -13,6 +13,11 @@ Davenport search and the conjecture scan share the generators of a subgroup
 H of Aut(G) (``AbelianGroup._automorphism_maps``) and one orbit engine
 (``_orbit_roots``); the stabilizers live in ``zsum.davenport``.
 
+Every argument rule of the library edge is defined here once:
+``_checked_int`` (an ``int``, bools refused), ``_checked_sequence`` (a list
+or tuple), ``_checked_ints`` and :meth:`AbelianGroup.check_elements` (a list
+or tuple of such ints, or of valid elements); each caller passes its label.
+
 All values are immutable and hashable.
 """
 
@@ -24,9 +29,30 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
-from .errors import InvalidElement, InvalidGroup, InvalidInstance
+from .errors import InvalidElement, InvalidGroup, InvalidInstance, ZsumError
 
 Element = tuple[int, ...]
+
+
+def _checked_int(value: object, label: str, error: type[ZsumError]) -> int:
+    """``value`` if it is an ``int`` (bools refused), else ``error``."""
+    if type(value) is not int:
+        raise error(f"{label} {value!r} is not an integer")
+    return value
+
+
+def _checked_sequence(values: object, label: str, error: type[ZsumError]) -> Sequence:
+    """``values`` if it is a list or tuple (no iterator, set or str), else ``error``."""
+    if not isinstance(values, (list, tuple)):
+        raise error(f"{label}s must come as a list or tuple, not {type(values).__name__}")
+    return values
+
+
+def _checked_ints(values: object, label: str, error: type[ZsumError]) -> Sequence[int]:
+    """``values`` if it is a list or tuple of ``int`` entries, else ``error``."""
+    for v in _checked_sequence(values, label, error):
+        _checked_int(v, label, error)
+    return values
 
 
 # Trial division runs up to the square root, so this caps it at 2^16 steps.
@@ -102,9 +128,7 @@ def invariant_factors_of(orders: Sequence[int]) -> tuple[int, ...]:
     j-th largest power of every prime.
     """
     buckets: dict[int, list[int]] = {}
-    for d in orders:
-        if type(d) is not int:
-            raise InvalidGroup(f"cyclic order {d!r} is not an integer")
+    for d in _checked_ints(orders, "cyclic order", InvalidGroup):
         if d < 1:
             raise InvalidGroup(f"cyclic order must be >= 1, got {d}")
         for p, e in _factorint(d).items():
@@ -161,6 +185,11 @@ class AbelianGroup:
                 raise InvalidElement(f"residue {r!r} in {a!r} is not an integer")
             if not 0 <= r < d:
                 raise InvalidElement(f"residue {r} out of range [0, {d}) in {a!r}")
+
+    def check_elements(self, seq: Sequence[Element]) -> None:
+        """InvalidInstance unless ``seq`` is a list or tuple; then check_element per entry."""
+        for a in _checked_sequence(seq, "element", InvalidInstance):
+            self.check_element(a)
 
     def add(self, a: Element, b: Element) -> Element:
         self.check_element(a)
@@ -292,9 +321,9 @@ class AbelianGroup:
 
 
 def canonicalize(orders: Sequence[int]) -> AbelianGroup:
-    """The group for a list of cyclic orders (each an int >= 1, bools
-    refused): one shared object per invariant-factor chain, so its cached
-    tables are built once per process."""
+    """The group for a list or tuple of cyclic orders (each an int >= 1,
+    bools refused): one shared object per invariant-factor chain, so its
+    cached tables are built once per process."""
     return _interned(invariant_factors_of(orders))
 
 
@@ -315,9 +344,7 @@ def rho(x: Sequence) -> int:
 
 def groups_of_order(q: int) -> list[AbelianGroup]:
     """All abelian groups of order q, one per invariant-factor chain."""
-    if type(q) is not int:
-        raise InvalidGroup(f"order {q!r} is not an integer")
-    if q < 1:
+    if _checked_int(q, "order", InvalidGroup) < 1:
         raise InvalidGroup(f"order must be >= 1, got {q}")
 
     def chains_desc(rem: int, cap: int) -> list[list[int]]:
@@ -339,9 +366,7 @@ def groups_of_order(q: int) -> list[AbelianGroup]:
 
 
 def groups_up_to_order(max_order: int) -> list[AbelianGroup]:
-    if type(max_order) is not int:
-        raise InvalidGroup(f"max order {max_order!r} is not an integer")
     out = []
-    for q in range(1, max_order + 1):
+    for q in range(1, _checked_int(max_order, "max order", InvalidGroup) + 1):
         out.extend(groups_of_order(q))
     return out

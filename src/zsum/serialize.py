@@ -63,12 +63,8 @@ def _expect(condition: bool, where: str, message: str) -> None:
 
 def _int_list(obj: Any, where: str) -> list[int]:
     _expect(isinstance(obj, list), where, f"expected a list, got {type(obj).__name__}")
-    for pos, item in enumerate(obj):
-        _expect(
-            isinstance(item, int) and not isinstance(item, bool),
-            f"{where}[{pos}]",
-            f"expected an integer, got {item!r}",
-        )
+    for pos, item in enumerate(obj):  # a JSON int; true and false are bools
+        _expect(type(item) is int, f"{where}[{pos}]", f"expected an integer, got {item!r}")
     return list(obj)
 
 
@@ -119,11 +115,7 @@ def instance_from_json(obj: Any, where: str = "instance") -> tuple[str, Instance
     )
     w = tuple(_int_list(obj["w"], f"{where}.w"))
     ell = obj["ell"]
-    _expect(
-        isinstance(ell, int) and not isinstance(ell, bool),
-        f"{where}.ell",
-        f"expected an integer, got {ell!r}",
-    )
+    _expect(type(ell) is int, f"{where}.ell", f"expected an integer, got {ell!r}")
     return statement, Instance(group=g, x=x, w=w, ell=ell)
 
 
@@ -159,11 +151,8 @@ def certificate_from_json(obj: Any, where: str = "certificate") -> tuple[Abelian
             f"{where}.f",
             f"key {key!r} is not an integer in canonical form",
         )
-        _expect(
-            isinstance(image, int) and not isinstance(image, bool),
-            f"{where}.f[{key}]",
-            f"expected an integer image, got {image!r}",
-        )
+        _expect(type(image) is int, f"{where}.f[{key}]",
+                f"expected an integer image, got {image!r}")
         parsed[int(key)] = image
     _expect(
         sorted(parsed) == list(indices),

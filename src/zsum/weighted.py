@@ -72,7 +72,7 @@ from .errors import (
     TheoremViolation,
     UnsatisfiableStatement,
 )
-from .groups import AbelianGroup, Element, canonicalize, rho
+from .groups import AbelianGroup, Element, _checked_int, _checked_ints, canonicalize, rho
 from .zerosum import _zero_sum
 
 STATEMENT_THEOREM1 = "theorem1"
@@ -85,22 +85,14 @@ SOLVE_CONSTRUCTIVE = "constructive"
 ORACLE_CAP = 12
 
 
-def _check_weights(w: Sequence[int]) -> None:
-    """InvalidInstance unless every weight is an ``int`` (bools refused)."""
-    for v in w:
-        if type(v) is not int:
-            raise InvalidInstance(f"weight {v!r} is not an integer")
-
-
 @dataclass(frozen=True)
 class Instance:
     """A sequence over a group, integer weights, and a repetition bound.
 
     ``w`` may be shorter than ``x`` (the corollary drops the reserved tail),
-    so length relations are checked per statement, not here.  Every entry of
-    ``x`` is checked against the group on construction (InvalidElement), and
-    every weight and ``ell`` must be an ``int`` (InvalidInstance), so the
-    rest of this module trusts them.
+    so length relations are checked per statement, not here.  ``x`` must
+    pass ``check_elements`` and ``w`` and ``ell`` must be a list or tuple of
+    ``int``s and an ``int`` (InvalidInstance), so the rest trusts them.
     """
 
     group: AbelianGroup
@@ -109,11 +101,9 @@ class Instance:
     ell: int
 
     def __post_init__(self) -> None:
-        for e in self.x:
-            self.group.check_element(e)
-        _check_weights(self.w)
-        if type(self.ell) is not int:
-            raise InvalidInstance(f"ell = {self.ell!r} is not an integer")
+        self.group.check_elements(self.x)
+        _checked_ints(self.w, "weight", InvalidInstance)
+        _checked_int(self.ell, "ell =", InvalidInstance)
 
     @property
     def m(self) -> int:
@@ -521,21 +511,31 @@ def _check_selection(
     order, injectivity, index and image range), then the size window, the
     corollary's anchor, the ``claimed`` value (a certificate's; None skips
     it), the value against the statement's target, and the shelling's
-    partition, block widths and block values.
+    partition, block widths and block values.  I and f that are not lists
+    or tuples fail arity, entries that are not ints their range, and a
+    shelling that is not lists or tuples of ints its partition.
 
     Returns the names of the failed checks and the recomputed value, which
     is None when the map is malformed and so cannot be valued.
     """
-    if len(indices) != len(images):
+    sequences = (list, tuple)
+    if not isinstance(indices, sequences) or not isinstance(images, sequences) \
+            or len(indices) != len(images):
         return ["arity"], None
+    index_range = not all(type(i) is int and 1 <= i <= len(inst.w) for i in indices)
+    image_range = not all(type(j) is int and 1 <= j <= inst.m for j in images)
+    if index_range:  # order and injectivity compare the ints only
+        indices = [i for i in indices if type(i) is int]
+    if image_range:
+        images = [j for j in images if type(j) is int]
     failed: list[str] = []
     if any(a >= b for a, b in zip(indices, indices[1:])):
         failed.append("domain order")
     if len(set(images)) != len(images):
         failed.append("injectivity")
-    if any(not 1 <= i <= len(inst.w) for i in indices):
+    if index_range:
         failed.append("index range")
-    if any(not 1 <= j <= inst.m for j in images):
+    if image_range:
         failed.append("image range")
     if failed:
         return failed, None
@@ -557,6 +557,9 @@ def _check_selection(
         failed.append("value")
 
     if shelling is not None:
+        blocks = shelling if isinstance(shelling, sequences) else [None]
+        if not all(isinstance(b, sequences) and all(type(i) is int for i in b) for b in blocks):
+            return failed + ["shelling partition"], value
         flat = [i for block in shelling for i in block]
         if sorted(flat) != list(indices):
             failed.append("shelling partition")

@@ -1,8 +1,10 @@
 """Unweighted zero-sum subsequence solvers.
 
 Three entry points share one engine and answer with sorted tuples of
-1-based positions.  Each validates its sequence once, every entry before
-the maximal repetition (which hashes them); the engine,
+1-based positions.  Each checks x first (``check_elements``), then its
+length, k (an int) and the maximal repetition, which hashes the entries;
+``_check_full_length`` is the bounded finder's, shared with
+``conjecture_check_instance``.  The engine,
 ``_lex_smallest_subset``, trusts its input, so the weighted constructions
 reach it directly on sequences built from a validated Instance.  A set of
 group elements is a bitmask over element ranks
@@ -38,7 +40,7 @@ from typing import Sequence
 
 from .davenport import davenport_get
 from .errors import InvalidInstance, TheoremViolation
-from .groups import AbelianGroup, Element, rho
+from .groups import AbelianGroup, Element, _checked_int, rho
 
 
 def _suffix_reach(g: AbelianGroup, ranks: Sequence[int], cap: int) -> list[list[int]]:
@@ -205,33 +207,32 @@ def _zero_sum(g: AbelianGroup, x: Sequence[Element], hi: int) -> tuple[int, ...]
     return indices
 
 
-def _check_elements(g: AbelianGroup, x: Sequence[Element]) -> None:
-    for e in x:
-        g.check_element(e)
+def _check_full_length(g: AbelianGroup, x: Sequence[Element], k: int) -> None:
+    """The bounded fact's hypotheses, in order: x passes ``check_elements``,
+    |x| = |G|, k is an int in [1, |G|] and rho(x) <= k (InvalidInstance)."""
+    g.check_elements(x)
+    n = g.order
+    if len(x) != n:
+        raise InvalidInstance(f"need |x| = |G| = {n}, got {len(x)}")
+    if not 1 <= _checked_int(k, "k =", InvalidInstance) <= n:
+        raise InvalidInstance(f"k = {k} outside [1, {n}]")
+    if rho(x) > k:
+        raise InvalidInstance(f"maximal repetition {rho(x)} exceeds k = {k}")
 
 
 def find_zero_sum_bounded(g: AbelianGroup, x: Sequence[Element], k: int) -> tuple[int, ...]:
     """Nonempty zero-sum subsequence of length <= k from a full-length
     sequence (|x| = |G|) with maximal repetition <= k."""
-    n = g.order
-    if len(x) != n:
-        raise InvalidInstance(f"need a sequence of length |G| = {n}, got {len(x)}")
-    if type(k) is not int:
-        raise InvalidInstance(f"length cap k = {k!r} is not an integer")
-    if not 1 <= k <= n:
-        raise InvalidInstance(f"length cap k = {k} outside [1, {n}]")
-    _check_elements(g, x)
-    if rho(x) > k:
-        raise InvalidInstance(f"maximal repetition {rho(x)} exceeds cap {k}")
+    _check_full_length(g, x, k)
     return _zero_sum(g, x, k)
 
 
 def find_zero_sum_davenport(g: AbelianGroup, x: Sequence[Element]) -> tuple[int, ...]:
     """Nonempty zero-sum subsequence from any sequence of length >= D(G)."""
+    g.check_elements(x)
     d = davenport_get(g).value
     if len(x) < d:
         raise InvalidInstance(f"need length >= D = {d}, got {len(x)}")
-    _check_elements(g, x)
     return _zero_sum(g, x, len(x))
 
 
@@ -239,9 +240,7 @@ def find_zero_sum_exact_length(
     g: AbelianGroup, x: Sequence[Element], length: int
 ) -> tuple[int, ...] | None:
     """Zero-sum subsequence of exactly the given length, or None."""
-    if type(length) is not int:
-        raise InvalidInstance(f"length {length!r} is not an integer")
-    if not 1 <= length <= len(x):
+    g.check_elements(x)
+    if not 1 <= _checked_int(length, "length", InvalidInstance) <= len(x):
         raise InvalidInstance(f"length {length} outside [1, {len(x)}]")
-    _check_elements(g, x)
     return _lex_smallest_subset(g, x, length, length)

@@ -21,7 +21,7 @@ from zsum.davenport import (
     generator_repeat_witness,
     zero_sum_free_check,
 )
-from zsum.errors import BudgetExceeded, InvalidArgument, InvalidElement
+from zsum.errors import BudgetExceeded, InvalidArgument, InvalidElement, InvalidInstance
 from zsum.groups import canonicalize, groups_of_order, groups_up_to_order
 from zsum.serialize import davenport_record_to_json, dumps_stable
 
@@ -345,6 +345,23 @@ def test_node_budget_exhaustion_raises():
 def test_node_budget_must_be_an_int(budget):
     with pytest.raises(InvalidArgument, match="is not an integer"):
         davenport_exact(canonicalize([3]), node_budget=budget)
+
+
+@pytest.mark.parametrize("budget", ["x", -5, True])
+def test_davenport_get_checks_the_node_budget_without_a_search(budget):
+    # D(Z_3) needs no search, and these budgets once returned D = 3
+    with pytest.raises(InvalidArgument) as exact:
+        davenport_exact(canonicalize([3]), node_budget=budget)
+    with pytest.raises(InvalidArgument) as get:
+        davenport_get(canonicalize([3]), node_budget=budget)
+    assert str(get.value) == str(exact.value)
+
+
+def test_zero_sum_free_check_refuses_a_one_shot_iterable():
+    # checking the entries once used up the iterator, so (2,), (2,) in Z_4
+    # answered True
+    with pytest.raises(InvalidInstance, match="^elements must come as a list or tuple"):
+        zero_sum_free_check(canonicalize([4]), iter([(2,), (2,)]))
 
 
 def test_witness_rejects_foreign_elements():

@@ -628,6 +628,43 @@ def test_each_certificate_mutation_draws_exactly_its_diagnostic(name):
     assert verify_certificate(inst, mutate(cert)) == (False, expected)
 
 
+def _replaced(cert, **fields):
+    """``cert`` with its selection's ``fields`` replaced, values unconverted."""
+    return dataclasses.replace(cert, selection=dataclasses.replace(cert.selection, **fields))
+
+
+# Certificates built in Python with values of the wrong type: each once
+# raised a bare TypeError from the verifier, or (the bool index, read as 1)
+# verified.  name: (mutation, the exact diagnostics it must draw)
+MALFORMED_CERTIFICATES = {
+    "float-index": (lambda c: _replaced(c, indices=(1.0,) + c.selection.indices[1:]),
+                    ["index range"]),
+    "bool-index": (lambda c: _replaced(c, indices=(True,) + c.selection.indices[1:]),
+                   ["index range"]),
+    "str-image": (lambda c: _replaced(c, images=c.selection.images[:-1] + ("a",)),
+                  ["image range"]),
+    "list-image": (lambda c: _replaced(c, images=c.selection.images[:-1] + ([1],)),
+                   ["image range"]),
+    "int-indices": (lambda c: _replaced(c, indices=7), ["arity"]),
+    "str-images": (lambda c: _replaced(c, images="12345678"), ["arity"]),
+    "int-shelling": (lambda c: dataclasses.replace(c, shelling=7), ["shelling partition"]),
+    "int-block": (lambda c: dataclasses.replace(c, shelling=c.shelling[:-1] + (5,)),
+                  ["shelling partition"]),
+    "float-in-block": (
+        lambda c: dataclasses.replace(c, shelling=((6.0, 7, 8, 9), (1, 3), (4, 5))),
+        ["shelling partition"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CERTIFICATES))
+def test_a_malformed_certificate_draws_diagnostics_not_a_type_error(name):
+    inst = Instance(group=canonicalize([3, 3]), x=MUTATION_X, w=MUTATION_W, ell=2)
+    cert = solve_theorem1(inst)
+    mutate, expected = MALFORMED_CERTIFICATES[name]
+    assert verify_certificate(inst, mutate(cert)) == (False, expected)
+
+
 def _moved(cert, index, image, value):
     """``cert`` with f(index) moved to ``image`` and the cached value set."""
     sel = cert.selection
