@@ -169,8 +169,7 @@ def davenport_exact(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> 
     _check_budget(node_budget)
     n = g.order
     elements = g.elements()  # rank 0 is the zero element
-    factors = g.invariant_factors
-    neg_rank = [g.element_rank([-x % d for x, d in zip(e, factors)]) for e in elements]
+    neg_rank = g.neg_ranks
     translate = g.translate
 
     best_len = 0

@@ -16,7 +16,8 @@ H of Aut(G) (``AbelianGroup._automorphism_maps``) and one orbit engine
 Every argument rule of the library edge is defined here once:
 ``_checked_int`` (an ``int``, bools refused), ``_checked_sequence`` (a list
 or tuple), ``_checked_ints`` and :meth:`AbelianGroup.check_elements` (a list
-or tuple of such ints, or of valid elements); each caller passes its label.
+or tuple of such ints, or of valid elements) and ``_checked_group`` (an
+:class:`AbelianGroup`); each caller passes its label.
 
 All values are immutable and hashable.
 """
@@ -53,6 +54,13 @@ def _checked_ints(values: object, label: str, error: type[ZsumError]) -> Sequenc
     for v in _checked_sequence(values, label, error):
         _checked_int(v, label, error)
     return values
+
+
+def _checked_group(value: object, label: str, error: type[ZsumError]) -> AbelianGroup:
+    """``value`` if it is an :class:`AbelianGroup`, else ``error``."""
+    if not isinstance(value, AbelianGroup):
+        raise error(f"{label} {value!r} is not an AbelianGroup")
+    return value
 
 
 # Trial division runs up to the square root, so this caps it at 2^16 steps.
@@ -289,6 +297,15 @@ class AbelianGroup:
         return {e: r for r, e in enumerate(self.elements())}
 
     @cached_property
+    def neg_ranks(self) -> list[int]:
+        """``neg_ranks[r]`` is the rank of ``-elements()[r]``: negation on
+        element ranks, n ints, built mixed-radix digit by digit."""
+        ranks = [0]
+        for d in self.invariant_factors:
+            ranks = [head * d + (-r) % d for head in ranks for r in range(d)]
+        return ranks
+
+    @cached_property
     def rank_add_table(self) -> tuple[tuple[int, ...], ...]:
         """``rank_add_table[a][b]`` is the rank of ``elements()[a] +
         elements()[b]``: addition on element ranks, n² ints."""
@@ -333,12 +350,16 @@ def _interned(invariant_factors: tuple[int, ...]) -> AbelianGroup:
 
 
 def rho(x: Sequence) -> int:
-    """Maximal repetition: the largest multiplicity of a single value in x."""
-    if not x:
+    """Maximal repetition: the largest multiplicity of a single value in x,
+    a nonempty list or tuple of hashable values (InvalidInstance)."""
+    if not _checked_sequence(x, "value", InvalidInstance):
         raise InvalidInstance("rho is undefined for an empty sequence")
     counts: dict = {}
-    for a in x:
-        counts[a] = counts.get(a, 0) + 1
+    try:
+        for a in x:
+            counts[a] = counts.get(a, 0) + 1
+    except TypeError:  # the value cannot be hashed
+        raise InvalidInstance(f"rho needs hashable values, got {a!r}") from None
     return max(counts.values())
 
 

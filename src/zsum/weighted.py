@@ -18,7 +18,9 @@ Solvers, by statement tag:
   D - ell indices (none when ell >= D), then wide blocks (width D) from the
   Davenport property on the windows' first D slots until fewer than D
   weights are free, then the longest block prefix, wide blocks first, of
-  total size <= n - 1.
+  total size <= n - 1.  The windows index their values, and the wide
+  phase's derived sequence w_i * x_h(i) slides with them: a block deletes
+  the entries it took and values only the slots that enter the first D.
 * ``corollary`` - given m = n + D - 1 and maximal repetition ell attained
   by the final position, an n-subset of [1, m - ell] whose weighted sum is
   (sum of the picked weights) * x_m, with position m in the image.
@@ -61,6 +63,7 @@ import functools
 import hashlib
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,7 +75,16 @@ from .errors import (
     TheoremViolation,
     UnsatisfiableStatement,
 )
-from .groups import AbelianGroup, Element, _checked_int, _checked_ints, canonicalize, rho
+from .groups import (
+    AbelianGroup,
+    Element,
+    _checked_group,
+    _checked_int,
+    _checked_ints,
+    _checked_sequence,
+    canonicalize,
+    rho,
+)
 from .zerosum import _zero_sum
 
 STATEMENT_THEOREM1 = "theorem1"
@@ -90,9 +102,10 @@ class Instance:
     """A sequence over a group, integer weights, and a repetition bound.
 
     ``w`` may be shorter than ``x`` (the corollary drops the reserved tail),
-    so length relations are checked per statement, not here.  ``x`` must
-    pass ``check_elements`` and ``w`` and ``ell`` must be a list or tuple of
-    ``int``s and an ``int`` (InvalidInstance), so the rest trusts them.
+    so length relations are checked per statement, not here.  ``group``
+    must be an AbelianGroup, ``x`` must pass its ``check_elements`` and
+    ``w`` and ``ell`` must be a list or tuple of ``int``s and an ``int``
+    (InvalidInstance), so the rest trusts them.
     """
 
     group: AbelianGroup
@@ -101,7 +114,7 @@ class Instance:
     ell: int
 
     def __post_init__(self) -> None:
-        self.group.check_elements(self.x)
+        _checked_group(self.group, "group", InvalidInstance).check_elements(self.x)
         _checked_ints(self.w, "weight", InvalidInstance)
         _checked_int(self.ell, "ell =", InvalidInstance)
 
@@ -176,15 +189,18 @@ def weighted_value(
 class _Window:
     """The word1 construction's view of one pool: the ``size`` smallest
     labels (1-based indices into ``source``) not yet taken, in increasing
-    order, with their values and each value's multiplicity.
+    order, with their values and an index of them.
 
     theorem1 slides one window over the weights (reduced mod n) and one
     over the positions through both of its phases: a block takes a few
     labels, and ``refill`` appends the next untaken ones from a cursor,
-    since no label past the window has been taken.  ``rho``, the largest
-    multiplicity, and ``tiers[c]``, the values of multiplicity c, follow
-    every change, so a narrow block reads rho and the smallest most-repeated
-    value without a pass over the window.
+    since no label past the window has been taken.  So labels increase with
+    the slot, and a label's slot is one bisection of ``labels``.  The index,
+    ``labels_of[v]``, lists the labels holding the value v, ascending; its
+    length is v's multiplicity.  ``rho``, the largest multiplicity, and
+    ``tiers[c]``, the values of multiplicity c, follow every change, so a
+    narrow block reads rho and the smallest most-repeated value, and the
+    zero-sum kernel where a value occurs, without a pass over the window.
     """
 
     def __init__(self, group: AbelianGroup, source: Sequence, size: int) -> None:
@@ -193,7 +209,7 @@ class _Window:
         self.cursor = 0  # labels 1..cursor have entered the window
         self.labels: list[int] = []
         self.values: list = []
-        self.count: dict = {}
+        self.labels_of: dict = {}
         self.tiers: list[set] = [set()]
         self.rho = 0
         self.refill(size)
@@ -206,10 +222,11 @@ class _Window:
         added = self.source[start:self.cursor]
         self.labels.extend(range(start + 1, self.cursor + 1))
         self.values.extend(added)
-        count, tiers, rho = self.count, self.tiers, self.rho
-        for v in added:
-            c = count.get(v, 0) + 1
-            count[v] = c
+        labels_of, tiers, rho = self.labels_of, self.tiers, self.rho
+        for label, v in enumerate(added, start + 1):
+            at = labels_of.setdefault(v, [])
+            at.append(label)
+            c = len(at)
             if c == len(tiers):
                 tiers.append(set())
             tiers[c - 1].discard(v)
@@ -222,26 +239,28 @@ class _Window:
         """Remove the given 1-based slots; their labels, in slot order."""
         labels = [self.labels[s - 1] for s in slots]
         for s in sorted(slots, reverse=True):
-            del self.labels[s - 1]
+            label = self.labels.pop(s - 1)
             v = self.values.pop(s - 1)
-            c = self.count[v]
+            at = self.labels_of[v]
+            c = len(at)
             self.tiers[c].discard(v)
             if c == self.rho and not self.tiers[c]:
                 self.rho -= 1
             if c > 1:
-                self.count[v] = c - 1
+                at.remove(label)
                 self.tiers[c - 1].add(v)
             else:
-                del self.count[v]
+                del self.labels_of[v]
         return labels
 
     def slots_of_most_repeated(self, k: int) -> list[int]:
         """The first k slots holding the smallest value of multiplicity rho."""
-        v = min(self.tiers[self.rho])
-        slots = [0]
-        for _ in range(k):
-            slots.append(self.values.index(v, slots[-1]) + 1)
-        return slots[1:]
+        at = self.labels_of[min(self.tiers[self.rho])]
+        return [bisect_left(self.labels, label) + 1 for label in at[:k]]
+
+    def zero_sum(self, hi: int) -> tuple[int, ...]:
+        """``zerosum._zero_sum`` on the window's values, read through its index."""
+        return _zero_sum(self.group, self.values, hi, (self.labels, self.labels_of))
 
 
 def _word_windows(
@@ -260,10 +279,10 @@ def _word1_constructive(ws: _Window, xs: _Window) -> list[tuple[int, int]]:
     with 1 <= |I| <= rho(x) and value zero."""
     if ws.rho <= xs.rho:
         # a zero-sum subset of the weights mod n, all mapped to one repeated value
-        wit = _zero_sum(ws.group, ws.values, ws.rho)
+        wit = ws.zero_sum(ws.rho)
         return list(zip(wit, xs.slots_of_most_repeated(len(wit))))
     # a short zero-sum subset of x, fed by positions of one repeated weight
-    wit = _zero_sum(xs.group, xs.values, xs.rho)
+    wit = xs.zero_sum(xs.rho)
     return list(zip(ws.slots_of_most_repeated(len(wit)), wit))
 
 
@@ -290,15 +309,22 @@ def _theorem1_pairs(
     fmap: dict[int, int] = {}
     narrow: list[tuple[int, ...]] = []
     wide: list[tuple[int, ...]] = []
+    derived: list[Element] = []  # w_i * x_h(i) over the first D slot pairs
     while len(x) - len(fmap) >= d:
         if len(fmap) < d - ell:  # narrow: word1 on the two full windows
             assert len(ws.labels) == len(xs.labels) == n
             slot_pairs, phase = _word1_constructive(ws, xs), narrow
         else:  # wide: a Davenport zero-sum over the first D slot pairs
-            derived = [
-                weighted_value(g, w, x, (i,), (j,)) for i, j in zip(ws.labels[:d], xs.labels)
+            # only the slots that entered the first D since the last block
+            # are valued; the block's own slots leave ``derived`` below
+            fresh = range(len(derived), d)
+            derived += [
+                weighted_value(g, w, x, (ws.labels[t],), (xs.labels[t],)) for t in fresh
             ]
-            slot_pairs, phase = [(t, t) for t in _zero_sum(g, derived, d)], wide
+            wit = _zero_sum(g, derived, d)
+            for t in reversed(wit):
+                del derived[t - 1]
+            slot_pairs, phase = [(t, t) for t in wit], wide
         block_pairs = list(zip(
             ws.take([s for s, _ in slot_pairs]), xs.take([t for _, t in slot_pairs])
         ))
@@ -654,9 +680,12 @@ def solve_word1(
 ) -> tuple[Shelling, str]:
     """Selection with 1 <= |I| <= ell and value zero, as a one-block shelling.
 
-    Requires |x| = |w| = |G| and maximal repetition of x at most ell.  The
-    word1 ``solve`` wrapped as (shelling, solve_path): the selection has
+    Requires |x| = |w| = |G| and maximal repetition of x at most ell; x and
+    w must come as lists or tuples (InvalidInstance), as for ``Instance``.
+    The word1 ``solve`` wrapped as (shelling, solve_path): the selection has
     passed the verifier and the path is always SOLVE_CONSTRUCTIVE.
     """
-    cert = solve(Instance(group=g, x=tuple(x), w=tuple(w), ell=ell), STATEMENT_WORD1)
+    x = tuple(_checked_sequence(x, "element", InvalidInstance))
+    w = tuple(_checked_sequence(w, "weight", InvalidInstance))
+    cert = solve(Instance(group=g, x=x, w=w, ell=ell), STATEMENT_WORD1)
     return Shelling(selection=cert.selection, blocks=cert.shelling), cert.solve_path

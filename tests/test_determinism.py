@@ -103,6 +103,22 @@ WIDE_ELL = 2
 WIDE_SEED = 2026
 WIDE_DIGEST = "ce35874a68b8ddd0d019aa729ed12d9c57660087b176f878951a5ee51d2d7f9c"
 
+# One digest over eight seeded theorem1 and corollary certificates at
+# ell = 4 and 5 on Z_1024 and Z_2^10, where narrow blocks of cap 4 and more
+# walk suffix tables (recorded before those tables skipped saturated rows).
+TABLE_GROUPS = ([1024], [2] * 10)
+TABLE_ELLS = (4, 5)
+TABLE_SEED = 2026
+TABLE_DIGEST = "9e47c6ac742366eb3f79be06fb4fd5607d3d6400453ed87c82869a3911d21d71"
+
+# The same over Z_4096 and Z_2^12 at ell = 2 and 4, under the slow mark
+# (recorded before the windows indexed their values and the derived sequence
+# slid with them).
+HUGE_GROUPS = ([4096], [2] * 12)
+HUGE_ELLS = (2, 4)
+HUGE_SEED = 2026
+HUGE_DIGEST = "7f4939ff546ac4e01c42a5278bf78ba42fe380f1ba64d63f67741e7a5689d137"
+
 SCAN_Z4_K2_DIGEST = "6ec751cc9dbdef37d811b5ac5b1108f6f425cfb074e80933bdd165fdaafa1b65"
 
 # The other scan configurations of the benchmark, and a sampled scan with
@@ -248,20 +264,34 @@ def test_searched_group_certificates_verify_and_are_pinned():
     assert digest.hexdigest() == SEARCHED_DIGEST
 
 
-def test_large_group_certificate_bytes_are_pinned():
-    rng = random.Random(LARGE_SEED)
+def _seeded_certificates_digest(groups, ells, seed):
+    """(count, SHA-256) over seeded theorem1 and corollary certificates,
+    per group and repetition bound in order."""
+    rng = random.Random(seed)
     digest = hashlib.sha256()
     count = 0
-    for orders in LARGE_GROUPS:
+    for orders in groups:
         g = canonicalize(orders)
         d = davenport_formula(g)
-        for ell in LARGE_ELLS:
+        for ell in ells:
             for statement, build in (("theorem1", _batch_theorem1), ("corollary", _batch_corollary)):
                 cert = solve(build(rng, g, d, ell), statement)
                 digest.update(dumps_stable(certificate_to_json(g, cert)).encode("utf-8"))
                 count += 1
-    assert count == 18
-    assert digest.hexdigest() == LARGE_DIGEST
+    return count, digest.hexdigest()
+
+
+def test_large_group_certificate_bytes_are_pinned():
+    assert _seeded_certificates_digest(LARGE_GROUPS, LARGE_ELLS, LARGE_SEED) == (18, LARGE_DIGEST)
+
+
+def test_table_walk_certificate_bytes_are_pinned():
+    assert _seeded_certificates_digest(TABLE_GROUPS, TABLE_ELLS, TABLE_SEED) == (8, TABLE_DIGEST)
+
+
+@pytest.mark.slow
+def test_huge_group_certificate_bytes_are_pinned():
+    assert _seeded_certificates_digest(HUGE_GROUPS, HUGE_ELLS, HUGE_SEED) == (8, HUGE_DIGEST)
 
 
 def test_wide_heavy_certificate_bytes_are_pinned():

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from zsum.conjecture import conjecture_check_instance, enumerate_zero_selection
 from zsum.davenport import davenport_get, zero_sum_free_check
-from zsum.errors import ZsumError
-from zsum.groups import canonicalize
-from zsum.weighted import Instance, solve_theorem1, verify_certificate
+from zsum.errors import InvalidInstance, ZsumError
+from zsum.groups import canonicalize, rho
+from zsum.weighted import Instance, solve_theorem1, solve_word1, verify_certificate
 from zsum.zerosum import find_zero_sum_bounded, find_zero_sum_davenport, find_zero_sum_exact_length
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "zsum").glob("*.py"))
@@ -90,6 +90,12 @@ EDGES = {
     ),
     "enumerate": lambda draw, g: enumerate_zero_selection(g, draw(_sequences(g)), draw(WEIGHTS)),
     "davenport-get": lambda draw, g: davenport_get(g, node_budget=draw(BUDGETS)),
+    "instance": lambda draw, g: Instance(
+        group=draw(st.one_of(st.just(g), SCALARS)), x=draw(_sequences(g)), w=draw(WEIGHTS),
+        ell=draw(COUNTS),
+    ),
+    "rho": lambda draw, g: rho(draw(_sequences(g))),
+    "word1": lambda draw, g: solve_word1(g, draw(_sequences(g)), draw(WEIGHTS), draw(COUNTS)),
 }
 
 
@@ -103,6 +109,18 @@ def test_the_library_edge_raises_only_zsum_errors(edge, data):
         EDGES[edge](data.draw, g)
     except ZsumError:
         pass
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Instance(group="x", x=((0,),), w=(1,), ell=1),  # was an AttributeError
+    lambda: rho(5),  # was a TypeError
+    lambda: rho([[0]]),  # an unhashable value
+    lambda: solve_word1(canonicalize([3]), 5, (1, 1, 1), 1),  # was a TypeError
+    lambda: solve_word1(canonicalize([3]), iter([(0,), (1,), (2,)]), (1, 1, 1), 1),
+], ids=["instance-group", "rho-int", "rho-unhashable", "word1-int", "word1-iterator"])
+def test_edge_arguments_of_the_wrong_type_are_invalid_instances(call):
+    with pytest.raises(InvalidInstance):
+        call()
 
 
 @settings(max_examples=150, deadline=None)

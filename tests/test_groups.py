@@ -202,6 +202,15 @@ def test_rho_examples():
         rho([])
 
 
+@pytest.mark.parametrize("orders", [[1], [7], [2, 4], [3, 3, 9], [2, 2, 6]])
+def test_neg_ranks_negate_element_ranks(orders):
+    g = canonicalize(orders)
+    elements = g.elements()
+    assert len(g.neg_ranks) == g.order
+    for r, e in enumerate(elements):
+        assert g.neg_ranks[r] == g.element_rank(g.neg(e))
+
+
 def test_groups_of_order_census():
     # number of abelian groups of order q = product of partition counts of
     # the prime exponents; spot values are classical

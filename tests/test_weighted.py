@@ -141,10 +141,10 @@ def _check_theorem1_pairs(g, x, w, ell, d):
     wide_calls = []
     original = zsum.weighted._zero_sum
 
-    def counted(g, x, k):
+    def counted(g, x, k, *index):
         if k == d:
             wide_calls.append(x)
-        return original(g, x, k)
+        return original(g, x, k, *index)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zsum.weighted, "_zero_sum", counted)
@@ -280,8 +280,10 @@ def test_theorem1_pairs_lemma_properties():
 )
 def test_window_tallies_follow_takes_and_refills(source, size, takes):
     # after every take and refill: the window is the smallest untaken labels,
-    # rho is the largest multiplicity and the most-repeated slots hold the
-    # smallest value of that multiplicity, recomputed from scratch
+    # its index maps each value to the labels holding it, ascending, the
+    # tiers group the values by multiplicity, rho is the largest one and the
+    # most-repeated slots hold the smallest value of that multiplicity,
+    # recomputed from scratch
     win = zsum.weighted._Window(Z2, source, size)
     taken = set()
     for slots in takes:
@@ -291,6 +293,12 @@ def test_window_tallies_follow_takes_and_refills(source, size, takes):
         untaken = [i for i in range(1, len(source) + 1) if i not in taken]
         assert win.labels == untaken[:size]
         assert win.values == [source[i - 1] for i in win.labels]
+        recount = {}
+        for label, v in zip(win.labels, win.values):
+            recount.setdefault(v, []).append(label)
+        assert win.labels_of == recount
+        for c, tier in enumerate(win.tiers):
+            assert tier == {v for v, at in recount.items() if len(at) == c}, c
         if win.values:
             assert win.rho == rho(win.values)
             top = min(v for v in win.values if win.values.count(v) == win.rho)

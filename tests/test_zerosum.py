@@ -297,6 +297,57 @@ def test_finders_refuse_entries_that_are_not_tuples_of_ints(finder, bad):
         finder(canonicalize([3]), ((0,), bad, (2,)))
 
 
+# ------------------------------------------------------------ reach tables
+
+REACH_GROUPS = [(1,), (7,), (2, 4), (3, 3, 9)]
+
+
+def _naive_reach_rows(g, ranks, cap):
+    """rows[p][c]: the ranks of the sums of the c-element subsets of
+    positions p..m-1, as sets, every row built from the one after it."""
+    add = g.rank_add_table
+    rows = [[{0}] + [set() for _ in range(cap)]]
+    for e in reversed(ranks):
+        tail = rows[-1]
+        rows.append([{0}] + [tail[c] | {add[s][e] for s in tail[c - 1]} for c in range(1, cap + 1)])
+    rows.reverse()
+    return rows
+
+
+def _mask(ranks):
+    return sum(1 << r for r in ranks)
+
+
+@st.composite
+def _reach_cases(draw):
+    """A group and a rank sequence long enough, at times, to fill rows:
+    up to 2|G| + 4 entries, at most 60, half of them from a few ranks."""
+    g = canonicalize(draw(st.sampled_from(REACH_GROUPS)))
+    ranks = st.integers(0, g.order - 1)
+    few = st.sampled_from(draw(st.lists(ranks, min_size=1, max_size=3)))
+    return g, draw(st.lists(st.one_of(ranks, few), max_size=min(2 * g.order + 4, 60)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reach_cases(), st.integers(min_value=1, max_value=5))
+def test_suffix_reach_matches_a_table_that_builds_every_row(case, cap):
+    g, ranks = case
+    rows = _naive_reach_rows(g, ranks, cap)
+    columns = zerosum._suffix_reach(g, ranks, cap)
+    assert len(columns) == cap + 1
+    for c in range(cap + 1):
+        assert columns[c] == [_mask(row[c]) for row in rows], c
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reach_cases())
+def test_nonempty_reach_matches_a_table_that_builds_every_row(case):
+    g, ranks = case
+    rows = _naive_reach_rows(g, ranks, len(ranks))
+    expected = [_mask(set().union(*row[1:])) for row in rows]
+    assert zerosum._nonempty_reach(g, ranks) == expected
+
+
 # ------------------------------------------------------- short-search kernel
 
 KERNEL_GROUPS = [(5,), (8,), (12,), (2, 4), (3, 3), (2, 2, 2), (2, 2, 4)]
@@ -349,8 +400,8 @@ def test_short_kernel_hands_the_ascending_triples_of_z1024_to_the_table(monkeypa
     kernel_calls, table_calls = [], []
     kernel, walk = zerosum._short_zero_sum, zerosum._table_walk
 
-    def counted_kernel(g, x, hi, allowance):
-        found = kernel(g, x, hi, allowance)
+    def counted_kernel(g, x, hi, allowance, *index):
+        found = kernel(g, x, hi, allowance, *index)
         kernel_calls.append((hi, allowance, found is zerosum._GAVE_UP))
         return found
 
