@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .conjecture import ScanConfig, conjecture_scan, enumerate_zero_selection
 from .davenport import davenport_exact, davenport_formula, davenport_get, zero_sum_free_check
 from .errors import UnsatisfiableStatement
-from .groups import AbelianGroup, Element, canonicalize, groups_up_to_order, rho
+from .groups import AbelianGroup, Element, Record, canonicalize, groups_up_to_order, rho
 from .serialize import (
     certificate_from_json,
     certificate_to_json,
@@ -39,8 +38,8 @@ from .weighted import (
 )
 from .zerosum import find_zero_sum_bounded, find_zero_sum_exact_length
 
-@dataclass(frozen=True)
-class CriterionResult:
+
+class CriterionResult(Record):
     number: int
     name: str
     passed: bool

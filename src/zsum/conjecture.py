@@ -87,12 +87,20 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .davenport import davenport_get
 from .errors import BudgetExceeded, InvalidArgument, InvalidInstance, TheoremViolation
-from .groups import AbelianGroup, Element, _checked_int, _checked_ints, _orbit_roots, canonicalize
+from .groups import (
+    AbelianGroup,
+    Element,
+    Record,
+    _checked_int,
+    _checked_ints,
+    _checked_record,
+    _orbit_roots,
+    canonicalize,
+)
 from .weighted import Selection, _coordinate_columns, _first_selection, _index_sets
 from .zerosum import _check_full_length
 
@@ -105,28 +113,26 @@ COUNTEREXAMPLE_CAP = 100
 RECHECK_TAG = "full enumeration of (I, f) exhausted"
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(Record):
     orders: tuple[int, ...]
     k: int
     weight_values: tuple[int, ...]
     mode: str = MODE_EXHAUSTIVE
     sample_size: int = 0
     seed: int = 0
-    # Only 1 is accepted: the scan decides in process.  The field is kept for
-    # callers that still pass workers=1; the benchmark change (ROADMAP item 1)
-    # can drop it.
+    # Only the int 1 is accepted: the scan decides in process.  The field is
+    # kept for callers that still pass workers=1; the benchmark change
+    # (ROADMAP item 1) can drop it.
     workers: int = 1
     budget: int = DEFAULT_SCAN_BUDGET
 
-    def __post_init__(self) -> None:
-        if self.workers != 1:
+    def _validate(self) -> None:
+        if _checked_int(self.workers, "workers =", InvalidArgument) != 1:
             raise InvalidArgument(f"workers = {self.workers} must be 1: "
                                   "the scan decides in one process")
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     config: ScanConfig
     group_orders: tuple[int, ...]
     davenport: int
@@ -275,6 +281,7 @@ def conjecture_check_instance(
 
 
 def _validated(config: ScanConfig) -> tuple[AbelianGroup, ScanConfig]:
+    _checked_record(config, ScanConfig, "scan config", InvalidArgument)
     for field in ("k", "sample_size", "budget", "seed"):
         _checked_int(getattr(config, field), f"{field} =", InvalidArgument)
     g = canonicalize(config.orders)
@@ -291,7 +298,7 @@ def _validated(config: ScanConfig) -> tuple[AbelianGroup, ScanConfig]:
         raise InvalidArgument(f"sample_size = {config.sample_size} must be >= 1")
     if config.budget < 1:
         raise InvalidArgument(f"budget = {config.budget} must be >= 1")
-    return g, replace(config, orders=tuple(config.orders), weight_values=values)
+    return g, config.replace(orders=tuple(config.orders), weight_values=values)
 
 
 def _empty_report(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
@@ -494,8 +501,7 @@ def _report(
             f"x={[list(elements[r]) for r in x]}, w={list(w)}, "
             f"group orders {list(g.invariant_factors)}, k={config.k}, D={d}"
         )
-    return replace(
-        _empty_report(g, config, d),
+    return _empty_report(g, config, d).replace(
         checked=checked,
         counterexample_count=failed,
         counterexamples=tuple([
@@ -649,4 +655,4 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
     g, config = _validated(config)
     d = davenport_get(g).value
     scan = _exhaustive if config.mode == MODE_EXHAUSTIVE else _sampled
-    return replace(scan(g, config, d), wall_time=time.perf_counter() - started)
+    return scan(g, config, d).replace(wall_time=time.perf_counter() - started)

@@ -48,12 +48,11 @@ and the CLI check a node budget first, searched or not, with one rule,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, InvalidArgument
-from .groups import AbelianGroup, Element, _checked_int, _factorint, _orbit_roots
+from .groups import AbelianGroup, Element, Record, _checked_int, _factorint, _orbit_roots
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -73,8 +72,7 @@ SEARCHED_FACTORS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class DavenportRecord:
+class DavenportRecord(Record):
     group: AbelianGroup
     value: int
     witness: tuple[Element, ...]
@@ -275,5 +273,5 @@ def davenport_get(g: AbelianGroup, node_budget: int = DEFAULT_NODE_BUDGET) -> Da
         record = _d_star_record(g, METHOD_EXACT)
     elif record is None:
         record = davenport_exact(g, node_budget=node_budget)
-    _memo[key] = replace(record, method=METHOD_CACHE)
+    _memo[key] = record.replace(method=METHOD_CACHE)
     return record

@@ -16,19 +16,24 @@ H of Aut(G) (``AbelianGroup._automorphism_maps``) and one orbit engine
 Every argument rule of the library edge is defined here once:
 ``_checked_int`` (an ``int``, bools refused), ``_checked_sequence`` (a list
 or tuple), ``_checked_ints`` and :meth:`AbelianGroup.check_elements` (a list
-or tuple of such ints, or of valid elements) and ``_checked_group`` (an
-:class:`AbelianGroup`); each caller passes its label.
+or tuple of such ints, or of valid elements) and ``_checked_record`` (an
+instance of a record class); each caller passes its label.
 
-All values are immutable and hashable.
+All values are immutable and hashable.  The library's records share one
+base, :class:`Record`: fields are class annotations, a record is built by
+keyword or position and then runs its ``_validate`` hook, as ``replace``
+does, its fields cannot be assigned or deleted, and it compares and
+hashes as its class and field tuple.  :class:`AbelianGroup` is one; its
+cached tables live beside its field and are not compared.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
 from functools import cache, cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import InvalidElement, InvalidGroup, InvalidInstance, ZsumError
 
@@ -56,11 +61,96 @@ def _checked_ints(values: object, label: str, error: type[ZsumError]) -> Sequenc
     return values
 
 
-def _checked_group(value: object, label: str, error: type[ZsumError]) -> AbelianGroup:
-    """``value`` if it is an :class:`AbelianGroup`, else ``error``."""
-    if not isinstance(value, AbelianGroup):
-        raise error(f"{label} {value!r} is not an AbelianGroup")
+def _checked_record(value: object, kind: type[R], label: str, error: type[ZsumError]) -> R:
+    """``value`` if it is a ``kind`` record (an :class:`AbelianGroup`, an
+    ``Instance``, ...), else ``error``."""
+    if not isinstance(value, kind):
+        raise error(f"{label} must be of type {kind.__name__}, not {type(value).__name__}")
     return value
+
+
+class Record:
+    """Base of the library's records: frozen values with named fields.
+
+    A subclass lists its fields as class annotations, in order; a field
+    with a class attribute of the same name defaults to it.  A record is
+    built by keyword or by position, then ``_validate`` runs; ``replace``
+    builds a changed copy the same way.  Assignment and deletion raise
+    AttributeError.  Two records are equal when they are of the same class
+    and their field tuples are equal, and a record hashes as its field
+    tuple.  The repr is ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _field_set: frozenset[str] = frozenset()
+    _defaults: dict[str, object] = {}
+    # A subclass with rules on its fields checks them in a method
+    # ``_validate(self)``, which raises on a break.
+    _validate: Callable[[], None] | None = None
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = cls._fields + own
+        cls._field_set = frozenset(cls._fields)
+        cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
+        cls._getter = operator.attrgetter(*cls._fields)
+
+    def __init__(self, *args: object, **values: object) -> None:
+        if args or values.keys() != self._field_set:
+            self._bind(args, values)
+        object.__setattr__(self, "__dict__", values)
+        if self._validate is not None:
+            self._validate()
+
+    def _bind(self, args: tuple, values: dict[str, object]) -> None:
+        """Complete the keyword ``values`` with ``args``, in field order, and
+        the defaults; TypeError for a field given twice, unknown or missing."""
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name} takes {len(self._fields)} fields, got {len(args)} positional")
+        for field, value in zip(self._fields, args):
+            if field in values:
+                raise TypeError(f"{name} got field {field!r} twice")
+            values[field] = value
+        unknown = values.keys() - self._field_set
+        if unknown:
+            raise TypeError(f"{name} has no field {min(unknown)!r}")
+        for field in self._fields:
+            if field not in values:
+                if field not in self._defaults:
+                    raise TypeError(f"{name} is missing field {field!r}")
+                values[field] = self._defaults[field]
+
+    def replace(self, **changes: object) -> Record:
+        """A copy with the fields in ``changes`` replaced, validated anew."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def _values(self) -> tuple:
+        """The field tuple (attrgetter returns a lone field bare)."""
+        values = self._getter(self)
+        return values if len(self._fields) > 1 else (values,)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={v!r}" for f, v in zip(self._fields, self._values())])
+        return f"{type(self).__qualname__}({fields})"
+
+
+R = TypeVar("R", bound=Record)
 
 
 # Trial division runs up to the square root, so this caps it at 2^16 steps.
@@ -154,8 +244,7 @@ def invariant_factors_of(orders: Sequence[int]) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Canonical presentation of a finite abelian group: its invariant
     factors, which it compares and hashes by.
 
@@ -164,6 +253,17 @@ class AbelianGroup:
     """
 
     invariant_factors: tuple[int, ...]
+
+    # Record's equality and hash, written out for the one field: the
+    # Davenport search hashes the group at every shallow node, as the key
+    # of its stabilizer caches.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.invariant_factors == other.invariant_factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.invariant_factors,))
 
     @property
     def order(self) -> int:

@@ -64,7 +64,6 @@ import hashlib
 import itertools
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Sequence
 
 from .davenport import davenport_get
@@ -78,9 +77,10 @@ from .errors import (
 from .groups import (
     AbelianGroup,
     Element,
-    _checked_group,
+    Record,
     _checked_int,
     _checked_ints,
+    _checked_record,
     _checked_sequence,
     canonicalize,
     rho,
@@ -97,8 +97,7 @@ SOLVE_CONSTRUCTIVE = "constructive"
 ORACLE_CAP = 12
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A sequence over a group, integer weights, and a repetition bound.
 
     ``w`` may be shorter than ``x`` (the corollary drops the reserved tail),
@@ -113,8 +112,8 @@ class Instance:
     w: tuple[int, ...]
     ell: int
 
-    def __post_init__(self) -> None:
-        _checked_group(self.group, "group", InvalidInstance).check_elements(self.x)
+    def _validate(self) -> None:
+        _checked_record(self.group, AbelianGroup, "group", InvalidInstance).check_elements(self.x)
         _checked_ints(self.w, "weight", InvalidInstance)
         _checked_int(self.ell, "ell =", InvalidInstance)
 
@@ -123,8 +122,7 @@ class Instance:
         return len(self.x)
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(Record):
     """Index set plus injection, with the weighted value cached."""
 
     indices: tuple[int, ...]  # sorted weight indices, 1-based
@@ -135,16 +133,14 @@ class Selection:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class Shelling:
+class Shelling(Record):
     """Ordered partition of a selection's domain into zero-value blocks."""
 
     selection: Selection
     blocks: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     statement: str
     instance_digest: str
     selection: Selection
@@ -156,6 +152,7 @@ class Certificate:
 def instance_digest(inst: Instance) -> str:
     """SHA-256 of the canonical instance data (group in canonical form, so
     presentations that name the same instance hash identically)."""
+    _checked_record(inst, Instance, "instance", InvalidInstance)
     payload = {
         "group": {"orders": list(inst.group.invariant_factors)},
         "x": [list(e) for e in inst.x],
@@ -382,8 +379,9 @@ def _rules(inst: Instance, statement: str) -> tuple[int | None, int, int, int | 
     """What ``statement`` asks of a selection on ``inst``, as (D, lo, hi,
     width): D(G), None for word1, which does not mention it; the size window
     lo <= |I| <= hi; and the widest shelling block, None for the corollary,
-    which has no shelling.  InvalidArgument for an unknown statement."""
-    n, ell = inst.group.order, inst.ell
+    which has no shelling.  InvalidInstance unless ``inst`` is an Instance,
+    InvalidArgument for an unknown statement."""
+    n, ell = _checked_record(inst, Instance, "instance", InvalidInstance).group.order, inst.ell
     if statement == STATEMENT_WORD1:
         return None, 1, ell, ell
     if statement not in STATEMENTS:
@@ -462,7 +460,7 @@ def fallback_search(inst: Instance, statement: str) -> Selection | None:
     the statement's window admits size 0 and no nonempty solution exists;
     returns None when there is no solution at all.
     """
-    g = inst.group
+    g = _checked_record(inst, Instance, "instance", InvalidInstance).group
     if inst.m > ORACLE_CAP:
         raise OracleTooLarge(f"oracle cap is {ORACLE_CAP}, instance has m = {inst.m}")
     _, lo, hi, _ = _rules(inst, statement)
@@ -616,7 +614,8 @@ def verify_certificate(inst: Instance, cert: Certificate) -> tuple[bool, list[st
     Past failed hypotheses or a wrong digest, only the map's structure is
     reported.  D(G) is looked up for theorem1 and corollary certificates only.
     """
-    statement, sel = cert.statement, cert.selection
+    statement = _checked_record(cert, Certificate, "certificate", InvalidInstance).statement
+    sel = _checked_record(cert.selection, Selection, "certificate selection", InvalidInstance)
     try:
         rules = _rules(inst, statement)
     except InvalidArgument as err:

@@ -67,3 +67,22 @@ def test_the_package_imports_without_site_packages():
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == "False False\n"
+
+
+def test_the_package_does_not_import_dataclasses_or_inspect():
+    # a ``zsum solve`` process pays for every module the package pulls in;
+    # the records share ``groups.Record``, so none of these heavy stdlib
+    # modules loads.  Compared against the bare interpreter, which may hold
+    # some of them already, whatever the Python version.
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zsum.__file__)))
+    code = ("import sys; bare = set(sys.modules); "
+            "import zsum.cli, zsum.conjecture, zsum.acceptance; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & (set(sys.modules) - bare)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], env={"PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "[]\n"

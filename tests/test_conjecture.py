@@ -5,7 +5,6 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,6 +125,17 @@ def test_the_scan_runs_in_one_process(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --workers 2" in captured.err
+
+
+@pytest.mark.parametrize("workers", ["1", True, 1.0, None])
+def test_workers_must_be_the_int_1(workers):
+    # workers="1" once failed with "workers = 1 must be 1", and True and 1.0
+    # were accepted
+    with pytest.raises(InvalidArgument, match=f"^workers = {workers!r} is not an integer$"):
+        ScanConfig(orders=(3,), k=2, weight_values=(1, 2), workers=workers)
+    config = ScanConfig(orders=(3,), k=2, weight_values=(1, 2), workers=1)
+    with pytest.raises(InvalidArgument, match=f"^workers = {workers!r} is not an integer$"):
+        config.replace(workers=workers)
 
 
 def test_scan_rerun_is_identical():
@@ -315,8 +325,8 @@ def test_a_scan_refuses_weight_values_that_are_not_ints(mode, values):
 def test_a_scan_refuses_counts_and_seeds_that_are_not_ints(field, value):
     # k=2.0 once ended in a bare TypeError, k=True ran as k = 1, and
     # sample_size=2.5 drew 3 instances
-    config = replace(ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3), mode="sampled",
-                                sample_size=10), **{field: value})
+    config = ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3), mode="sampled",
+                        sample_size=10).replace(**{field: value})
     with pytest.raises(InvalidArgument, match=f"^{field} = {value!r} is not an integer$"):
         conjecture_scan(config)
 
@@ -651,7 +661,7 @@ def _per_instance_report(g, config):
     its own, in canonical order."""
     values, k = tuple(sorted(set(config.weight_values))), config.k
     if config.mode == "sampled":
-        instances = _choice_draws(g, replace(config, weight_values=values))
+        instances = _choice_draws(g, config.replace(weight_values=values))
     else:
         instances = [(x, w) for x in itertools.product(g.elements(), repeat=g.order)
                      if rho(x) <= k for w in itertools.product(values, repeat=k)]
@@ -684,13 +694,13 @@ def test_the_by_class_scan_matches_a_per_instance_walk(data):
     if mode == "exhaustive":
         size = len(classes)
     else:
-        size = _choice_sample(g, replace(config, weight_values=tuple(sorted(values))))[1]
+        size = _choice_sample(g, config.replace(weight_values=tuple(sorted(values))))[1]
     budget = data.draw(st.integers(min_value=max(size - 2, 1), max_value=size + 2))
     if size > budget:
         with pytest.raises(BudgetExceeded):
-            conjecture_scan(replace(config, budget=budget))
+            conjecture_scan(config.replace(budget=budget))
         return
-    report = conjecture_scan(replace(config, budget=budget))
+    report = conjecture_scan(config.replace(budget=budget))
     assert (report.checked, report.counterexample_count, list(report.counterexamples),
             list(report.witness_sample)) == expected
     # one decision per orbit pair among the scan's classes

@@ -10,7 +10,6 @@ certifies it.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 
@@ -179,7 +178,7 @@ def _oracle_certificate(inst: Instance, statement: str) -> Certificate:
     )
     ok, diagnostics = verify_certificate(inst, cert)
     assert ok, diagnostics
-    return dataclasses.replace(cert, verified=True)
+    return cert.replace(verified=True)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

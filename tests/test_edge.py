@@ -5,17 +5,30 @@ rule in ``zsum.davenport``)."""
 from __future__ import annotations
 
 import ast
-import dataclasses
 import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zsum.conjecture import conjecture_check_instance, enumerate_zero_selection
+from zsum.conjecture import (
+    ScanConfig,
+    conjecture_check_instance,
+    conjecture_scan,
+    enumerate_zero_selection,
+)
 from zsum.davenport import davenport_get, zero_sum_free_check
-from zsum.errors import InvalidInstance, ZsumError
+from zsum.errors import InvalidArgument, InvalidInstance, ZsumError
 from zsum.groups import canonicalize, rho
-from zsum.weighted import Instance, solve_theorem1, solve_word1, verify_certificate
+from zsum.weighted import (
+    STATEMENTS,
+    Instance,
+    fallback_search,
+    instance_digest,
+    solve,
+    solve_theorem1,
+    solve_word1,
+    verify_certificate,
+)
 from zsum.zerosum import find_zero_sum_bounded, find_zero_sum_davenport, find_zero_sum_exact_length
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "zsum").glob("*.py"))
@@ -57,6 +70,8 @@ WEIGHTS = _shapes(st.one_of(st.integers(-9, 9), st.integers(-9, 9), SCALARS)).fi
 )
 COUNTS = st.one_of(st.integers(-1, 5), SCALARS)
 BUDGETS = st.one_of(st.integers(-2, 10**8), SCALARS)
+# values of any type but int, so no drawn group is large
+NON_INTS = st.one_of(st.none(), st.floats(-2, 6), st.text(max_size=2), st.binary(max_size=2))
 
 # a theorem1 instance on Z_5 whose certificate the verifier fuzz corrupts
 CERTIFICATE = Instance(group=canonicalize([5]), x=tuple((v,) for v in (1, 1, 2, 2, 3, 3, 4)),
@@ -72,10 +87,32 @@ def _certificate_fields(draw):
         ["indices", "images", "value", "shelling", "statement", "instance_digest"]
     ))
     if field in ("indices", "images", "value"):
-        return dataclasses.replace(
-            cert, selection=dataclasses.replace(cert.selection, **{field: junk})
-        )
-    return dataclasses.replace(cert, **{field: junk})
+        return cert.replace(selection=cert.selection.replace(**{field: junk}))
+    return cert.replace(**{field: junk})
+
+
+def _instance(draw, g):
+    """An Instance over g, as a Python caller could build it, or a value of
+    another type."""
+    if draw(st.booleans()):
+        return draw(SCALARS)
+    return Instance(group=g, x=draw(_sequences(g)), w=draw(WEIGHTS), ell=draw(COUNTS))
+
+
+def _scan_config(draw, g):
+    """A ScanConfig over g, its fields of any type; orders of another group
+    have entries that are no ints, and the budget stays small, so a scan
+    that passes its checks takes milliseconds."""
+    return ScanConfig(
+        orders=draw(st.one_of(st.just(g.invariant_factors), _shapes(NON_INTS))),
+        k=draw(COUNTS),
+        weight_values=draw(WEIGHTS),
+        mode=draw(st.one_of(st.sampled_from(["exhaustive", "sampled"]), SCALARS)),
+        sample_size=draw(COUNTS),
+        seed=draw(COUNTS),
+        workers=draw(st.one_of(st.just(1), SCALARS)),
+        budget=draw(st.one_of(st.integers(-2, 2000), SCALARS)),
+    )
 
 
 EDGES = {
@@ -96,6 +133,14 @@ EDGES = {
     ),
     "rho": lambda draw, g: rho(draw(_sequences(g))),
     "word1": lambda draw, g: solve_word1(g, draw(_sequences(g)), draw(WEIGHTS), draw(COUNTS)),
+    "solve": lambda draw, g: solve(
+        _instance(draw, g), draw(st.one_of(st.sampled_from(STATEMENTS), SCALARS))
+    ),
+    "canonicalize": lambda draw, g: canonicalize(draw(_shapes(st.one_of(COUNTS, NON_INTS)))),
+    "scan-config": _scan_config,
+    "conjecture-scan": lambda draw, g: conjecture_scan(
+        draw(SCALARS) if draw(st.booleans()) else _scan_config(draw, g)
+    ),
 }
 
 
@@ -117,10 +162,24 @@ def test_the_library_edge_raises_only_zsum_errors(edge, data):
     lambda: rho([[0]]),  # an unhashable value
     lambda: solve_word1(canonicalize([3]), 5, (1, 1, 1), 1),  # was a TypeError
     lambda: solve_word1(canonicalize([3]), iter([(0,), (1,), (2,)]), (1, 1, 1), 1),
-], ids=["instance-group", "rho-int", "rho-unhashable", "word1-int", "word1-iterator"])
+    # the five below were AttributeErrors
+    lambda: solve("x", "theorem1"),
+    lambda: instance_digest("x"),
+    lambda: fallback_search("x", "word1"),
+    lambda: verify_certificate(CERTIFICATE, "x"),
+    lambda: verify_certificate(CERTIFICATE, solve_theorem1(CERTIFICATE).replace(selection="x")),
+], ids=["instance-group", "rho-int", "rho-unhashable", "word1-int", "word1-iterator",
+        "solve-instance", "digest-instance", "oracle-instance", "verify-certificate",
+        "verify-selection"])
 def test_edge_arguments_of_the_wrong_type_are_invalid_instances(call):
     with pytest.raises(InvalidInstance):
         call()
+
+
+def test_a_scan_of_no_scan_config_is_an_invalid_argument():
+    # was an AttributeError
+    with pytest.raises(InvalidArgument, match="^scan config must be of type ScanConfig, not str$"):
+        conjecture_scan("x")
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections import Counter
 
@@ -122,7 +121,7 @@ def test_census_matches_canonical_form_up_to_48():
 
 def test_equality_is_up_to_isomorphism():
     # a group is its invariant factors: the orders it was given are not kept
-    assert [f.name for f in dataclasses.fields(AbelianGroup)] == ["invariant_factors"]
+    assert AbelianGroup._fields == ("invariant_factors",)
     assert canonicalize([4, 6]) == canonicalize([2, 12])
     assert canonicalize([4, 6]) == canonicalize([12, 2])
     assert hash(canonicalize([4, 6])) == hash(canonicalize([2, 12]))

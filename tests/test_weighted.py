@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -488,7 +487,7 @@ def test_verify_flags_duplicate_images():
     sel = cert.selection
     if len(sel) < 2:
         sel = Selection(indices=(1, 2), images=(1, 1), value=(0,))
-        cert = dataclasses.replace(cert, selection=sel, shelling=None)
+        cert = cert.replace(selection=sel, shelling=None)
     ok, diags = verify_certificate(inst, cert)
     assert not ok
     assert "injectivity" in diags
@@ -497,7 +496,7 @@ def test_verify_flags_duplicate_images():
 def test_verify_flags_size_window():
     inst, cert = _valid_theorem1_pair()
     sel = _sel(inst, [(1, 1), (2, 2), (3, 3)])
-    tampered = dataclasses.replace(cert, selection=sel, shelling=None)
+    tampered = cert.replace(selection=sel, shelling=None)
     ok, diags = verify_certificate(inst, tampered)
     assert not ok
     assert "size window" in diags
@@ -505,8 +504,8 @@ def test_verify_flags_size_window():
 
 def test_verify_flags_wrong_value():
     inst, cert = _valid_theorem1_pair()
-    bad_sel = dataclasses.replace(cert.selection, value=(1,))
-    ok, diags = verify_certificate(inst, dataclasses.replace(cert, selection=bad_sel))
+    bad_sel = cert.selection.replace(value=(1,))
+    ok, diags = verify_certificate(inst, cert.replace(selection=bad_sel))
     assert not ok
     assert "cached value" in diags
 
@@ -522,7 +521,7 @@ def test_verify_flags_stale_digest():
 def test_verify_flags_index_out_of_range():
     inst, cert = _valid_theorem1_pair()
     sel = Selection(indices=(9,), images=(1,), value=(0,))
-    ok, diags = verify_certificate(inst, dataclasses.replace(cert, selection=sel, shelling=None))
+    ok, diags = verify_certificate(inst, cert.replace(selection=sel, shelling=None))
     assert not ok
     assert "index range" in diags
 
@@ -531,12 +530,12 @@ def test_verify_flags_shelling_tampering():
     inst, cert = _valid_theorem1_pair()
     assert cert.shelling is not None
     # non-partition: foreign index in a block
-    bad = dataclasses.replace(cert, shelling=((9,),) + cert.shelling)
+    bad = cert.replace(shelling=((9,),) + cert.shelling)
     ok, diags = verify_certificate(inst, bad)
     assert not ok
     assert "shelling partition" in diags
     # oversized block
-    wide = dataclasses.replace(cert, shelling=(tuple(range(1, 20)),))
+    wide = cert.replace(shelling=(tuple(range(1, 20)),))
     ok, diags = verify_certificate(inst, wide)
     assert not ok
 
@@ -545,7 +544,7 @@ def test_verify_flags_anchor_violation_for_corollary():
     inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
     cert = solve_corollary(inst)
     sel = _sel(inst, [(1, 1), (2, 2), (3, 3)])
-    tampered = dataclasses.replace(cert, selection=sel, shelling=None)
+    tampered = cert.replace(selection=sel, shelling=None)
     ok, diags = verify_certificate(inst, tampered)
     assert not ok
     assert "anchor position" in diags
@@ -556,9 +555,9 @@ def test_verify_checks_the_corollary_hypotheses():
     # ell = 1 != rho(x) = 2: every postcondition still holds
     inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
     cert = solve_corollary(inst)
-    other = dataclasses.replace(inst, ell=1)
+    other = inst.replace(ell=1)
     ok, diags = verify_certificate(
-        other, dataclasses.replace(cert, instance_digest=instance_digest(other))
+        other, cert.replace(instance_digest=instance_digest(other))
     )
     assert not ok
     assert diags == ["hypotheses: ell = 1 but maximal repetition is 2"]
@@ -574,8 +573,8 @@ MUTATION_W = (-3, 13, 6, 8, 17, 8, 6, 3, 11, 18, -5)
 
 
 def _with_selection(cert, indices, images):
-    sel = dataclasses.replace(cert.selection, indices=tuple(indices), images=tuple(images))
-    return dataclasses.replace(cert, selection=sel)
+    sel = cert.selection.replace(indices=tuple(indices), images=tuple(images))
+    return cert.replace(selection=sel)
 
 
 def _swap_first_two(cert):
@@ -610,17 +609,17 @@ CERTIFICATE_MUTANTS = {
     "image-zero": (lambda c: _set_last_image(c, 0), ["image range"]),
     "image-past-m": (lambda c: _set_last_image(c, 12), ["image range"]),
     "blocks-merged-past-width": (
-        lambda c: dataclasses.replace(c, shelling=(c.selection.indices,)),
+        lambda c: c.replace(shelling=(c.selection.indices,)),
         ["shelling width"],
     ),
     "empty-block": (
-        lambda c: dataclasses.replace(c, shelling=c.shelling + ((),)),
+        lambda c: c.replace(shelling=c.shelling + ((),)),
         ["shelling width"],
     ),
     # index 4 contributes (0, 1): both touched blocks become nonzero, the
     # total stays zero and every block stays within width D = 5
     "index-moved-between-blocks": (
-        lambda c: dataclasses.replace(c, shelling=((6, 7, 8, 9), (1, 3, 4), (5,))),
+        lambda c: c.replace(shelling=((6, 7, 8, 9), (1, 3, 4), (5,))),
         ["shelling block value"],
     ),
 }
@@ -638,7 +637,7 @@ def test_each_certificate_mutation_draws_exactly_its_diagnostic(name):
 
 def _replaced(cert, **fields):
     """``cert`` with its selection's ``fields`` replaced, values unconverted."""
-    return dataclasses.replace(cert, selection=dataclasses.replace(cert.selection, **fields))
+    return cert.replace(selection=cert.selection.replace(**fields))
 
 
 # Certificates built in Python with values of the wrong type: each once
@@ -655,11 +654,11 @@ MALFORMED_CERTIFICATES = {
                    ["image range"]),
     "int-indices": (lambda c: _replaced(c, indices=7), ["arity"]),
     "str-images": (lambda c: _replaced(c, images="12345678"), ["arity"]),
-    "int-shelling": (lambda c: dataclasses.replace(c, shelling=7), ["shelling partition"]),
-    "int-block": (lambda c: dataclasses.replace(c, shelling=c.shelling[:-1] + (5,)),
+    "int-shelling": (lambda c: c.replace(shelling=7), ["shelling partition"]),
+    "int-block": (lambda c: c.replace(shelling=c.shelling[:-1] + (5,)),
                   ["shelling partition"]),
     "float-in-block": (
-        lambda c: dataclasses.replace(c, shelling=((6.0, 7, 8, 9), (1, 3), (4, 5))),
+        lambda c: c.replace(shelling=((6.0, 7, 8, 9), (1, 3), (4, 5))),
         ["shelling partition"],
     ),
 }
@@ -677,7 +676,7 @@ def _moved(cert, index, image, value):
     """``cert`` with f(index) moved to ``image`` and the cached value set."""
     sel = cert.selection
     images = tuple(image if i == index else j for i, j in zip(sel.indices, sel.images))
-    return dataclasses.replace(cert, selection=dataclasses.replace(sel, images=images, value=value))
+    return cert.replace(selection=sel.replace(images=images, value=value))
 
 
 MULTI_X = tuple((v,) for v in (1, 2, 3, 4, 1, 2, 3))
@@ -698,7 +697,7 @@ MULTI_FAILURES = {
     "corollary-hypotheses-digest-and-injectivity": (
         "corollary", COROLLARY_Z3,
         lambda c: _with_selection(c, c.selection.indices, (1, 1, 1)),
-        dataclasses.replace(COROLLARY_Z3, ell=1),
+        COROLLARY_Z3.replace(ell=1),
         ["hypotheses: ell = 1 but maximal repetition is 2", "instance digest", "injectivity"],
     ),
 }
@@ -722,7 +721,7 @@ def test_a_corollary_certificate_carrying_a_shelling_is_refused():
     inst = Instance(group=Z3, x=((0,), (1,), (2,), (1,), (0,)), w=(1, 1, 1), ell=2)
     cert = solve(inst, "corollary")
     assert cert.shelling is None and cert.selection.images == (2, 3, 5)
-    shelled = dataclasses.replace(cert, shelling=((1, 2), (3,)))
+    shelled = cert.replace(shelling=((1, 2), (3,)))
     assert verify_certificate(inst, shelled) == (False, ["shelling width"])
 
 
@@ -901,7 +900,7 @@ def _word1_certificate(inst):
     )
     ok, diags = verify_certificate(inst, cert)
     assert ok, diags
-    return dataclasses.replace(cert, verified=True)
+    return cert.replace(verified=True)
 
 
 def test_solve_matches_the_per_statement_solvers():
@@ -983,7 +982,7 @@ def test_corollary_solve_verifies_once(monkeypatch):
 def test_corollary_solve_builds_one_selection_on_the_callers_instance(monkeypatch):
     inst = Instance(group=Z3, x=((1,), (2,), (1,), (0,), (2,)), w=(1, 1, 1), ell=2)
     instances = []
-    monkeypatch.setattr(Instance, "__post_init__", lambda self: instances.append(self))
+    monkeypatch.setattr(Instance, "_validate", lambda self: instances.append(self))
     checks = _counting(monkeypatch, "_check_selection")
     cert = solve_corollary(inst)
     assert cert.selection.images == (1, 4, 5)
@@ -1064,7 +1063,7 @@ def test_theorem1_oracle_may_return_the_empty_selection(monkeypatch):
     )
     assert cert.selection.indices == ()
     assert verify_certificate(inst, cert) == (True, [])
-    cert = dataclasses.replace(cert, verified=True)
+    cert = cert.replace(verified=True)
     blob = dumps_stable(certificate_to_json(inst.group, cert)).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == (
         "ddde1a1db5afbb416ec3c4cbeb19ef0514cef8cc5c82e117893db2662918421f"
