@@ -55,15 +55,15 @@ decision.  The public edge checks with the rules of ``zsum.groups``:
 ``conjecture_check_instance`` the weights (a list or tuple of ints), then
 x, |x|, k = |w| and the maximal repetition through the bounded finder's
 ``zerosum._check_full_length``; ``enumerate_zero_selection`` x and the
-weights; ``_validated`` a ScanConfig, whose ``orders`` and
-``weight_values`` are lists or tuples of ints.  Each decided pair is
-decided by two routes.  The first is a memoized DFS on element ranks (rank
-0 is the zero element) over (weight index, used-position mask, running-sum
-rank) states: each weight value's row of w_i * x_j ranks is read off the
-group's cached scaling table (weights reduced mod the exponent, so
-negative, zero and huge weights all work) once per x, and the running sum
-moves through the cached rank addition table.  The second route is an
-independent lexicographic enumeration of all (I, f) pairs on the
+weights; a ScanConfig, when it is built, every rule of a scan, and it keeps
+its ``orders`` and ``weight_values`` in canonical form.  Each decided pair
+is decided by two routes.  The first is a memoized DFS on element ranks
+(rank 0 is the zero element) over (weight index, used-position mask,
+running-sum rank) states: each weight value's row of w_i * x_j ranks is
+read off the group's cached scaling table (weights reduced mod the
+exponent, so negative, zero and huge weights all work) once per x, and the
+running sum moves through the cached rank addition table.  The second route
+is an independent lexicographic enumeration of all (I, f) pairs on the
 exhaustive oracle's core (the one ``fallback_search`` runs on), which
 values every candidate with its own per-coordinate arithmetic on the raw
 integers, so it trusts nothing the DFS computed.  Disagreement aborts the
@@ -127,9 +127,27 @@ class ScanConfig(Record):
     budget: int = DEFAULT_SCAN_BUDGET
 
     def _validate(self) -> None:
+        """Every rule of a scan; then the canonical form is stored: ``orders``
+        as a tuple, ``weight_values`` sorted without repeats."""
         if _checked_int(self.workers, "workers =", InvalidArgument) != 1:
             raise InvalidArgument(f"workers = {self.workers} must be 1: "
                                   "the scan decides in one process")
+        for field in ("k", "sample_size", "budget", "seed"):
+            _checked_int(getattr(self, field), f"{field} =", InvalidArgument)
+        n = canonicalize(self.orders).order
+        if not 1 <= self.k <= n:
+            raise InvalidArgument(f"k = {self.k} must lie in [1, {n}]")
+        values = tuple(sorted(set(_checked_ints(self.weight_values, "weight value",
+                                                InvalidArgument))))
+        if not values:
+            raise InvalidArgument("weight value set is empty")
+        if self.mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
+            raise InvalidArgument(f"unknown mode {self.mode!r}")
+        if self.mode == MODE_SAMPLED and self.sample_size < 1:
+            raise InvalidArgument(f"sample_size = {self.sample_size} must be >= 1")
+        if self.budget < 1:
+            raise InvalidArgument(f"budget = {self.budget} must be >= 1")
+        self.__dict__.update(orders=tuple(self.orders), weight_values=values)
 
 
 class ScanReport(Record):
@@ -278,27 +296,6 @@ def conjecture_check_instance(
     _check_full_length(g, x, len(_checked_ints(w, "weight", InvalidInstance)))
     index = g.rank_index
     return _decide(g, g.elements(), [index[e] for e in x], [w])[0]
-
-
-def _validated(config: ScanConfig) -> tuple[AbelianGroup, ScanConfig]:
-    _checked_record(config, ScanConfig, "scan config", InvalidArgument)
-    for field in ("k", "sample_size", "budget", "seed"):
-        _checked_int(getattr(config, field), f"{field} =", InvalidArgument)
-    g = canonicalize(config.orders)
-    n = g.order
-    if not 1 <= config.k <= n:
-        raise InvalidArgument(f"k = {config.k} must lie in [1, {n}]")
-    values = tuple(sorted(set(_checked_ints(config.weight_values, "weight value",
-                                            InvalidArgument))))
-    if not values:
-        raise InvalidArgument("weight value set is empty")
-    if config.mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
-        raise InvalidArgument(f"unknown mode {config.mode!r}")
-    if config.mode == MODE_SAMPLED and config.sample_size < 1:
-        raise InvalidArgument(f"sample_size = {config.sample_size} must be >= 1")
-    if config.budget < 1:
-        raise InvalidArgument(f"budget = {config.budget} must be >= 1")
-    return g, config.replace(orders=tuple(config.orders), weight_values=values)
 
 
 def _empty_report(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
@@ -652,7 +649,8 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
     instance lies in a proven regime.
     """
     started = time.perf_counter()
-    g, config = _validated(config)
+    _checked_record(config, ScanConfig, "scan config", InvalidArgument)
+    g = canonicalize(config.orders)
     d = davenport_get(g).value
     scan = _exhaustive if config.mode == MODE_EXHAUSTIVE else _sampled
     return scan(g, config, d).replace(wall_time=time.perf_counter() - started)

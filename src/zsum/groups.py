@@ -75,10 +75,12 @@ class Record:
     A subclass lists its fields as class annotations, in order; a field
     with a class attribute of the same name defaults to it.  A record is
     built by keyword or by position, then ``_validate`` runs; ``replace``
-    builds a changed copy the same way.  Assignment and deletion raise
-    AttributeError.  Two records are equal when they are of the same class
-    and their field tuples are equal, and a record hashes as its field
-    tuple.  The repr is ``Name(field=value, ...)``.
+    builds a changed copy the same way.  The hook may store a field's
+    canonical form by writing it into the instance ``__dict__``, which
+    holds the fields.  Assignment and deletion raise AttributeError.  Two
+    records are equal when they are of the same class and their field
+    tuples are equal, and a record hashes as its field tuple.  The repr is
+    ``Name(field=value, ...)``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -249,10 +251,25 @@ class AbelianGroup(Record):
     factors, which it compares and hashes by.
 
     Construct via :func:`canonicalize`, which hands out one object per
-    chain; the constructor trusts its inputs.
+    chain.  The constructor takes only a chain: InvalidGroup unless
+    ``invariant_factors`` is a tuple of ints (bools refused), each >= 2 and
+    dividing the next; ``()`` is Z_1.
     """
 
     invariant_factors: tuple[int, ...]
+
+    def _validate(self) -> None:
+        factors = self.invariant_factors
+        if type(factors) is not tuple:
+            raise InvalidGroup(f"invariant factors must come as a tuple, not "
+                               f"{type(factors).__name__}")
+        previous = 1
+        for d in factors:
+            if _checked_int(d, "invariant factor", InvalidGroup) < 2:
+                raise InvalidGroup(f"invariant factor {d} must be >= 2")
+            if d % previous:
+                raise InvalidGroup(f"invariant factor {previous} does not divide {d}")
+            previous = d
 
     # Record's equality and hash, written out for the one field: the
     # Davenport search hashes the group at every shallow node, as the key

@@ -22,6 +22,7 @@ from zsum.errors import (
     BudgetExceeded,
     InvalidArgument,
     InvalidElement,
+    InvalidGroup,
     InvalidInstance,
     TheoremViolation,
 )
@@ -194,6 +195,45 @@ def test_scan_config_validation():
         conjecture_scan(ScanConfig(orders=(3,), k=1, weight_values=(1,), workers=0))
 
 
+# (changes to a valid config, the error class, its message): one break of
+# each rule a ScanConfig checks, in the order it checks them
+SCAN_RULES = [
+    ({"workers": 2}, InvalidArgument, "^workers = 2 must be 1: the scan decides in one process$"),
+    ({"k": "x"}, InvalidArgument, "^k = 'x' is not an integer$"),
+    ({"sample_size": 2.5}, InvalidArgument, "^sample_size = 2.5 is not an integer$"),
+    ({"budget": True}, InvalidArgument, "^budget = True is not an integer$"),
+    ({"seed": None}, InvalidArgument, "^seed = None is not an integer$"),
+    ({"orders": (0,)}, InvalidGroup, "^cyclic order must be >= 1, got 0$"),
+    ({"orders": ("4",)}, InvalidGroup, "^cyclic order '4' is not an integer$"),
+    ({"orders": 4}, InvalidGroup, "^cyclic orders must come as a list or tuple, not int$"),
+    ({"k": 0}, InvalidArgument, r"^k = 0 must lie in \[1, 4\]$"),
+    ({"k": 5}, InvalidArgument, r"^k = 5 must lie in \[1, 4\]$"),
+    ({"weight_values": {1, 2}}, InvalidArgument,
+     "^weight values must come as a list or tuple, not set$"),
+    ({"weight_values": (1, 2.0)}, InvalidArgument, "^weight value 2.0 is not an integer$"),
+    ({"weight_values": ()}, InvalidArgument, "^weight value set is empty$"),
+    ({"mode": "turbo"}, InvalidArgument, "^unknown mode 'turbo'$"),
+    ({"mode": "sampled"}, InvalidArgument, "^sample_size = 0 must be >= 1$"),
+    ({"mode": "sampled", "sample_size": -3}, InvalidArgument, "^sample_size = -3 must be >= 1$"),
+    ({"budget": 0}, InvalidArgument, "^budget = 0 must be >= 1$"),
+    # two breaks: the rule checked first names its field
+    ({"k": "x", "orders": (0,)}, InvalidArgument, "^k = 'x' is not an integer$"),
+    ({"mode": "turbo", "budget": -1}, InvalidArgument, "^unknown mode 'turbo'$"),
+]
+
+
+@pytest.mark.parametrize("changes, error, message", SCAN_RULES)
+def test_a_scan_config_is_checked_when_it_is_built(changes, error, message):
+    # each rule once ran only when conjecture_scan did, so such a config
+    # built, and replace on a valid one succeeded
+    fields = {"orders": (4,), "k": 2, "weight_values": (1, 2, 3), **changes}
+    with pytest.raises(error, match=message):
+        ScanConfig(**fields)
+    config = ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3))
+    with pytest.raises(error, match=message):
+        config.replace(**changes)
+
+
 def test_enumeration_oracle_agreement_random():
     rng = random.Random(4242)
     for _ in range(300):
@@ -313,9 +353,9 @@ def test_the_public_edge_refuses_weights_that_are_not_ints(edge, w):
 @pytest.mark.parametrize("values", [(1.5, 2), ("a", 1), (True, 2)], ids=["float", "str", "bool"])
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_a_scan_refuses_weight_values_that_are_not_ints(mode, values):
-    config = ScanConfig(orders=(4,), k=2, weight_values=values, mode=mode, sample_size=10)
     with pytest.raises(InvalidArgument, match=f"^weight value {values[0]!r} is not an integer$"):
-        conjecture_scan(config)
+        conjecture_scan(ScanConfig(orders=(4,), k=2, weight_values=values, mode=mode,
+                                   sample_size=10))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -326,9 +366,9 @@ def test_a_scan_refuses_counts_and_seeds_that_are_not_ints(field, value):
     # k=2.0 once ended in a bare TypeError, k=True ran as k = 1, and
     # sample_size=2.5 drew 3 instances
     config = ScanConfig(orders=(4,), k=2, weight_values=(1, 2, 3), mode="sampled",
-                        sample_size=10).replace(**{field: value})
+                        sample_size=10)
     with pytest.raises(InvalidArgument, match=f"^{field} = {value!r} is not an integer$"):
-        conjecture_scan(config)
+        conjecture_scan(config.replace(**{field: value}))
 
 
 def test_in_process_scan_builds_the_admissible_list_once(monkeypatch):

@@ -325,6 +325,25 @@ def test_scan_report_bytes_are_pinned_at_workers_1():
     assert _digest(report.to_json()) == SCAN_Z4_K2_DIGEST
 
 
+# ScanConfig(orders=(4,), k=2, weight_values=(1, 3)): both weights are units
+# mod 4, so the proven coprime regime holds and no instance fails
+SCAN_Z4_K2_UNITS = (816, 0, "ddd0b4425089c8a0145d0b423b5ab3cc4d77bba0a0b12c3d4701beeb3b791579")
+
+
+def test_a_scan_config_keeps_its_canonical_form():
+    # a config of lists once built, failed to hash, and was made canonical
+    # only inside the scan, as a second config
+    given = ScanConfig(orders=[4], k=2, weight_values=[3, 1, 3])
+    canonical = ScanConfig(orders=(4,), k=2, weight_values=(1, 3))
+    assert given == canonical and hash(given) == hash(canonical)
+    assert (given.orders, given.weight_values) == ((4,), (1, 3))
+    assert canonical.replace(weight_values=[3, 3, 1]) == canonical
+    report = conjecture_scan(given)
+    assert report.config is given
+    assert (report.checked, report.counterexample_count) == SCAN_Z4_K2_UNITS[:2]
+    assert _digest(report.to_json()) == SCAN_Z4_K2_UNITS[2]
+
+
 @pytest.mark.parametrize("name", sorted(SCANS))
 def test_benchmark_scan_report_bytes_are_pinned(name):
     orders, k, mode, sample_size, seed, checked, failures, expected = SCANS[name]

@@ -82,6 +82,37 @@ def test_canonicalize_refuses_orders_that_are_not_ints(orders):
         canonicalize(orders)
 
 
+@pytest.mark.parametrize("factors, message", [
+    ((2, 3), "^invariant factor 2 does not divide 3$"),
+    ((4, 2), "^invariant factor 4 does not divide 2$"),
+    ((6, 2), "^invariant factor 6 does not divide 2$"),
+    ((2, 4, 6), "^invariant factor 4 does not divide 6$"),
+    ((1,), "^invariant factor 1 must be >= 2$"),
+    ((1, 2), "^invariant factor 1 must be >= 2$"),
+    ((0,), "^invariant factor 0 must be >= 2$"),
+    ((-2,), "^invariant factor -2 must be >= 2$"),
+    (("a",), "^invariant factor 'a' is not an integer$"),
+    ((True, 2), "^invariant factor True is not an integer$"),
+    ((2.0,), "^invariant factor 2.0 is not an integer$"),
+    ([2, 4], "^invariant factors must come as a tuple, not list$"),
+    (6, "^invariant factors must come as a tuple, not int$"),
+])
+def test_the_constructor_takes_only_a_chain(factors, message):
+    # (2, 3) once built a group whose D read 4, not D(Z_6) = 6, so solve
+    # certified theorem1 instances sized for the wrong D; ("a",) ended in a
+    # bare TypeError
+    with pytest.raises(InvalidGroup, match=message):
+        AbelianGroup(invariant_factors=factors)
+    with pytest.raises(InvalidGroup, match=message):
+        canonicalize([2]).replace(invariant_factors=factors)
+
+
+def test_the_constructor_builds_each_chain_canonicalize_builds():
+    for g in groups_up_to_order(48):
+        assert AbelianGroup(invariant_factors=g.invariant_factors) == g
+    assert AbelianGroup(invariant_factors=()) == canonicalize([1])
+
+
 def test_canonicalize_returns_one_object_per_chain():
     # the cached tables of a group are then built once per process
     assert canonicalize([4, 6]) is canonicalize([2, 12])
