@@ -6,12 +6,20 @@ machine-readable summaries.  The CLI ``selftest`` subcommand and the
 acceptance tests both drive `run_all`.  Criterion 1 sweeps exact Davenport
 computation against the closed forms and known values for every group of
 order up to 16.
+
+Criteria 2, 5, 6, 7 and 9 read their exhaustive spaces from `instance_space`,
+through the (orders, ell) cells of `CELLS` and `DEGENERATE_CELLS`.  It states
+the paper's hypotheses in its own code, not through
+``weighted._check_hypotheses``, so the battery stays a reference independent
+of the solver; a test checks that the two agree.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import random
 from typing import Callable, Iterator
 
 from .conjecture import ScanConfig, conjecture_scan, enumerate_zero_selection
@@ -31,6 +39,7 @@ from .weighted import (
     Selection,
     STATEMENT_COROLLARY,
     STATEMENT_THEOREM1,
+    STATEMENT_WORD1,
     fallback_search,
     instance_digest,
     solve,
@@ -46,12 +55,49 @@ class CriterionResult(Record):
     details: str
 
 
-def _cyclic(n: int) -> AbelianGroup:
-    return canonicalize([n])
+def sequence_space(orders: list[int], statement: str, ell: int) -> Iterator[tuple[Element, ...]]:
+    """The x part of `instance_space`: every x in G^m, in ``itertools.product``
+    order over ``g.elements()``, whose maximal repetition is at most ``ell``;
+    for the corollary, exactly ``ell`` and attained by x_m."""
+    g = canonicalize(orders)
+    m = g.order
+    if statement != STATEMENT_WORD1:  # word1 does not mention D
+        d = davenport_get(g).value
+        m += d - 1 - (min(d, ell) if statement == STATEMENT_THEOREM1 else 0)
+    for x in itertools.product(g.elements(), repeat=m):
+        if statement == STATEMENT_COROLLARY:
+            if rho(x) == ell and x.count(x[-1]) == ell:
+                yield x
+        elif not x or rho(x) <= ell:  # theorem1 on the trivial group has m = 0
+            yield x
 
 
-def _all_sequences(g: AbelianGroup, length: int) -> Iterator[tuple[Element, ...]]:
-    return itertools.product(g.elements(), repeat=length)
+def instance_space(orders: list[int], statement: str, ell: int) -> Iterator[Instance]:
+    """Every Instance of ``statement`` on the group with invariant factors
+    ``orders`` at repetition bound ``ell``.  word1 has |x| = |w| = n, theorem1
+    m = |w| = n + D - min(D, ell) - 1, the corollary m = n + D - 1 and |w| =
+    m - min(D, ell).  x runs over `sequence_space` as the outer loop, w over
+    [0, exp(G))^|w| in product order.  Degenerate corollary instances (ell >=
+    D) belong to the space: whether the statement holds is for ``solve``."""
+    g = canonicalize(orders)
+    r = min(davenport_get(g).value, ell) if statement == STATEMENT_COROLLARY else 0
+    for x in sequence_space(orders, statement, ell):
+        for w in itertools.product(range(g.exponent), repeat=len(x) - r):
+            yield Instance(group=g, x=x, w=w, ell=ell)
+
+
+# the battery's exhaustive spaces, as (orders, ell) cells per statement
+CELLS = {
+    STATEMENT_THEOREM1: (([2], 1), ([2], 2), ([2], 3), ([3], 2)),
+    STATEMENT_COROLLARY: (([3], 2),),
+}
+DEGENERATE_CELLS = (([2], 2), ([2], 3))  # the corollary at ell >= D: no selection exists
+
+
+def _battery(statement: str, cells: tuple | None = None) -> Iterator[Instance]:
+    """``statement``'s instances on ``cells`` (default: its `CELLS` row), cell by cell."""
+    cells = CELLS[statement] if cells is None else cells
+    return itertools.chain.from_iterable(instance_space(o, statement, ell) for o, ell in cells)
 
 
 def criterion_davenport() -> CriterionResult:
@@ -83,9 +129,8 @@ def criterion_word0_totality() -> CriterionResult:
     checked = 0
     for orders in ([2], [3], [4], [2, 2]):
         g = canonicalize(orders)
-        n = g.order
-        for x in _all_sequences(g, n):
-            for k in range(rho(x), n + 1):
+        for k in range(1, g.order + 1):
+            for x in sequence_space(orders, STATEMENT_WORD1, k):
                 checked += 1
                 wit = find_zero_sum_bounded(g, x, k)
                 if not 1 <= len(wit) <= k or g.sum(x[i - 1] for i in wit) != g.zero():
@@ -111,7 +156,7 @@ def _exact_length_sweep(g: AbelianGroup, length: int) -> tuple[int, int]:
 def criterion_egz() -> CriterionResult:
     """Every length-(2n-1) multiset over Z_n has an exact-length-n zero sum
     (EGZ: the cyclic case of Gao's n + D - 1 theorem)."""
-    sweeps = [_exact_length_sweep(_cyclic(n), 2 * n - 1) for n in (2, 3, 4, 5)]
+    sweeps = [_exact_length_sweep(canonicalize([n]), 2 * n - 1) for n in (2, 3, 4, 5)]
     checked = sum(c for c, _ in sweeps)
     failures = sum(f for _, f in sweeps)
     details = f"{checked} multisets, {failures} failures"
@@ -125,47 +170,6 @@ def criterion_gao() -> CriterionResult:
     return CriterionResult(4, "gao-reproduction", failures == 0, details)
 
 
-def _theorem1_suite() -> Iterator[Instance]:
-    # Z_2, ell = 1 (m = 2) and ell in {2, 3} (m = 1); Z_3, ell = 2 (m = 3)
-    z2 = _cyclic(2)
-    for x in _all_sequences(z2, 2):
-        if rho(x) > 1:
-            continue
-        for w in itertools.product(range(2), repeat=2):
-            yield Instance(group=z2, x=x, w=w, ell=1)
-    for ell in (2, 3):
-        for x in _all_sequences(z2, 1):
-            for w in itertools.product(range(2), repeat=1):
-                yield Instance(group=z2, x=x, w=w, ell=ell)
-    z3 = _cyclic(3)
-    for x in _all_sequences(z3, 3):
-        if rho(x) > 2:
-            continue
-        for w in itertools.product(range(3), repeat=3):
-            yield Instance(group=z3, x=x, w=w, ell=2)
-
-
-def _corollary_suite() -> Iterator[Instance]:
-    # Z_3, m = 5: maximal repetition 2 attained by position 5; w over {0,1,2}^3
-    z3 = _cyclic(3)
-    for x in _all_sequences(z3, 5):
-        if rho(x) != 2 or x.count(x[-1]) != 2:
-            continue
-        for w in itertools.product(range(3), repeat=3):
-            yield Instance(group=z3, x=x, w=w, ell=2)
-
-
-def _corollary_unsat_suite() -> Iterator[Instance]:
-    # Z_2, m = 3: maximal repetition >= D = 2 attained by position 3
-    z2 = _cyclic(2)
-    for x in _all_sequences(z2, 3):
-        ell = rho(x)
-        if ell < 2 or x.count(x[-1]) != ell:
-            continue
-        for w in itertools.product(range(2), repeat=1):
-            yield Instance(group=z2, x=x, w=w, ell=ell)
-
-
 def criterion_theorem_exhaustive() -> CriterionResult:
     """Main-window solver: 100% verified certificates on the stated suites.
 
@@ -175,7 +179,7 @@ def criterion_theorem_exhaustive() -> CriterionResult:
     """
     failures = 0
     checked = 0
-    for inst in _theorem1_suite():
+    for inst in _battery(STATEMENT_THEOREM1):
         checked += 1
         failures += not solve(inst, STATEMENT_THEOREM1).verified
     details = f"{checked} instances, {failures} failures"
@@ -188,13 +192,13 @@ def criterion_corollary_exhaustive() -> CriterionResult:
     unsatisfiable."""
     failures = 0
     checked = 0
-    for inst in _corollary_suite():
+    for inst in _battery(STATEMENT_COROLLARY):
         checked += 1
         failures += not solve(inst, STATEMENT_COROLLARY).verified
     # the degenerate family: the solver must report each instance
     # unsatisfiable and the oracle must find nothing
     unsat_checked = 0
-    for inst in _corollary_unsat_suite():
+    for inst in _battery(STATEMENT_COROLLARY, DEGENERATE_CELLS):
         unsat_checked += 1
         try:
             solve(inst, STATEMENT_COROLLARY)
@@ -214,10 +218,8 @@ def criterion_oracle_agreement() -> CriterionResult:
     """
     failures = 0
     checked = 0
-    for statement, suite in (
-        (STATEMENT_THEOREM1, _theorem1_suite), (STATEMENT_COROLLARY, _corollary_suite)
-    ):
-        for inst in suite():
+    for statement in (STATEMENT_THEOREM1, STATEMENT_COROLLARY):
+        for inst in _battery(statement):
             checked += 1
             cert = solve(inst, statement)
             oracle = fallback_search(inst, statement)
@@ -262,13 +264,11 @@ def criterion_scan_integrity() -> CriterionResult:
     failures (the conjecture's truth is open); each one is re-checked here
     by a second independent enumeration before being accepted as genuine.
     """
-    import math as _math
-
     failures: list[str] = []
     scans = 0
     findings = 0
     for n in (2, 3, 4):
-        g = _cyclic(n)
+        g = canonicalize([n])
         values = tuple(range(1, n))
         d = davenport_get(g).value
         for k in range(1, n + 1):
@@ -282,7 +282,7 @@ def criterion_scan_integrity() -> CriterionResult:
             findings += payload["counterexample_count"]
             for ce in payload["counterexamples"]:
                 w = ce["w"]
-                if k >= d or all(_math.gcd(n, wi) == 1 for wi in w):
+                if k >= d or all(math.gcd(n, wi) == 1 for wi in w):
                     failures.append(f"n={n} k={k}: counterexample inside a proven subclass")
                 x = [tuple(e) for e in ce["x"]]
                 if enumerate_zero_selection(g, x, w) is not None:
@@ -299,15 +299,13 @@ def criterion_scan_integrity() -> CriterionResult:
 
 def criterion_determinism_roundtrip() -> CriterionResult:
     """Byte-identical certificates on reruns; lossless JSON round-trips."""
-    import random
-
     failures: list[str] = []
     rerun_checked = 0
-    for statement, suite, step, failure in (
-        (STATEMENT_THEOREM1, _theorem1_suite, 7, "certificate rerun differs"),
-        (STATEMENT_COROLLARY, _corollary_suite, 97, "corollary certificate rerun differs"),
+    for statement, step, failure in (
+        (STATEMENT_THEOREM1, 7, "certificate rerun differs"),
+        (STATEMENT_COROLLARY, 97, "corollary certificate rerun differs"),
     ):
-        for inst in itertools.islice(suite(), 0, None, step):
+        for inst in itertools.islice(_battery(statement), 0, None, step):
             rerun_checked += 1
             a, b = [
                 dumps_stable(certificate_to_json(inst.group, solve(inst, statement)))

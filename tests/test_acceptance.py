@@ -3,10 +3,13 @@
 Runtime limits are pinned per criterion; where the criterion text states no
 limit, a conservative one is pinned here so regressions still surface.  Each
 criterion's ``details`` line is pinned too: the battery is deterministic, so
-a count that moves is a change of behaviour.
+a count that moves is a change of behaviour.  The generator of the
+battery's exhaustive spaces is checked against the solver's own statement
+of the paper's hypotheses.
 """
 from __future__ import annotations
 
+import itertools
 import time
 
 import pytest
@@ -23,8 +26,13 @@ from zsum.acceptance import (
     criterion_scan_integrity,
     criterion_theorem_exhaustive,
     criterion_word0_totality,
+    instance_space,
+    sequence_space,
 )
-from zsum.errors import TheoremViolation
+from zsum.davenport import davenport_get
+from zsum.errors import InvalidInstance, TheoremViolation, UnsatisfiableStatement
+from zsum.groups import groups_up_to_order
+from zsum.weighted import STATEMENTS, Instance
 
 
 def _run(criterion, number, name, limit_s, details):
@@ -130,3 +138,40 @@ def test_a_rejected_construction_raises_out_of_the_battery(monkeypatch, criterio
     monkeypatch.setattr(zsum.weighted, "_construct", lambda *args: (original(*args)[0], ()))
     with pytest.raises(TheoremViolation, match="shelling partition"):
         criterion()
+
+
+def _meets_hypotheses(inst, statement, d):
+    """True unless weighted._check_hypotheses calls ``inst`` invalid; an
+    unsatisfiable corollary (ell >= D) meets them."""
+    try:
+        zsum.weighted._check_hypotheses(inst, statement, d)
+    except InvalidInstance:
+        return False
+    except UnsatisfiableStatement:
+        pass
+    return True
+
+
+def test_instance_space_keeps_what_the_solver_accepts():
+    # the battery states the hypotheses in its own code; on every group of
+    # order <= 4, an x in G^m must pass the solver's check exactly when the
+    # generator yields it, so a drift in either statement of them fails here
+    checks = 0
+    for g in groups_up_to_order(4):
+        orders, n, d = list(g.invariant_factors), g.order, davenport_get(g).value
+        for statement in STATEMENTS:
+            for ell in range(1, n + 2):
+                r = min(d, ell)
+                m, k = {"word1": (n, n), "theorem1": (n + d - r - 1, n + d - r - 1),
+                        "corollary": (n + d - 1, n + d - 1 - r)}[statement]
+                kept = set(sequence_space(orders, statement, ell))
+                first = next(instance_space(orders, statement, ell), None)
+                assert (first is None) == (not kept)
+                assert first is None or (first.x in kept and len(first.w) == k)
+                for x in itertools.product(g.elements(), repeat=m):
+                    checks += 1
+                    inst = Instance(group=g, x=x, w=(0,) * k, ell=ell)
+                    assert _meets_hypotheses(inst, statement, d) == (x in kept), (
+                        g, statement, ell, x,
+                    )
+    assert checks == 113_192

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from zsum.acceptance import instance_space
 from zsum.conjecture import ScanConfig, conjecture_scan
 from zsum.davenport import SEARCHED_FACTORS, davenport_formula, davenport_get
 from zsum.groups import canonicalize, groups_up_to_order
@@ -85,6 +86,28 @@ BATCH_DIGEST = "4a537f365f3b8e91ea3a35a41e801f5d28cd2f4636383a5b9feb3ab3846eee06
 # ell = D - 1; D comes from their searched records.
 SEARCHED_ELLS_SEED = 2026
 SEARCHED_DIGEST = "b3abadb7d860cb4f21ab664d65b3fe45d2c667e6ecdfd729b1df408efd6da3bc"
+
+# One digest over 435 seeded theorem1 and corollary certificates on the 111
+# groups of order <= 64 outside SEARCHED_FACTORS, at ell = 2 and ell = D - 1;
+# D comes from closed forms, and a (group, ell, statement) cell that admits
+# no instance (ell < 1, a corollary at ell >= D, or no x under the
+# repetition bound) is skipped.
+SMALL_GROUPS_SEED = 2026
+SMALL_GROUPS_DIGEST = "a895cd56ef41cd06b566566fd68957c6666e26eed171e32f1c3be3d5cfd1078c"
+
+# Every instance of a tiny exhaustive space, solved in instance_space order
+# (weights in [0, exp(G))), as (statement, orders, ell, count, digest);
+# recorded on hand-written loops before the battery shared the generator.
+# Z_4's theorem1 space at ell = 3 takes about 7 s and runs under the slow mark.
+SPACES = {
+    "theorem1-z2xz2-ell2": ("theorem1", [2, 2], 2, 3264,
+                            "b4e64e55ad7c99218aba62b82442154a2e173f68082a32b65f781721816159e6"),
+    "corollary-z2xz2-ell2": ("corollary", [2, 2], 2, 17280,
+                             "556b64a1b1eb6c82f78c2338e4ab6e395bc9ee88e7d37a81d70a50bd409a5bea"),
+    "theorem1-z4-ell3": ("theorem1", [4], 3, 64512,
+                         "8c4b4ec747139a7a241e63eb4805bc6386d0d2f62303e0a5c0b312c9ec01929d"),
+}
+SLOW_SPACES = {"theorem1-z4-ell3"}
 
 # One digest over 18 seeded theorem1 and corollary certificates on groups of
 # order 256, where theorem1's narrow phase runs hundreds of word1 blocks
@@ -217,18 +240,26 @@ def _batch_corollary(rng, g, d, ell):
     return Instance(group=g, x=x, w=w, ell=ell)
 
 
+# theorem1 needs m <= n * ell and the corollary m - ell <= (n - 1) * ell for
+# x to exist under the repetition bound; the corollary also needs ell < D
+def _theorem1_fits(n, d, ell):
+    return n + d - min(d, ell) - 1 <= n * ell
+
+
+def _corollary_fits(n, d, ell):
+    return ell < d and n + d - 1 - ell <= (n - 1) * ell
+
+
 def _batch_instances():
     rng = random.Random(BATCH_SEED)
     groups = [g for g in groups_up_to_order(24) if davenport_formula(g) is not None]
     groups += [canonicalize(orders) for orders in BATCH_EXTRA_GROUPS]
     for g in groups:
         n, d = g.order, davenport_formula(g)
-        # theorem1 needs m <= n * ell and the corollary m - ell <= (n - 1) * ell
-        # for x to exist under the repetition bound; the corollary also ell < D
-        fit = [e for e in range(1, d + 2) if n + d - min(d, e) - 1 <= n * e]
+        fit = [e for e in range(1, d + 2) if _theorem1_fits(n, d, e)]
         for ell in sorted(set(rng.sample(fit, min(BATCH_BOUNDS_PER_GROUP, len(fit)))) | {d, d + 1}):
             yield "theorem1", _batch_theorem1(rng, g, d, ell)
-        fit = [e for e in range(1, d) if n + d - 1 - e <= (n - 1) * e]
+        fit = [e for e in range(1, d) if _corollary_fits(n, d, e)]
         extra = {d - 1} if d - 1 in fit else set()
         for ell in sorted(set(rng.sample(fit, min(BATCH_BOUNDS_PER_GROUP, len(fit)))) | extra):
             yield "corollary", _batch_corollary(rng, g, d, ell)
@@ -261,6 +292,48 @@ def test_searched_group_certificates_verify_and_are_pinned():
                 count += 1
     assert count == 24
     assert digest.hexdigest() == SEARCHED_DIGEST
+
+
+def test_small_group_certificates_verify_and_are_pinned():
+    rng = random.Random(SMALL_GROUPS_SEED)
+    digest = hashlib.sha256()
+    count = skipped = 0
+    groups = [g for g in groups_up_to_order(64) if g.invariant_factors not in SEARCHED_FACTORS]
+    assert len(groups) == 111
+    for g in groups:
+        n, d = g.order, davenport_formula(g)
+        for ell in sorted({2, d - 1}):
+            for statement, build, fits in (
+                ("theorem1", _batch_theorem1, _theorem1_fits),
+                ("corollary", _batch_corollary, _corollary_fits),
+            ):
+                if ell < 1 or not fits(n, d, ell):
+                    skipped += 1
+                    continue
+                inst = build(rng, g, d, ell)
+                cert = solve(inst, statement)
+                assert verify_certificate(inst, cert) == (True, []), (g, ell, statement)
+                digest.update(dumps_stable(certificate_to_json(g, cert)).encode("utf-8"))
+                count += 1
+    # the trivial group at ell = 0 (both statements) and at ell = 2, and Z_2
+    # at ell = 1 and 2, skip the corollary
+    assert (count, skipped) == (435, 5)
+    assert digest.hexdigest() == SMALL_GROUPS_DIGEST
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow) if name in SLOW_SPACES else name
+    for name in sorted(SPACES)
+])
+def test_exhaustive_space_certificate_bytes_are_pinned(name):
+    statement, orders, ell, size, expected = SPACES[name]
+    digest = hashlib.sha256()
+    count = 0
+    for inst in instance_space(orders, statement, ell):
+        cert = solve(inst, statement)
+        digest.update(dumps_stable(certificate_to_json(inst.group, cert)).encode("utf-8"))
+        count += 1
+    assert (count, digest.hexdigest()) == (size, expected)
 
 
 def _seeded_certificates_digest(groups, ells, seed):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import zsum.davenport
 import zsum.weighted
+from zsum.acceptance import instance_space, sequence_space
 from zsum.davenport import davenport_get
 from zsum.errors import (
     InvalidArgument,
@@ -101,23 +101,22 @@ def test_word1_repeated_element_route():
 
 
 def test_word1_single_block_shelling():
-    for x in itertools.product(Z3.elements(), repeat=3):
-        for ell in range(max(rho(x), 1), 4):
+    for ell in range(1, 4):
+        for x in sequence_space([3], "word1", ell):
             sh, _ = solve_word1(Z3, x, (1, 2, 1), ell)
             assert sh.blocks == (sh.selection.indices,)
             assert all(len(block) <= ell for block in sh.blocks)
 
 
 def test_word1_exhaustive_small():
-    for g in (Z2, Z3):
-        n = g.order
-        for x in itertools.product(g.elements(), repeat=n):
-            for w in itertools.product(range(n), repeat=n):
-                for ell in range(max(rho(x), 1), n + 1):
-                    sh, _ = solve_word1(g, x, w, ell)
-                    sel = sh.selection
-                    assert 1 <= len(sel) <= ell, (x, w, ell)
-                    assert weighted_value(g, w, x, sel.indices, sel.images) == g.zero()
+    for n in (2, 3):
+        for ell in range(1, n + 1):
+            for inst in instance_space([n], "word1", ell):
+                g, x, w = inst.group, inst.x, inst.w
+                sh, _ = solve_word1(g, x, w, ell)
+                sel = sh.selection
+                assert 1 <= len(sel) <= ell, (x, w, ell)
+                assert weighted_value(g, w, x, sel.indices, sel.images) == g.zero()
 
 
 def test_word1_preconditions():
@@ -255,9 +254,7 @@ def test_narrow_shelling_examples():
 
 
 def test_narrow_shelling_block_invariants():
-    for x in itertools.product(Z3.elements(), repeat=3):
-        if rho(x) > 2:
-            continue
+    for x in sequence_space([3], "theorem1", 2):
         _check_theorem1_pairs(Z3, x, (1, 2, 1), 2, 3)  # m = n - ell + D - 1 = 3
 
 
@@ -331,9 +328,7 @@ def test_theorem1_wide_branch_allows_empty_selection():
 
 
 def test_theorem1_size_window_both_branches():
-    for x in itertools.product(Z3.elements(), repeat=3):
-        if rho(x) > 2:
-            continue
+    for x in sequence_space([3], "theorem1", 2):
         inst = Instance(group=Z3, x=x, w=(1, 2, 0), ell=2)
         cert = solve_theorem1(inst)
         assert 1 <= len(cert.selection) <= 2  # window [n - min(D,ell), n-1]
@@ -388,10 +383,7 @@ def test_corollary_reads_davenport_through_the_memo(monkeypatch):
 
 
 def test_corollary_window_is_exactly_n():
-    for x_head in itertools.product(Z3.elements(), repeat=3):
-        x = x_head + ((2,), (2,))
-        if rho(x) != 2 or x.count(x[-1]) != 2:
-            continue
+    for x in sequence_space([3], "corollary", 2):
         inst = Instance(group=Z3, x=x, w=(1, 2, 1), ell=2)
         cert = solve_corollary(inst)
         assert len(cert.selection) == 3
