@@ -6,8 +6,8 @@ solve, verify, scan-conjecture, selftest.
 Exit codes: 0 verified solve / success; 1 verification or selftest failure;
 2 invalid input (bad files, bad preconditions, bad arguments, an output
 path that cannot be written); 3 statement unsatisfiable; 4 theorem
-violation (a construction missed under its hypotheses: a bug, reported
-loudly, never absorbed); 5 resource cap hit (Davenport search node budget
+violation (a construction missed under its hypotheses, or a scan's DFS and
+oracle disagreed: a bug, reported loudly, never absorbed); 5 resource cap hit (Davenport search node budget
 or scan budget exceeded).
 
 All file output is atomic (temp file + rename).  Every setting is a flag,

@@ -56,21 +56,24 @@ decision.  The public edge checks with the rules of ``zsum.groups``:
 x, |x|, k = |w| and the maximal repetition through the bounded finder's
 ``zerosum._check_full_length``; ``enumerate_zero_selection`` x and the
 weights; a ScanConfig, when it is built, every rule of a scan, and it keeps
-its ``orders`` and ``weight_values`` in canonical form.  Each decided pair
-is decided by two routes.  The first is a memoized DFS on element ranks
-(rank 0 is the zero element) over (weight index, used-position mask,
-running-sum rank) states: each weight value's row of w_i * x_j ranks is
-read off the group's cached scaling table (weights reduced mod the
-exponent, so negative, zero and huge weights all work) once per x, and the
-running sum moves through the cached rank addition table.  The second route
-is an independent lexicographic enumeration of all (I, f) pairs on the
-exhaustive oracle's core (the one ``fallback_search`` runs on), which
-values every candidate with its own per-coordinate arithmetic on the raw
-integers, so it trusts nothing the DFS computed.  Disagreement aborts the
-scan.  Counterexamples are, by construction, instances whose orbit pair's
-enumeration ran to exhaustion.  A reported witness is the oracle's
-selection for its own instance, not for its class's or orbit's
-representative.
+its ``orders`` and ``weight_values`` in canonical form.  Each pair is
+decided by a memoized DFS on element ranks (rank 0 is the zero element)
+over (weight index, used-position mask, running-sum rank) states: each
+weight value's row of w_i * x_j ranks is read off the group's cached
+scaling table (weights reduced mod the exponent, so negative, zero and huge
+weights all work) once per x, and the running sum moves through the cached
+rank addition table.  The DFS returns the first selection it meets, and
+neither verdict is taken on its word.  A "yes" is that selection, checked
+with the exhaustive oracle's arithmetic (the one ``fallback_search`` runs
+on) on the raw integers: a nonempty I strictly increasing inside [1, k],
+distinct images inside [1, n], and value zero in every coordinate.  A "no"
+is the oracle's lexicographic enumeration of all (I, f) run to exhaustion.
+So each verdict rests on nothing the DFS computed, and a selection that
+fails the check, or one the enumeration finds after a "no", aborts the scan
+with TheoremViolation.  Counterexamples are, by construction, instances
+whose orbit pair's enumeration ran to exhaustion.  A reported witness is
+the oracle's lexicographically first selection for its own instance, not
+the DFS's, nor one for its class's or orbit's representative.
 
 Reports are deterministic byte-for-byte for a fixed configuration: the
 instance order is canonical (x in lexicographic order, weights varying
@@ -162,7 +165,7 @@ class ScanReport(Record):
     witness_sample: tuple[dict, ...]
     wall_time: float
     authoritative: bool = True
-    decided: int = 0  # orbit pairs decided, each once by both routes
+    decided: int = 0  # orbit pairs decided
 
     def to_json(self) -> dict:
         """Canonical report payload.  Wall time and the decided orbit pairs
@@ -203,41 +206,72 @@ def _rank_rows(
     return {v: [scale[v % exponent][r] for r in ranks] for v in set(values)}
 
 
-def _zero_selection_dfs(add: list[list[int]], derived: list[list[int]], n: int) -> bool:
+def _zero_selection_dfs(
+    add: list[list[int]], derived: list[list[int]], n: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Memoized DFS on element ranks (rank 0 is zero) over the rows
-    ``derived[i][j]`` = rank of w_i * x_j: does some nonempty I and
-    injection f give value zero?
+    ``derived[i][j]`` = rank of w_i * x_j: the first nonempty I and
+    injection f of value zero it meets, as 1-based (indices, images), or
+    None.
 
     A state is (weight index, used-position mask, running-sum rank); the
-    mask is nonzero exactly when I is nonempty.
+    mask is nonzero exactly when I is nonempty.  A state is remembered only
+    when it fails, since a success ends the search; the selection is read
+    off the success path while the recursion unwinds.
     """
-    if any(0 in row for row in derived):
-        return True
+    for i, row in enumerate(derived):
+        if 0 in row:
+            return (i + 1,), (row.index(0) + 1,)
     k = len(derived)
-    memo: dict[tuple[int, int, int], bool] = {}
+    dead: set[tuple[int, int, int]] = set()
 
-    def walk(i: int, used: int, total: int) -> bool:
+    def walk(i: int, used: int, total: int) -> list[tuple[int, int]] | None:
+        """The (index, image) pairs after weight i, deepest first, that
+        finish a zero selection from this state, or None."""
         if i == k:
-            return used != 0 and total == 0
+            return [] if used and total == 0 else None
         key = (i, used, total)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = walk(i + 1, used, total)
-        if not result:
-            row = derived[i]
-            plus = add[total]
-            for j in range(n):
-                bit = 1 << j
-                if used & bit:
-                    continue
-                if walk(i + 1, used | bit, plus[row[j]]):
-                    result = True
-                    break
-        memo[key] = result
-        return result
+        if key in dead:
+            return None
+        path = walk(i + 1, used, total)
+        if path is not None:
+            return path
+        row = derived[i]
+        plus = add[total]
+        for j in range(n):
+            bit = 1 << j
+            if not used & bit:
+                path = walk(i + 1, used | bit, plus[row[j]])
+                if path is not None:
+                    path.append((i + 1, j + 1))
+                    return path
+        dead.add(key)
+        return None
 
-    return walk(0, 0, 0)
+    path = walk(0, 0, 0)
+    if path is None:
+        return None
+    path.reverse()
+    return tuple([i for i, _ in path]), tuple([j for _, j in path])
+
+
+def _is_zero_selection(
+    columns: list[tuple[list[int], int]], m: int, w: Sequence[int],
+    indices: Sequence[int], images: Sequence[int],
+) -> bool:
+    """Whether (indices, images) is a zero selection for x (as its
+    ``_coordinate_columns``, m positions) and w, by the oracle's arithmetic
+    on the raw integers: a nonempty I strictly increasing inside [1, |w|],
+    as many distinct images inside [1, m], and (sum of w_i * x_f(i)[c])
+    mod d_c = 0 in every coordinate c."""
+    return (
+        0 < len(indices) == len(set(images)) == len(images)
+        and 0 < indices[0] and indices[-1] <= len(w)
+        and 0 < min(images) and max(images) <= m
+        and all(map(operator.lt, indices, indices[1:]))
+        and all([sum([w[i - 1] * column[j] for i, j in zip(indices, images)]) % d == 0
+                 for column, d in columns])
+    )
 
 
 def _first_zero(
@@ -261,25 +295,36 @@ def enumerate_zero_selection(
 
 def _decide(
     g: AbelianGroup, elements: list[Element], x: Sequence[int], ws: Sequence[Sequence[int]]
-) -> list[Selection | None]:
+) -> list[tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """Decide every weight vector in ``ws`` against one x, given as element
-    ranks, which are trusted.  The DFS's rows are built once per distinct
-    weight value and the oracle's columns once for x.  Each w is decided by
-    the DFS and by the lexicographic enumeration; the two must agree or an
-    AssertionError is raised."""
-    xs = tuple([elements[r] for r in x])
+    ranks, which are trusted: per w, the DFS's zero selection as 1-based
+    (indices, images), or None.  The DFS's rows are built once per distinct
+    weight value and the oracle's columns once for x.  A "yes" is the DFS's
+    selection, checked by ``_is_zero_selection``; a "no" is the
+    lexicographic enumeration run to exhaustion.  A selection that fails
+    the check, or one the enumeration finds after the DFS found none,
+    raises TheoremViolation naming x, w and the route that lost."""
+    xs = [elements[r] for r in x]
     rows = _rank_rows(g, x, itertools.chain.from_iterable(ws))
     columns = _coordinate_columns(g, xs)
     add = g.rank_add_table
-    out: list[Selection | None] = []
+    m = len(x)
+    out: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = []
     for w in ws:
-        fast = _zero_selection_dfs(add, [rows[v] for v in w], len(x))
-        sel = _first_zero(columns, len(x), w)
-        if fast and sel is None:
-            raise AssertionError(f"DFS found a selection but enumeration did not: x={xs!r}, w={w!r}")
-        if not fast and sel is not None:
-            raise AssertionError(f"enumeration found {sel!r} but DFS said none: x={xs!r}, w={w!r}")
-        out.append(sel)
+        found = _zero_selection_dfs(add, [rows[v] for v in w], m)
+        if found is None:
+            sel = _first_zero(columns, m, w)
+            if sel is not None:
+                raise TheoremViolation(
+                    f"route disagreement, the DFS lost: it found no zero selection, the "
+                    f"enumeration found indices {list(sel.indices)} and images "
+                    f"{list(sel.images)}: x={[list(e) for e in xs]}, w={list(w)}")
+        elif not _is_zero_selection(columns, m, w, *found):
+            raise TheoremViolation(
+                f"route disagreement, the DFS lost: its selection, indices {list(found[0])} "
+                f"and images {list(found[1])}, is not a zero selection: "
+                f"x={[list(e) for e in xs]}, w={list(w)}")
+        out.append(found)
     return out
 
 
@@ -289,13 +334,16 @@ def conjecture_check_instance(
     """Verified zero-value selection, or None for a counterexample candidate.
 
     Checks w (a list or tuple of ints), then the bounded finder's
-    hypotheses with k = |w| (``zerosum._check_full_length``).  Decides via
-    the memoized DFS, then confirms by lexicographic enumeration; the two
-    routes must agree or an AssertionError is raised.
+    hypotheses with k = |w| (``zerosum._check_full_length``).  Decides as
+    the scan does (``_decide``), so a wrong DFS verdict raises
+    TheoremViolation; a "yes" then returns the oracle's lexicographically
+    first selection.
     """
     _check_full_length(g, x, len(_checked_ints(w, "weight", InvalidInstance)))
     index = g.rank_index
-    return _decide(g, g.elements(), [index[e] for e in x], [w])[0]
+    if _decide(g, g.elements(), [index[e] for e in x], [w])[0] is None:
+        return None
+    return _first_zero(_coordinate_columns(g, x), len(x), w)
 
 
 def _empty_report(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
@@ -360,24 +408,39 @@ def _walk(
     is the kind of ``letters[i]``) ``fits`` accepts, in product order.
     ``fits`` takes the counts of a prefix and must be true exactly when some
     wanted class contains them, so a dead prefix is dropped at once and a
-    word costs at most length * (len(letters) + kinds) steps."""
+    word costs at most length * (len(letters) + kinds) steps.  One explicit
+    stack holds the open positions, so a word is yielded from this frame,
+    not through one generator frame per position."""
     word: list[int] = []
-
-    def extend(counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        live: dict[int, tuple[int, ...] | None] = {}  # per kind, tested when first met
-        for letter, r in zip(letters, kinds):
-            if r not in live:
-                more = counts[:r] + (counts[r] + 1,) + counts[r + 1:]
-                live[r] = more if fits(more) else None
-            if live[r] is not None:
-                word.append(letter)
-                if len(word) == length:
-                    yield tuple(word)
-                else:
-                    yield from extend(live[r])
-                word.pop()
-
-    return extend((0,) * (max(kinds) + 1))
+    # The open position: the counts of the prefix before it, the next letter
+    # to try there, and, per kind, the counts with one more of it if fits
+    # accepts them, else None, tested when the kind is first met.
+    counts: tuple[int, ...] = (0,) * (max(kinds) + 1)
+    at = 0
+    live: dict[int, tuple[int, ...] | None] = {}
+    stack: list[tuple[tuple[int, ...], int, dict[int, tuple[int, ...] | None]]] = []
+    last = length - 1
+    while True:
+        if at == len(letters):
+            if not stack:
+                return
+            counts, at, live = stack.pop()
+            word.pop()
+            continue
+        letter, r = letters[at], kinds[at]
+        at += 1
+        if r not in live:
+            more = counts[:r] + (counts[r] + 1,) + counts[r + 1:]
+            live[r] = more if fits(more) else None
+        more = live[r]
+        if more is None:
+            continue
+        if len(word) == last:
+            yield (*word, letter)
+        else:
+            stack.append((counts, at, live))
+            word.append(letter)
+            counts, at, live = more, 0, {}
 
 
 def _containing(
@@ -607,17 +670,17 @@ def _sampled(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
         err.report = _empty_report(g, config, d)
         raise
 
-    # Key every draw; a w-class keeps its first draw, ordered by residue like
-    # an exhaustive scan's weights.  The drawn classes fall into orbits, and
-    # each x-orbit is decided in one call, its first class's sorted ranks
-    # against the first draw of every w-orbit drawn with one of its classes.
+    # Key every draw, each distinct w once; a w-class keeps its first draw,
+    # ordered by residue like an exhaustive scan's weights.  The drawn
+    # classes fall into orbits, and each x-orbit is decided in one call, its
+    # first class's sorted ranks against the first draw of every w-orbit
+    # drawn with one of its classes.
+    w_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
     first_w: dict[tuple[int, ...], tuple[int, ...]] = {}
-    keys = []
-    for x, w in draws:
-        w_key = tuple(sorted([v % exponent for v in w]))
-        if w_key not in first_w:
-            first_w[w_key] = tuple(sorted(w, key=lambda v: v % exponent))
-        keys.append((tuple(sorted(x)), w_key))
+    for w in dict.fromkeys([w for _, w in draws]):
+        w_key = w_keys[w] = tuple(sorted([v % exponent for v in w]))
+        first_w.setdefault(w_key, tuple(sorted(w, key=lambda v: v % exponent)))
+    keys = [(tuple(sorted(x)), w_keys[w]) for x, w in draws]
     x_classes, w_classes = list(dict.fromkeys([x for x, _ in keys])), list(first_w)
     x_roots, w_roots = _orbits(g, [tuple(map(x.count, range(n))) for x in x_classes], w_classes)
     x_root = dict(zip(x_classes, [x_classes[i] for i in x_roots]))
@@ -646,7 +709,8 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
     Raises BudgetExceeded (carrying an empty report flagged non-authoritative)
     when the scan exceeds the budget (classes for an exhaustive scan, x
     draws, kept or not, for a sampled one), and TheoremViolation if any failing
-    instance lies in a proven regime.
+    instance lies in a proven regime or the DFS and the oracle disagree on an
+    orbit pair.
     """
     started = time.perf_counter()
     _checked_record(config, ScanConfig, "scan config", InvalidArgument)

@@ -5,7 +5,9 @@ exception is :class:`TheoremViolation`, which derives from ``BaseException``
 so that a blanket ``except Exception`` cannot swallow it: it fires only when
 a construction or search that a proved statement says cannot fail comes up
 short, which means either an implementation bug or a genuine mathematical
-event.  Both must surface loudly.
+event, or when two independent routes of one decision disagree (the
+conjecture scan's DFS and its exhaustive oracle), which is a bug.  All of
+them must surface loudly.
 """
 
 from __future__ import annotations
@@ -62,7 +64,10 @@ class OracleTooLarge(ZsumError):
 
 
 class TheoremViolation(BaseException):
-    """A construction or search that a theorem guarantees to succeed missed.
+    """A construction or search that a theorem guarantees to succeed missed,
+    or two independent routes of one decision disagreed: a DFS selection
+    that fails the oracle's check, or an oracle selection where the DFS
+    found none.
 
     Not a ZsumError on purpose: it must never be silently converted into an
     "absent" result.  Catch it only to report and abort.

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import time
 from collections import Counter
 
@@ -14,6 +15,7 @@ from zsum.conjecture import (
     ScanReport,
     _containing,
     _walk,
+    _zero_selection_dfs,
     conjecture_check_instance,
     conjecture_scan,
     enumerate_zero_selection,
@@ -274,7 +276,7 @@ def _dfs_has_selection(g, x, w):
     from zsum.conjecture import _rank_rows, _zero_selection_dfs
 
     rows = _rank_rows(g, [g.rank_index[e] for e in x], w)
-    return _zero_selection_dfs(g.rank_add_table, [rows[v] for v in w], len(x))
+    return _zero_selection_dfs(g.rank_add_table, [rows[v] for v in w], len(x)) is not None
 
 
 def test_rank_dfs_matches_brute_force_on_small_groups():
@@ -416,24 +418,117 @@ def test_batched_decisions_equal_the_single_instance_check(orders, k, values, mo
     checked = 0
     for x, ws in _scan_runs(g, k, values, mode, sample_size, seed=11):
         for w, sel in zip(ws, _decide(g, elements, [index[e] for e in x], ws)):
-            assert sel == conjecture_check_instance(g, x, w), (x, w)
+            assert (sel is None) == (conjecture_check_instance(g, x, w) is None), (x, w)
             assert (sel is None) == (not _brute_zero_selection(g.invariant_factors, x, w))
             checked += 1
     assert checked == expected
 
 
-@pytest.mark.parametrize("orders, flip, message", [
-    ((3,), lambda fast: not fast, "but DFS said none"),
-    ((4,), lambda fast: True, "DFS found a selection but enumeration did not"),
-])
-def test_route_disagreement_aborts_the_scan(monkeypatch, orders, flip, message):
+def _moved_image(add, derived, n):
+    """A DFS that claims a wrong selection: its own, with the first image
+    moved to a position where that weight's term has another value."""
+    found = _zero_selection_dfs(add, derived, n)
+    if found is None:
+        return None
+    indices, images = found
+    row = derived[indices[0] - 1]
+    moved = next(j for j in range(n) if row[j] != row[images[0] - 1])
+    return indices, (moved + 1,) + images[1:]
+
+
+def _says_none(add, derived, n):
+    """A DFS that finds no selection, whatever the instance."""
+    return None
+
+
+ROUTE_DISAGREEMENTS = [
+    (_moved_image, r"^route disagreement, the DFS lost: its selection, indices \[1\] and "
+                   r"images \[\d\], is not a zero selection: x=\[\[0\], "),
+    (_says_none, r"^route disagreement, the DFS lost: it found no zero selection, the "
+                 r"enumeration found indices \[1\] and images \[\d\]: x=\[\[0\], "),
+]
+
+
+@pytest.mark.parametrize("dfs, message", ROUTE_DISAGREEMENTS, ids=["wrong-selection", "none"])
+def test_route_disagreement_aborts_the_scan(monkeypatch, dfs, message):
+    # a "yes" is the DFS's selection, checked by the oracle's arithmetic; a
+    # "no" is the oracle's enumeration run to exhaustion
     import zsum.conjecture as conjecture
 
-    dfs = conjecture._zero_selection_dfs
-    monkeypatch.setattr(conjecture, "_zero_selection_dfs", lambda *a: flip(dfs(*a)))
-    n = canonicalize(orders).order
-    with pytest.raises(AssertionError, match=message):
-        conjecture_scan(ScanConfig(orders=orders, k=2, weight_values=tuple(range(1, n))))
+    monkeypatch.setattr(conjecture, "_zero_selection_dfs", dfs)
+    with pytest.raises(TheoremViolation, match=message):
+        conjecture_scan(ScanConfig(orders=(3,), k=2, weight_values=(1, 2)))
+
+
+@pytest.mark.parametrize("dfs, message", ROUTE_DISAGREEMENTS, ids=["wrong-selection", "none"])
+def test_a_route_disagreement_exits_4_through_the_cli(monkeypatch, capsys, dfs, message):
+    import zsum.conjecture as conjecture
+    from zsum.cli import EXIT_THEOREM_VIOLATION, main
+
+    monkeypatch.setattr(conjecture, "_zero_selection_dfs", dfs)
+    assert main(["scan-conjecture", "--orders", "3", "--k", "2"]) == EXIT_THEOREM_VIOLATION == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "THEOREM VIOLATION: "
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert re.match(message, captured.err[len(prefix):])
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("indices, images, expected", [
+    ((1, 2), (1, 2), True),
+    ((3,), (4,), True),
+    ((), (), False),  # I empty
+    ((2, 1), (2, 1), False),  # I not increasing
+    ((1, 1), (1, 2), False),  # an index repeated
+    ((0,), (3,), False),  # index 0, which w[-1] would read as 2
+    ((4,), (4,), False),  # index above k
+    ((1, 2), (3, 3), False),  # an image repeated
+    ((1,), (0,), False),  # image 0, the unused slot of each column
+    ((1,), (5,), False),  # image above n
+    ((1, 2), (4,), False),  # fewer images than indices
+    ((1,), (1,), False),  # value 1
+])
+def test_the_check_of_a_yes_refuses_each_malformed_selection(indices, images, expected):
+    # x = (1, 3, 2, 0) and w = (1, 1, 2) on Z_4: each refused selection but
+    # the last breaks one rule only
+    from zsum.conjecture import _is_zero_selection
+    from zsum.weighted import _coordinate_columns
+
+    columns = _coordinate_columns(Z4, [(1,), (3,), (2,), (0,)])
+    assert _is_zero_selection(columns, 4, (1, 1, 2), indices, images) is expected
+
+
+def _is_zero_by_hand(factors, x, w, indices, images):
+    """A nonempty I, strictly increasing inside [1, |w|], with as many
+    distinct images inside [1, |x|], of value zero by plain per-coordinate
+    modular arithmetic."""
+    return (
+        0 < len(indices) == len(images)
+        and list(indices) == sorted(set(indices))
+        and 1 <= indices[0] and indices[-1] <= len(w)
+        and len(set(images)) == len(images) and all(1 <= j <= len(x) for j in images)
+        and all(sum(w[i - 1] * x[j - 1][c] for i, j in zip(indices, images)) % d == 0
+                for c, d in enumerate(factors))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_dfs_selection_is_a_zero_selection_exactly_when_one_exists(data):
+    from zsum.conjecture import _rank_rows
+
+    g = data.draw(st.sampled_from(groups_up_to_order(6)))  # the trivial group too
+    factors, n = g.invariant_factors, g.order
+    x = data.draw(st.lists(st.sampled_from(g.elements()), min_size=1, max_size=n))
+    w = data.draw(st.lists(st.one_of(st.integers(-12, 12), st.integers(-2**71, 2**71)),
+                           min_size=1, max_size=3))
+    rows = _rank_rows(g, [g.rank_index[e] for e in x], w)
+    found = _zero_selection_dfs(g.rank_add_table, [rows[v] for v in w], len(x))
+    if found is None:
+        assert not _brute_zero_selection(factors, x, w), (factors, x, w)
+    else:
+        assert _is_zero_by_hand(factors, x, w, *found), (factors, x, w, found)
 
 
 @pytest.mark.parametrize("mode, make", [
@@ -480,8 +575,8 @@ def test_scan_decides_each_class_once_per_route(monkeypatch):
     # exhaustive Z_4 with k = 4: 20,736 instances in 525 classes, which fall
     # into 198 orbit pairs (22 x-orbits of 35 x-classes under x -> 3x, 9
     # w-orbits of 15 w-classes under w -> 3w); each pair is decided once by
-    # the DFS and once by the oracle, and the oracle's other calls are the
-    # witness lookups, one per reported witness
+    # the DFS, the oracle runs once per pair without a selection (none here)
+    # and once per reported witness
     import zsum.conjecture as conjecture
 
     calls = Counter()
@@ -502,7 +597,7 @@ def test_scan_decides_each_class_once_per_route(monkeypatch):
     assert report.decided == 198
     assert calls["dfs"] == 198
     assert len(report.witness_sample) == 5
-    assert calls["oracle"] == 198 + 5
+    assert calls["oracle"] == 0 + 5
     assert _digest(report.to_json()) == SCANS["z4-k4"][-1]
 
 
@@ -622,7 +717,7 @@ def test_sampled_draws_are_random_choice_draws(order):
 def _nothing_has_a_selection(monkeypatch):
     import zsum.conjecture as conjecture
 
-    monkeypatch.setattr(conjecture, "_zero_selection_dfs", lambda *args: False)
+    monkeypatch.setattr(conjecture, "_zero_selection_dfs", lambda *args: None)
     monkeypatch.setattr(conjecture, "_first_selection", lambda *args: None)
 
 
@@ -874,6 +969,24 @@ def _multinomial(counts):
     return math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
 
 
+def _arrangements(x):
+    """The distinct arrangements of the sorted tuple x, in lexicographic
+    order (next permutation)."""
+    x = list(x)
+    while True:
+        yield tuple(x)
+        i = len(x) - 2
+        while i >= 0 and x[i] >= x[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(x) - 1
+        while x[j] <= x[i]:
+            j -= 1
+        x[i], x[j] = x[j], x[i]
+        x[i + 1:] = reversed(x[i + 1:])
+
+
 # every exhaustive scan pinned in tier-1, as (orders, k, weights)
 PINNED_EXHAUSTIVE = (
     [((3,), 2, (1, 2)), ((4,), 2, (1, 2, 3))]
@@ -908,12 +1021,17 @@ def test_orbit_decisions_match_one_decision_per_class(orders, k, weights):
     count = sum(_multinomial(Counter(x).values()) * _multinomial(Counter(w).values())
                 * math.prod(per_residue[r] ** c for r, c in Counter(w).items())
                 for x, w in failing)
+    # every failing x lists at least one instance, so the first 100 listed
+    # come from the first 100 arrangements of the failing x-classes
     listed = []
-    for x in sorted({p for x, _ in failing for p in itertools.permutations(x)}):
+    for x in sorted(itertools.chain.from_iterable(
+            itertools.islice(_arrangements(x), 100) for x in {x for x, _ in failing})):
         for w in itertools.product(values, repeat=k):
             if (tuple(sorted(x)), tuple(sorted(v % exponent for v in w))) in failing:
                 listed.append({"x": [list(elements[r]) for r in x], "w": list(w),
                                "recheck": RECHECK_TAG})
+        if len(listed) >= 100:
+            break
     report = conjecture_scan(ScanConfig(orders=orders, k=k, weight_values=values,
                                         budget=10**9))
     assert report.counterexample_count == count

@@ -181,6 +181,17 @@ EXHAUSTIVE_SCANS = {
                  "730fd5c7ce9f086921798d1a88dc43e8ae378707907032ba662b4282097f57e0"),
     "z4-k2-weights-6..6": ((4,), 2, tuple(range(-6, 7)), 34476, 288, 84,
                            "1b025a14c8440bbb4edc5c3acdd7ccab6beead8401b61d137d755346be50161a"),
+    # recorded on the scan that searched every orbit pair by both routes
+    "z8-k3": ((8,), 3, None, 5237445360, 1733760, 28377,
+              "da885b13bd89e9dd91bd5804b4351e8eec628b1a5cdd11e573dd8316ce961dfa"),
+    "z10-k2": ((10,), 2, None, 320607201600, 0, 29445,
+               "f080f921771c3e357425cf55d9f271150add03b68212d42106b9db6fccc069e7"),
+}
+
+# The same for Z_12 at k = 2 (480,800 orbit pairs), under the slow mark.
+SLOW_EXHAUSTIVE_SCANS = {
+    "z12-k2": ((12,), 2, None, 337282659806400, 12244478400, 480800,
+               "7c5697e98b87a23f244a5bf7b7bcc700bb39262985b467478ff543d5cb0aee6a"),
 }
 
 def _digest(payload: dict) -> str:
@@ -429,9 +440,12 @@ def test_benchmark_scan_report_bytes_are_pinned(name):
     assert _digest(report.to_json()) == expected
 
 
-@pytest.mark.parametrize("name", sorted(EXHAUSTIVE_SCANS))
+@pytest.mark.parametrize("name", sorted(EXHAUSTIVE_SCANS) + [
+    pytest.param(name, marks=pytest.mark.slow) for name in sorted(SLOW_EXHAUSTIVE_SCANS)
+])
 def test_larger_exhaustive_scan_report_bytes_are_pinned(name):
-    orders, k, weights, checked, failures, decided, expected = EXHAUSTIVE_SCANS[name]
+    orders, k, weights, checked, failures, decided, expected = (
+        EXHAUSTIVE_SCANS | SLOW_EXHAUSTIVE_SCANS)[name]
     n = canonicalize(orders).order
     report = conjecture_scan(ScanConfig(
         orders=orders, k=k, weight_values=weights or tuple(range(1, n)), budget=10**9,
