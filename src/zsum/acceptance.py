@@ -22,6 +22,7 @@ import math
 import random
 from typing import Callable, Iterator
 
+from .classes import _classes, _word
 from .conjecture import ScanConfig, conjecture_scan, enumerate_zero_selection
 from .davenport import davenport_exact, davenport_formula, davenport_get, zero_sum_free_check
 from .errors import UnsatisfiableStatement
@@ -143,9 +144,11 @@ def _exact_length_sweep(g: AbelianGroup, length: int) -> tuple[int, int]:
     """(multisets checked, failures): every length-``length`` multiset over
     G must have a zero sum of exactly |G| terms."""
     n = g.order
+    elements = g.elements()
     failures = 0
     checked = 0
-    for combo in itertools.combinations_with_replacement(list(g.elements()), length):
+    for counts in _classes(n, length, length):
+        combo = [elements[r] for r in _word(counts)]
         checked += 1
         wit = find_zero_sum_exact_length(g, combo, n)
         if wit is None or len(wit) != n or g.sum(combo[i - 1] for i in wit) != g.zero():

@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-size", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=5_000_000,
-                   help="cap on the classes (x-class, w-class) an exhaustive scan decides, "
+                   help="cap on the (x-class, w-class) pairs an exhaustive scan has, "
                         "or on the x a sampled scan draws, kept or not; exit 5 above it")
     p.add_argument("--out", help="report output path (default stdout)")
     p.set_defaults(func=_cmd_scan_conjecture)

@@ -29,25 +29,13 @@ residue, or the class's first draw), so the oracle's integer arithmetic
 meets the weights themselves, not their residues.  Every class reads its
 orbit pair's verdict, in the calling process.
 
-An exhaustive scan generates its x-classes directly, as count vectors of
-ranks (each count at most k, summing to n), and its weight classes as the
-size-k multisets of residues; the budget caps their product, which is
-worked out before anything is generated.  Instances are then counted, not
-visited: an x-class of counts c holds n! / prod(c_r!) sequences, and a
-weight class its number of vectors in the weight product.  The listed
-counterexamples and witnesses, and the first instance of a proven regime
-that fails, come from one depth-first walk, lazily: x walks the words over
-the ranks in lexicographic order, dropping a prefix whose rank counts no
-chosen x-class contains, and for each x a nested walk of the weight values
-in product order drops a prefix whose residue counts no chosen weight class
-of x's class contains.  That is the canonical order, and a listed instance
-costs at most 2n^2 + k * (|values| + residues) steps, not a walk of the
-n^n sequences or the |values|^k weight product.  A sampled scan draws its
-instances as ``random.Random(seed).choice`` would, keys each draw, groups
-the classes it drew into orbits, decides the orbit pairs it drew, and
-reads the report back in draw order; every x drawn, kept or not, counts
-against its budget.  Both modes end in one report builder, fed their
-counts and three lazy instance streams.
+An exhaustive scan makes, counts and walks its x-classes and w-classes
+with one engine, ``zsum.classes``.  A sampled scan draws its instances as
+``random.Random(seed).choice`` would, keys each draw, groups the classes it
+drew into orbits, decides the orbit pairs it drew, and reads the report
+back in draw order; every x drawn, kept or not, counts against its budget.
+Both modes end in one report builder, fed their counts and three lazy
+instance streams.
 
 The scan trusts what it generated: every x it decides is a rank tuple it
 built or drew itself, so nothing is re-validated between generation and
@@ -92,6 +80,7 @@ import random
 import time
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .classes import _class_count, _classes, _containing, _multinomial, _orbits, _walk, _word
 from .davenport import davenport_get
 from .errors import BudgetExceeded, InvalidArgument, InvalidInstance, TheoremViolation
 from .groups import (
@@ -101,7 +90,6 @@ from .groups import (
     _checked_int,
     _checked_ints,
     _checked_record,
-    _orbit_roots,
     canonicalize,
 )
 from .weighted import Selection, _coordinate_columns, _first_selection, _index_sets
@@ -146,8 +134,9 @@ class ScanConfig(Record):
             raise InvalidArgument("weight value set is empty")
         if self.mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
             raise InvalidArgument(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_SAMPLED and self.sample_size < 1:
-            raise InvalidArgument(f"sample_size = {self.sample_size} must be >= 1")
+        least = 1 if self.mode == MODE_SAMPLED else 0
+        if self.sample_size < least:
+            raise InvalidArgument(f"sample_size = {self.sample_size} must be >= {least}")
         if self.budget < 1:
             raise InvalidArgument(f"budget = {self.budget} must be >= 1")
         self.__dict__.update(orders=tuple(self.orders), weight_values=values)
@@ -171,15 +160,17 @@ class ScanReport(Record):
         """Canonical report payload.  Wall time and the decided orbit pairs
         are kept off the wire: the payload is a fact about the instance
         space, byte-identical across reruns.  Wall time and ``decided`` live
-        only on the in-memory record."""
+        only on the in-memory record.  An exhaustive scan reads no sample
+        size or seed, so its payload writes 0 and null for them."""
+        sampled = self.config.mode == MODE_SAMPLED
         return {
             "config": {
                 "orders": list(self.config.orders),
                 "k": self.config.k,
                 "weight_values": list(self.config.weight_values),
                 "mode": self.config.mode,
-                "sample_size": self.config.sample_size,
-                "seed": self.config.seed if self.config.mode == MODE_SAMPLED else None,
+                "sample_size": self.config.sample_size if sampled else 0,
+                "seed": self.config.seed if sampled else None,
                 "budget": self.config.budget,
             },
             "group": {"orders": list(self.group_orders)},
@@ -346,121 +337,6 @@ def conjecture_check_instance(
     return _first_zero(_coordinate_columns(g, x), len(x), w)
 
 
-def _empty_report(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
-    n = g.order
-    return ScanReport(
-        config=config,
-        group_orders=g.invariant_factors,
-        davenport=d,
-        subclass_coprime=all(math.gcd(n, v) == 1 for v in config.weight_values),
-        subclass_davenport=config.k >= d,
-        checked=0,
-        counterexample_count=0,
-        counterexamples=(),
-        witness_sample=(),
-        wall_time=0.0,
-        authoritative=False,
-    )
-
-
-def _x_class_count(n: int, k: int) -> int:
-    """How many x-classes an exhaustive scan has: count vectors (c_0, ...,
-    c_{n-1}) of ranks, each c_r in [0, k], summing to n.  Stars and bars,
-    with inclusion-exclusion over the ranks that would take more than k."""
-    return sum(
-        (-1) ** j * math.comb(n, j) * math.comb(2 * n - 1 - j * (k + 1), n - 1)
-        for j in range(n // (k + 1) + 1)
-    )
-
-
-def _admissible_classes(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Every x-class of an exhaustive scan as its count vector: how often
-    each rank appears, each count in [0, k], the counts summing to n.  In
-    descending lexicographic order, so the sorted representatives ascend;
-    each step lowers the last count that can give one to the ranks after
-    it, and refills those ranks greedily."""
-    counts = [0] * n
-
-    def fill(start: int, total: int) -> None:
-        for r in range(start, n):
-            counts[r] = min(k, total)
-            total -= counts[r]
-
-    fill(0, n)
-    while True:
-        yield tuple(counts)
-        later = 0  # what the ranks after i hold
-        for i in range(n - 2, -1, -1):
-            later += counts[i + 1]
-            if counts[i] and later < (n - 1 - i) * k:
-                counts[i] -= 1
-                fill(i + 1, later + 1)
-                break
-        else:
-            return
-
-
-def _walk(
-    letters: Sequence[int], kinds: Sequence[int], length: int,
-    fits: Callable[[tuple[int, ...]], object],
-) -> Iterator[tuple[int, ...]]:
-    """The words of ``length`` letters whose counts per kind (``kinds[i]``
-    is the kind of ``letters[i]``) ``fits`` accepts, in product order.
-    ``fits`` takes the counts of a prefix and must be true exactly when some
-    wanted class contains them, so a dead prefix is dropped at once and a
-    word costs at most length * (len(letters) + kinds) steps.  One explicit
-    stack holds the open positions, so a word is yielded from this frame,
-    not through one generator frame per position."""
-    word: list[int] = []
-    # The open position: the counts of the prefix before it, the next letter
-    # to try there, and, per kind, the counts with one more of it if fits
-    # accepts them, else None, tested when the kind is first met.
-    counts: tuple[int, ...] = (0,) * (max(kinds) + 1)
-    at = 0
-    live: dict[int, tuple[int, ...] | None] = {}
-    stack: list[tuple[tuple[int, ...], int, dict[int, tuple[int, ...] | None]]] = []
-    last = length - 1
-    while True:
-        if at == len(letters):
-            if not stack:
-                return
-            counts, at, live = stack.pop()
-            word.pop()
-            continue
-        letter, r = letters[at], kinds[at]
-        at += 1
-        if r not in live:
-            more = counts[:r] + (counts[r] + 1,) + counts[r + 1:]
-            live[r] = more if fits(more) else None
-        more = live[r]
-        if more is None:
-            continue
-        if len(word) == last:
-            yield (*word, letter)
-        else:
-            stack.append((counts, at, live))
-            word.append(letter)
-            counts, at, live = more, 0, {}
-
-
-def _containing(
-    classes: list[tuple[int, ...]]
-) -> Callable[[tuple[int, ...]], list[tuple[int, ...]]]:
-    """``_walk``'s test for these classes' count vectors: the classes that
-    contain the counts of a prefix, empty when none does.  Memoized, and
-    read off the classes containing the counts with their last nonzero
-    count lowered by one."""
-    @functools.cache
-    def holding(counts: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if not any(counts):
-            return classes
-        r = max([i for i, c in enumerate(counts) if c])
-        lowered = counts[:r] + (counts[r] - 1,) + counts[r + 1:]
-        return [c for c in holding(lowered) if c[r] >= counts[r]]
-
-    return holding
-
-
 def _sample_draws(n: int, config: ScanConfig) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The sampled instances as (ranks of x, w), the draws of
     ``random.Random(seed).choice`` on the group's elements (in rank order)
@@ -520,26 +396,6 @@ def _proven(residues: Sequence[int], n: int, k: int, d: int) -> bool:
     return k >= d or all(math.gcd(n, r) == 1 for r in residues)
 
 
-def _orbits(
-    g: AbelianGroup, x_classes: Sequence[tuple[int, ...]], w_classes: Sequence[tuple[int, ...]]
-) -> tuple[list[int], list[int]]:
-    """The orbit roots (``groups._orbit_roots``) of a scan's x-classes, as
-    count vectors of ranks, under the generators of the group's H <= Aut(G);
-    and of its w-classes, as sorted residues mod exp(G), under multiplication
-    by every unit mod exp(G).  Neither action changes whether a selection
-    exists.  A generator phi moves count c_phi(r) to rank r: that is phi^-1
-    moving c_r to rank phi^-1(r), and it links the same pairs of classes as
-    phi does."""
-    exponent = g.exponent
-    units = [u for u in range(2, exponent) if math.gcd(u, exponent) == 1]
-    return (
-        _orbit_roots(x_classes, [lambda c, image=image: tuple(map(c.__getitem__, image))
-                                 for image in g._automorphism_maps]),
-        _orbit_roots(w_classes, [lambda w, u=u: tuple(sorted([u * r % exponent for r in w]))
-                                 for u in units]),
-    )
-
-
 def _report(
     g: AbelianGroup, config: ScanConfig, d: int, checked: int, failed: int, decided: int,
     violations: Iterable[tuple[Sequence[int], Sequence[int]]],
@@ -561,7 +417,12 @@ def _report(
             f"x={[list(elements[r]) for r in x]}, w={list(w)}, "
             f"group orders {list(g.invariant_factors)}, k={config.k}, D={d}"
         )
-    return _empty_report(g, config, d).replace(
+    return ScanReport(
+        config=config,
+        group_orders=g.invariant_factors,
+        davenport=d,
+        subclass_coprime=all(math.gcd(g.order, v) == 1 for v in config.weight_values),
+        subclass_davenport=config.k >= d,
         checked=checked,
         counterexample_count=failed,
         counterexamples=tuple([
@@ -572,50 +433,32 @@ def _report(
             _witness(g, elements, x, w)
             for x, w in itertools.islice(successes, WITNESS_SAMPLE_SIZE)
         ]),
-        authoritative=True,
+        wall_time=0.0,
         decided=decided,
     )
 
 
 def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
     n, k, values, exponent = g.order, config.k, config.weight_values, g.exponent
-    per_residue = collections.Counter([v % exponent for v in values])
-    residues = sorted(per_residue)
-    classes = _x_class_count(n, k) * math.comb(len(residues) + k - 1, k)
+    residues, sizes = zip(*sorted(collections.Counter([v % exponent for v in values]).items()))
+    classes = _class_count(n, k, n) * _class_count(len(residues), k, k)
     if classes > config.budget:
-        raise BudgetExceeded(
-            f"exhaustive space has {classes} classes, budget is {config.budget}",
-            report=_empty_report(g, config, d),
-        )
+        raise BudgetExceeded(f"exhaustive space has {classes} classes, budget is {config.budget}")
 
-    # A w-class is its sorted residue indices, decided on the scan's
-    # smallest weight of each of them, so the oracle's arithmetic meets the
-    # weights themselves.
-    smallest: dict[int, int] = {}
-    for v in values:
-        smallest.setdefault(v % exponent, v)
-    w_classes = list(itertools.combinations_with_replacement(range(len(residues)), k))
-    firsts = [tuple([smallest[residues[j]] for j in w]) for w in w_classes]
-
-    # Instances by counting: an x-class of counts c holds n! / prod(c_r!)
-    # distinct x, and a w-class with m_j weights of residue j holds
-    # k! / prod(m_j!) * prod(|values of residue j| ** m_j) vectors.
-    factorial = [math.factorial(c) for c in range(n + 1)]  # k <= n
-    w_counts: list[tuple[int, ...]] = []  # per w-class, m_j for each residue j
-    vectors = []
-    for w in w_classes:
-        m = [0] * len(residues)
-        for j in w:
-            m[j] += 1
-        w_counts.append(tuple(m))
-        vectors.append(factorial[k] // math.prod([factorial[c] for c in m])
-                       * math.prod([per_residue[r] ** c for r, c in zip(residues, m)]))
+    x_classes = list(_classes(n, k, n))
+    # A w-class is decided on the scan's smallest weight of each residue
+    # (the values ascend), so the oracle's arithmetic meets the weights
+    # themselves; it holds prod(sizes[j] ** m_j) weight vectors per word.
+    w_classes = list(_classes(len(residues), k, k))
+    w_words = [tuple([residues[j] for j in _word(m)]) for m in w_classes]
+    smallest = {v % exponent: v for v in reversed(values)}
+    firsts = [tuple(map(smallest.__getitem__, w)) for w in w_words]
+    vectors = [_multinomial(m) * math.prod(map(pow, sizes, m)) for m in w_classes]
 
     # One decision per orbit pair, one call per x-orbit: the sorted
     # representative of its first class against the first class of every
     # w-orbit.  Every class reads its orbit pair's verdict.
-    x_classes = list(_admissible_classes(n, k))
-    x_roots, w_roots = _orbits(g, x_classes, [tuple([residues[j] for j in w]) for w in w_classes])
+    x_roots, w_roots = _orbits(g, x_classes, w_words)
     w_firsts = [i for i, root in enumerate(w_roots) if root == i]
     # The x-classes, by their counts, under the w-classes they fail.
     rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -624,13 +467,12 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
     elements = g.elements()
     for i, (counts, root) in enumerate(zip(x_classes, x_roots)):
         if root == i:
-            x = tuple([r for r, c in enumerate(counts) for _ in range(c)])
-            verdicts = _decide(g, elements, x, [firsts[j] for j in w_firsts])
+            verdicts = _decide(g, elements, _word(counts), [firsts[j] for j in w_firsts])
             failing = {j for j, sel in zip(w_firsts, verdicts) if sel is None}
             orbit_fails[i] = tuple([j for j, w_root in enumerate(w_roots) if w_root in failing])
         fails = orbit_fails[root]
         rows.setdefault(fails, []).append(counts)
-        arranged = factorial[n] // math.prod([factorial[c] for c in counts])
+        arranged = _multinomial(counts)
         checked += arranged * len(values) ** k
         failed += arranged * sum([vectors[j] for j in fails])
 
@@ -644,7 +486,7 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
     def instances(
         choose: Callable[[tuple[int, ...]], Sequence[int]]
     ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        fits_for = functools.cache(lambda chosen: _containing([w_counts[i] for i in chosen]))
+        fits_for = functools.cache(lambda chosen: _containing([w_classes[i] for i in chosen]))
         w_fits = {}
         for fails, members in rows.items():
             chosen = tuple(choose(fails))
@@ -654,7 +496,7 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
             for w in _walk(values, residue_index, k, w_fits[tuple(map(x.count, ranks))]):
                 yield x, w
 
-    proven = {i for i, w in enumerate(w_classes) if _proven([residues[j] for j in w], n, k, d)}
+    proven = {i for i, w in enumerate(w_words) if _proven(w, n, k, d)}
     every = set(range(len(w_classes)))
     return _report(g, config, d, checked, failed, len(orbit_fails) * len(w_firsts),
                    instances(lambda fails: [i for i in fails if i in proven]),
@@ -664,11 +506,7 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
 
 def _sampled(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
     n, k, exponent = g.order, config.k, g.exponent
-    try:
-        draws = _sample_draws(n, config)
-    except BudgetExceeded as err:
-        err.report = _empty_report(g, config, d)
-        raise
+    draws = _sample_draws(n, config)
 
     # Key every draw, each distinct w once; a w-class keeps its first draw,
     # ordered by residue like an exhaustive scan's weights.  The drawn
@@ -717,4 +555,9 @@ def conjecture_scan(config: ScanConfig) -> ScanReport:
     g = canonicalize(config.orders)
     d = davenport_get(g).value
     scan = _exhaustive if config.mode == MODE_EXHAUSTIVE else _sampled
-    return scan(g, config, d).replace(wall_time=time.perf_counter() - started)
+    try:
+        report = scan(g, config, d)
+    except BudgetExceeded as err:
+        err.report = _report(g, config, d, 0, 0, 0, (), (), ()).replace(authoritative=False)
+        raise
+    return report.replace(wall_time=time.perf_counter() - started)

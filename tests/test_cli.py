@@ -436,6 +436,19 @@ def test_scan_conjecture_writes_report(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("flags", [[], ["--sample-size", "9"], ["--seed", "9"],
+                                   ["--sample-size", "9", "--seed", "9"]])
+def test_an_exhaustive_report_is_the_same_whatever_sample_size_and_seed(tmp_path, flags):
+    # an exhaustive scan draws nothing, so its report writes sample_size 0
+    # and seed null, whatever the flags say
+    from test_determinism import SCAN_Z4_K2_DIGEST, _digest
+
+    report_path = tmp_path / "report.json"
+    argv = ["scan-conjecture", "--orders", "4", "--k", "2", *flags, "--out", str(report_path)]
+    assert main(argv) == EXIT_OK
+    assert _digest(json.loads(report_path.read_text())) == SCAN_Z4_K2_DIGEST
+
+
 def test_scan_conjecture_budget_cap(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     rc = main(
@@ -461,12 +474,12 @@ def test_scan_conjecture_refuses_an_oversized_class_count_at_once(capsys, order,
     # Z_40 with k = 2 has about 9.3e17 x-classes against 780 weight classes,
     # and at k = n the weight classes alone run to about 3.5e10 (Z_20) and
     # 5.4e21 (Z_40); both counts are worked out, not generated
-    from zsum.conjecture import _x_class_count
+    from zsum.classes import _class_count
 
     started = time.perf_counter()
     assert main(["scan-conjecture", "--orders", str(order), "--k", str(k)]) == EXIT_RESOURCE_CAP
     assert time.perf_counter() - started < 1.0
-    classes = _x_class_count(order, k) * math.comb(order - 1 + k - 1, k)  # weights 1..n-1
+    classes = _class_count(order, k, order) * math.comb(order - 1 + k - 1, k)  # weights 1..n-1
     assert capsys.readouterr().err.splitlines() == [
         f"budget exceeded: exhaustive space has {classes} classes, budget is 5000000"
     ]
@@ -516,10 +529,11 @@ def test_only_scan_conjecture_loads_the_scanner():
     # a fresh interpreter, importing this checkout's package
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zsum.cli.__file__)))
     code = ("import sys, zsum, zsum.cli; zsum.cli.build_parser(); "
-            "print('zsum.conjecture' in sys.modules, zsum.conjecture_scan.__module__)")
+            "print('zsum.conjecture' in sys.modules, 'zsum.classes' in sys.modules, "
+            "zsum.conjecture_scan.__module__)")
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True).stdout
-    assert loaded == "False zsum.conjecture\n"
+    assert loaded == "False False zsum.conjecture\n"
     # the parser names the scanner's modes and default budget without importing it
     parser = zsum.cli.build_parser()
     argv = ["scan-conjecture", "--orders", "2", "--k", "1"]

@@ -221,6 +221,10 @@ SCAN_RULES = [
     # two breaks: the rule checked first names its field
     ({"k": "x", "orders": (0,)}, InvalidArgument, "^k = 'x' is not an integer$"),
     ({"mode": "turbo", "budget": -1}, InvalidArgument, "^unknown mode 'turbo'$"),
+    # an exhaustive scan draws nothing, but a negative sample size is still
+    # refused, before the budget
+    ({"sample_size": -3}, InvalidArgument, "^sample_size = -3 must be >= 0$"),
+    ({"sample_size": -1, "budget": 0}, InvalidArgument, "^sample_size = -1 must be >= 0$"),
 ]
 
 
@@ -373,23 +377,6 @@ def test_a_scan_refuses_counts_and_seeds_that_are_not_ints(field, value):
         conjecture_scan(config.replace(**{field: value}))
 
 
-def test_in_process_scan_builds_the_admissible_list_once(monkeypatch):
-    # the admissible x-classes, not the admissible x
-    import zsum.conjecture as conjecture
-
-    calls = []
-    build = conjecture._admissible_classes
-
-    def counted(n, k):
-        calls.append((n, k))
-        return build(n, k)
-
-    monkeypatch.setattr(conjecture, "_admissible_classes", counted)
-    report = conjecture_scan(ScanConfig(orders=(3,), k=2, weight_values=(1, 2)))
-    assert report.checked == 96
-    assert calls == [(3, 2)]
-
-
 def _scan_runs(g, k, values, mode, sample_size=0, seed=0):
     """The instances of a scan of this configuration, as runs of equal x."""
     import zsum.conjecture as conjecture
@@ -532,10 +519,13 @@ def test_the_dfs_selection_is_a_zero_selection_exactly_when_one_exists(data):
 
 
 @pytest.mark.parametrize("mode, make", [
-    ("exhaustive", "_admissible_classes"),
+    ("exhaustive", "_classes"),
     ("sampled", "_sample_draws"),
 ])
 def test_scan_builds_its_instances_once_in_the_calling_process(monkeypatch, mode, make):
+    # the classes, not the instances: one x-class list (n, k, n) and one
+    # w-class list (residues, k, k) for an exhaustive scan, one list of
+    # draws for a sampled one
     import zsum.conjecture as conjecture
 
     calls = []
@@ -549,7 +539,10 @@ def test_scan_builds_its_instances_once_in_the_calling_process(monkeypatch, mode
     report = conjecture_scan(ScanConfig(orders=(3,), k=2, weight_values=(1, 2), mode=mode,
                                         sample_size=40))
     assert report.checked == (96 if mode == "exhaustive" else 40)
-    assert len(calls) == 1
+    if mode == "exhaustive":
+        assert calls == [(3, 2, 3), (2, 2, 2)]
+    else:
+        assert len(calls) == 1
 
 
 @settings(max_examples=200, deadline=None)
