@@ -518,9 +518,28 @@ def test_the_dfs_selection_is_a_zero_selection_exactly_when_one_exists(data):
         assert _is_zero_by_hand(factors, x, w, *found), (factors, x, w, found)
 
 
+def test_in_process_scan_builds_the_admissible_list_once(monkeypatch):
+    # the admissible x-classes (each rank at most k times), not the
+    # admissible x: one x-class list (n, k, n) for Z_2 x Z_2
+    import zsum.conjecture as conjecture
+
+    calls = []
+    build = conjecture._classes
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(conjecture, "_classes", counted)
+    report = conjecture_scan(ScanConfig(orders=(2, 2), k=2, weight_values=(1, 2)))
+    assert report.checked == 816
+    assert [args for args in calls if args == (4, 2, 4)] == [(4, 2, 4)]
+
+
 @pytest.mark.parametrize("mode, make", [
-    ("exhaustive", "_classes"),
-    ("sampled", "_sample_draws"),
+    # the exhaustive scan's admissible classes come from the class engine
+    pytest.param("exhaustive", "_classes", id="exhaustive-_admissible_classes"),
+    pytest.param("sampled", "_sample_draws", id="sampled-_sample_draws"),
 ])
 def test_scan_builds_its_instances_once_in_the_calling_process(monkeypatch, mode, make):
     # the classes, not the instances: one x-class list (n, k, n) and one
