@@ -15,16 +15,18 @@ proven regime that fails, come from one depth-first walk, lazily: x walks
 the words over the ranks in lexicographic order, dropping a prefix whose
 rank counts no chosen x-class contains, and for each x a nested walk of the
 weight values in product order drops a prefix whose residue counts no
-chosen weight class of x's class contains.  That is the canonical order,
-and a listed instance costs at most 2n^2 + k * (|values| + residues) steps,
-not a walk of the n^n sequences or the |values|^k weight product.
+chosen weight class of x's class contains.  That is the canonical order.
+Each open position keeps the chosen classes that contain its prefix and
+filters them once per kind it meets, so a listed instance costs at most
+2n^2 + k * (|values| + residues) steps, each a letter tried or one filter
+over the classes still alive, not a walk of the n^n sequences or the
+|values|^k weight product.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .groups import AbelianGroup, _orbit_roots
 
@@ -97,61 +99,45 @@ def _orbits(
 
 
 def _walk(
-    letters: Sequence[int], kinds: Sequence[int], length: int,
-    fits: Callable[[tuple[int, ...]], object],
+    letters: Sequence[int], kinds: Sequence[int], length: int, classes: list[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
     """The words of ``length`` letters whose counts per kind (``kinds[i]``
-    is the kind of ``letters[i]``) ``fits`` accepts, in product order.
-    ``fits`` takes the counts of a prefix and must be true exactly when some
-    wanted class contains them, so a dead prefix is dropped at once and a
-    word costs at most length * (len(letters) + kinds) steps.  One explicit
-    stack holds the open positions, so a word is yielded from this frame,
-    not through one generator frame per position."""
+    is the kind of ``letters[i]``) some count vector of ``classes``
+    contains, in product order.  Each open position keeps the classes that
+    contain its prefix's counts, and narrows them with one filter
+    (c[r] > counts[r]) when it first meets kind r, so a dead prefix is
+    dropped at once and a word costs at most length * (len(letters) + kinds)
+    steps, each a letter tried or one filter over the classes still alive.
+    One explicit stack holds the open positions, so a word is yielded from
+    this frame, not through one generator frame per position."""
     word: list[int] = []
-    # The open position: the counts of the prefix before it, the next letter
-    # to try there, and, per kind, the counts with one more of it if fits
-    # accepts them, else None, tested when the kind is first met.
-    counts: tuple[int, ...] = (0,) * (max(kinds) + 1)
-    at = 0
-    live: dict[int, tuple[int, ...] | None] = {}
-    stack: list[tuple[tuple[int, ...], int, dict[int, tuple[int, ...] | None]]] = []
+    # The prefix's counts, and for the open position: the next letter to try
+    # there, the classes containing the prefix, and, per kind met so far,
+    # those of them that hold one more of it.
+    counts = [0] * (max(kinds) + 1)
+    at, alive, narrowed = 0, classes, {}
+    stack: list[tuple[int, list[tuple[int, ...]], dict[int, list[tuple[int, ...]]]]] = []
     last = length - 1
     while True:
         if at == len(letters):
             if not stack:
                 return
-            counts, at, live = stack.pop()
+            at, alive, narrowed = stack.pop()
+            counts[kinds[at - 1]] -= 1
             word.pop()
             continue
         letter, r = letters[at], kinds[at]
         at += 1
-        if r not in live:
-            more = counts[:r] + (counts[r] + 1,) + counts[r + 1:]
-            live[r] = more if fits(more) else None
-        more = live[r]
+        more = narrowed.get(r)
         if more is None:
+            held = counts[r]
+            more = narrowed[r] = [c for c in alive if c[r] > held]
+        if not more:
             continue
         if len(word) == last:
             yield (*word, letter)
         else:
-            stack.append((counts, at, live))
+            stack.append((at, alive, narrowed))
             word.append(letter)
-            counts, at, live = more, 0, {}
-
-
-def _containing(
-    classes: list[tuple[int, ...]]
-) -> Callable[[tuple[int, ...]], list[tuple[int, ...]]]:
-    """``_walk``'s test for these classes' count vectors: the classes that
-    contain the counts of a prefix, empty when none does.  Memoized, and
-    read off the classes containing the counts with their last nonzero
-    count lowered by one."""
-    @functools.cache
-    def holding(counts: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if not any(counts):
-            return classes
-        r = max([i for i, c in enumerate(counts) if c])
-        lowered = counts[:r] + (counts[r] - 1,) + counts[r + 1:]
-        return [c for c in holding(lowered) if c[r] >= counts[r]]
-
-    return holding
+            counts[r] += 1
+            at, alive, narrowed = 0, more, {}

@@ -72,7 +72,6 @@ time, decided orbit pairs) never enters the serialized form.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 import operator
@@ -80,7 +79,7 @@ import random
 import time
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .classes import _class_count, _classes, _containing, _multinomial, _orbits, _walk, _word
+from .classes import _class_count, _classes, _multinomial, _orbits, _walk, _word
 from .davenport import davenport_get
 from .errors import BudgetExceeded, InvalidArgument, InvalidInstance, TheoremViolation
 from .groups import (
@@ -239,7 +238,7 @@ def _zero_selection_dfs(
         dead.add(key)
         return None
 
-    path = walk(0, 0, 0)
+    path, walk = walk(0, 0, 0), None  # walk's closure holds walk: a cycle
     if path is None:
         return None
     path.reverse()
@@ -479,21 +478,20 @@ def _exhaustive(g: AbelianGroup, config: ScanConfig, d: int) -> ScanReport:
     # The report's instances, in canonical order, lazily: x walks the ranks
     # while its counts fit an x-class with a chosen w-class, and then w
     # walks the weights while its residue counts fit a chosen w-class of
-    # x's class.  x-classes with the same chosen w-classes share one test.
+    # x's class.  x-classes with the same chosen w-classes share one list.
     ranks = range(n)
     residue_index = [residues.index(v % exponent) for v in values]
 
     def instances(
         choose: Callable[[tuple[int, ...]], Sequence[int]]
     ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        fits_for = functools.cache(lambda chosen: _containing([w_classes[i] for i in chosen]))
-        w_fits = {}
+        chosen_for: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for fails, members in rows.items():
-            chosen = tuple(choose(fails))
+            chosen = [w_classes[i] for i in choose(fails)]
             if chosen:
-                w_fits.update(dict.fromkeys(members, fits_for(chosen)))
-        for x in _walk(ranks, ranks, n, _containing(list(w_fits))):
-            for w in _walk(values, residue_index, k, w_fits[tuple(map(x.count, ranks))]):
+                chosen_for.update(dict.fromkeys(members, chosen))
+        for x in _walk(ranks, ranks, n, list(chosen_for)):
+            for w in _walk(values, residue_index, k, chosen_for[tuple(map(x.count, ranks))]):
                 yield x, w
 
     proven = {i for i, w in enumerate(w_words) if _proven(w, n, k, d)}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -13,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from zsum.conjecture import (
     ScanConfig,
     ScanReport,
-    _containing,
     _walk,
     _zero_selection_dfs,
     conjecture_check_instance,
@@ -518,6 +518,24 @@ def test_the_dfs_selection_is_a_zero_selection_exactly_when_one_exists(data):
         assert _is_zero_by_hand(factors, x, w, *found), (factors, x, w, found)
 
 
+def test_a_scan_leaves_no_reference_cycles():
+    # the DFS and the class walk free their state by reference counting, so
+    # nothing a scan or a check made waits for the cyclic collector
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        conjecture_scan(ScanConfig(orders=(4,), k=3, weight_values=(1, 2, 3)))
+        conjecture_scan(ScanConfig(orders=(6,), k=2, weight_values=(1, 2, 3, 4, 5),
+                                   mode="sampled", sample_size=200, seed=1))
+        conjecture_check_instance(Z4, [(0,), (1,), (2,), (3,)], (2, 2))
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == 0
+
+
 def test_in_process_scan_builds_the_admissible_list_once(monkeypatch):
     # the admissible x-classes (each rank at most k times), not the
     # admissible x: one x-class list (n, k, n) for Z_2 x Z_2
@@ -931,28 +949,28 @@ def test_the_walk_lists_the_product_words_whose_counts_fit_in_product_order(data
 
     expected = [word for word in itertools.product(letters, repeat=length)
                 if fits(counts(word))]
-    assert list(_walk(letters, kinds, length, fits)) == expected
-    # the scan's memoized test, on the same classes
-    assert list(_walk(letters, kinds, length, _containing(wanted))) == expected
+    assert list(_walk(letters, kinds, length, wanted)) == expected
 
 
 @pytest.mark.parametrize("kinds, length", [(1, 4), (3, 4), (4, 3), (6, 2)])
 def test_the_walk_finds_a_first_word_in_length_times_kinds_tests(kinds, length):
     # whichever count vector is the only wanted class (the first and the
     # last in lexicographic order among them), each position tests each
-    # kind at most once and no prefix is a dead end
+    # kind at most once and no prefix is a dead end; a test is a read of
+    # the wanted class
+    calls = []
+
+    class Counted(tuple):
+        def __getitem__(self, r):
+            calls.append(r)
+            return tuple.__getitem__(self, r)
+
     letters = list(range(2 * kinds))  # two letters of each kind
     for wanted in itertools.product(range(length + 1), repeat=kinds):
         if sum(wanted) != length:
             continue
-        test = _containing([wanted])
-        calls = []
-
-        def fits(prefix):
-            calls.append(prefix)
-            return test(prefix)
-
-        first = next(_walk(letters, [a // 2 for a in letters], length, fits))
+        calls.clear()
+        first = next(_walk(letters, [a // 2 for a in letters], length, [Counted(wanted)]))
         assert first == tuple(2 * r for r, c in enumerate(wanted) for _ in range(c))
         assert len(calls) <= length * kinds, wanted
 

@@ -246,6 +246,44 @@ def test_each_argument_rule_is_written_once():
     assert defined & {"_check_weights", "_check_elements", "_check_node_budget"} == set()
 
 
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """The names ``path`` imports and never reads; ``__future__`` imports
+    are exempt, and a name that ``__all__`` lists counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            read |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_each_import_is_read():
+    assert [line for path in SOURCES for line in _unused_imports(path)] == []
+
+
+def test_the_import_scan_finds_an_unused_name(tmp_path):
+    copy = tmp_path / "__init__.py"
+    copy.write_text(
+        "from __future__ import annotations\n"
+        "import functools\n"
+        "from typing import Callable, Sequence\n"
+        "from .groups import canonicalize\n"
+        "__all__ = ['canonicalize']\n"
+        "def f(x: Sequence[int]) -> None:\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    assert _unused_imports(copy) == ["__init__.py:2 functools", "__init__.py:3 Callable"]
+
+
 def test_the_rule_scan_finds_a_copy(tmp_path):
     # the scan above must see the patterns it forbids
     copy = tmp_path / "weighted.py"
