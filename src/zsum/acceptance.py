@@ -257,14 +257,25 @@ def _has_zero_selection(g: AbelianGroup, x: list[Element], w: list[int]) -> bool
 
 
 def _verify_scan_witnesses(g: AbelianGroup, report_json: dict) -> int:
+    """How many witnesses of the report's sample are not zero selections: a
+    nonempty I strictly increasing inside [1, |w|], as many distinct images
+    inside [1, |x|], and sum_{i in I} w_i * x_f(i) = 0 by the group's own
+    operations."""
     bad = 0
     for item in report_json["witness_sample"]:
         x = [tuple(e) for e in item["instance"]["x"]]
         w = item["instance"]["w"]
         indices = item["selection"]["indices"]
         images = item["selection"]["images"]
-        total = g.sum([g.scalar_mul(w[i - 1], x[j - 1]) for i, j in zip(indices, images)])
-        if total != g.zero() or len(set(images)) != len(images) or not indices:
+        well_formed = (
+            0 < len(indices) == len(images)
+            and all(a < b for a, b in zip([0, *indices], [*indices, len(w) + 1]))
+            and len(set(images)) == len(images)
+            and all(1 <= j <= len(x) for j in images)
+        )
+        if not well_formed or g.sum(
+            [g.scalar_mul(w[i - 1], x[j - 1]) for i, j in zip(indices, images)]
+        ) != g.zero():
             bad += 1
     return bad
 

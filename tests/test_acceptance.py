@@ -31,7 +31,7 @@ from zsum.acceptance import (
 )
 from zsum.davenport import davenport_get
 from zsum.errors import InvalidInstance, TheoremViolation, UnsatisfiableStatement
-from zsum.groups import groups_up_to_order
+from zsum.groups import canonicalize, groups_up_to_order
 from zsum.weighted import STATEMENTS, Instance
 
 
@@ -101,6 +101,28 @@ def test_criterion_8_conjecture_scan_integrity():
         criterion_scan_integrity, 8, "conjecture-scan-integrity", 300,
         "9 scan configurations, 24 counterexample findings outside proven subclasses",
     )
+
+
+@pytest.mark.parametrize("w, indices, images, bad", [
+    ((1, 1), [1, 2], [1, 3], 0),  # 1 + 3 = 0
+    ((1, 2), [2, 2], [1, 2], 1),  # a repeated index: 2 + 2 = 0
+    ((1, 2), [0, 2], [1, 2], 1),  # index 0 would read w[-1] = 2
+    ((1, 1), [2, 1], [1, 3], 1),  # indices not increasing
+    ((1, 1), [1, 3], [1, 3], 1),  # an index past |w|
+    ((1, 1), [1, 2], [1, 3, 2], 1),  # more images than indices
+    ((1, 1), [1, 2], [0, 1], 1),  # image 0 would read x[-1] = 3
+    ((1, 1), [1], [5], 1),  # an image past |x|
+    ((1, 1), [], [], 1),
+], ids=["zero-selection", "repeated-index", "index-0", "decreasing", "index-past-w",
+        "length-mismatch", "image-0", "image-past-x", "empty"])
+def test_a_scan_witness_must_be_a_well_formed_zero_selection(w, indices, images, bad):
+    # x = (1, 1, 3, 3), w = (1, 2) over Z_4 has no zero selection; read as
+    # a plain sum, every malformed witness that stays inside x and w is zero
+    report = {"witness_sample": [{
+        "instance": {"x": [[1], [1], [3], [3]], "w": list(w)},
+        "selection": {"indices": indices, "images": images},
+    }]}
+    assert zsum.acceptance._verify_scan_witnesses(canonicalize([4]), report) == bad
 
 
 def test_criterion_9_determinism_and_roundtrip():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,10 +201,9 @@ def test_searched_records_are_served_without_a_search(monkeypatch):
 @pytest.mark.parametrize("factors", [
     (2, 2, 6),  # (2, 2, 2, 6) is test_exact_davenport_of_z2_z2_z2_z6
     (2, 2, 10),
-    # about 27 s together
-    pytest.param((2, 2, 12), marks=pytest.mark.slow),
-    pytest.param((3, 3, 6), marks=pytest.mark.slow),
-    pytest.param((2, 2, 14), marks=pytest.mark.slow),
+    (2, 2, 12),  # about 1.5 s each
+    (3, 3, 6),
+    pytest.param((2, 2, 14), marks=pytest.mark.slow),  # about 5 s
 ], ids=lambda factors: "x".join(map(str, factors)))
 def test_searched_record_is_the_exact_search_record(monkeypatch, factors):
     monkeypatch.setattr(zsum.davenport, "_memo", {})
@@ -217,7 +217,7 @@ def test_searched_record_is_the_exact_search_record(monkeypatch, factors):
 # A zero-sum-free sequence of length 10 over Z_2^4 x Z_6, so D >= 11 > D* = 10
 # (Geroldinger and Schneider proved D > D* for C_2^4 + C_2k with k odd, 1992).
 # It is the witness of the BudgetExceeded that davenport_exact raises on this
-# group with node_budget=3_000_000, after about 7 s.
+# group with node_budget=3_000_000, after about 5 s.
 Z2_4_Z6_WITNESS = (
     (0, 0, 0, 0, 1), (0, 0, 0, 0, 1), (0, 0, 0, 0, 1), (0, 0, 0, 1, 1), (0, 0, 1, 0, 2),
     (0, 1, 0, 0, 2), (0, 1, 1, 1, 2), (1, 0, 0, 0, 2), (1, 0, 1, 1, 2), (1, 1, 0, 1, 2),
@@ -274,22 +274,27 @@ def test_exact_records_of_orders_31_and_32_are_pinned():
     )
 
 
-def test_exact_search_skips_roots_an_automorphism_moves():
-    # a search from every first element takes 129,159 and 56,975 nodes
+def test_exact_search_skips_roots_an_automorphism_moves(monkeypatch):
+    # a search from every first element takes 129,159 and 56,975 nodes; the
+    # sums memo is off, so these budgets hold for the symmetry alone
+    monkeypatch.setattr(zsum.davenport, "_SUMS_MEMO_CAP", 0)
     assert davenport_exact(canonicalize([5, 5]), node_budget=30_000).value == 9
     assert davenport_exact(canonicalize([2, 2, 6]), node_budget=30_000).value == 8
 
 
-def test_exact_search_skips_candidates_the_prefix_stabilizer_moves():
+def test_exact_search_skips_candidates_the_prefix_stabilizer_moves(monkeypatch):
     # minima under the stabilizers of the first two distinct elements; the
     # search from root orbit minima alone takes 21,265 and 23,545 nodes
+    # (both without the sums memo, as here)
+    monkeypatch.setattr(zsum.davenport, "_SUMS_MEMO_CAP", 0)
     assert davenport_exact(canonicalize([5, 5]), node_budget=3_100).value == 9
     assert davenport_exact(canonicalize([2, 2, 6]), node_budget=5_100).value == 8
 
 
 def test_exact_davenport_of_z2_z2_z2_z6(monkeypatch):
-    # D* = 1 + 1 + 1 + 1 + 5 = 9; the search takes 477,882 nodes
-    rec = davenport_exact(canonicalize([2, 2, 2, 6]), node_budget=600_000)
+    # D* = 1 + 1 + 1 + 1 + 5 = 9; the search takes 85,818 nodes (477,882
+    # without the sums memo)
+    rec = davenport_exact(canonicalize([2, 2, 2, 6]), node_budget=100_000)
     assert rec.value == 9
     assert rec.witness == ((0, 0, 0, 1),) * 5 + ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
     monkeypatch.setattr(zsum.davenport, "_memo", {})
@@ -316,21 +321,84 @@ def test_exact_search_stops_growing_once_no_prefix_can_beat_the_witness():
 # (nodes, D) of the exact search on each group: a budget of exactly that many
 # nodes completes the search with its record, one fewer stops it on the last
 # node.  A faster kernel may change the time a search takes, never its walk.
+# These are the walk without the sums memo (a cap of 0 keeps no entry);
+# SEARCH_NODES_WITH_MEMO are the same searches with it.
 SEARCH_NODES = {
     (2, 12): (13_606, 13), (2, 2, 6): (5_055, 8), (2, 10): (3_584, 11), (5, 5): (3_085, 9),
 }
+SEARCH_NODES_WITH_MEMO = {
+    (2, 12): (7_617, 13), (2, 2, 6): (2_164, 8), (2, 10): (2_187, 11), (5, 5): (2_019, 9),
+}
 
 
-@pytest.mark.parametrize("factors", SEARCH_NODES, ids=lambda factors: "x".join(map(str, factors)))
-def test_exact_search_takes_a_pinned_number_of_nodes(factors):
-    g = canonicalize(factors)
-    nodes, value = SEARCH_NODES[factors]
+def _check_pinned_nodes(g, nodes, value):
     rec = davenport_exact(g, node_budget=nodes)
     assert (rec.value, rec.witness) == (value, generator_repeat_witness(g))
     with pytest.raises(BudgetExceeded) as err:
         davenport_exact(g, node_budget=nodes - 1)
     assert err.value.lower_bound == rec.value
     assert err.value.witness == rec.witness
+
+
+@pytest.mark.parametrize("factors", SEARCH_NODES, ids=lambda factors: "x".join(map(str, factors)))
+def test_exact_search_takes_a_pinned_number_of_nodes(monkeypatch, factors):
+    monkeypatch.setattr(zsum.davenport, "_SUMS_MEMO_CAP", 0)
+    _check_pinned_nodes(canonicalize(factors), *SEARCH_NODES[factors])
+
+
+@pytest.mark.parametrize(
+    "factors", SEARCH_NODES_WITH_MEMO, ids=lambda factors: "x".join(map(str, factors))
+)
+def test_the_sums_memo_takes_a_pinned_number_of_nodes(factors):
+    _check_pinned_nodes(canonicalize(factors), *SEARCH_NODES_WITH_MEMO[factors])
+
+
+@pytest.mark.parametrize("pinned", [
+    test_exact_records_up_to_order_26_are_pinned,
+    test_exact_records_of_orders_27_to_30_are_pinned,
+    test_exact_records_of_orders_31_and_32_are_pinned,
+], ids=lambda test: test.__name__[5:])
+def test_a_memo_cleared_every_third_write_keeps_the_pinned_records(monkeypatch, pinned):
+    monkeypatch.setattr(zsum.davenport, "_SUMS_MEMO_CAP", 2)
+    pinned()
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 6), (2, 2, 10)], ids=["2x2x6", "2x2x10"])
+def test_a_memo_cleared_every_third_write_keeps_the_searched_records(monkeypatch, factors):
+    monkeypatch.setattr(zsum.davenport, "_SUMS_MEMO_CAP", 2)
+    test_searched_record_is_the_exact_search_record(monkeypatch, factors)
+
+
+def test_a_memo_cleared_every_third_write_skips_fewer_nodes(monkeypatch):
+    # cleared, the memo forgets entries the full one skips with, but what
+    # it still holds skips some of the walk without it
+    monkeypatch.setattr(zsum.davenport, "_SUMS_MEMO_CAP", 2)
+    g = canonicalize([2, 12])
+    with pytest.raises(BudgetExceeded):
+        davenport_exact(g, node_budget=SEARCH_NODES_WITH_MEMO[(2, 12)][0])
+    without_memo, value = SEARCH_NODES[(2, 12)]
+    assert davenport_exact(g, node_budget=without_memo - 1).value == value
+
+
+@pytest.mark.parametrize("factors, cap", [
+    ((2, 12), 64),  # 1,724 writes
+    pytest.param((2, 2, 10), 1 << 12, marks=pytest.mark.slow),  # 33,496 entries; about 6 s traced
+], ids=["2x12", "2x2x10"])
+def test_the_memo_cap_bounds_the_search_memory(monkeypatch, factors, cap):
+    g = canonicalize(factors)
+    davenport_exact(g)  # fill the stabilizer caches before anything is traced
+    peaks = []
+    for patched in (False, True):  # the default cap holds every entry
+        if patched:
+            monkeypatch.setattr(zsum.davenport, "_SUMS_MEMO_CAP", cap)
+        tracemalloc.start()
+        try:
+            davenport_exact(g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    unbounded, capped = peaks
+    assert 4 * capped < unbounded, peaks
 
 
 def test_node_budget_exhaustion_raises():
